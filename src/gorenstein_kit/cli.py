@@ -24,8 +24,8 @@ from pathlib import Path
 
 from .dataset import TABLE_ROWS, fixture_path
 from .descent import (
-    BlockMismatch,
     NotPolynomialBase,
+    check_grading,
     cross_check_invariant_shift,
     descent_report,
 )
@@ -96,14 +96,6 @@ def _load_group(
     record = parse_group_record(path.read_text(), source=str(path))
     group, table = record.build(cap=_order_cap())
     return record, group, table
-
-
-def _ensure_grading_matches(p: RingPresentation, group: GradedGroupRep) -> None:
-    if list(p.generator_degrees) != list(group.graded_degrees):
-        raise BlockMismatch(
-            f"group grading {list(group.graded_degrees)} does not match "
-            f"generator degrees {list(p.generator_degrees)} of {p.name}"
-        )
 
 
 # -- rendering helpers ---------------------------------------------------------
@@ -253,7 +245,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
 def cmd_molien(args: argparse.Namespace) -> int:
     _, p = _load_ring(args.ring)
     _, group, table = _load_group(args.group)
-    _ensure_grading_matches(p, group)
+    check_grading(p, group)
     report = molien_series(group, twist=args.twist, table=table)
     hi = args.max_degree
     relations_ignored = bool(p.relations)
@@ -306,7 +298,7 @@ def _table_for(group: GradedGroupRep, table: RationalCharacterTable | None) -> R
 def cmd_sympow(args: argparse.Namespace) -> int:
     _, p = _load_ring(args.ring)
     _, group, table = _load_group(args.group)
-    _ensure_grading_matches(p, group)
+    check_grading(p, group)
     table = _table_for(group, table)
     names = list(table.names)
     block_degrees = {d for d, _ in group.blocks}
@@ -336,7 +328,7 @@ def cmd_sympow(args: argparse.Namespace) -> int:
 def cmd_invgen(args: argparse.Namespace) -> int:
     _, p = _load_ring(args.ring)
     _, group, _ = _load_group(args.group)
-    _ensure_grading_matches(p, group)
+    check_grading(p, group)
     symbols = [s for s, _ in p.generators]
     basis = invariant_basis(group, args.degree)
     payload = {
@@ -468,6 +460,14 @@ def cmd_table(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for degrees and powers; a negative count is bad usage."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gorenstein-kit",
@@ -486,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("hilbert", cmd_hilbert, "Hilbert series and coefficient table of a ring")
     sp.add_argument("ring")
-    sp.add_argument("--max-degree", type=int, default=40)
+    sp.add_argument("--max-degree", type=non_negative_int, default=40)
 
     sp = add("shift", cmd_shift, "Gorenstein shift, by formula and by functional equation")
     sp.add_argument("ring")
@@ -499,17 +499,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("group")
     sp.add_argument("--twist", default="trivial",
                     help="'trivial', 'det', or a character name from the table")
-    sp.add_argument("--max-degree", type=int, default=48)
+    sp.add_argument("--max-degree", type=non_negative_int, default=48)
 
     sp = add("sympow", cmd_sympow, "symmetric-power decompositions against a character table")
     sp.add_argument("ring")
     sp.add_argument("group")
-    sp.add_argument("--n", type=int, required=True, help="largest symmetric power")
+    sp.add_argument("--n", type=non_negative_int, required=True, help="largest symmetric power")
 
     sp = add("invgen", cmd_invgen, "explicit invariant polynomials of one degree")
     sp.add_argument("ring")
     sp.add_argument("group")
-    sp.add_argument("--degree", type=int, required=True)
+    sp.add_argument("--degree", type=non_negative_int, required=True)
 
     sp = add("descent", cmd_descent, "descended shift prediction for a ring of invariants")
     sp.add_argument("ring")

@@ -20,12 +20,7 @@ from .graded_ring import (
     krull_dimension,
     polynomial_presentation,
 )
-from .invariants import (
-    GradedGroupRep,
-    molien_series,
-    solomon_supplement,
-    verify_solomon,
-)
+from .invariants import GradedGroupRep, NotPolynomial, verify_solomon
 from .series import HilbertSeries
 
 
@@ -66,12 +61,14 @@ class DescentReport:
     invariant_series: HilbertSeries
 
 
-def _check_blocks(p: RingPresentation, group: GradedGroupRep) -> None:
-    ring_degrees = sorted(p.generator_degrees)
-    group_degrees = sorted(group.graded_degrees)
-    if ring_degrees != group_degrees:
+def check_grading(p: RingPresentation, group: GradedGroupRep) -> None:
+    """Refuse a group whose coordinate degrees, in block order, differ from
+    the ring's generator degrees in generator order: matrix columns follow
+    the ring's generators."""
+    if list(p.generator_degrees) != list(group.graded_degrees):
         raise BlockMismatch(
-            f"group grading {group_degrees} does not match generator degrees {ring_degrees}"
+            f"group grading {list(group.graded_degrees)} does not match "
+            f"generator degrees {list(p.generator_degrees)} of {p.name}"
         )
 
 
@@ -87,16 +84,16 @@ def descent_report(p: RingPresentation, group: GradedGroupRep) -> DescentReport:
         raise NotPolynomialBase(
             f"{p.name}: base ring has relations; descent prediction needs a polynomial base"
         )
-    _check_blocks(p, group)
+    check_grading(p, group)
     a = gorenstein_shift_formula(p)
-    trivial = molien_series(group, "trivial")
-    if trivial.polynomial_degrees is None:
+    try:
+        solomon = verify_solomon(group)
+    except NotPolynomial as exc:
         raise NotPolynomialInvariants(
             f"{p.name}: invariants of {group.name or 'the group'} are not polynomial"
-        )
-    degrees = trivial.polynomial_degrees
-    b = solomon_supplement(p.generator_degrees, degrees)
-    solomon = verify_solomon(group)
+        ) from exc
+    degrees = solomon.invariant_degrees
+    b = solomon.supplement
     invariant_presentation = polynomial_presentation(
         name=f"{p.name}^{group.name or 'G'}",
         coefficient_label=p.coefficient_label,
@@ -112,7 +109,7 @@ def descent_report(p: RingPresentation, group: GradedGroupRep) -> DescentReport:
         descended_anderson_shift=a + b + 1,
         solomon_verified=solomon.verified,
         invariant_presentation=invariant_presentation,
-        invariant_series=trivial.series,
+        invariant_series=solomon.invariant_series,
     )
 
 

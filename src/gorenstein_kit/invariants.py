@@ -4,7 +4,10 @@ A group is enumerated explicitly (orders here are tiny, so exactness beats
 generality) as block-diagonal matrices with exact rational entries, one
 square block per generator degree.  On top of the enumeration this module
 computes Molien and character-twisted Molien series, pseudoreflection
-counts, fundamental invariant degrees by greedy peeling, the Solomon
+counts (both as sums over conjugacy classes, one term per class
+representative, with g in place of g^-1 in Molien's formula since a
+rational matrix of finite order has the same characteristic polynomial as
+its inverse), fundamental invariant degrees by greedy peeling, the Solomon
 supplement together with its verification as an identity of rational
 functions, symmetric-power characters, decompositions against rational
 character tables, and explicit invariant polynomials via the averaging
@@ -190,20 +193,26 @@ def conjugacy_classes(group: GradedGroupRep) -> tuple[tuple[int, ...], ...]:
     """
     if group._classes is not None:
         return group._classes
+    # The class of x is its orbit under x -> g^-1 x g for the generators g:
+    # conjugation by any element is a composite of these.
     index = {m: i for i, m in enumerate(group.elements)}
-    inverses = [linalg.inverse(m) for m in group.elements]
-    assigned: dict[int, int] = {}
+    conjugators = [(linalg.inverse(g), g) for g in group.generators]
+    assigned: set[int] = set()
     raw: list[list[int]] = []
     for i, x in enumerate(group.elements):
         if i in assigned:
             continue
-        members = set()
-        for h, hinv in zip(group.elements, inverses):
-            members.add(index[linalg.mat_mul(linalg.mat_mul(h, x), hinv)])
-        cls = sorted(members)
-        for j in cls:
-            assigned[j] = len(raw)
-        raw.append(cls)
+        members = {i}
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for ginv, g in conjugators:
+                j = index[linalg.mat_mul(linalg.mat_mul(ginv, y), g)]
+                if j not in members:
+                    members.add(j)
+                    stack.append(group.elements[j])
+        assigned |= members
+        raw.append(sorted(members))
 
     def class_key(cls: list[int]) -> tuple:
         rep = min(cls, key=lambda i: _element_key(group.elements[i]))
@@ -221,14 +230,6 @@ def class_representatives(group: GradedGroupRep) -> tuple[int, ...]:
     for cls in conjugacy_classes(group):
         reps.append(min(cls, key=lambda i: _element_key(group.elements[i])))
     return tuple(reps)
-
-
-def _class_of_element(group: GradedGroupRep) -> list[int]:
-    lookup = [0] * group.order
-    for c, cls in enumerate(conjugacy_classes(group)):
-        for i in cls:
-            lookup[i] = c
-    return lookup
 
 
 @dataclass(frozen=True)
@@ -349,12 +350,15 @@ class MolienReport:
 
 def _element_term(group: GradedGroupRep, m: Matrix) -> HilbertSeries:
     """1 / prod_blocks det(1 - (m on V_d) t^d) as a canonical series."""
-    inv = linalg.inverse(m)
+    # Molien's formula has m^-1 here, but det(1 - m^-1 t) = det(1 - m t) for
+    # a rational matrix of finite order: its eigenvalues are roots of unity,
+    # so inverting them conjugates them, and the eigenvalues of a real
+    # matrix are closed under complex conjugation.
     order = element_order(m, group.order)
     numerator = LaurentPolynomial.one()
     dens: list[int] = []
     for degree, start, stop in group.block_slices():
-        sub = tuple(tuple(inv[i][j] for j in range(start, stop)) for i in range(start, stop))
+        sub = tuple(tuple(m[i][j] for j in range(start, stop)) for i in range(start, stop))
         dim = stop - start
         det_coeffs = linalg.det_one_minus_coefficients(sub)
         det_poly = LaurentPolynomial(
@@ -372,12 +376,13 @@ def _element_term(group: GradedGroupRep, m: Matrix) -> HilbertSeries:
 
 
 def pseudoreflection_count(group: GradedGroupRep) -> int:
+    """Number of elements g with rank(g - 1) = 1, counted class by class."""
     ident = linalg.identity(group.dimension)
-    count = 0
-    for m in group.elements:
-        if m != ident and linalg.rank(linalg.mat_sub(m, ident)) == 1:
-            count += 1
-    return count
+    return sum(
+        len(cls)
+        for rep, cls in zip(class_representatives(group), conjugacy_classes(group))
+        if linalg.rank(linalg.mat_sub(group.elements[rep], ident)) == 1
+    )
 
 
 def molien_series(
@@ -390,22 +395,25 @@ def molien_series(
     Averages 1/det(1 - g^{-1} t^d on V_d) over the group, each degree-d
     block contributing at t^d; for ``twist="det"`` every term is weighted by
     the determinant of g, and for a named twist by that character's value on
-    the class of g (the table must contain the name).
+    the class of g (the table must contain the name).  Terms and weights are
+    class functions, so the sum runs over conjugacy classes, one term per
+    representative times the class size.  Each term uses g in place of
+    g^{-1}: a rational matrix of finite order has the same characteristic
+    polynomial as its inverse, since its eigenvalues are roots of unity.
     """
+    reps = class_representatives(group)
     if twist == "trivial":
-        weights = [Fraction(1)] * group.order
+        weights = [Fraction(1)] * len(reps)
     elif twist == "det":
-        weights = [linalg.determinant(m) for m in group.elements]
+        weights = [linalg.determinant(group.elements[rep]) for rep in reps]
     else:
         if table is None:
             raise ValueError(f"twist {twist!r} needs a character table")
-        values = table.row(twist)
-        lookup = _class_of_element(group)
-        weights = [values[lookup[i]] for i in range(group.order)]
+        weights = table.row(twist)
     total = HilbertSeries.zero()
-    for m, w in zip(group.elements, weights):
+    for rep, cls, w in zip(reps, conjugacy_classes(group), weights):
         if w:
-            total = total + _element_term(group, m) * w
+            total = total + _element_term(group, group.elements[rep]) * (w * len(cls))
     series = total * Fraction(1, group.order)
     try:
         degrees = extract_polynomial_degrees(series, group.dimension)

@@ -8,6 +8,7 @@ tool.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -44,65 +45,59 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def determinant(m: Matrix) -> Fraction:
-    n = len(m)
-    rows = [list(r) for r in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+def _gauss_jordan(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[list[list[Fraction]], list[int], int, list[Fraction]]:
+    """Gauss-Jordan elimination: the nonzero rows of the reduced row echelon
+    form, their pivot columns, the sign of the row swaps and the pivot values
+    divided out (whose signed product is the determinant of a regular matrix).
+    """
+    work = [list(r) for r in rows]
+    pivots: list[int] = []
+    pivot_values: list[Fraction] = []
+    sign = 1
+    rk = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rk, len(work)) if work[r][col]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] * inv
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return det
+            continue
+        if pivot != rk:
+            work[rk], work[pivot] = work[pivot], work[rk]
+            sign = -sign
+        value = work[rk][col]
+        pivots.append(col)
+        pivot_values.append(value)
+        inv = 1 / value
+        work[rk] = [x * inv for x in work[rk]]
+        for r in range(len(work)):
+            if r != rk and work[r][col]:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[rk])]
+        rk += 1
+        if rk == len(work):
+            break
+    return work[:rk], pivots, sign, pivot_values
+
+
+def determinant(m: Matrix) -> Fraction:
+    _, pivots, sign, pivot_values = _gauss_jordan(m)
+    if len(pivots) < len(m):
+        return Fraction(0)
+    return sign * math.prod(pivot_values, start=Fraction(1))
 
 
 def rank(m: Matrix) -> int:
-    if not m:
-        return 0
-    rows = [list(r) for r in m]
-    n, cols = len(rows), len(rows[0])
-    rk = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rk, n) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        inv = 1 / rows[rk][col]
-        for r in range(n):
-            if r != rk and rows[r][col]:
-                factor = rows[r][col] * inv
-                for c in range(col, cols):
-                    rows[r][c] -= factor * rows[rk][c]
-        rk += 1
-        if rk == n:
-            break
-    return rk
+    return len(_gauss_jordan(m)[1])
 
 
 def inverse(m: Matrix) -> Matrix:
     n = len(m)
-    aug = [list(row) + list(ident_row) for row, ident_row in zip(m, identity(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    reduced, pivots, _, _ = _gauss_jordan(
+        [list(row) + list(ident_row) for row, ident_row in zip(m, identity(n))]
+    )
+    if any(col >= n for col in pivots):
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in reduced)
 
 
 def trace(m: Matrix) -> Fraction:
@@ -131,23 +126,4 @@ def det_one_minus_coefficients(m: Matrix) -> list[Fraction]:
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Reduced row echelon form; zero rows are dropped."""
-    work = [list(r) for r in rows]
-    if not work:
-        return []
-    cols = len(work[0])
-    rk = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rk, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        inv = 1 / work[rk][col]
-        work[rk] = [x * inv for x in work[rk]]
-        for r in range(len(work)):
-            if r != rk and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rk])]
-        rk += 1
-        if rk == len(work):
-            break
-    return [row for row in work[:rk]]
+    return _gauss_jordan(rows)[0]

@@ -159,6 +159,23 @@ def test_block_mismatch_is_an_error(capsys):
     assert "does not match" in err
 
 
+def test_block_order_must_follow_generator_order(tmp_path, capsys):
+    # Same degrees as the ring, listed in the other order: the matrix
+    # columns would pair x with degree 12.
+    ring = tmp_path / "xy.ring"
+    ring.write_text("[ring]\nname = xy\ngenerator = x 8\ngenerator = y 12\n")
+    group = tmp_path / "swapped.group"
+    group.write_text(
+        "[group]\nname = swapped\nblock = 12 1\nblock = 8 1\n\n"
+        "[generator]\nrow = -1 0\nrow = 0 1\n"
+    )
+    for command in ("descent", "molien", "invgen"):
+        argv = [command, str(ring), str(group)] + (["--degree", "8"] if command == "invgen" else [])
+        code, _, err = run(capsys, *argv)
+        assert code == 1, command
+        assert "does not match" in err and "of xy" in err, command
+
+
 def test_order_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("GORENSTEIN_KIT_MAX_ORDER", "1")
     code, _, err = run(capsys, "molien", "tmf2", "sigma3_standard")
@@ -173,9 +190,20 @@ def test_order_cap_env_validation(capsys, monkeypatch):
     assert "GORENSTEIN_KIT_MAX_ORDER" in err
 
 
-def test_usage_error_exits_two(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["no-such-command"],
+        ["hilbert", "ku", "--max-degree", "-3"],
+        ["molien", "tmf2", "sigma3_standard", "--max-degree", "-1"],
+        ["sympow", "tmf2", "sigma3_standard", "--n", "-1"],
+        ["invgen", "tmf2", "sigma3_standard", "--degree", "-4"],
+    ],
+    ids=["unknown-command", "hilbert-max-degree", "molien-max-degree", "sympow-n", "invgen-degree"],
+)
+def test_usage_error_exits_two(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
+        main(argv)
     assert exc.value.code == 2
 
 

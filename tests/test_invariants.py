@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gorenstein_kit import linalg
+from gorenstein_kit.dataset import GROUP_FIXTURES, load_group_fixture
 from gorenstein_kit.invariants import (
     LengthMismatch,
     MonomialBoundExceeded,
@@ -25,6 +26,7 @@ from gorenstein_kit.invariants import (
     invariant_basis,
     molien_series,
     monomials_of_degree,
+    pseudoreflection_count,
     solomon_supplement,
     sym_power_character,
     verify_solomon,
@@ -39,6 +41,16 @@ def c3_group():
 
 def trivial_group(blocks=((2, 1),)):
     return generate_group([], blocks, name="trivial")
+
+
+def s4_group():
+    """S_4 permuting four degree-2 coordinates, from a transposition and a 4-cycle."""
+
+    def permutation(p):
+        return [[1 if p[j] == i else 0 for j in range(4)] for i in range(4)]
+
+    generators = [permutation([1, 0, 2, 3]), permutation([1, 2, 3, 0])]
+    return generate_group(generators, [(2, 4)], name="s4")
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -105,17 +117,21 @@ def test_classes_of_trivial_group():
     assert conjugacy_classes(trivial_group()) == ((0,),)
 
 
-def test_classes_of_standard_action(sigma3_group):
-    classes = conjugacy_classes(sigma3_group)
-    assert [len(c) for c in classes] == [1, 3, 2]
+@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4"])
+def test_classes_of_standard_action(name):
+    group = s4_group() if name == "s4" else load_group_fixture(name).build()[0]
+    classes = conjugacy_classes(group)
+    expected_sizes = {"sigma3_standard": [1, 3, 2], "s4": [1, 3, 6, 8, 6]}
+    if name in expected_sizes:
+        assert [len(c) for c in classes] == expected_sizes[name]
     # brute-force cross-check of the partition
-    index = {m: i for i, m in enumerate(sigma3_group.elements)}
+    index = {m: i for i, m in enumerate(group.elements)}
     for cls in classes:
         for i in cls:
-            x = sigma3_group.elements[i]
+            x = group.elements[i]
             orbit = {
                 index[linalg.mat_mul(linalg.mat_mul(h, x), linalg.inverse(h))]
-                for h in sigma3_group.elements
+                for h in group.elements
             }
             assert orbit == set(cls)
 
@@ -204,6 +220,46 @@ def test_pseudoreflection_degree_relation(c2_group, sigma3_group):
         assert report.pseudoreflection_count == sum(
             e // d - 1 for e in report.polynomial_degrees
         )
+
+
+def _molien_by_elements(group, weight):
+    """Reference Molien sum: w(g) / prod_d det(1 - g^-1 t^d on V_d) over every
+    element g, with each determinant taken over the common denominator
+    (1 - t^{d|G|})^dim."""
+    total = HilbertSeries.zero()
+    for m in group.elements:
+        inv = linalg.inverse(m)
+        term = HilbertSeries.one()
+        for degree, start, stop in group.block_slices():
+            block = tuple(tuple(row[start:stop]) for row in inv[start:stop])
+            coeffs = linalg.det_one_minus_coefficients(block)
+            det = LaurentPolynomial({k * degree: c for k, c in enumerate(coeffs)})
+            common = degree * group.order
+            full = LaurentPolynomial.one_minus(common) ** (stop - start)
+            term = term * HilbertSeries(full.divide_exact(det), [common] * (stop - start))
+        total = total + term * weight(m)
+    return total * Fraction(1, group.order)
+
+
+@pytest.mark.parametrize("name", GROUP_FIXTURES)
+def test_class_sums_match_the_per_element_definition(name):
+    group, table = load_group_fixture(name).build()
+    table = table or builtin_character_table(group)
+    class_of = {
+        group.elements[i]: c for c, cls in enumerate(conjugacy_classes(group)) for i in cls
+    }
+    weights = {"trivial": lambda m: 1, "det": linalg.determinant}
+    for character in table.names:
+        values = table.row(character)
+        weights[character] = lambda m, values=values: values[class_of[m]]
+    for twist, weight in weights.items():
+        expected = _molien_by_elements(group, weight)
+        assert molien_series(group, twist, table=table).series == expected, twist
+    ident = linalg.identity(group.dimension)
+    by_element = sum(
+        1 for m in group.elements if m != ident and linalg.rank(linalg.mat_sub(m, ident)) == 1
+    )
+    assert pseudoreflection_count(group) == by_element
 
 
 # -- degree extraction ----------------------------------------------------------------

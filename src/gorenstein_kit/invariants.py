@@ -10,8 +10,8 @@ rational matrix of finite order has the same characteristic polynomial as
 its inverse), fundamental invariant degrees by greedy peeling, the Solomon
 supplement together with its verification as an identity of rational
 functions, symmetric-power characters, decompositions against rational
-character tables, and explicit invariant polynomials via the averaging
-(Reynolds) operator.
+character tables, and explicit invariant polynomials as the common kernel
+of g - 1 over the generators.
 
 Only rational-valued character tables are supported for decomposition;
 groups with irrational irreducible characters still get Molien series and
@@ -262,9 +262,9 @@ def character_table(
     """Build and validate a character table against an enumerated group.
 
     Rows must be rational-valued class functions in the canonical class
-    order satisfying the orthonormality relations; anything else is
-    rejected, since decomposition against such a table would be silently
-    wrong.
+    order satisfying the orthonormality relations, one per class, with
+    sum chi(1)^2 = |G|; anything else is rejected, since decomposition
+    against such a table would be silently wrong.
     """
     classes = conjugacy_classes(group)
     sizes = tuple(len(c) for c in classes)
@@ -291,6 +291,13 @@ def character_table(
                 raise ValueError(
                     f"characters {name_i!r}, {name_j!r} fail orthogonality: <,> = {inner}"
                 )
+    # The identity class comes first, so chi[0] is the degree chi(1).
+    degrees_squared = sum(chi[0] ** 2 for _, chi in rows)
+    if len(rows) != len(classes) or degrees_squared != group.order:
+        raise ValueError(
+            f"incomplete character table: {len(rows)} irreducibles for {len(classes)} "
+            f"classes, sum of chi(1)^2 = {degrees_squared} for a group of order {group.order}"
+        )
     return RationalCharacterTable(
         class_representatives=class_representatives(group),
         class_sizes=sizes,
@@ -562,7 +569,7 @@ def decompose(
     return tuple(mults)
 
 
-# -- explicit invariants via averaging ----------------------------------------
+# -- explicit invariants from the generators ----------------------------------
 
 Polynomial = dict[tuple[int, ...], Fraction]
 
@@ -580,30 +587,16 @@ def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     return out
 
 
-def _poly_pow(a: Polynomial, k: int, nvars: int) -> Polynomial:
-    result: Polynomial = {(0,) * nvars: Fraction(1)}
-    base = a
-    while k:
-        if k & 1:
-            result = _poly_mul(result, base)
-        base = _poly_mul(base, base)
-        k >>= 1
-    return result
-
-
 def _apply_element(m: Matrix, exponents: tuple[int, ...]) -> Polynomial:
     """Image of the monomial prod x_j^{e_j} under x_j -> sum_i m[i][j] x_i."""
     nvars = len(exponents)
     result: Polynomial = {(0,) * nvars: Fraction(1)}
     for j, e in enumerate(exponents):
-        if not e:
-            continue
-        linear: Polynomial = {}
-        for i in range(nvars):
-            if m[i][j]:
-                unit = tuple(1 if k == i else 0 for k in range(nvars))
-                linear[unit] = m[i][j]
-        result = _poly_mul(result, _poly_pow(linear, e, nvars))
+        linear = {
+            tuple(int(k == i) for k in range(nvars)): m[i][j] for i in range(nvars) if m[i][j]
+        }
+        for _ in range(e):
+            result = _poly_mul(result, linear)
     return result
 
 
@@ -633,49 +626,45 @@ def invariant_basis(
 ) -> list[Polynomial]:
     """Exact basis of the invariant polynomials of one topological degree.
 
-    Applies the averaging operator (1/|G|) sum_g g . to every monomial of
-    the degree and row-reduces the results; the number of basis elements
-    equals the corresponding Molien coefficient.  Polynomials are exponent
-    dictionaries over the graded variables, one slot per matrix coordinate.
+    The invariants are the common kernel of g - 1 over the generators g on
+    the monomials of the degree (Derksen-Kemper, *Computational Invariant
+    Theory*, ch. 3), returned as the reduced row echelon form of that
+    kernel, which is unique for the fixed column order; their number equals
+    the Molien coefficient.  The monomial count, read from
+    1/prod(1 - t^{d_i}), is checked against ``monomial_bound`` before any
+    monomial is enumerated.  Polynomials are exponent dictionaries over the
+    graded variables, one slot per matrix coordinate.
     """
     var_degrees = group.graded_degrees
     if total_degree == 0:
         return [{(0,) * group.dimension: Fraction(1)}]
-    monomials = monomials_of_degree(var_degrees, total_degree)
-    if len(monomials) > monomial_bound:
+    count = HilbertSeries.inverse_product(var_degrees).coefficient(total_degree)
+    if count > monomial_bound:
         raise MonomialBoundExceeded(
-            f"{len(monomials)} monomials at degree {total_degree} "
-            f"(bound {monomial_bound})"
+            f"{count} monomials at degree {total_degree} (bound {monomial_bound})"
         )
-    if not monomials:
+    if not count:
         return []
-    averaged: list[Polynomial] = []
-    inv_order = Fraction(1, group.order)
-    for expvec in monomials:
-        acc: Polynomial = {}
-        for m in group.elements:
-            for e, c in _apply_element(m, expvec).items():
-                v = acc.get(e, Fraction(0)) + c
-                if v:
-                    acc[e] = v
-                else:
-                    acc.pop(e, None)
-        acc = {e: c * inv_order for e, c in acc.items()}
-        if acc:
-            averaged.append(acc)
-    columns = sorted(monomials, reverse=True)
+    columns = sorted(monomials_of_degree(var_degrees, total_degree), reverse=True)
+    size = len(columns)
     col_index = {e: i for i, e in enumerate(columns)}
-    rows = []
-    for poly in averaged:
-        row = [Fraction(0)] * len(columns)
-        for e, c in poly.items():
-            row[col_index[e]] = c
-        rows.append(row)
-    basis = []
-    for row in linalg.rref(rows):
-        poly = {columns[i]: c for i, c in enumerate(row) if c}
-        basis.append(poly)
-    return basis
+    reduced: list[list[Fraction]] = []
+    for g in group.generators:
+        # Row e of g - 1: coefficient of monomial e in g.m_j - m_j, over j.
+        rows = [[Fraction(0)] * size for _ in columns]
+        for j, expvec in enumerate(columns):
+            for e, c in _apply_element(g, expvec).items():
+                rows[col_index[e]][j] += c
+            rows[j][j] -= 1
+        reduced = linalg.rref(reduced + rows)
+    # One kernel vector per free column: 1 there, minus that column of each
+    # pivot row at its pivot, 0 elsewhere.
+    pivot_rows = {next(j for j, c in enumerate(row) if c): row for row in reduced}
+    kernel = [
+        [-pivot_rows[j][free] if j in pivot_rows else Fraction(int(j == free)) for j in range(size)]
+        for free in range(size) if free not in pivot_rows
+    ]
+    return [{columns[i]: c for i, c in enumerate(row) if c} for row in linalg.rref(kernel)]
 
 
 def format_polynomial(poly: Polynomial, symbols: Sequence[str]) -> str:

@@ -33,12 +33,18 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m = len(a), len(b[0])
-    inner = len(b)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(m))
-        for i in range(n)
-    )
+    # Zero entries are skipped: the matrices here are mostly signed
+    # permutations, and x + 0*y = x exactly.
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * len(b[0])
+        for x, terms in zip(row, b_nonzero):
+            if x:
+                for j, y in terms:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -67,12 +73,16 @@ def _gauss_jordan(
         value = work[rk][col]
         pivots.append(col)
         pivot_values.append(value)
-        inv = 1 / value
-        work[rk] = [x * inv for x in work[rk]]
-        for r in range(len(work)):
-            if r != rk and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rk])]
+        # Only the pivot row's nonzero entries change anything: x - f*0 = x.
+        pivot_row = work[rk]
+        support = [j for j in range(col, len(pivot_row)) if pivot_row[j]]
+        for j in support:
+            pivot_row[j] /= value
+        for r, row in enumerate(work):
+            factor = row[col]
+            if factor and r != rk:
+                for j in support:
+                    row[j] -= factor * pivot_row[j]
         rk += 1
         if rk == len(work):
             break

@@ -247,6 +247,23 @@ def test_sympow_without_any_table_is_an_error(tmp_path, capsys):
     assert "NoBuiltinCharacterTable" in err and "character_table" in err
 
 
+def test_sympow_refuses_an_incomplete_character_table(tmp_path, capsys):
+    # The bundled sigma3 file without its std row: triv and sign are
+    # orthonormal, so only completeness can reject the table.
+    group = tmp_path / "sigma3_partial.group"
+    group.write_text(
+        "[group]\nname = sigma3\nblock = 4 2\n\n"
+        "[generator]\nrow = -1 1\nrow = 0 1\n\n"
+        "[generator]\nrow = 1 0\nrow = 1 -1\n\n"
+        "[character_table]\nclass_sizes = 1 3 2\n"
+        "irreducible = triv 1 1 1\nirreducible = sign 1 -1 1\n"
+    )
+    code, out, err = run(capsys, "sympow", "tmf2", str(group), "--n", "4")
+    assert code == 1
+    assert out == ""
+    assert "incomplete character table: 2 irreducibles for 3 classes" in err
+
+
 def test_series_json_reconstructs_the_series(capsys):
     from fractions import Fraction
 

@@ -1,11 +1,11 @@
 """Group enumeration, Molien series, Solomon verification, symmetric powers,
-and the averaging-operator oracle."""
+and explicit invariants against the averaging-operator (Reynolds) oracle."""
 
 from fractions import Fraction
 
 import pytest
 
-from gorenstein_kit import linalg
+from gorenstein_kit import invariants, linalg
 from gorenstein_kit.dataset import GROUP_FIXTURES, load_group_fixture
 from gorenstein_kit.invariants import (
     LengthMismatch,
@@ -30,6 +30,7 @@ from gorenstein_kit.invariants import (
     solomon_supplement,
     sym_power_character,
     verify_solomon,
+    _apply_element,
 )
 from gorenstein_kit.series import HilbertSeries, LaurentPolynomial
 
@@ -354,8 +355,6 @@ def test_sym_power_two_by_brute_force(sigma3_group):
         m = sigma3_group.elements[rep]
         basis = monomials_of_degree((4, 4), 8)
         total = Fraction(0)
-        from gorenstein_kit.invariants import _apply_element
-
         for expvec in basis:
             total += _apply_element(m, expvec).get(expvec, Fraction(0))
         values.append(total)
@@ -431,6 +430,13 @@ def test_character_table_rejects_non_orthogonal_rows(sigma3_group):
         character_table(sigma3_group, [("bad", (1, 1, 0))])
 
 
+def test_character_table_rejects_incomplete_tables(sigma3_group):
+    # triv and sign are orthonormal, but std is missing: 2 rows for 3 classes
+    # and 1 + 1 != 6.
+    with pytest.raises(ValueError, match="2 irreducibles for 3 classes.* = 2 .* order 6"):
+        character_table(sigma3_group, [("triv", (1, 1, 1)), ("sign", (1, -1, 1))])
+
+
 def test_character_table_rejects_wrong_length(sigma3_group):
     with pytest.raises(ValueError):
         character_table(sigma3_group, [("triv", (1, 1))])
@@ -496,6 +502,62 @@ def test_invariant_dimensions_match_molien(c2_group, sigma3_group, all_group_fix
 def test_monomial_bound(sigma3_group):
     with pytest.raises(MonomialBoundExceeded):
         invariant_basis(sigma3_group, 40, monomial_bound=2)
+
+
+def test_monomial_bound_is_checked_before_enumerating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("monomials enumerated before the bound was checked")
+
+    monkeypatch.setattr(invariants, "monomials_of_degree", refuse)
+    # 5 variables of degree 2 at degree 400: C(204, 4), about 7.0e7 monomials.
+    group = generate_group([], [(2, 5)], name="trivial5")
+    with pytest.raises(MonomialBoundExceeded, match="70058751 monomials"):
+        invariant_basis(group, 400)
+    with pytest.raises(MonomialBoundExceeded):
+        invariant_basis(s4_group(), 40, monomial_bound=10)
+
+
+def _reynolds_basis(group, degree):
+    """Reference basis: the averaging operator (1/|G|) sum_g g. applied to
+    every monomial of the degree, over every element, then row-reduced with
+    the columns in the library's order."""
+    if degree == 0:
+        return [{(0,) * group.dimension: Fraction(1)}]
+    monomials = monomials_of_degree(group.graded_degrees, degree)
+    columns = sorted(monomials, reverse=True)
+    col_index = {e: i for i, e in enumerate(columns)}
+    rows = []
+    for expvec in monomials:
+        row = [Fraction(0)] * len(columns)
+        for m in group.elements:
+            for e, c in _apply_element(m, expvec).items():
+                row[col_index[e]] += c
+        rows.append([c / group.order for c in row])
+    return [{columns[i]: c for i, c in enumerate(row) if c} for row in linalg.rref(rows)]
+
+
+def _act(m, poly):
+    out = {}
+    for exponents, c in poly.items():
+        for e, d in _apply_element(m, exponents).items():
+            out[e] = out.get(e, Fraction(0)) + c * d
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "trivial"])
+def test_invariant_basis_matches_the_reynolds_oracle(name):
+    if name == "s4":
+        group, top = s4_group(), 12
+    elif name == "trivial":  # no generators: every monomial is invariant
+        group, top = trivial_group(((2, 1), (4, 2))), 12
+    else:
+        group, top = load_group_fixture(name).build()[0], 48
+    for degree in range(top + 1):
+        basis = invariant_basis(group, degree)
+        assert basis == _reynolds_basis(group, degree), degree
+        for m in group.elements:
+            for poly in basis:
+                assert _act(m, poly) == poly, degree
 
 
 def test_off_grading_degree_has_no_monomials(sigma3_group):

@@ -1,4 +1,5 @@
-"""Exact elimination (rref, rank, determinant, inverse) against sympy."""
+"""Exact elimination (rref, rank, determinant, inverse) and products against
+sympy, on dense and on mostly-zero matrices."""
 
 from fractions import Fraction
 
@@ -27,6 +28,31 @@ square = st.integers(1, 4).flatmap(lambda n: matrices(n, n))
 rectangular = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(lambda rc: matrices(*rc))
 
 
+def sparse_matrices(rows, cols):
+    """Mostly-zero matrices: at most a quarter of the entries (and at least
+    one) are drawn nonzero, at drawn positions, like the signed permutations
+    and monomial-substitution rows the library multiplies and reduces."""
+    positions = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    return st.dictionaries(positions, nonzero, max_size=max(1, rows * cols // 4)).map(
+        lambda entries: linalg.freeze(
+            [[entries.get((i, j), 0) for j in range(cols)] for i in range(rows)]
+        )
+    )
+
+
+sparse_square = st.integers(1, 8).flatmap(lambda n: sparse_matrices(n, n))
+sparse_rectangular = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+    lambda rc: sparse_matrices(*rc)
+)
+sparse_products = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda nkm: st.tuples(sparse_matrices(nkm[0], nkm[1]), sparse_matrices(nkm[1], nkm[2]))
+)
+dense_products = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda nkm: st.tuples(matrices(nkm[0], nkm[1]), matrices(nkm[1], nkm[2]))
+)
+
+
 def to_sympy(m):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m])
 
@@ -35,17 +61,13 @@ def from_sympy(m):
     return [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
 
 
-@given(rectangular)
-@settings(max_examples=150)
-def test_rref_and_rank_match_sympy(m):
+def check_rref_and_rank(m):
     reduced, pivots = to_sympy(m).rref()
     assert linalg.rref(m) == from_sympy(reduced)[: len(pivots)]
     assert linalg.rank(m) == len(pivots) == to_sympy(m).rank()
 
 
-@given(square)
-@settings(max_examples=150)
-def test_determinant_and_inverse_match_sympy(m):
+def check_determinant_and_inverse(m):
     expected = to_sympy(m).det()
     assert linalg.determinant(m) == Fraction(int(expected.p), int(expected.q))
     if expected:
@@ -53,6 +75,39 @@ def test_determinant_and_inverse_match_sympy(m):
     else:
         with pytest.raises(ZeroDivisionError):
             linalg.inverse(m)
+
+
+@given(rectangular)
+@settings(max_examples=150)
+def test_rref_and_rank_match_sympy(m):
+    check_rref_and_rank(m)
+
+
+@given(square)
+@settings(max_examples=150)
+def test_determinant_and_inverse_match_sympy(m):
+    check_determinant_and_inverse(m)
+
+
+@given(sparse_rectangular)
+@settings(max_examples=150)
+def test_sparse_rref_and_rank_match_sympy(m):
+    check_rref_and_rank(m)
+
+
+@given(sparse_square)
+@settings(max_examples=150)
+def test_sparse_determinant_and_inverse_match_sympy(m):
+    check_determinant_and_inverse(m)
+
+
+@given(st.one_of(dense_products, sparse_products))
+@settings(max_examples=150)
+def test_mat_mul_matches_sympy(pair):
+    a, b = pair
+    product = linalg.mat_mul(a, b)
+    assert [list(row) for row in product] == from_sympy(to_sympy(a) * to_sympy(b))
+    assert all(type(x) is Fraction for row in product for x in row)
 
 
 def test_row_swap_changes_the_sign_of_the_determinant():

@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .dataset import TABLE_ROWS, fixture_path
@@ -61,6 +60,8 @@ from .series import HilbertSeries
 
 SCHEMA_PREFIX = "gorenstein-kit"
 MAX_ORDER_ENV = "GORENSTEIN_KIT_MAX_ORDER"
+# Largest --max-degree of hilbert and molien, whose whole window is printed.
+MAX_WINDOW_DEGREE = 200_000
 
 
 def _order_cap() -> int:
@@ -101,10 +102,6 @@ def _load_group(
 # -- rendering helpers ---------------------------------------------------------
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _ring_json(p: RingPresentation) -> dict:
     return {
         "name": p.name,
@@ -118,7 +115,7 @@ def _ring_json(p: RingPresentation) -> dict:
 def _series_json(series: HilbertSeries) -> dict:
     return {
         "display": str(series),
-        "numerator": [[e, _frac_str(c)] for e, c in series.numerator.terms()],
+        "numerator": [[e, str(c)] for e, c in series.numerator.terms()],
         "denominator_degrees": list(series.denominator_degrees),
     }
 
@@ -132,20 +129,16 @@ def _module_json(m: GradedModuleSeries, lo: int, hi: int) -> dict:
         "window": {
             "from": lo,
             "to": hi,
-            "coefficients": [_frac_str(c) for c in m.expand(lo, hi)],
+            "coefficients": [str(c) for c in m.expand(lo, hi)],
         },
     }
 
 
-def _coefficient_rows(series: HilbertSeries, lo: int, hi: int) -> list[list]:
-    return [[k, _frac_str(c)] for k, c in zip(range(lo, hi + 1), series.expand(lo, hi))]
-
-
-def _emit(payload: dict, json_mode: bool, lines: list[str]) -> None:
-    if json_mode:
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+def _emit(output: dict | list[str]) -> None:
+    if isinstance(output, dict):
+        sys.stdout.write(json.dumps(output, sort_keys=True) + "\n")
     else:
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write("\n".join(output) + "\n")
 
 
 def _ring_header(p: RingPresentation) -> list[str]:
@@ -164,20 +157,19 @@ def _ring_header(p: RingPresentation) -> list[str]:
 def cmd_hilbert(args: argparse.Namespace) -> int:
     _, p = _load_ring(args.ring)
     series = hilbert_series(p)
-    hi = args.max_degree
-    payload = {
-        "schema": f"{SCHEMA_PREFIX}/hilbert/1",
-        "ring": _ring_json(p),
-        "series": _series_json(series),
-        "coefficients": _coefficient_rows(series, 0, hi),
-    }
+    if args.json:
+        _emit({
+            "schema": f"{SCHEMA_PREFIX}/hilbert/1",
+            "ring": _ring_json(p),
+            "series": _series_json(series),
+            "coefficients": [[k, str(c)] for k, c in enumerate(series.expand(0, args.max_degree))],
+        })
+        return 0
     lines = _ring_header(p)
     lines.append(f"  hilbert series: {series}")
-    lines.append(f"  coefficients 0..{hi}:")
-    for k, c in zip(range(0, hi + 1), series.expand(0, hi)):
-        if c:
-            lines.append(f"    t^{k}: {c}")
-    _emit(payload, args.json, lines)
+    lines.append(f"  coefficients 0..{args.max_degree}:")
+    lines += [f"    t^{k}: {c}" for k, c in enumerate(series.expand(0, args.max_degree)) if c]
+    _emit(lines)
     return 0
 
 
@@ -200,7 +192,7 @@ def cmd_shift(args: argparse.Namespace) -> int:
     lines.append(f"  gorenstein shift by degree formula:      {by_formula}")
     lines.append(f"  gorenstein shift by functional equation: {by_series}")
     lines.append(f"  agreement: {'yes' if agree else 'NO -- MISMATCH'}")
-    _emit(payload, args.json, lines)
+    _emit(payload if args.json else lines)
     return 0
 
 
@@ -238,7 +230,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
         "  duality recovery range (shift <= -2, torsion vanishing above it): "
         + ("yes" if report.recovery_hypotheses_hold else "no")
     )
-    _emit(payload, args.json, lines)
+    _emit(payload if args.json else lines)
     return 0
 
 
@@ -248,24 +240,25 @@ def cmd_molien(args: argparse.Namespace) -> int:
     check_grading(p, group)
     report = molien_series(group, twist=args.twist, table=table)
     hi = args.max_degree
-    relations_ignored = bool(p.relations)
-    payload = {
-        "schema": f"{SCHEMA_PREFIX}/molien/1",
-        "ring": _ring_json(p),
-        "group": group.name,
-        "group_order": group.order,
-        "twist": report.twist,
-        "series": _series_json(report.series),
-        "coefficients": _coefficient_rows(report.series, 0, hi),
-        "polynomial_degrees": list(report.polynomial_degrees)
-        if report.polynomial_degrees is not None
-        else None,
-        "pseudoreflection_count": report.pseudoreflection_count,
-        "relations_ignored": relations_ignored,
-    }
+    if args.json:
+        _emit({
+            "schema": f"{SCHEMA_PREFIX}/molien/1",
+            "ring": _ring_json(p),
+            "group": group.name,
+            "group_order": group.order,
+            "twist": report.twist,
+            "series": _series_json(report.series),
+            "coefficients": [[k, str(c)] for k, c in enumerate(report.series.expand(0, hi))],
+            "polynomial_degrees": list(report.polynomial_degrees)
+            if report.polynomial_degrees is not None
+            else None,
+            "pseudoreflection_count": report.pseudoreflection_count,
+            "relations_ignored": bool(p.relations),
+        })
+        return 0
     lines = _ring_header(p)
     lines.append(f"  group {group.name} of order {group.order}, twist {report.twist}")
-    if relations_ignored:
+    if p.relations:
         lines.append(
             "  note: relations ignored; this is the invariant series of the free"
             " ring on the generators"
@@ -277,10 +270,8 @@ def cmd_molien(args: argparse.Namespace) -> int:
         lines.append("  invariants are not polynomial at this rank")
     lines.append(f"  pseudoreflections: {report.pseudoreflection_count}")
     lines.append(f"  coefficients 0..{hi}:")
-    for k, c in zip(range(0, hi + 1), report.series.expand(0, hi)):
-        if c:
-            lines.append(f"    t^{k}: {c}")
-    _emit(payload, args.json, lines)
+    lines += [f"    t^{k}: {c}" for k, c in enumerate(report.series.expand(0, hi)) if c]
+    _emit(lines)
     return 0
 
 
@@ -321,7 +312,7 @@ def cmd_sympow(args: argparse.Namespace) -> int:
         degree = f"  (degree {n * uniform_degree})" if uniform_degree else ""
         vec = "".join(str(m) for m in mults) if all(m < 10 for m in mults) else str(mults)
         lines.append(f"    Sym^{n}: ({vec}){degree}")
-    _emit(payload, args.json, lines)
+    _emit(payload if args.json else lines)
     return 0
 
 
@@ -341,7 +332,7 @@ def cmd_invgen(args: argparse.Namespace) -> int:
             {
                 "display": format_polynomial(poly, symbols),
                 "terms": [
-                    [list(exponents), _frac_str(c)] for exponents, c in sorted(poly.items(), reverse=True)
+                    [list(exponents), str(c)] for exponents, c in sorted(poly.items(), reverse=True)
                 ],
             }
             for poly in basis
@@ -353,7 +344,7 @@ def cmd_invgen(args: argparse.Namespace) -> int:
     )
     for poly in basis:
         lines.append(f"    {format_polynomial(poly, symbols)}")
-    _emit(payload, args.json, lines)
+    _emit(payload if args.json else lines)
     return 0
 
 
@@ -381,7 +372,7 @@ def cmd_descent(args: argparse.Namespace) -> int:
         lines.append(f"  gorenstein shift a = {base.shift_a}")
         first, second = base.display_strings()
         lines.append(f"  anderson: {second}, i.e. {first}")
-        _emit(payload, args.json, lines)
+        _emit(payload if args.json else lines)
         return 0
     consistent = cross_check_invariant_shift(report)
     payload = {
@@ -413,7 +404,7 @@ def cmd_descent(args: argparse.Namespace) -> int:
     lines.append(f"  descended anderson shift a+b+1 = {report.descended_anderson_shift}")
     lines.append(f"  cross-check of the invariant ring's shift: {'ok' if consistent else 'MISMATCH'}")
     lines.append("  (prediction: exact for rational coefficients, necessary condition otherwise)")
-    _emit(payload, args.json, lines)
+    _emit(payload if args.json else lines)
     return 0
 
 
@@ -453,7 +444,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             + ("PASS" if ok else "FAIL")
         )
     lines.append("all rows pass" if all_pass else "some rows fail")
-    _emit(payload, args.json, lines)
+    _emit(payload if args.json else lines)
     return 0 if all_pass else 1
 
 
@@ -465,6 +456,14 @@ def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def window_degree(text: str) -> int:
+    """argparse type for --max-degree: a non-negative degree up to MAX_WINDOW_DEGREE."""
+    value = non_negative_int(text)
+    if value > MAX_WINDOW_DEGREE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_WINDOW_DEGREE}, got {value}")
     return value
 
 
@@ -486,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("hilbert", cmd_hilbert, "Hilbert series and coefficient table of a ring")
     sp.add_argument("ring")
-    sp.add_argument("--max-degree", type=non_negative_int, default=40)
+    sp.add_argument("--max-degree", type=window_degree, default=40)
 
     sp = add("shift", cmd_shift, "Gorenstein shift, by formula and by functional equation")
     sp.add_argument("ring")
@@ -499,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("group")
     sp.add_argument("--twist", default="trivial",
                     help="'trivial', 'det', or a character name from the table")
-    sp.add_argument("--max-degree", type=non_negative_int, default=48)
+    sp.add_argument("--max-degree", type=window_degree, default=48)
 
     sp = add("sympow", cmd_sympow, "symmetric-power decompositions against a character table")
     sp.add_argument("ring")

@@ -19,8 +19,10 @@ objects can be shared freely between threads or tasks.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -342,6 +344,14 @@ class HilbertSeries:
         Each denominator factor is expanded as the geometric series
         1 + t^d + t^{2d} + ..., so the result is bounded below by the least
         numerator exponent.
+
+        The sums run on integers and stay exact.  With L the least common
+        multiple of the numerator's coefficient denominators, L times the
+        numerator has integer coefficients.  Multiplying by 1/(1 - t^d) is the
+        prefix sum coeffs[k] += coeffs[k - d], which adds integers to
+        integers, so every coefficient of L times the series is an integer v
+        and the true coefficient is exactly v/L.  Each coefficient of the
+        window becomes a Fraction once, at the end.
         """
         if lo > hi:
             raise ValueError("empty expansion window: lo > hi")
@@ -351,16 +361,21 @@ class HilbertSeries:
         base = self._numerator.min_exponent
         if hi < base:
             return [Fraction(0)] * width
-        coeffs = [Fraction(0)] * (hi - base + 1)
-        for e, c in self._numerator.terms():
+        terms = self._numerator.terms()
+        scale = math.lcm(*(c.denominator for _, c in terms))
+        coeffs = [0] * (hi - base + 1)
+        for e, c in terms:
             if e <= hi:
-                coeffs[e - base] += c
+                coeffs[e - base] = c.numerator * (scale // c.denominator)
         for d in self._denominator_degrees:
             for k in range(d, len(coeffs)):
                 coeffs[k] += coeffs[k - d]
-        out = []
-        for degree in range(lo, hi + 1):
-            out.append(coeffs[degree - base] if degree >= base else Fraction(0))
+        out = [Fraction(0)] * (base - lo)  # zeros below the support
+        window = islice(coeffs, max(lo, base) - base, None)
+        if scale == 1:
+            out.extend(map(Fraction, window))
+        else:
+            out.extend(Fraction(v, scale) for v in window)
         return out
 
     def coefficient(self, degree: int) -> Fraction:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gorenstein_kit.cli import main
+from gorenstein_kit.cli import MAX_WINDOW_DEGREE, main, window_degree
 
 
 def run(capsys, *argv):
@@ -198,13 +198,43 @@ def test_order_cap_env_validation(capsys, monkeypatch):
         ["molien", "tmf2", "sigma3_standard", "--max-degree", "-1"],
         ["sympow", "tmf2", "sigma3_standard", "--n", "-1"],
         ["invgen", "tmf2", "sigma3_standard", "--degree", "-4"],
+        ["hilbert", "ku", "--max-degree", str(MAX_WINDOW_DEGREE + 1)],
+        ["molien", "tmf2", "sigma3_standard", "--max-degree", str(MAX_WINDOW_DEGREE + 1)],
     ],
-    ids=["unknown-command", "hilbert-max-degree", "molien-max-degree", "sympow-n", "invgen-degree"],
+    ids=[
+        "unknown-command", "hilbert-max-degree", "molien-max-degree", "sympow-n", "invgen-degree",
+        "hilbert-window-cap", "molien-window-cap",
+    ],
 )
 def test_usage_error_exits_two(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_window_cap_is_inclusive():
+    assert window_degree(str(MAX_WINDOW_DEGREE)) == MAX_WINDOW_DEGREE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hilbert", "taf_d6"], ["molien", "tmf2", "sigma3_standard"]],
+    ids=["hilbert", "molien"],
+)
+def test_text_and_json_print_the_same_coefficients(capsys, argv):
+    window = ["--max-degree", "300"]
+    code, out, _ = run(capsys, *argv, *window)
+    assert code == 0
+    text_rows = [
+        [int(line.split(":")[0].strip()[2:]), line.split(": ")[1]]
+        for line in out.splitlines()
+        if line.startswith("    t^")
+    ]
+    code, payload, _ = run_json(capsys, *argv, *window)
+    assert code == 0
+    assert [k for k, _ in payload["coefficients"]] == list(range(301))
+    assert text_rows == [[k, c] for k, c in payload["coefficients"] if c != "0"]
+    assert len(text_rows) > 10
 
 
 def test_external_file_roundtrip(tmp_path, capsys):
@@ -226,6 +256,21 @@ def test_computation_errors_carry_their_name(capsys):
     code, _, err = run(capsys, "descent", "tmf2", "c2_negation")
     assert code == 1
     assert "BlockMismatch" in err
+
+
+def test_torsion_check_failure_carries_its_name_and_witness(capsys, monkeypatch):
+    from fractions import Fraction
+
+    from gorenstein_kit.graded_ring import GradedModuleSeries
+
+    def expand(self, lo, hi):
+        return [Fraction(0)] * 4 + [Fraction(7)] + [Fraction(0)] * (hi - lo - 4)
+
+    monkeypatch.setattr(GradedModuleSeries, "expand", expand)
+    code, out, err = run(capsys, "duality", "taf_d6")
+    assert code == 1
+    assert out == ""
+    assert "TorsionNotVanishing" in err and "7 in degree 7" in err
 
 
 def test_cap_error_carries_its_name(capsys, monkeypatch):

@@ -1,9 +1,12 @@
 """Local cohomology bookkeeping, torsion/localized series, duality reports."""
 
+from fractions import Fraction
+
 import pytest
 
 from gorenstein_kit.duality import (
     Splitting,
+    TorsionNotVanishing,
     ZeroDimensional,
     anderson_dual_homotopy,
     cech_homotopy,
@@ -215,3 +218,13 @@ def test_report_series_have_nonnegative_integer_coefficients(all_ring_fixtures):
         for module in (report.gamma_series, report.cech_ring_part, report.cech_dual_part):
             for c in module.expand(-120, 120):
                 assert c.denominator == 1 and c >= 0, (p.name, module.label)
+
+
+def test_report_refuses_torsion_above_the_shift(taf_d6, monkeypatch):
+    # A torsion expansion with 7 in its fifth degree above the shift a = 2.
+    def expand(self, lo, hi):
+        return [Fraction(0)] * 4 + [Fraction(7)] + [Fraction(0)] * (hi - lo - 4)
+
+    monkeypatch.setattr(GradedModuleSeries, "expand", expand)
+    with pytest.raises(TorsionNotVanishing, match="torsion homotopy is 7 in degree 7, above the shift 2"):
+        duality_report(taf_d6)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gorenstein_kit.series import (
     HilbertSeries,
@@ -124,6 +124,29 @@ def test_inverse_product_counts_multisets(degrees, n):
     series = HilbertSeries.inverse_product(degrees)
     got = series.expand(0, n)
     assert got == [brute_count(degrees, k) for k in range(n + 1)]
+
+
+@given(laurent_polys, st.lists(st.integers(1, 7), max_size=3), st.integers(-15, 15), st.integers(0, 12))
+@example(LaurentPolynomial({-3: Fraction(1, 6), 2: Fraction(-5, 4)}), [2, 3], -9, 4)  # below
+@example(LaurentPolynomial({-3: Fraction(1, 6), 2: Fraction(-5, 4)}), [2, 3], -4, 10)  # straddling
+@example(LaurentPolynomial({-3: Fraction(1, 6), 2: Fraction(-5, 4)}), [2, 3], 5, 8)  # above
+def test_expand_matches_multiset_convolution(numerator, degrees, offset, width):
+    """expand against the numerator convolved with multiset counts, degree by degree.
+
+    The window starts `offset` degrees from the least numerator exponent, so
+    it lies below the support, straddles its start, or lies inside it.
+    """
+    base = 0 if numerator.is_zero else numerator.min_exponent
+    lo = base + offset
+    hi = lo + width
+    counts = [brute_count(degrees, k) for k in range(max(hi - base, 0) + 1)]
+    expected = [
+        sum((c * counts[n - e] for e, c in numerator.terms() if e <= n), Fraction(0))
+        for n in range(lo, hi + 1)
+    ]
+    got = HilbertSeries(numerator, degrees).expand(lo, hi)
+    assert got == expected
+    assert all(type(c) is Fraction for c in got)
 
 
 # -- arithmetic ------------------------------------------------------------------

@@ -12,7 +12,7 @@ from gorenstein_kit.invariants import (
     format_polynomial,
     invariant_basis,
     molien_series,
-    sym_power_character,
+    sym_power_characters,
     verify_solomon,
 )
 
@@ -49,9 +49,8 @@ def chain(ring_name: str, group_name: str, sym_powers: int = 0) -> None:
 
     if sym_powers and table is not None:
         print(f"  symmetric powers against ({', '.join(table.names)}):")
-        for n in range(sym_powers + 1):
-            mults = decompose(sym_power_character(group, n), table)
-            print(f"    Sym^{n}: {mults}")
+        for n, values in enumerate(sym_power_characters(group, sym_powers)):
+            print(f"    Sym^{n}: {decompose(values, table)}")
     print()
 
 

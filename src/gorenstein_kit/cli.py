@@ -47,7 +47,7 @@ from .invariants import (
     format_polynomial,
     invariant_basis,
     molien_series,
-    sym_power_character,
+    sym_power_characters,
 )
 from .records import (
     GroupInputRecord,
@@ -62,6 +62,8 @@ SCHEMA_PREFIX = "gorenstein-kit"
 MAX_ORDER_ENV = "GORENSTEIN_KIT_MAX_ORDER"
 # Largest --max-degree of hilbert and molien, whose whole window is printed.
 MAX_WINDOW_DEGREE = 200_000
+# Largest sympow --n: every power up to it is decomposed and printed.
+MAX_SYMPOW_N = 20_000
 
 
 def _order_cap() -> int:
@@ -218,7 +220,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
     payload = {"schema": f"{SCHEMA_PREFIX}/duality/1", **_duality_json(report)}
     first, second = report.display_strings()
     lines = _ring_header(p)
-    lines.append(f"  hilbert series: {hilbert_series(p)}")
+    lines.append(f"  hilbert series: {report.cech_ring_part.series}")
     lines.append(f"  krull dimension {report.dim}, gorenstein shift a = {report.shift_a}")
     lines.append(f"  torsion part:   {report.gamma_series.label}  = Sigma^{report.shift_a} dual(r_*)")
     lines.append(
@@ -294,11 +296,10 @@ def cmd_sympow(args: argparse.Namespace) -> int:
     names = list(table.names)
     block_degrees = {d for d, _ in group.blocks}
     uniform_degree = block_degrees.pop() if len(block_degrees) == 1 else None
-    rows = []
-    for n in range(args.n + 1):
-        values = sym_power_character(group, n)
-        mults = decompose(values, table)
-        rows.append((n, mults))
+    rows = [
+        (n, decompose(values, table))
+        for n, values in enumerate(sym_power_characters(group, args.n))
+    ]
     payload = {
         "schema": f"{SCHEMA_PREFIX}/sympow/1",
         "ring": _ring_json(p),
@@ -451,20 +452,25 @@ def cmd_table(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def non_negative_int(text: str) -> int:
-    """argparse type for degrees and powers; a negative count is bad usage."""
+def non_negative_int(text: str, cap: int | None = None) -> int:
+    """argparse type for degrees and powers; a negative count, or one above
+    ``cap``, is bad usage."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    if cap is not None and value > cap:
+        raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
     return value
 
 
 def window_degree(text: str) -> int:
     """argparse type for --max-degree: a non-negative degree up to MAX_WINDOW_DEGREE."""
-    value = non_negative_int(text)
-    if value > MAX_WINDOW_DEGREE:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_WINDOW_DEGREE}, got {value}")
-    return value
+    return non_negative_int(text, MAX_WINDOW_DEGREE)
+
+
+def sympow_power(text: str) -> int:
+    """argparse type for sympow --n: a non-negative power up to MAX_SYMPOW_N."""
+    return non_negative_int(text, MAX_SYMPOW_N)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("sympow", cmd_sympow, "symmetric-power decompositions against a character table")
     sp.add_argument("ring")
     sp.add_argument("group")
-    sp.add_argument("--n", type=non_negative_int, required=True, help="largest symmetric power")
+    sp.add_argument("--n", type=sympow_power, required=True, help="largest symmetric power")
 
     sp = add("invgen", cmd_invgen, "explicit invariant polynomials of one degree")
     sp.add_argument("ring")

@@ -1,17 +1,19 @@
 """Finite matrix groups acting on graded polynomial generators.
 
 A group is enumerated explicitly (orders here are tiny, so exactness beats
-generality) as block-diagonal matrices with exact rational entries, one
-square block per generator degree.  On top of the enumeration this module
-computes Molien and character-twisted Molien series, pseudoreflection
-counts (both as sums over conjugacy classes, one term per class
-representative, with g in place of g^-1 in Molien's formula since a
-rational matrix of finite order has the same characteristic polynomial as
-its inverse), fundamental invariant degrees by greedy peeling, the Solomon
-supplement together with its verification as an identity of rational
-functions, symmetric-power characters, decompositions against rational
-character tables, and explicit invariant polynomials as the common kernel
-of g - 1 over the generators.
+generality) as permutations of the orbit of the standard basis vectors
+under its generators: the orbit spans the space, so the action on it is
+faithful.  Each element's block-diagonal matrix with exact rational
+entries, one square block per generator degree, is read off the orbit.  On
+top of the enumeration this module computes Molien and character-twisted
+Molien series, pseudoreflection counts (both as sums over conjugacy
+classes, one term per class representative, with g in place of g^-1 in
+Molien's formula since a rational matrix of finite order has the same
+characteristic polynomial as its inverse), fundamental invariant degrees
+by greedy peeling, the Solomon supplement together with its verification
+as an identity of rational functions, symmetric-power characters,
+decompositions against rational character tables, and explicit invariant
+polynomials as the common kernel of g - 1 over the generators.
 
 Only rational-valued character tables are supported for decomposition;
 groups with irrational irreducible characters still get Molien series and
@@ -21,6 +23,7 @@ rational matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -80,6 +83,9 @@ class GradedGroupRep:
 
     ``blocks`` lists (degree, dimension) pairs partitioning the generator
     set; every element is block-diagonal with respect to that partition.
+    ``orbit`` is the orbit of the standard basis vectors, basis vectors
+    first; element i sends ``orbit[k]`` to ``orbit[permutations[i][k]]``,
+    and column j of its matrix ``elements[i]`` is ``orbit[permutations[i][j]]``.
     ``elements`` is the full closure with the identity first.
     """
 
@@ -88,7 +94,11 @@ class GradedGroupRep:
     generators: tuple[Matrix, ...]
     elements: tuple[Matrix, ...]
     order: int
-    _classes: tuple[tuple[int, ...], ...] | None = field(
+    orbit: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)
+    permutations: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    generator_permutations: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    # (classes, representatives), filled in by conjugacy_classes.
+    _classes: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = field(
         default=None, compare=False, repr=False
     )
 
@@ -108,6 +118,17 @@ class GradedGroupRep:
         """(degree, start, stop) coordinate ranges of the diagonal blocks."""
         return _block_slices(self.blocks)
 
+    def element_order(self, i: int) -> int:
+        """Order of element i: the lcm of its permutation's cycle lengths."""
+        perm, order, seen = self.permutations[i], 1, set()
+        for k in range(len(perm)):
+            length = 0
+            while k not in seen:
+                seen.add(k)
+                k, length = perm[k], length + 1
+            order = math.lcm(order, length or 1)
+        return order
+
 
 def _is_block_diagonal(m: Matrix, slices: list[tuple[int, int, int]]) -> bool:
     n = len(m)
@@ -125,10 +146,12 @@ def generate_group(
     cap: int = DEFAULT_ORDER_CAP,
     name: str = "",
 ) -> GradedGroupRep:
-    """Breadth-first closure of the generators under multiplication.
+    """Breadth-first closure of the generators, as permutations of the orbit
+    of the standard basis vectors.
 
-    Raises :class:`OrderCapExceeded` when the closure grows past ``cap``
-    (the signature of an infinite or unexpectedly large group).
+    Raises :class:`OrderCapExceeded` when the closure grows past ``cap``, or
+    the orbit past n*cap vectors (each basis vector's orbit has at most |G|
+    of them, and an infinite group has an infinite orbit).
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -146,41 +169,40 @@ def generate_group(
             raise ValueError("generator is not block-diagonal for the given grading")
         if linalg.determinant(g) == 0:
             raise ValueError("generator is singular")
-    ident = linalg.identity(n)
-    elements = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new: list[Matrix] = []
-        for m in frontier:
-            for g in gens:
-                prod = linalg.mat_mul(m, g)
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        raise OrderCapExceeded(
-                            f"group closure exceeds the cap of {cap} elements"
-                        )
-                    seen.add(prod)
-                    elements.append(prod)
-                    new.append(prod)
-        frontier = new
+    too_large = OrderCapExceeded(f"group closure exceeds the cap of {cap} elements")
+    orbit = list(linalg.identity(n))
+    position = {v: k for k, v in enumerate(orbit)}
+    images: list[list[int]] = [[] for _ in gens]
+    for v in orbit:  # breadth first: the loop visits the appended vectors too
+        for g, image in zip(gens, images):
+            w = tuple(sum((a * x for a, x in zip(row, v) if x), Fraction(0)) for row in g)
+            if w not in position:
+                if len(orbit) >= n * cap:
+                    raise too_large
+                position[w] = len(orbit)
+                orbit.append(w)
+            image.append(position[w])
+    gen_perms = tuple(tuple(image) for image in images)
+    perms = [tuple(range(len(orbit)))]
+    seen = set(perms)
+    for m in perms:  # breadth first, as for the orbit; m*g sends k to m[g[k]]
+        for g in gen_perms:
+            prod = tuple([m[k] for k in g])
+            if prod not in seen:
+                if len(seen) >= cap:
+                    raise too_large
+                seen.add(prod)
+                perms.append(prod)
     return GradedGroupRep(
         name=name,
         blocks=blocks,
         generators=gens,
-        elements=tuple(elements),
-        order=len(elements),
+        elements=tuple(tuple(zip(*(orbit[j] for j in p[:n]))) for p in perms),
+        order=len(perms),
+        orbit=tuple(orbit),
+        permutations=tuple(perms),
+        generator_permutations=gen_perms,
     )
-
-
-def element_order(m: Matrix, bound: int = DEFAULT_ORDER_CAP) -> int:
-    ident = linalg.identity(len(m))
-    power = m
-    for k in range(1, bound + 1):
-        if power == ident:
-            return k
-        power = linalg.mat_mul(power, m)
-    raise OrderCapExceeded(f"element order exceeds {bound}")
 
 
 def conjugacy_classes(group: GradedGroupRep) -> tuple[tuple[int, ...], ...]:
@@ -192,44 +214,40 @@ def conjugacy_classes(group: GradedGroupRep) -> tuple[tuple[int, ...], ...]:
     order.
     """
     if group._classes is not None:
-        return group._classes
+        return group._classes[0]
     # The class of x is its orbit under x -> g^-1 x g for the generators g:
-    # conjugation by any element is a composite of these.
-    index = {m: i for i, m in enumerate(group.elements)}
-    conjugators = [(linalg.inverse(g), g) for g in group.generators]
+    # conjugation by any element is a composite of these.  As permutations,
+    # g^-1 x g sends k to g^-1[x[g[k]]].
+    index = {p: i for i, p in enumerate(group.permutations)}
+    gens = group.generator_permutations
+    conjugators = [(sorted(range(len(g)), key=g.__getitem__), g) for g in gens]
     assigned: set[int] = set()
-    raw: list[list[int]] = []
-    for i, x in enumerate(group.elements):
+    keyed = []
+    for i in range(group.order):
         if i in assigned:
             continue
-        members = {i}
-        stack = [x]
+        members, stack = {i}, [group.permutations[i]]
         while stack:
             y = stack.pop()
             for ginv, g in conjugators:
-                j = index[linalg.mat_mul(linalg.mat_mul(ginv, y), g)]
+                j = index[tuple([ginv[y[k]] for k in g])]
                 if j not in members:
                     members.add(j)
-                    stack.append(group.elements[j])
+                    stack.append(group.permutations[j])
         assigned |= members
-        raw.append(sorted(members))
-
-    def class_key(cls: list[int]) -> tuple:
-        rep = min(cls, key=lambda i: _element_key(group.elements[i]))
-        mat = group.elements[rep]
-        return (element_order(mat, group.order), len(cls), _element_key(mat))
-
-    ordered = tuple(tuple(cls) for cls in sorted(raw, key=class_key))
-    object.__setattr__(group, "_classes", ordered)
-    return ordered
+        rep = min(members, key=lambda i: _element_key(group.elements[i]))
+        key = (group.element_order(rep), len(members), _element_key(group.elements[rep]))
+        keyed.append((key, rep, tuple(sorted(members))))
+    keyed.sort()
+    classes = tuple(cls for _, _, cls in keyed)
+    object.__setattr__(group, "_classes", (classes, tuple(rep for _, rep, _ in keyed)))
+    return classes
 
 
 def class_representatives(group: GradedGroupRep) -> tuple[int, ...]:
-    """Canonical representative index of each conjugacy class."""
-    reps = []
-    for cls in conjugacy_classes(group):
-        reps.append(min(cls, key=lambda i: _element_key(group.elements[i])))
-    return tuple(reps)
+    """Index of each class's member with the least matrix entries."""
+    conjugacy_classes(group)
+    return group._classes[1]
 
 
 @dataclass(frozen=True)
@@ -319,9 +337,7 @@ def builtin_character_table(group: GradedGroupRep) -> RationalCharacterTable:
         rows = [("triv", (1,))]
     elif group.order == 2:
         rows = [("triv", (1, 1)), ("sign", (1, -1))]
-    elif group.order == 4 and all(
-        element_order(m, 4) <= 2 for m in group.elements
-    ):
+    elif group.order == 4 and all(group.element_order(i) <= 2 for i in range(4)):
         rows = [("triv", (1,) * 4)]
         for k in range(1, 4):
             rows.append(
@@ -355,13 +371,14 @@ class MolienReport:
     pseudoreflection_count: int
 
 
-def _element_term(group: GradedGroupRep, m: Matrix) -> HilbertSeries:
-    """1 / prod_blocks det(1 - (m on V_d) t^d) as a canonical series."""
+def _element_term(group: GradedGroupRep, rep: int) -> HilbertSeries:
+    """1 / prod_blocks det(1 - (m on V_d) t^d) for the element m at index rep."""
     # Molien's formula has m^-1 here, but det(1 - m^-1 t) = det(1 - m t) for
     # a rational matrix of finite order: its eigenvalues are roots of unity,
     # so inverting them conjugates them, and the eigenvalues of a real
     # matrix are closed under complex conjugation.
-    order = element_order(m, group.order)
+    m = group.elements[rep]
+    order = group.element_order(rep)
     numerator = LaurentPolynomial.one()
     dens: list[int] = []
     for degree, start, stop in group.block_slices():
@@ -420,7 +437,7 @@ def molien_series(
     total = HilbertSeries.zero()
     for rep, cls, w in zip(reps, conjugacy_classes(group), weights):
         if w:
-            total = total + _element_term(group, group.elements[rep]) * (w * len(cls))
+            total = total + _element_term(group, rep) * (w * len(cls))
     series = total * Fraction(1, group.order)
     try:
         degrees = extract_polynomial_degrees(series, group.dimension)
@@ -517,27 +534,32 @@ def verify_solomon(group: GradedGroupRep) -> SolomonVerification:
 # -- symmetric powers and decomposition ---------------------------------------
 
 
-def sym_power_character(group: GradedGroupRep, n: int) -> tuple[Fraction, ...]:
-    """Character of the n-th symmetric power of the underlying (ungraded)
-    representation, one value per canonical conjugacy class.
+def sym_power_characters(group: GradedGroupRep, top: int) -> list[tuple[int, ...]]:
+    """Characters of Sym^0 .. Sym^top of the underlying (ungraded)
+    representation, each with one value per canonical conjugacy class.
 
     Computed from the generating identity sum_n chi_{Sym^n}(g) s^n =
-    1/det(1 - g s) by expanding the reciprocal to order n.
+    1/det(1 - g s), one recurrence per class representative, on integers:
+    for g rational of finite order det(1 - g s) is a product of cyclotomics.
     """
-    if n < 0:
+    if top < 0:
         raise ValueError("symmetric power index must be >= 0")
-    values = []
+    columns = []
     for rep in class_representatives(group):
-        m = group.elements[rep]
-        det_coeffs = linalg.det_one_minus_coefficients(m)
-        h = [Fraction(1)]
-        for j in range(1, n + 1):
-            s = Fraction(0)
-            for i in range(1, min(j, len(det_coeffs) - 1) + 1):
-                s += det_coeffs[i] * h[j - i]
-            h.append(-s)
-        values.append(h[n])
-    return tuple(values)
+        coeffs = linalg.det_one_minus_coefficients(group.elements[rep])
+        if any(c.denominator != 1 for c in coeffs):
+            raise ArithmeticError(f"det(1 - s*g) has non-integral coefficients {coeffs}")
+        c = [int(x) for x in coeffs]
+        h = [1]
+        for j in range(1, top + 1):
+            h.append(-sum(c[i] * h[j - i] for i in range(1, min(j, len(c) - 1) + 1)))
+        columns.append(h)
+    return list(zip(*columns))
+
+
+def sym_power_character(group: GradedGroupRep, n: int) -> tuple[int, ...]:
+    """Character of Sym^n, one value per class; see :func:`sym_power_characters`."""
+    return sym_power_characters(group, n)[n]
 
 
 def decompose(

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from gorenstein_kit.cli import MAX_WINDOW_DEGREE, main, window_degree
+from gorenstein_kit.cli import (
+    MAX_SYMPOW_N,
+    MAX_WINDOW_DEGREE,
+    main,
+    sympow_power,
+    window_degree,
+)
+from gorenstein_kit.dataset import RING_FIXTURES, load_ring_fixture
+from gorenstein_kit.graded_ring import hilbert_series
 
 
 def run(capsys, *argv):
@@ -200,10 +208,11 @@ def test_order_cap_env_validation(capsys, monkeypatch):
         ["invgen", "tmf2", "sigma3_standard", "--degree", "-4"],
         ["hilbert", "ku", "--max-degree", str(MAX_WINDOW_DEGREE + 1)],
         ["molien", "tmf2", "sigma3_standard", "--max-degree", str(MAX_WINDOW_DEGREE + 1)],
+        ["sympow", "tmf2", "sigma3_standard", "--n", str(MAX_SYMPOW_N + 1)],
     ],
     ids=[
         "unknown-command", "hilbert-max-degree", "molien-max-degree", "sympow-n", "invgen-degree",
-        "hilbert-window-cap", "molien-window-cap",
+        "hilbert-window-cap", "molien-window-cap", "sympow-n-cap",
     ],
 )
 def test_usage_error_exits_two(capsys, argv):
@@ -214,6 +223,22 @@ def test_usage_error_exits_two(capsys, argv):
 
 def test_window_cap_is_inclusive():
     assert window_degree(str(MAX_WINDOW_DEGREE)) == MAX_WINDOW_DEGREE
+
+
+def test_sympow_cap_is_inclusive(capsys):
+    assert sympow_power(str(MAX_SYMPOW_N)) == MAX_SYMPOW_N
+    code, out, _ = run(capsys, "sympow", "ku", "c2_negation", "--n", str(MAX_SYMPOW_N))
+    assert code == 0
+    # -1 on a line: even powers are trivial, odd powers the sign.
+    assert out.splitlines()[-1] == f"    Sym^{MAX_SYMPOW_N}: (10)  (degree {2 * MAX_SYMPOW_N})"
+
+
+@pytest.mark.parametrize("ring", RING_FIXTURES)
+def test_duality_text_prints_the_ring_series(capsys, ring):
+    code, out, _ = run(capsys, "duality", ring)
+    assert code == 0
+    series = hilbert_series(load_ring_fixture(ring).to_presentation())
+    assert f"  hilbert series: {series}\n" in out
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
-"""Group enumeration, Molien series, Solomon verification, symmetric powers,
-and explicit invariants against the averaging-operator (Reynolds) oracle."""
+"""Group enumeration against the matrix closure and sympy, Molien series,
+Solomon verification, symmetric powers against the per-n recurrence, and
+explicit invariants against the averaging-operator (Reynolds) oracle."""
 
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from gorenstein_kit.invariants import (
     class_representatives,
     conjugacy_classes,
     decompose,
-    element_order,
     extract_polynomial_degrees,
     format_polynomial,
     generate_group,
@@ -29,6 +29,7 @@ from gorenstein_kit.invariants import (
     pseudoreflection_count,
     solomon_supplement,
     sym_power_character,
+    sym_power_characters,
     verify_solomon,
     _apply_element,
 )
@@ -44,14 +45,33 @@ def trivial_group(blocks=((2, 1),)):
     return generate_group([], blocks, name="trivial")
 
 
+def signed_permutation_group(n, signed):
+    """S_n, or B_n when signed, on n degree-2 coordinates: a transposition,
+    an n-cycle and, for B_n, the sign change of the first coordinate."""
+
+    def matrix(p, sign=1):
+        return [[(sign if j == 0 else 1) if p[j] == i else 0 for j in range(n)] for i in range(n)]
+
+    generators = [matrix([1, 0, *range(2, n)]), matrix([*range(1, n), 0])]
+    if signed:
+        generators.append(matrix(list(range(n)), -1))
+    return generate_group(generators, [(2, n)], name=f"{'B' if signed else 'S'}{n}")
+
+
 def s4_group():
     """S_4 permuting four degree-2 coordinates, from a transposition and a 4-cycle."""
+    return signed_permutation_group(4, signed=False)
 
-    def permutation(p):
-        return [[1 if p[j] == i else 0 for j in range(4)] for i in range(4)]
 
-    generators = [permutation([1, 0, 2, 3]), permutation([1, 2, 3, 0])]
-    return generate_group(generators, [(2, 4)], name="s4")
+def conjugated_s4_group():
+    """S_4 conjugated by a non-monomial rational matrix P, so that its orbit
+    vectors are not signed basis vectors."""
+    p = linalg.freeze(
+        [[1, Fraction(1, 2), 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]]
+    )
+    p_inv = linalg.inverse(p)
+    generators = [linalg.mat_mul(linalg.mat_mul(p_inv, g), p) for g in s4_group().generators]
+    return generate_group(generators, [(2, 4)], name="s4_conjugated")
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -74,6 +94,12 @@ def test_standard_action_has_order_six(sigma3_group):
 def test_cap_exceeded_for_infinite_group():
     with pytest.raises(OrderCapExceeded):
         generate_group([[[2]]], [(2, 1)], cap=50)
+
+
+def test_cap_exceeded_for_unipotent_group():
+    # x -> x + y has infinite order; the orbit of e_2 grows by one per step.
+    with pytest.raises(OrderCapExceeded):
+        generate_group([[[1, 1], [0, 1]]], [(2, 2)], cap=50)
 
 
 def test_cap_smaller_than_group():
@@ -105,6 +131,113 @@ def test_class_sizes_divide_order(sigma3_group, all_group_fixtures):
     for group in [sigma3_group, *all_group_fixtures.values()]:
         for cls in conjugacy_classes(group):
             assert group.order % len(cls) == 0
+
+
+def _matrix_order(m):
+    """Reference element order: the least k with m^k = 1."""
+    ident, power, k = linalg.identity(len(m)), m, 1
+    while power != ident:
+        power, k = linalg.mat_mul(power, m), k + 1
+    return k
+
+
+def _matrix_group_core(group):
+    """Reference closure, classes and representatives on matrices alone:
+    breadth-first products m*g in generator order from the identity, classes
+    as orbits under x -> g^-1 x g for the generators g, sorted by (order,
+    size, entries of the least member), that member being the representative."""
+    ident = linalg.identity(group.dimension)
+    elements, seen, frontier = [ident], {ident}, [ident]
+    while frontier:
+        new = []
+        for m in frontier:
+            for g in group.generators:
+                prod = linalg.mat_mul(m, g)
+                if prod not in seen:
+                    seen.add(prod)
+                    elements.append(prod)
+                    new.append(prod)
+        frontier = new
+    index = {m: i for i, m in enumerate(elements)}
+    conjugators = [(linalg.inverse(g), g) for g in group.generators]
+
+    def entries(k):
+        return tuple(x for row in elements[k] for x in row)
+
+    assigned, keyed = set(), []
+    for i, x in enumerate(elements):
+        if i in assigned:
+            continue
+        members, stack = {i}, [x]
+        while stack:
+            y = stack.pop()
+            for ginv, g in conjugators:
+                j = index[linalg.mat_mul(linalg.mat_mul(ginv, y), g)]
+                if j not in members:
+                    members.add(j)
+                    stack.append(elements[j])
+        assigned |= members
+        rep = min(members, key=entries)
+        key = (_matrix_order(elements[rep]), len(members), entries(rep))
+        keyed.append((key, rep, tuple(sorted(members))))
+    keyed.sort()
+    return (
+        tuple(elements),
+        tuple(cls for _, _, cls in keyed),
+        tuple(rep for _, rep, _ in keyed),
+    )
+
+
+@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "s5", "c3", "s4_conjugated"])
+def test_group_core_matches_the_matrix_closure(name):
+    builders = {
+        "s4": s4_group,
+        "s5": lambda: signed_permutation_group(5, signed=False),  # (12)(345) has order 6
+        "c3": c3_group,
+        "s4_conjugated": conjugated_s4_group,
+    }
+    group = builders[name]() if name in builders else load_group_fixture(name).build()[0]
+    elements, classes, representatives = _matrix_group_core(group)
+    assert group.elements == elements
+    assert group.order == len(elements)
+    assert conjugacy_classes(group) == classes
+    assert class_representatives(group) == representatives
+    position = {v: k for k, v in enumerate(group.orbit)}
+    for i, m in enumerate(elements):
+        assert group.element_order(i) == _matrix_order(m)
+        # column j of element i is the orbit vector its permutation picks
+        for j in range(group.dimension):
+            assert position[tuple(row[j] for row in m)] == group.permutations[i][j]
+    if name == "s4_conjugated":
+        assert any(
+            sum(1 for x in v if x) > 1 or any(x not in (0, 1, -1) for x in v)
+            for v in group.orbit
+        )
+
+
+@pytest.mark.parametrize("family,n", [("S", 4), ("S", 5), ("S", 6), ("B", 3), ("B", 4)])
+def test_order_and_class_sizes_match_sympy(family, n):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    signed = family == "B"
+    group = signed_permutation_group(n, signed)
+
+    # The same generators on the points e_i (i) and, for B_n, -e_i (i + n).
+    def points(p):
+        return [*p, *(x + n for x in p)] if signed else p
+
+    generators = [points([1, 0, *range(2, n)]), points([*range(1, n), 0])]
+    if signed:
+        generators.append([n, *range(1, n), 0, *range(n + 1, 2 * n)])
+    reference = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(p) for p in generators]
+    )
+    assert group.order == reference.order()
+    assert sorted(len(c) for c in conjugacy_classes(group)) == sorted(
+        len(c) for c in reference.conjugacy_classes()
+    )
+    assert sorted(group.element_order(i) for i in range(group.order)) == sorted(
+        p.order() for p in reference.elements
+    )
 
 
 # -- conjugacy classes ------------------------------------------------------------
@@ -139,7 +272,7 @@ def test_classes_of_standard_action(name):
 
 def test_class_representatives_sorted_by_element_order(sigma3_group):
     reps = class_representatives(sigma3_group)
-    orders = [element_order(sigma3_group.elements[i], 6) for i in reps]
+    orders = [sigma3_group.element_order(i) for i in reps]
     assert orders == [1, 2, 3]
 
 
@@ -360,6 +493,45 @@ def test_sym_power_two_by_brute_force(sigma3_group):
         values.append(total)
     assert tuple(values) == sym_power_character(sigma3_group, 2)
     assert tuple(values) == (3, 1, 0)
+
+
+def _sym_power_by_fractions(group, n):
+    """Reference: the per-n Fraction recurrence h_j = -sum_i c_i h_{j-i} from
+    h_0 = 1, with c_i the coefficients of det(1 - s*g), per representative."""
+    values = []
+    for rep in class_representatives(group):
+        det_coeffs = linalg.det_one_minus_coefficients(group.elements[rep])
+        h = [Fraction(1)]
+        for j in range(1, n + 1):
+            s = Fraction(0)
+            for i in range(1, min(j, len(det_coeffs) - 1) + 1):
+                s += det_coeffs[i] * h[j - i]
+            h.append(-s)
+        values.append(h[n])
+    return tuple(values)
+
+
+@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4"])
+def test_sym_power_characters_match_the_per_n_recurrence(name):
+    group = s4_group() if name == "s4" else load_group_fixture(name).build()[0]
+    characters = sym_power_characters(group, 40)
+    assert len(characters) == 41
+    for n, values in enumerate(characters):
+        assert values == _sym_power_by_fractions(group, n), n
+        assert sym_power_character(group, n) == values
+
+
+def test_sym_power_characters_refuse_non_integral_determinants(sigma3_group, monkeypatch):
+    monkeypatch.setattr(
+        linalg, "det_one_minus_coefficients", lambda m: [Fraction(1), Fraction(1, 2)]
+    )
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        sym_power_characters(sigma3_group, 3)
+
+
+def test_negative_sym_power_is_refused(sigma3_group):
+    with pytest.raises(ValueError):
+        sym_power_characters(sigma3_group, -1)
 
 
 def test_decomposition_sequence(sigma3_group, sigma3_table):

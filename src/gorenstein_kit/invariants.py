@@ -6,19 +6,17 @@ under its generators: the orbit spans the space, so the action on it is
 faithful.  Each element's block-diagonal matrix with exact rational
 entries, one square block per generator degree, is read off the orbit.  On
 top of the enumeration this module computes Molien and character-twisted
-Molien series, pseudoreflection counts (both as sums over conjugacy
-classes, one term per class representative, with g in place of g^-1 in
-Molien's formula since a rational matrix of finite order has the same
-characteristic polynomial as its inverse), fundamental invariant degrees
-by greedy peeling, the Solomon supplement together with its verification
-as an identity of rational functions, symmetric-power characters,
+Molien series, pseudoreflection counts, fundamental invariant degrees by
+greedy peeling, the Solomon supplement together with its verification as
+an identity of rational functions, symmetric-power characters,
 decompositions against rational character tables, and explicit invariant
 polynomials as the common kernel of g - 1 over the generators.
 
-Only rational-valued character tables are supported for decomposition;
-groups with irrational irreducible characters still get Molien series and
-Solomon verification, which need nothing beyond determinants and traces of
-rational matrices.
+Every class function (Molien terms, determinants, symmetric-power
+characters, pseudoreflections) is read off det(1 - s*g on V_d), computed
+once per conjugacy class and grading block (Stanley, Bull. AMS 1 (1979),
+section 2).  Groups with irrational irreducible characters get everything
+but decomposition, which needs a rational, hence integer, character table.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from typing import Sequence
 
 from . import linalg
 from .linalg import Matrix, as_exact
-from .series import HilbertSeries, LaurentPolynomial
+from .series import HilbertSeries, LaurentPolynomial, _render_terms
 
 DEFAULT_ORDER_CAP = 10_000
 DEFAULT_MONOMIAL_BOUND = 5_000
@@ -101,6 +99,8 @@ class GradedGroupRep:
     _classes: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = field(
         default=None, compare=False, repr=False
     )
+    # det(1 - s*g on V_d) per class and block V_d, filled in by _class_factors.
+    _factors: tuple[tuple[LaurentPolynomial, ...], ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -109,10 +109,7 @@ class GradedGroupRep:
     @property
     def graded_degrees(self) -> tuple[int, ...]:
         """Degree of each matrix coordinate: block degrees with multiplicity."""
-        out: list[int] = []
-        for degree, dim in self.blocks:
-            out.extend([degree] * dim)
-        return tuple(out)
+        return tuple(degree for degree, dim in self.blocks for _ in range(dim))
 
     def block_slices(self) -> list[tuple[int, int, int]]:
         """(degree, start, stop) coordinate ranges of the diagonal blocks."""
@@ -250,19 +247,36 @@ def class_representatives(group: GradedGroupRep) -> tuple[int, ...]:
     return group._classes[1]
 
 
+def _class_factors(group: GradedGroupRep) -> tuple[tuple[LaurentPolynomial, ...], ...]:
+    """det(1 - s*g on V_d) in s, per class (canonical order) and block V_d:
+    Faddeev-LeVerrier on the representative's diagonal block, once per group."""
+    if group._factors is None:
+        factors = tuple(
+            tuple(
+                LaurentPolynomial(enumerate(linalg.det_one_minus_coefficients(
+                    tuple(row[start:stop] for row in group.elements[rep][start:stop])
+                )))
+                for _, start, stop in group.block_slices()
+            )
+            for rep in class_representatives(group)
+        )
+        object.__setattr__(group, "_factors", factors)
+    return group._factors
+
+
 @dataclass(frozen=True)
 class RationalCharacterTable:
-    """Rational-valued characters, one value per canonical conjugacy class."""
+    """Rational, hence integer, characters, one value per canonical class."""
 
     class_representatives: tuple[int, ...]
     class_sizes: tuple[int, ...]
-    irreducibles: tuple[tuple[str, tuple[Fraction, ...]], ...]
+    irreducibles: tuple[tuple[str, tuple[int, ...]], ...]
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.irreducibles)
 
-    def row(self, name: str) -> tuple[Fraction, ...]:
+    def row(self, name: str) -> tuple[int, ...]:
         for row_name, values in self.irreducibles:
             if row_name == name:
                 return values
@@ -279,10 +293,11 @@ def character_table(
 ) -> RationalCharacterTable:
     """Build and validate a character table against an enumerated group.
 
-    Rows must be rational-valued class functions in the canonical class
-    order satisfying the orthonormality relations, one per class, with
-    sum chi(1)^2 = |G|; anything else is rejected, since decomposition
-    against such a table would be silently wrong.
+    Rows must be integer-valued class functions (a rational character value
+    is an algebraic integer) in the canonical class order satisfying the
+    orthonormality relations, one per class, with sum chi(1)^2 = |G|;
+    anything else is rejected, since decomposition against such a table
+    would be silently wrong.
     """
     classes = conjugacy_classes(group)
     sizes = tuple(len(c) for c in classes)
@@ -297,17 +312,17 @@ def character_table(
         if name in names:
             raise ValueError(f"duplicate character name {name!r}")
         names.add(name)
-        rows.append((str(name), values))
+        for k, v in enumerate(values):
+            if v.denominator != 1:
+                raise ValueError(f"character {name!r} has the non-integral value {v} on class {k}")
+        rows.append((str(name), tuple(int(v) for v in values)))
     for i, (name_i, chi_i) in enumerate(rows):
         for j, (name_j, chi_j) in enumerate(rows):
-            inner = sum(
-                (Fraction(s) * a * b for s, a, b in zip(sizes, chi_i, chi_j)),
-                Fraction(0),
-            ) / group.order
-            expected = Fraction(1) if i == j else Fraction(0)
-            if inner != expected:
+            inner = sum(s * a * b for s, a, b in zip(sizes, chi_i, chi_j))
+            if inner != (group.order if i == j else 0):
                 raise ValueError(
-                    f"characters {name_i!r}, {name_j!r} fail orthogonality: <,> = {inner}"
+                    f"characters {name_i!r}, {name_j!r} fail orthogonality: "
+                    f"<,> = {Fraction(inner, group.order)}"
                 )
     # The identity class comes first, so chi[0] is the degree chi(1).
     degrees_squared = sum(chi[0] ** 2 for _, chi in rows)
@@ -338,11 +353,9 @@ def builtin_character_table(group: GradedGroupRep) -> RationalCharacterTable:
     elif group.order == 2:
         rows = [("triv", (1, 1)), ("sign", (1, -1))]
     elif group.order == 4 and all(group.element_order(i) <= 2 for i in range(4)):
-        rows = [("triv", (1,) * 4)]
-        for k in range(1, 4):
-            rows.append(
-                (f"chi{k}", tuple(1 if c in (0, k) else -1 for c in range(4)))
-            )
+        rows = [("triv", (1,) * 4)] + [
+            (f"chi{k}", tuple(1 if c in (0, k) else -1 for c in range(4))) for k in range(1, 4)
+        ]
     elif group.order == 6 and n_classes == 3:
         rows = [("triv", (1, 1, 1)), ("sign", (1, -1, 1)), ("std", (2, 0, -1))]
     else:
@@ -371,23 +384,14 @@ class MolienReport:
     pseudoreflection_count: int
 
 
-def _element_term(group: GradedGroupRep, rep: int) -> HilbertSeries:
-    """1 / prod_blocks det(1 - (m on V_d) t^d) for the element m at index rep."""
-    # Molien's formula has m^-1 here, but det(1 - m^-1 t) = det(1 - m t) for
-    # a rational matrix of finite order: its eigenvalues are roots of unity,
-    # so inverting them conjugates them, and the eigenvalues of a real
-    # matrix are closed under complex conjugation.
-    m = group.elements[rep]
+def _element_term(group: GradedGroupRep, rep: int, factors: Sequence[LaurentPolynomial]) -> HilbertSeries:
+    """1 / prod_blocks det(1 - m t^d on V_d) for the element m at index rep,
+    from its block factors det(1 - s*m on V_d)."""
     order = group.element_order(rep)
     numerator = LaurentPolynomial.one()
     dens: list[int] = []
-    for degree, start, stop in group.block_slices():
-        sub = tuple(tuple(m[i][j] for j in range(start, stop)) for i in range(start, stop))
-        dim = stop - start
-        det_coeffs = linalg.det_one_minus_coefficients(sub)
-        det_poly = LaurentPolynomial(
-            {k * degree: c for k, c in enumerate(det_coeffs) if c}
-        )
+    for (degree, dim), factor in zip(group.blocks, factors):
+        det_poly = LaurentPolynomial({k * degree: c for k, c in factor.terms()})
         # All eigenvalues are order-th roots of unity, so det divides
         # (1 - t^{degree*order})^dim exactly.
         full = LaurentPolynomial.one_minus(degree * order) ** dim
@@ -399,13 +403,46 @@ def _element_term(group: GradedGroupRep, rep: int) -> HilbertSeries:
     return HilbertSeries(numerator, dens)
 
 
+def _molien_sums(
+    group: GradedGroupRep, twists: Sequence[str], table: RationalCharacterTable | None = None
+) -> list[HilbertSeries]:
+    """The Molien series twisted by each of ``twists``, in one pass over the
+    classes: each class term is built once, classes are added in canonical
+    order, and zero weights are skipped."""
+    factors = _class_factors(group)
+    weightings = []
+    for twist in twists:
+        if twist == "trivial":
+            weightings.append([1] * len(factors))
+        elif twist == "det":  # det(1 - s*g) has top coefficient (-1)^n det(g)
+            n, one = group.dimension, LaurentPolynomial.one()
+            weightings.append([(-1) ** n * math.prod(fs, start=one).coefficient(n) for fs in factors])
+        elif table is None:
+            raise ValueError(f"twist {twist!r} needs a character table")
+        else:
+            weightings.append(table.row(twist))
+    totals = [HilbertSeries.zero()] * len(twists)
+    for k, (rep, cls) in enumerate(zip(class_representatives(group), conjugacy_classes(group))):
+        weights = [w[k] for w in weightings]
+        if any(weights):
+            term = _element_term(group, rep, factors[k])
+            totals = [t + term * (w * len(cls)) if w else t for t, w in zip(totals, weights)]
+    return [t * Fraction(1, group.order) for t in totals]
+
+
 def pseudoreflection_count(group: GradedGroupRep) -> int:
-    """Number of elements g with rank(g - 1) = 1, counted class by class."""
-    ident = linalg.identity(group.dimension)
+    """Number of elements g with rank(g - 1) = 1, counted class by class.
+
+    g has finite order, so it is diagonalizable and rank(g - 1) = 1 means
+    n - 1 eigenvalues 1 and one rational root of unity other than 1, i.e. -1:
+    exactly when prod_blocks det(1 - s*g) = (1 - s)^{n-1}(1 + s).
+    """
+    n = group.dimension
+    reflection = LaurentPolynomial({0: 1, 1: 1}) * LaurentPolynomial.one_minus(1) ** max(n - 1, 0)
     return sum(
         len(cls)
-        for rep, cls in zip(class_representatives(group), conjugacy_classes(group))
-        if linalg.rank(linalg.mat_sub(group.elements[rep], ident)) == 1
+        for cls, factors in zip(conjugacy_classes(group), _class_factors(group))
+        if math.prod(factors, start=LaurentPolynomial.one()) == reflection
     )
 
 
@@ -421,24 +458,11 @@ def molien_series(
     the determinant of g, and for a named twist by that character's value on
     the class of g (the table must contain the name).  Terms and weights are
     class functions, so the sum runs over conjugacy classes, one term per
-    representative times the class size.  Each term uses g in place of
-    g^{-1}: a rational matrix of finite order has the same characteristic
-    polynomial as its inverse, since its eigenvalues are roots of unity.
+    class times the class size.  Each term uses g in place of g^{-1}: a
+    rational matrix of finite order has the same characteristic polynomial
+    as its inverse, since its eigenvalues are roots of unity.
     """
-    reps = class_representatives(group)
-    if twist == "trivial":
-        weights = [Fraction(1)] * len(reps)
-    elif twist == "det":
-        weights = [linalg.determinant(group.elements[rep]) for rep in reps]
-    else:
-        if table is None:
-            raise ValueError(f"twist {twist!r} needs a character table")
-        weights = table.row(twist)
-    total = HilbertSeries.zero()
-    for rep, cls, w in zip(reps, conjugacy_classes(group), weights):
-        if w:
-            total = total + _element_term(group, rep) * (w * len(cls))
-    series = total * Fraction(1, group.order)
+    (series,) = _molien_sums(group, [twist], table)
     try:
         degrees = extract_polynomial_degrees(series, group.dimension)
     except NotPolynomial:
@@ -510,24 +534,25 @@ def verify_solomon(group: GradedGroupRep) -> SolomonVerification:
 
     Requires polynomial invariants (so that the supplement is defined); the
     check itself is an exact identity of rational functions, and the two
-    series are returned either way so a failure carries its witness.
+    series, from one pass over the classes, are returned either way so a
+    failure carries its witness.  Only the untwisted series is peeled.
     """
-    trivial = molien_series(group, "trivial")
-    if trivial.polynomial_degrees is None:
+    trivial, twisted = _molien_sums(group, ["trivial", "det"])
+    try:
+        degrees = extract_polynomial_degrees(trivial, group.dimension)
+    except NotPolynomial as exc:
         raise NotPolynomial(
             "invariants are not a polynomial ring; no supplement to verify"
-        )
+        ) from exc
     gen_degrees = group.graded_degrees
-    b = solomon_supplement(gen_degrees, trivial.polynomial_degrees)
-    twisted = molien_series(group, "det")
-    verified = twisted.series == trivial.series.shifted(-b)
+    b = solomon_supplement(gen_degrees, degrees)
     return SolomonVerification(
-        verified=verified,
+        verified=twisted == trivial.shifted(-b),
         supplement=b,
         generator_degrees=gen_degrees,
-        invariant_degrees=trivial.polynomial_degrees,
-        invariant_series=trivial.series,
-        det_twisted_series=twisted.series,
+        invariant_degrees=degrees,
+        invariant_series=trivial,
+        det_twisted_series=twisted,
     )
 
 
@@ -539,14 +564,16 @@ def sym_power_characters(group: GradedGroupRep, top: int) -> list[tuple[int, ...
     representation, each with one value per canonical conjugacy class.
 
     Computed from the generating identity sum_n chi_{Sym^n}(g) s^n =
-    1/det(1 - g s), one recurrence per class representative, on integers:
-    for g rational of finite order det(1 - g s) is a product of cyclotomics.
+    1/det(1 - g s), one recurrence per class on the product of its block
+    factors, on integers: for g rational of finite order det(1 - g s) is a
+    product of cyclotomics.
     """
     if top < 0:
         raise ValueError("symmetric power index must be >= 0")
     columns = []
-    for rep in class_representatives(group):
-        coeffs = linalg.det_one_minus_coefficients(group.elements[rep])
+    for factors in _class_factors(group):
+        det = math.prod(factors, start=LaurentPolynomial.one())
+        coeffs = [det.coefficient(k) for k in range(group.dimension + 1)]
         if any(c.denominator != 1 for c in coeffs):
             raise ArithmeticError(f"det(1 - s*g) has non-integral coefficients {coeffs}")
         c = [int(x) for x in coeffs]
@@ -571,23 +598,26 @@ def decompose(
     raises :class:`NonIntegralMultiplicity`, the sign of a table that cannot
     see the representation (e.g. irrational characters would be needed).
     """
-    values = tuple(as_exact(v) for v in values)
+    values = tuple(v if type(v) is int else as_exact(v) for v in values)
     if len(values) != len(table.class_sizes):
         raise LengthMismatch(
             f"{len(values)} values for {len(table.class_sizes)} classes"
         )
-    order = table.group_order
+    # The inner products run on integers: scale the values by the lcm L of
+    # their denominators and divide by L*|G| once per irreducible.
+    scale = math.lcm(*(v.denominator for v in values))
+    weighted = [s * v.numerator * (scale // v.denominator) for s, v in zip(table.class_sizes, values)]
+    divisor = table.group_order * scale
     mults = []
     for name, chi in table.irreducibles:
-        inner = sum(
-            (Fraction(s) * a * b for s, a, b in zip(table.class_sizes, chi, values)),
-            Fraction(0),
-        ) / order
-        if inner.denominator != 1 or inner < 0:
+        inner = sum(a * b for a, b in zip(chi, weighted))
+        mult, rest = divmod(inner, divisor)
+        if rest or mult < 0:
             raise NonIntegralMultiplicity(
-                f"multiplicity of {name!r} is {inner}, not a nonnegative integer"
+                f"multiplicity of {name!r} is {Fraction(inner, divisor)}, "
+                "not a nonnegative integer"
             )
-        mults.append(int(inner))
+        mults.append(mult)
     return tuple(mults)
 
 
@@ -691,28 +721,10 @@ def invariant_basis(
 
 def format_polynomial(poly: Polynomial, symbols: Sequence[str]) -> str:
     """Human-readable rendering like ``x^2 + x*y + y^2``."""
-    if not poly:
-        return "0"
-    pieces = []
-    for exponents, coeff in sorted(poly.items(), reverse=True):
-        factors = []
-        for sym, e in zip(symbols, exponents):
-            if e == 1:
-                factors.append(sym)
-            elif e > 1:
-                factors.append(f"{sym}^{e}")
-        body = "*".join(factors)
-        c = abs(coeff)
-        if not body:
-            text = str(c)
-        elif c == 1:
-            text = body
-        elif c.denominator == 1:
-            text = f"{c}*{body}"
-        else:
-            text = f"({c})*{body}"
-        if not pieces:
-            pieces.append(text if coeff > 0 else f"-{text}")
-        else:
-            pieces.append(f"+ {text}" if coeff > 0 else f"- {text}")
-    return " ".join(pieces)
+    return _render_terms(
+        (
+            coeff,
+            "*".join(sym if e == 1 else f"{sym}^{e}" for sym, e in zip(symbols, exponents) if e),
+        )
+        for exponents, coeff in sorted(poly.items(), reverse=True)
+    )

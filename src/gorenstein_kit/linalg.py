@@ -47,10 +47,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def _gauss_jordan(
     rows: Sequence[Sequence[Fraction]],
 ) -> tuple[list[list[Fraction]], list[int], int, list[Fraction]]:

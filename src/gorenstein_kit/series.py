@@ -57,6 +57,13 @@ class LaurentPolynomial:
         self._terms = acc
 
     @classmethod
+    def _of(cls, terms: dict[int, Fraction]) -> "LaurentPolynomial":
+        """Wrap a dict of nonzero Fraction coefficients as is."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
     def zero(cls) -> "LaurentPolynomial":
         return cls()
 
@@ -119,14 +126,10 @@ class LaurentPolynomial:
                 acc[e] = v
             else:
                 acc.pop(e, None)
-        out = LaurentPolynomial()
-        out._terms = acc
-        return out
+        return LaurentPolynomial._of(acc)
 
     def __neg__(self) -> "LaurentPolynomial":
-        out = LaurentPolynomial()
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return LaurentPolynomial._of({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
@@ -145,9 +148,7 @@ class LaurentPolynomial:
                     acc[e] = v
                 else:
                     acc.pop(e, None)
-        out = LaurentPolynomial()
-        out._terms = acc
-        return out
+        return LaurentPolynomial._of(acc)
 
     __rmul__ = __mul__
 
@@ -168,27 +169,19 @@ class LaurentPolynomial:
         v = _as_fraction(value)
         if not v:
             return LaurentPolynomial.zero()
-        out = LaurentPolynomial()
-        out._terms = {e: c * v for e, c in self._terms.items()}
-        return out
+        return LaurentPolynomial._of({e: c * v for e, c in self._terms.items()})
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by t^k."""
-        out = LaurentPolynomial()
-        out._terms = {e + k: c for e, c in self._terms.items()}
-        return out
+        return LaurentPolynomial._of({e + k: c for e, c in self._terms.items()})
 
     def substitute_inverse(self) -> "LaurentPolynomial":
         """Substitute t -> 1/t, negating every exponent."""
-        out = LaurentPolynomial()
-        out._terms = {-e: c for e, c in self._terms.items()}
-        return out
+        return LaurentPolynomial._of({-e: c for e, c in self._terms.items()})
 
     def substitute_negative(self) -> "LaurentPolynomial":
         """Substitute t -> -t."""
-        out = LaurentPolynomial()
-        out._terms = {e: (c if e % 2 == 0 else -c) for e, c in self._terms.items()}
-        return out
+        return LaurentPolynomial._of({e: (c if e % 2 == 0 else -c) for e, c in self._terms.items()})
 
     def divide_exact(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial | None":
         """Return self/divisor when the division is exact, else None.
@@ -220,9 +213,7 @@ class LaurentPolynomial:
                     rem[k] = v
                 else:
                     rem.pop(k, None)
-        out = LaurentPolynomial()
-        out._terms = quo
-        return out.shift(shift_back)
+        return LaurentPolynomial._of(quo).shift(shift_back)
 
     # -- comparison and display ---------------------------------------------
 
@@ -240,34 +231,32 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({dict(sorted(self._terms.items()))!r})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for e, c in sorted(self._terms.items()):
-            if e == 0:
-                body = str(c) if c.denominator == 1 else f"({c})"
-                body = body.lstrip("-")
-            else:
-                var = "t" if e == 1 else f"t^{e}"
-                if abs(c) == 1:
-                    body = var
-                elif c.denominator == 1:
-                    body = f"{abs(c)}*{var}"
-                else:
-                    body = f"({abs(c)})*{var}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return _render_terms(
+            (c, "" if e == 0 else "t" if e == 1 else f"t^{e}")
+            for e, c in sorted(self._terms.items())
+        )
+
+
+def _render_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Render (coefficient, monomial) pairs as ``-t + 3*t^2 - (1/2)*t^3``.
+
+    The sign of each term is its separator, so the first term is the only
+    one with a bare ``-``; an empty monomial is a constant term, and a
+    non-integral magnitude is parenthesized.
+    """
+    pieces = []
+    for c, body in terms:
+        mag = abs(c)
+        number = str(mag) if mag.denominator == 1 else f"({mag})"
+        text = number if not body else body if mag == 1 else f"{number}*{body}"
+        sign = "-" if c < 0 else "+" if pieces else ""
+        pieces.append(f"{sign} {text}" if pieces else f"{sign}{text}")
+    return " ".join(pieces) or "0"
 
 
 def prod_one_minus(degrees: Iterable[int]) -> LaurentPolynomial:
     """The product of the factors (1 - t^d) over the given degrees."""
-    result = LaurentPolynomial.one()
-    for d in degrees:
-        result = result * LaurentPolynomial.one_minus(d)
-    return result
+    return math.prod(map(LaurentPolynomial.one_minus, degrees), start=LaurentPolynomial.one())
 
 
 class HilbertSeries:
@@ -293,18 +282,19 @@ class HilbertSeries:
         if numerator.is_zero:
             degrees = []
         else:
-            # Reduction pass: strip any denominator factor dividing the
-            # numerator exactly, until none does.
-            reduced = True
-            while reduced:
-                reduced = False
-                for i, d in enumerate(degrees):
-                    q = numerator.divide_exact(LaurentPolynomial.one_minus(d))
-                    if q is not None:
-                        numerator = q
-                        degrees.pop(i)
-                        reduced = True
-                        break
+            # Reduction pass: strip every denominator factor dividing the
+            # numerator exactly, in one forward sweep.  A factor skipped once
+            # never divides later: if 1 - t^e does not divide N, it does not
+            # divide N/(1 - t^d) either.  Nothing divides when N(1) != 0.
+            at_one = sum(numerator._terms.values())
+            kept = []
+            for d in degrees:
+                q = None if at_one else numerator.divide_exact(LaurentPolynomial.one_minus(d))
+                if q is None:
+                    kept.append(d)
+                else:
+                    numerator, at_one = q, sum(q._terms.values())
+            degrees = kept
         self._numerator = numerator
         self._denominator_degrees = tuple(degrees)
 

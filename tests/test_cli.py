@@ -334,6 +334,20 @@ def test_sympow_refuses_an_incomplete_character_table(tmp_path, capsys):
     assert "incomplete character table: 2 irreducibles for 3 classes" in err
 
 
+def test_twisted_molien_refuses_a_non_integral_character_table(tmp_path, capsys):
+    # Orthonormal and complete for C_2, but 7/5 is no character value.
+    group = tmp_path / "c2_fractional.group"
+    group.write_text(
+        "[group]\nname = c2\nblock = 2 1\n\n[generator]\nrow = -1\n\n"
+        "[character_table]\nclass_sizes = 1 1\n"
+        "irreducible = a 7/5 1/5\nirreducible = b -1/5 7/5\n"
+    )
+    code, out, err = run(capsys, "molien", "ku", str(group), "--twist", "a")
+    assert code == 1
+    assert out == ""
+    assert "character 'a' has the non-integral value 7/5 on class 0" in err
+
+
 def test_series_json_reconstructs_the_series(capsys):
     from fractions import Fraction
 

@@ -8,6 +8,8 @@ import pytest
 
 from gorenstein_kit import invariants, linalg
 from gorenstein_kit.dataset import GROUP_FIXTURES, load_group_fixture
+from gorenstein_kit.descent import descent_report
+from gorenstein_kit.graded_ring import polynomial_presentation
 from gorenstein_kit.invariants import (
     LengthMismatch,
     MonomialBoundExceeded,
@@ -375,15 +377,23 @@ def _molien_by_elements(group, weight):
     return total * Fraction(1, group.order)
 
 
-@pytest.mark.parametrize("name", GROUP_FIXTURES)
-def test_class_sums_match_the_per_element_definition(name):
+def _in_test_or_fixture_group(name):
+    """(group, table or None) for an in-test S_4/B_3 or a bundled fixture."""
+    if name in ("s4", "b3"):
+        return signed_permutation_group(int(name[1]), signed=name == "b3"), None
     group, table = load_group_fixture(name).build()
-    table = table or builtin_character_table(group)
+    return group, table or builtin_character_table(group)
+
+
+@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "b3"])
+def test_class_sums_match_the_per_element_definition(name):
+    # S_4 and B_3 have no table here: trivial and det twists only.
+    group, table = _in_test_or_fixture_group(name)
     class_of = {
         group.elements[i]: c for c, cls in enumerate(conjugacy_classes(group)) for i in cls
     }
     weights = {"trivial": lambda m: 1, "det": linalg.determinant}
-    for character in table.names:
+    for character in table.names if table else ():
         values = table.row(character)
         weights[character] = lambda m, values=values: values[class_of[m]]
     for twist, weight in weights.items():
@@ -391,9 +401,45 @@ def test_class_sums_match_the_per_element_definition(name):
         assert molien_series(group, twist, table=table).series == expected, twist
     ident = linalg.identity(group.dimension)
     by_element = sum(
-        1 for m in group.elements if m != ident and linalg.rank(linalg.mat_sub(m, ident)) == 1
+        1
+        for m in group.elements
+        if linalg.rank([[x - y for x, y in zip(row, one)] for row, one in zip(m, ident)]) == 1
     )
     assert pseudoreflection_count(group) == by_element
+
+
+@pytest.mark.parametrize("name", ["sigma3_standard", "taf_d6_alpha", "s4", "b3"])
+def test_class_factors_are_computed_once_per_class_and_block(name, monkeypatch):
+    calls = []
+    original = linalg.det_one_minus_coefficients
+    monkeypatch.setattr(
+        linalg, "det_one_minus_coefficients", lambda m: calls.append(m) or original(m)
+    )
+    group, _ = _in_test_or_fixture_group(name)
+    base = polynomial_presentation("base", "Q", group.graded_degrees)
+    assert descent_report(base, group).solomon_verified
+    molien_series(group, "det")
+    sym_power_characters(group, 10)
+    assert len(calls) == len(conjugacy_classes(group)) * len(group.blocks)
+
+
+def test_verify_solomon_peels_once_and_counts_no_pseudoreflections(monkeypatch):
+    group = signed_permutation_group(3, signed=True)
+    peeled = []
+    original = invariants.extract_polynomial_degrees
+
+    def refuse(group):
+        raise AssertionError("verify_solomon counted pseudoreflections")
+
+    monkeypatch.setattr(invariants, "pseudoreflection_count", refuse)
+    monkeypatch.setattr(
+        invariants,
+        "extract_polynomial_degrees",
+        lambda series, rank: peeled.append(series) or original(series, rank),
+    )
+    result = verify_solomon(group)
+    assert result.verified and result.invariant_degrees == (4, 8, 12)
+    assert len(peeled) == 1 and peeled[0] is result.invariant_series
 
 
 # -- degree extraction ----------------------------------------------------------------
@@ -521,10 +567,12 @@ def test_sym_power_characters_match_the_per_n_recurrence(name):
         assert sym_power_character(group, n) == values
 
 
-def test_sym_power_characters_refuse_non_integral_determinants(sigma3_group, monkeypatch):
+def test_sym_power_characters_refuse_non_integral_determinants(monkeypatch):
     monkeypatch.setattr(
         linalg, "det_one_minus_coefficients", lambda m: [Fraction(1), Fraction(1, 2)]
     )
+    # A fresh group: the session fixture may already hold its class factors.
+    sigma3_group, _ = load_group_fixture("sigma3_standard").build()
     with pytest.raises(ArithmeticError, match="non-integral"):
         sym_power_characters(sigma3_group, 3)
 
@@ -607,6 +655,28 @@ def test_character_table_rejects_incomplete_tables(sigma3_group):
     # and 1 + 1 != 6.
     with pytest.raises(ValueError, match="2 irreducibles for 3 classes.* = 2 .* order 6"):
         character_table(sigma3_group, [("triv", (1, 1, 1)), ("sign", (1, -1, 1))])
+
+
+def test_character_table_rejects_non_integral_values(c2_group):
+    # Orthonormal and complete, but 7/5 is no character value.
+    rows = [("a", (Fraction(7, 5), Fraction(1, 5))), ("b", (Fraction(-1, 5), Fraction(7, 5)))]
+    with pytest.raises(ValueError, match="'a' has the non-integral value 7/5 on class 0"):
+        character_table(c2_group, rows)
+
+
+def test_character_table_stores_integer_rows(sigma3_table):
+    for _, row in sigma3_table.irreducibles:
+        assert all(type(v) is int for v in row)
+
+
+def test_decompose_scales_fractional_values(sigma3_table):
+    assert decompose((Fraction(12, 2), 0, 0), sigma3_table) == (1, 1, 2)  # regular
+    # 3/2 times triv: the scaled inner product 18 is a multiple of |G| = 6,
+    # but not of 2|G|.
+    with pytest.raises(NonIntegralMultiplicity, match="'triv' is 3/2"):
+        decompose((Fraction(3, 2),) * 3, sigma3_table)
+    with pytest.raises(TypeError):
+        decompose((6.0, 0, 0), sigma3_table)
 
 
 def test_character_table_rejects_wrong_length(sigma3_group):
@@ -741,6 +811,7 @@ def test_format_polynomial():
     assert format_polynomial(poly, ["x", "y"]) == "x^2 + (3/2)*x*y - y^2"
     assert format_polynomial({}, ["x"]) == "0"
     assert format_polynomial({(0,): Fraction(5)}, ["x"]) == "5"
+    assert format_polynomial({(0,): Fraction(-1, 2)}, ["x"]) == "-(1/2)"
 
 
 def test_float_matrix_entries_are_rejected():

@@ -192,6 +192,37 @@ def test_reduction_strips_exact_factors():
     assert series.numerator == LaurentPolynomial({0: 1, 2: 1})
 
 
+def _reduce_with_restarts(numerator, degrees):
+    """Reference: the former reduction loop, restarting its scan from the
+    least degree after every successful division."""
+    degrees = sorted(degrees)
+    reduced = True
+    while reduced:
+        reduced = False
+        for i, d in enumerate(degrees):
+            q = numerator.divide_exact(LaurentPolynomial.one_minus(d))
+            if q is not None:
+                numerator = q
+                degrees.pop(i)
+                reduced = True
+                break
+    return numerator, tuple(degrees)
+
+
+@given(
+    laurent_polys,
+    st.lists(st.integers(1, 6), max_size=4),
+    st.lists(st.integers(1, 9), max_size=5),
+)
+def test_reduction_sweep_matches_the_restart_loop(base, factors, degrees):
+    # Planted factors make divisions, and chains of them, common.
+    numerator = base * prod_one_minus(factors)
+    s = HS(numerator, degrees)
+    expected_numerator, expected_degrees = _reduce_with_restarts(numerator, degrees)
+    assert s.numerator.terms() == expected_numerator.terms()
+    assert s.denominator_degrees == expected_degrees
+
+
 @given(series_values)
 def test_canonicalization_is_idempotent(s):
     again = HilbertSeries(s.numerator, s.denominator_degrees)
@@ -297,6 +328,12 @@ def test_prod_one_minus_and_str():
 @given(laurent_polys, laurent_polys.filter(lambda p: not p.is_zero))
 def test_division_inverts_multiplication(q, d):
     assert (q * d).divide_exact(d) == q
+
+
+def test_negative_fractional_constant_has_one_sign():
+    assert str(LaurentPolynomial({0: Fraction(-1, 2)})) == "-(1/2)"
+    assert str(LaurentPolynomial({0: Fraction(-1, 3), 2: 1})) == "-(1/3) + t^2"
+    assert str(HS(LaurentPolynomial({0: Fraction(-1, 3), 2: 1}), [4])) == "(-(1/3) + t^2)/(1 - t^4)"
 
 
 def test_floats_are_rejected():

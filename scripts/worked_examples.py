@@ -18,7 +18,7 @@ from gorenstein_kit.invariants import (
 
 
 def chain(ring_name: str, group_name: str, sym_powers: int = 0) -> None:
-    ring = load_ring_fixture(ring_name).to_presentation()
+    ring = load_ring_fixture(ring_name)
     group, table = load_group_fixture(group_name).build()
     print(f"== {ring.name} with {group.name} (order {group.order}) ==")
     print(f"  coefficients {ring.coefficient_label}, series {hilbert_series(ring)}")

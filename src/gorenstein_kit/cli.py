@@ -10,7 +10,8 @@ rationals rendered as exact ``p/q`` strings.  The environment variable
 ``GORENSTEIN_KIT_MAX_ORDER`` overrides the group-enumeration cap.
 
 Exit status is 0 on success (for ``table``: all rows PASS), 1 on a
-computation or input error, 2 on bad usage.
+computation or input error, 2 on bad usage.  A warning, such as a failed
+regularity check, is one ``warning: <Name>: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .dataset import TABLE_ROWS, fixture_path
@@ -49,13 +51,7 @@ from .invariants import (
     molien_series,
     sym_power_characters,
 )
-from .records import (
-    GroupInputRecord,
-    ParseError,
-    RingInputRecord,
-    parse_group_record,
-    parse_ring_record,
-)
+from .records import ParseError, parse_group_record, parse_ring_record
 from .series import HilbertSeries
 
 SCHEMA_PREFIX = "gorenstein-kit"
@@ -86,19 +82,14 @@ def _resolve_input(arg: str) -> Path:
     return fixture_path(arg)
 
 
-def _load_ring(arg: str) -> tuple[RingInputRecord, RingPresentation]:
+def _load_ring(arg: str) -> RingPresentation:
     path = _resolve_input(arg)
-    record = parse_ring_record(path.read_text(), source=str(path))
-    return record, record.to_presentation()
+    return parse_ring_record(path.read_text(), source=str(path))
 
 
-def _load_group(
-    arg: str,
-) -> tuple[GroupInputRecord, GradedGroupRep, RationalCharacterTable | None]:
+def _load_group(arg: str) -> tuple[GradedGroupRep, RationalCharacterTable | None]:
     path = _resolve_input(arg)
-    record = parse_group_record(path.read_text(), source=str(path))
-    group, table = record.build(cap=_order_cap())
-    return record, group, table
+    return parse_group_record(path.read_text(), source=str(path)).build(cap=_order_cap())
 
 
 # -- rendering helpers ---------------------------------------------------------
@@ -157,7 +148,7 @@ def _ring_header(p: RingPresentation) -> list[str]:
 
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
-    _, p = _load_ring(args.ring)
+    p = _load_ring(args.ring)
     series = hilbert_series(p)
     if args.json:
         _emit({
@@ -176,7 +167,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 
 
 def cmd_shift(args: argparse.Namespace) -> int:
-    _, p = _load_ring(args.ring)
+    p = _load_ring(args.ring)
     dim = krull_dimension(p)
     by_formula = gorenstein_shift_formula(p)
     by_series = gorenstein_shift_stanley(hilbert_series(p), dim)
@@ -215,7 +206,7 @@ def _duality_json(report: DualityReport) -> dict:
 
 
 def cmd_duality(args: argparse.Namespace) -> int:
-    _, p = _load_ring(args.ring)
+    p = _load_ring(args.ring)
     report = duality_report(p)
     payload = {"schema": f"{SCHEMA_PREFIX}/duality/1", **_duality_json(report)}
     first, second = report.display_strings()
@@ -237,8 +228,8 @@ def cmd_duality(args: argparse.Namespace) -> int:
 
 
 def cmd_molien(args: argparse.Namespace) -> int:
-    _, p = _load_ring(args.ring)
-    _, group, table = _load_group(args.group)
+    p = _load_ring(args.ring)
+    group, table = _load_group(args.group)
     check_grading(p, group)
     report = molien_series(group, twist=args.twist, table=table)
     hi = args.max_degree
@@ -289,8 +280,8 @@ def _table_for(group: GradedGroupRep, table: RationalCharacterTable | None) -> R
 
 
 def cmd_sympow(args: argparse.Namespace) -> int:
-    _, p = _load_ring(args.ring)
-    _, group, table = _load_group(args.group)
+    p = _load_ring(args.ring)
+    group, table = _load_group(args.group)
     check_grading(p, group)
     table = _table_for(group, table)
     names = list(table.names)
@@ -318,8 +309,8 @@ def cmd_sympow(args: argparse.Namespace) -> int:
 
 
 def cmd_invgen(args: argparse.Namespace) -> int:
-    _, p = _load_ring(args.ring)
-    _, group, _ = _load_group(args.group)
+    p = _load_ring(args.ring)
+    group, _ = _load_group(args.group)
     check_grading(p, group)
     symbols = [s for s, _ in p.generators]
     basis = invariant_basis(group, args.degree)
@@ -350,8 +341,8 @@ def cmd_invgen(args: argparse.Namespace) -> int:
 
 
 def cmd_descent(args: argparse.Namespace) -> int:
-    _, p = _load_ring(args.ring)
-    _, group, _ = _load_group(args.group)
+    p = _load_ring(args.ring)
+    group, _ = _load_group(args.group)
     try:
         report = descent_report(p, group)
     except NotPolynomialBase:
@@ -524,19 +515,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ParseError as exc:
-        # parse errors already carry their source:line location
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, ArithmeticError, RuntimeError, LookupError) as exc:
-        message = str(exc) or repr(exc)
-        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except ParseError as exc:
+            # parse errors already carry their source:line location
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (OSError, ValueError, ArithmeticError, RuntimeError, LookupError) as exc:
+            message = str(exc) or repr(exc)
+            print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .graded_ring import RingPresentation
-from .records import (
-    GroupInputRecord,
-    RingInputRecord,
-    parse_group_record,
-    parse_ring_record,
-)
+from .records import GroupInputRecord, parse_group_record, parse_ring_record
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -98,7 +93,7 @@ def fixture_path(name: str) -> Path:
     raise FileNotFoundError(f"no bundled fixture {name!r}; available: {available}")
 
 
-def load_ring_fixture(name: str) -> RingInputRecord:
+def load_ring_fixture(name: str) -> RingPresentation:
     path = fixture_path(name if "." in name else f"{name}.ring")
     return parse_ring_record(path.read_text(), source=path.name)
 

@@ -24,6 +24,7 @@ from .graded_ring import (
     hilbert_series,
     krull_dimension,
 )
+from .series import HilbertSeries
 
 
 class ZeroDimensional(ValueError):
@@ -54,13 +55,6 @@ class CechHomotopy(NamedTuple):
     splitting: Splitting
 
 
-def _require_regular(p: RingPresentation) -> None:
-    if not p.regular_sequence_asserted:
-        raise ValueError(
-            f"{p.name}: local cohomology needs the relations asserted as a regular sequence"
-        )
-
-
 def local_cohomology_series(p: RingPresentation) -> LocalCohomology:
     """Top local cohomology of the presented ring, as a graded module series.
 
@@ -70,7 +64,10 @@ def local_cohomology_series(p: RingPresentation) -> LocalCohomology:
     case; it is metadata only, since twisting by a character does not change
     graded ranks.
     """
-    _require_regular(p)
+    if not p.regular_sequence_asserted:
+        raise ValueError(
+            f"{p.name}: local cohomology needs the relations asserted as a regular sequence"
+        )
     rho = krull_dimension(p)
     if rho == 0:
         raise ZeroDimensional(f"{p.name}: Krull dimension 0")
@@ -84,6 +81,10 @@ def local_cohomology_series(p: RingPresentation) -> LocalCohomology:
     return LocalCohomology(rho, module, det_twisted=p.is_polynomial)
 
 
+def _torsion_part(lc: LocalCohomology) -> GradedModuleSeries:
+    return lc.module.suspended(-lc.cohomological_degree, label="pi_*(Gamma r)")
+
+
 def gamma_homotopy(p: RingPresentation) -> GradedModuleSeries:
     """Homotopy of the torsion construction: Sigma^a dual(r_*).
 
@@ -91,27 +92,10 @@ def gamma_homotopy(p: RingPresentation) -> GradedModuleSeries:
     (the homotopy spectral sequence collapses because local cohomology sits
     in one degree).
     """
-    _require_regular(p)
-    rho = krull_dimension(p)
-    if rho == 0:
-        raise ZeroDimensional(f"{p.name}: Krull dimension 0")
-    a = gorenstein_shift_formula(p)
-    return GradedModuleSeries(
-        hilbert_series(p), shift=a, dualized=True, label="pi_*(Gamma r)"
-    )
+    return _torsion_part(local_cohomology_series(p))
 
 
-def cech_homotopy(p: RingPresentation) -> CechHomotopy:
-    """The two degreewise summands of the localized ring, with a splitting tag.
-
-    The splitting is VANISHING_RANGE when a <= -2 (the torsion part maps to
-    the ring by zero for degree reasons); otherwise PARITY_DISJOINT when the
-    ring sits in even degrees and a is even, so the shifted dual sits in odd
-    degrees; otherwise NOT_SPLIT, in which case the two series are only an
-    associated-graded answer.
-    """
-    series = hilbert_series(p)
-    a = gorenstein_shift_formula(p)
+def _cech_split(series: HilbertSeries, a: int) -> CechHomotopy:
     ring_part = GradedModuleSeries(series, shift=0, dualized=False, label="r_*")
     dual_part = GradedModuleSeries(
         series, shift=a + 1, dualized=True, label=f"Sigma^{a + 1} dual(r_*)"
@@ -125,15 +109,16 @@ def cech_homotopy(p: RingPresentation) -> CechHomotopy:
     return CechHomotopy(ring_part, dual_part, splitting)
 
 
-def anderson_dual_homotopy(m: GradedModuleSeries) -> GradedModuleSeries:
-    """Homotopy of the dual of a free graded module.
+def cech_homotopy(p: RingPresentation) -> CechHomotopy:
+    """The two degreewise summands of the localized ring, with a splitting tag.
 
-    Over a field-like base the dual's homotopy is Hom into the base of the
-    homotopy in the opposite degree, so at series level this is exactly the
-    degree reversal; the extension term that could obstruct this vanishes for
-    free modules.
+    The splitting is VANISHING_RANGE when a <= -2 (the torsion part maps to
+    the ring by zero for degree reasons); otherwise PARITY_DISJOINT when the
+    ring sits in even degrees and a is even, so the shifted dual sits in odd
+    degrees; otherwise NOT_SPLIT, in which case the two series are only an
+    associated-graded answer.
     """
-    return m.dual()
+    return _cech_split(hilbert_series(p), gorenstein_shift_formula(p))
 
 
 @dataclass(frozen=True)
@@ -174,10 +159,15 @@ class DualityReport:
 
 
 def duality_report(p: RingPresentation) -> DualityReport:
-    """Assemble dimension, shift, torsion/localized series, and diagnostics."""
-    a = gorenstein_shift_formula(p)
-    gamma = gamma_homotopy(p)
-    cech = cech_homotopy(p)
+    """Assemble dimension, shift, torsion/localized series, and diagnostics.
+
+    The series, the shift a and the dimension are computed once, for the
+    local cohomology; the torsion and localized modules are read off it.
+    """
+    lc = local_cohomology_series(p)
+    gamma = _torsion_part(lc)
+    a = gamma.shift
+    cech = _cech_split(gamma.series, a)
     # The gamma series vanishes in degrees >= a+1 by construction; check it
     # on a window rather than assuming it.
     for degree, c in enumerate(gamma.expand(a + 1, a + 200), start=a + 1):
@@ -187,7 +177,7 @@ def duality_report(p: RingPresentation) -> DualityReport:
             )
     return DualityReport(
         presentation=p,
-        dim=krull_dimension(p),
+        dim=lc.cohomological_degree,
         shift_a=a,
         gamma_series=gamma,
         cech_ring_part=cech.ring_part,

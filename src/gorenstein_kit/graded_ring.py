@@ -104,11 +104,11 @@ def hilbert_series(
     series = HilbertSeries(num, p.generator_degrees)
     if p.regular_sequence_asserted and regularity_check_degree is not None:
         coeffs = series.expand(0, regularity_check_degree)
-        if any(c < 0 for c in coeffs):
-            k = next(i for i, c in enumerate(coeffs) if c < 0)
+        k = next((i for i, c in enumerate(coeffs) if c < 0), None)
+        if k is not None:
             warnings.warn(
                 f"{p.name}: asserted regular sequence, but the series has a "
-                f"negative coefficient at degree {k}",
+                f"negative coefficient {coeffs[k]} at degree {k}",
                 RegularSequenceWarning,
                 stacklevel=2,
             )
@@ -191,11 +191,6 @@ class GradedModuleSeries:
         return GradedModuleSeries(
             self.series, self.shift + k, self.dualized, self.label if label is None else label
         )
-
-
-def dual_series(m: GradedModuleSeries) -> GradedModuleSeries:
-    """Involution sending a module series to the series of its dual."""
-    return m.dual()
 
 
 def brute_force_hilbert(p: RingPresentation, n: int) -> list[int]:

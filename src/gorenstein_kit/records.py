@@ -35,7 +35,8 @@ generators; entries and character values are exact rationals written as
 integers or ``p/q``, so no floating point enters the pipeline anywhere.
 Character values are listed per conjugacy class in the canonical class order
 (by element order, then class size, then matrix entries of the least
-member).  Parsing then re-serializing a record is a fixpoint.
+member).  A ring file parses straight to a ``RingPresentation``, a group file
+to a ``GroupInputRecord``; parsing then re-serializing either is a fixpoint.
 """
 
 from __future__ import annotations
@@ -104,10 +105,6 @@ def parse_rational(token: str, source: str = "<value>", line: int | None = None)
         raise ParseError(source, line, f"bad rational {token!r}: {exc}") from exc
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def _parse_int(token: str, source: str, line: int, what: str) -> int:
     try:
         return int(token)
@@ -115,27 +112,8 @@ def _parse_int(token: str, source: str, line: int, what: str) -> int:
         raise ParseError(source, line, f"bad {what} {token!r}") from exc
 
 
-@dataclass(frozen=True)
-class RingInputRecord:
-    """Parsed form of a ring file; converts to a validated presentation."""
-
-    name: str
-    coefficient_label: str
-    generators: tuple[tuple[str, int], ...]
-    relations: tuple[tuple[str, int], ...]
-    regular_sequence_asserted: bool = True
-
-    def to_presentation(self) -> RingPresentation:
-        return RingPresentation(
-            name=self.name,
-            coefficient_label=self.coefficient_label,
-            generators=self.generators,
-            relations=self.relations,
-            regular_sequence_asserted=self.regular_sequence_asserted,
-        )
-
-
-def parse_ring_record(text: str, source: str = "<ring>") -> RingInputRecord:
+def parse_ring_record(text: str, source: str = "<ring>") -> RingPresentation:
+    """A ring file as a presentation; each defect is reported with its line."""
     sections = _split_sections(text, source)
     if len(sections) != 1 or sections[0][0] != "ring":
         raise ParseError(source, None, "a ring file is a single [ring] section")
@@ -181,7 +159,7 @@ def parse_ring_record(text: str, source: str = "<ring>") -> RingInputRecord:
         raise ParseError(source, header_line, "a ring needs at least one generator")
     if len(relations) > len(generators):
         raise ParseError(source, header_line, "more relations than generators")
-    return RingInputRecord(
+    return RingPresentation(
         name=name,
         coefficient_label=coefficients,
         generators=tuple(generators),
@@ -190,15 +168,15 @@ def parse_ring_record(text: str, source: str = "<ring>") -> RingInputRecord:
     )
 
 
-def serialize_ring_record(record: RingInputRecord) -> str:
-    lines = ["[ring]", f"name = {record.name}"]
-    if record.coefficient_label:
-        lines.append(f"coefficients = {record.coefficient_label}")
-    for symbol, degree in record.generators:
+def serialize_ring_record(p: RingPresentation) -> str:
+    lines = ["[ring]", f"name = {p.name}"]
+    if p.coefficient_label:
+        lines.append(f"coefficients = {p.coefficient_label}")
+    for symbol, degree in p.generators:
         lines.append(f"generator = {symbol} {degree}")
-    for symbol, degree in record.relations:
+    for symbol, degree in p.relations:
         lines.append(f"relation = {symbol} {degree}")
-    lines.append(f"regular = {'yes' if record.regular_sequence_asserted else 'no'}")
+    lines.append(f"regular = {'yes' if p.regular_sequence_asserted else 'no'}")
     return "\n".join(lines) + "\n"
 
 
@@ -325,14 +303,12 @@ def serialize_group_record(record: GroupInputRecord) -> str:
         lines.append("")
         lines.append("[generator]")
         for row in matrix:
-            lines.append("row = " + " ".join(format_rational(x) for x in row))
+            lines.append("row = " + " ".join(str(x) for x in row))
     if record.character_rows is not None:
         lines.append("")
         lines.append("[character_table]")
         if record.class_sizes is not None:
             lines.append("class_sizes = " + " ".join(str(s) for s in record.class_sizes))
         for name, values in record.character_rows:
-            lines.append(
-                f"irreducible = {name} " + " ".join(format_rational(v) for v in values)
-            )
+            lines.append(f"irreducible = {name} " + " ".join(str(v) for v in values))
     return "\n".join(lines) + "\n"

@@ -5,24 +5,24 @@ from gorenstein_kit.dataset import load_group_fixture, load_ring_fixture
 
 @pytest.fixture(scope="session")
 def ku():
-    return load_ring_fixture("ku").to_presentation()
+    return load_ring_fixture("ku")
 
 
 @pytest.fixture(scope="session")
 def tmf2():
-    return load_ring_fixture("tmf2").to_presentation()
+    return load_ring_fixture("tmf2")
 
 
 @pytest.fixture(scope="session")
 def taf_d6():
-    return load_ring_fixture("taf_d6").to_presentation()
+    return load_ring_fixture("taf_d6")
 
 
 @pytest.fixture(scope="session")
 def all_ring_fixtures():
     from gorenstein_kit.dataset import RING_FIXTURES
 
-    return {name: load_ring_fixture(name).to_presentation() for name in RING_FIXTURES}
+    return {name: load_ring_fixture(name) for name in RING_FIXTURES}
 
 
 @pytest.fixture(scope="session")

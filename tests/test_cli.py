@@ -237,7 +237,7 @@ def test_sympow_cap_is_inclusive(capsys):
 def test_duality_text_prints_the_ring_series(capsys, ring):
     code, out, _ = run(capsys, "duality", ring)
     assert code == 0
-    series = hilbert_series(load_ring_fixture(ring).to_presentation())
+    series = hilbert_series(load_ring_fixture(ring))
     assert f"  hilbert series: {series}\n" in out
 
 
@@ -362,7 +362,7 @@ def test_series_json_reconstructs_the_series(capsys):
         LaurentPolynomial({e: Fraction(c) for e, c in blob["numerator"]}),
         blob["denominator_degrees"],
     )
-    assert rebuilt == hilbert_series(load_ring_fixture("taf_d6").to_presentation())
+    assert rebuilt == hilbert_series(load_ring_fixture("taf_d6"))
 
 
 def test_table_flags_wrong_expectations_at_render_time(capsys, monkeypatch):
@@ -380,3 +380,46 @@ def test_table_flags_wrong_expectations_at_render_time(capsys, monkeypatch):
     assert payload["rows"][0]["computed_shift"] == -6
     assert payload["rows"][0]["pass"] is False
     assert all(row["pass"] for row in payload["rows"][1:])
+
+
+NON_REGULAR_RING = """\
+[ring]
+name = bogus
+generator = x 2
+generator = y 2
+relation = f 3
+regular = yes
+"""
+
+# (1 - t^3)/(1 - t^2)^2 is -1 in degree 3, so the asserted regular sequence
+# fails its check; the reports are printed as for any other ring.
+NON_REGULAR_STDOUT = {
+    "duality": [
+        "  hilbert series: (1 - t^3)/(1 - t^2)(1 - t^2)",
+        "  krull dimension 1, gorenstein shift a = -2",
+        "  torsion part:   pi_*(Gamma r)  = Sigma^-2 dual(r_*)",
+        "  localized ring: r_* (+) Sigma^-1 dual(r_*)   [vanishing-range]",
+        "  anderson: K^R = Sigma^1 R, i.e. Anderson self-dual of shift -1",
+        "  duality recovery range (shift <= -2, torsion vanishing above it): yes",
+    ],
+    "descent": [
+        "  note: base ring is not polynomial; descent prediction out of regime,"
+        " base-ring report follows",
+        "  gorenstein shift a = -2",
+        "  anderson: K^R = Sigma^1 R, i.e. Anderson self-dual of shift -1",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", [["duality"], ["descent", "c2_negation"]])
+def test_failed_regularity_check_warns_once_on_one_line(tmp_path, capsys, argv):
+    ring = tmp_path / "bogus.ring"
+    ring.write_text(NON_REGULAR_RING)
+    code, out, err = run(capsys, argv[0], str(ring), *argv[1:])
+    assert code == 0
+    header = ["ring bogus", "  generators: x:2 y:2", "  relations:  f:3"]
+    assert out.splitlines() == header + NON_REGULAR_STDOUT[argv[0]]
+    assert err == (
+        "warning: RegularSequenceWarning: bogus: asserted regular sequence, but"
+        " the series has a negative coefficient -1 at degree 3\n"
+    )

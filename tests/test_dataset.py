@@ -29,15 +29,15 @@ def test_expected_column_in_table_order():
 
 @pytest.mark.parametrize("name", RING_FIXTURES)
 def test_ring_fixtures_are_valid_presentations(name):
-    p = load_ring_fixture(name).to_presentation()
+    p = load_ring_fixture(name)
     assert p.name == name
 
 
 def test_fixture_degree_data():
     degrees = {
         name: (
-            load_ring_fixture(name).to_presentation().generator_degrees,
-            load_ring_fixture(name).to_presentation().relation_degrees,
+            load_ring_fixture(name).generator_degrees,
+            load_ring_fixture(name).relation_degrees,
         )
         for name in RING_FIXTURES
     }

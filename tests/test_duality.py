@@ -8,7 +8,6 @@ from gorenstein_kit.duality import (
     Splitting,
     TorsionNotVanishing,
     ZeroDimensional,
-    anderson_dual_homotopy,
     cech_homotopy,
     duality_report,
     gamma_homotopy,
@@ -153,24 +152,24 @@ def test_point_module_is_anderson_self_dual():
     from gorenstein_kit.series import HilbertSeries
 
     point = GradedModuleSeries(HilbertSeries.one())
-    assert anderson_dual_homotopy(point).expand(-2, 2) == point.expand(-2, 2)
+    assert point.dual().expand(-2, 2) == point.expand(-2, 2)
 
 
 def test_anderson_dual_of_ring_series(taf_d6):
     m = GradedModuleSeries(hilbert_series(taf_d6), label="r_*")
-    dual = anderson_dual_homotopy(m)
+    dual = m.dual()
     for k in range(-80, 80, 11):
         assert dual.coefficient(k) == m.coefficient(-k)
 
 
 def test_anderson_dual_antichanges_suspension(tmf2):
     m = GradedModuleSeries(hilbert_series(tmf2), shift=5)
-    assert anderson_dual_homotopy(m).shift == -5
+    assert m.dual().shift == -5
 
 
 def test_anderson_dual_is_an_involution(tmf2):
     m = GradedModuleSeries(hilbert_series(tmf2), shift=7, dualized=False)
-    assert anderson_dual_homotopy(anderson_dual_homotopy(m)) == m
+    assert m.dual().dual() == m
 
 
 # -- assembled reports ----------------------------------------------------------------
@@ -228,3 +227,19 @@ def test_report_refuses_torsion_above_the_shift(taf_d6, monkeypatch):
     monkeypatch.setattr(GradedModuleSeries, "expand", expand)
     with pytest.raises(TorsionNotVanishing, match="torsion homotopy is 7 in degree 7, above the shift 2"):
         duality_report(taf_d6)
+
+
+def test_report_builds_series_and_shift_once(taf_d6, monkeypatch):
+    import gorenstein_kit.duality as duality_mod
+
+    calls = {"hilbert_series": 0, "gorenstein_shift_formula": 0}
+    for name in calls:
+        original = getattr(duality_mod, name)
+
+        def counted(p, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(p)
+
+        monkeypatch.setattr(duality_mod, name, counted)
+    duality_report(taf_d6)
+    assert calls == {"hilbert_series": 1, "gorenstein_shift_formula": 1}

@@ -11,6 +11,7 @@ from gorenstein_kit.dataset import (
     load_group_fixture,
     load_ring_fixture,
 )
+from gorenstein_kit.graded_ring import RingPresentation
 from gorenstein_kit.records import (
     ParseError,
     parse_group_record,
@@ -47,13 +48,13 @@ irreducible = sign 1 -1
 
 
 def test_parse_ring_record():
-    record = parse_ring_record(RING_TEXT, "demo.ring")
-    assert record.name == "demo"
-    assert record.generators == (("x", 8), ("y", 12))
-    assert record.relations == (("f", 48),)
-    assert record.regular_sequence_asserted
-    p = record.to_presentation()
-    assert p.coefficient_label == "Z[1/6]"
+    assert parse_ring_record(RING_TEXT, "demo.ring") == RingPresentation(
+        name="demo",
+        coefficient_label="Z[1/6]",
+        generators=(("x", 8), ("y", 12)),
+        relations=(("f", 48),),
+        regular_sequence_asserted=True,
+    )
 
 
 def test_parse_group_record():

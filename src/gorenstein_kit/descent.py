@@ -75,16 +75,17 @@ def check_grading(p: RingPresentation, group: GradedGroupRep) -> None:
 def descent_report(p: RingPresentation, group: GradedGroupRep) -> DescentReport:
     """Predict the invariant ring's shifts from the base ring and the action.
 
-    Requires a relation-free base whose generator degrees match the group's
-    grading blocks, and an action whose invariants are polynomial (otherwise
+    Requires generator degrees that match the group's grading blocks
+    (checked first, as by every group command), a relation-free base, and
+    an action whose invariants are polynomial (otherwise
     :class:`NotPolynomialInvariants`: the Gorenstein property need not
     descend, and this library makes no prediction).
     """
+    check_grading(p, group)
     if p.relations:
         raise NotPolynomialBase(
             f"{p.name}: base ring has relations; descent prediction needs a polynomial base"
         )
-    check_grading(p, group)
     a = gorenstein_shift_formula(p)
     try:
         solomon = verify_solomon(group)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
 from .linalg import Matrix, as_exact
@@ -631,25 +631,30 @@ def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            v = out.get(e, Fraction(0)) + ca * cb
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
+            out[e] = out[e] + ca * cb if e in out else ca * cb
+    return {e: c for e, c in out.items() if c}
 
 
-def _apply_element(m: Matrix, exponents: tuple[int, ...]) -> Polynomial:
-    """Image of the monomial prod x_j^{e_j} under x_j -> sum_i m[i][j] x_i."""
-    nvars = len(exponents)
-    result: Polynomial = {(0,) * nvars: Fraction(1)}
-    for j, e in enumerate(exponents):
+def _monomial_images(m: Matrix, monomials: Sequence[tuple[int, ...]]) -> Iterator[Polynomial]:
+    """Image of each monomial prod x_j^{e_j} under x_j -> sum_i m[i][j] x_i,
+    as a product of cached powers of those linear forms."""
+    nvars = len(m)
+    one: Polynomial = {(0,) * nvars: Fraction(1)}
+    powers = []
+    for j in range(nvars):
         linear = {
             tuple(int(k == i) for k in range(nvars)): m[i][j] for i in range(nvars) if m[i][j]
         }
-        for _ in range(e):
-            result = _poly_mul(result, linear)
-    return result
+        cached = [one]
+        for _ in range(max(e[j] for e in monomials)):
+            cached.append(_poly_mul(cached[-1], linear))
+        powers.append(cached)
+    for exponents in monomials:
+        image = one
+        for cached, e in zip(powers, exponents):
+            if e:
+                image = _poly_mul(image, cached[e])
+        yield image
 
 
 def monomials_of_degree(var_degrees: Sequence[int], total: int) -> list[tuple[int, ...]]:
@@ -682,7 +687,11 @@ def invariant_basis(
     the monomials of the degree (Derksen-Kemper, *Computational Invariant
     Theory*, ch. 3), returned as the reduced row echelon form of that
     kernel, which is unique for the fixed column order; their number equals
-    the Molien coefficient.  The monomial count, read from
+    the Molien coefficient.  Each monomial's image under g is a product of
+    cached powers of g's linear forms, written straight into sparse rows of
+    g - 1 (at most two entries each for a signed permutation); the rows of
+    all generators go through one sparse elimination, and the kernel is
+    read off its pivot rows.  The monomial count, read from
     1/prod(1 - t^{d_i}), is checked against ``monomial_bound`` before any
     monomial is enumerated.  Polynomials are exponent dictionaries over the
     graded variables, one slot per matrix coordinate.
@@ -698,25 +707,27 @@ def invariant_basis(
     if not count:
         return []
     columns = sorted(monomials_of_degree(var_degrees, total_degree), reverse=True)
-    size = len(columns)
     col_index = {e: i for i, e in enumerate(columns)}
-    reduced: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     for g in group.generators:
         # Row e of g - 1: coefficient of monomial e in g.m_j - m_j, over j.
-        rows = [[Fraction(0)] * size for _ in columns]
-        for j, expvec in enumerate(columns):
-            for e, c in _apply_element(g, expvec).items():
-                rows[col_index[e]][j] += c
-            rows[j][j] -= 1
-        reduced = linalg.rref(reduced + rows)
+        g_rows: list[dict[int, Fraction]] = [{} for _ in columns]
+        for j, image in enumerate(_monomial_images(g, columns)):
+            for e, c in image.items():
+                g_rows[col_index[e]][j] = c
+            diagonal = g_rows[j].pop(j, Fraction(0)) - 1
+            if diagonal:
+                g_rows[j][j] = diagonal
+        rows += filter(None, g_rows)
     # One kernel vector per free column: 1 there, minus that column of each
     # pivot row at its pivot, 0 elsewhere.
-    pivot_rows = {next(j for j, c in enumerate(row) if c): row for row in reduced}
-    kernel = [
-        [-pivot_rows[j][free] if j in pivot_rows else Fraction(int(j == free)) for j in range(size)]
-        for free in range(size) if free not in pivot_rows
-    ]
-    return [{columns[i]: c for i, c in enumerate(row) if c} for row in linalg.rref(kernel)]
+    pivot_rows = {min(row): row for row in linalg.rref(rows)}
+    kernel = {j: {j: Fraction(1)} for j in range(len(columns)) if j not in pivot_rows}
+    for pivot, row in pivot_rows.items():
+        for j, c in row.items():
+            if j != pivot:
+                kernel[j][pivot] = -c
+    return [{columns[i]: c for i, c in row.items()} for row in linalg.rref(list(kernel.values()))]
 
 
 def format_polynomial(poly: Polynomial, symbols: Sequence[str]) -> str:

@@ -1,16 +1,18 @@
-"""Small exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Matrices are immutable tuples of tuples of Fractions; everything here is a
-pure function.  Sizes stay tiny (representations of small finite groups), so
-straightforward Gaussian elimination with exact arithmetic is the right
-tool.
+pure function.  Elimination runs on sparse rows, dicts from column index to
+nonzero Fraction: the rows of g - 1 on monomials behind invariant bases have
+one or two nonzeros each for a signed permutation g, however many monomials
+there are.  Determinant, rank and inverse take dense matrices and hand their
+nonzero entries to the same elimination.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -48,62 +50,79 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _gauss_jordan(
-    rows: Sequence[Sequence[Fraction]],
-) -> tuple[list[list[Fraction]], list[int], int, list[Fraction]]:
-    """Gauss-Jordan elimination: the nonzero rows of the reduced row echelon
-    form, their pivot columns, the sign of the row swaps and the pivot values
-    divided out (whose signed product is the determinant of a regular matrix).
+    rows: Iterable[Mapping[int, Fraction]],
+) -> tuple[list[dict[int, Fraction]], list[int], list[Fraction]]:
+    """Gauss-Jordan elimination on sparse rows.
+
+    Each row in turn is reduced at its leading column by the pivot row of
+    that column until its leading column has none; it then becomes that
+    column's pivot row, scaled to 1 there.  A row that reduces to zero is
+    dropped.  One back substitution, from the last pivot column down, clears
+    the other pivot columns from each pivot row, so no row is revisited for
+    each new pivot.
+
+    Returns the reduced rows in pivot column order, and the pivot columns and
+    the values divided out in the order the rows came in.  Subtracting
+    multiples of earlier rows leaves a determinant alone, so a regular
+    matrix's determinant is the product of those values, signed by the
+    permutation from row order to pivot column order.
     """
-    work = [list(r) for r in rows]
+    echelon: dict[int, dict[int, Fraction]] = {}
     pivots: list[int] = []
     pivot_values: list[Fraction] = []
-    sign = 1
-    rk = 0
-    for col in range(len(work[0]) if work else 0):
-        pivot = next((r for r in range(rk, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != rk:
-            work[rk], work[pivot] = work[pivot], work[rk]
-            sign = -sign
-        value = work[rk][col]
-        pivots.append(col)
-        pivot_values.append(value)
-        # Only the pivot row's nonzero entries change anything: x - f*0 = x.
-        pivot_row = work[rk]
-        support = [j for j in range(col, len(pivot_row)) if pivot_row[j]]
-        for j in support:
-            pivot_row[j] /= value
-        for r, row in enumerate(work):
-            factor = row[col]
-            if factor and r != rk:
-                for j in support:
-                    row[j] -= factor * pivot_row[j]
-        rk += 1
-        if rk == len(work):
-            break
-    return work[:rk], pivots, sign, pivot_values
+    for source in rows:
+        row = {j: c for j, c in source.items() if c}
+        while row:
+            lead = min(row)
+            pivot_row = echelon.get(lead)
+            if pivot_row is None:
+                value = row[lead]
+                echelon[lead] = row if value == 1 else {j: c / value for j, c in row.items()}
+                pivots.append(lead)
+                pivot_values.append(value)
+                break
+            _subtract(row, row[lead], pivot_row)
+    for lead in sorted(echelon, reverse=True):
+        row = echelon[lead]
+        for col in [j for j in row if j != lead and j in echelon]:
+            _subtract(row, row[col], echelon[col])
+    return [echelon[col] for col in sorted(echelon)], pivots, pivot_values
+
+
+def _subtract(row: dict[int, Fraction], factor: Fraction, pivot_row: dict[int, Fraction]) -> None:
+    """row -= factor * pivot_row in place, keeping only nonzero entries."""
+    for j, c in pivot_row.items():
+        value = row.get(j, 0) - factor * c
+        if value:
+            row[j] = value
+        else:
+            del row[j]
+
+
+def _sparse(m: Matrix) -> list[dict[int, Fraction]]:
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
 def determinant(m: Matrix) -> Fraction:
-    _, pivots, sign, pivot_values = _gauss_jordan(m)
+    _, pivots, pivot_values = _gauss_jordan(_sparse(m))
     if len(pivots) < len(m):
         return Fraction(0)
-    return sign * math.prod(pivot_values, start=Fraction(1))
+    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+    return (-1) ** inversions * math.prod(pivot_values, start=Fraction(1))
 
 
 def rank(m: Matrix) -> int:
-    return len(_gauss_jordan(m)[1])
+    return len(_gauss_jordan(_sparse(m))[1])
 
 
 def inverse(m: Matrix) -> Matrix:
     n = len(m)
-    reduced, pivots, _, _ = _gauss_jordan(
-        [list(row) + list(ident_row) for row, ident_row in zip(m, identity(n))]
+    reduced, pivots, _ = _gauss_jordan(
+        [{**row, n + i: Fraction(1)} for i, row in enumerate(_sparse(m))]
     )
     if any(col >= n for col in pivots):
         raise ZeroDivisionError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
+    return tuple(tuple(row.get(n + j, Fraction(0)) for j in range(n)) for row in reduced)
 
 
 def trace(m: Matrix) -> Fraction:
@@ -130,6 +149,7 @@ def det_one_minus_coefficients(m: Matrix) -> list[Fraction]:
     return coeffs
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Reduced row echelon form; zero rows are dropped."""
+def rref(rows: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
+    """Reduced row echelon form of sparse rows, in pivot column order; rows
+    that reduce to zero are dropped."""
     return _gauss_jordan(rows)[0]

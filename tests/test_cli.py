@@ -167,6 +167,19 @@ def test_block_mismatch_is_an_error(capsys):
     assert "does not match" in err
 
 
+def test_descent_checks_the_grading_before_the_relations(capsys):
+    # taf_d6 has relations, so descent would fall back to the base-ring
+    # report; the one-coordinate group is refused first, as molien does.
+    expected = (
+        "error: BlockMismatch: group grading [2] does not match"
+        " generator degrees [8, 12, 24] of taf_d6\n"
+    )
+    for command in ("descent", "molien"):
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, command, "taf_d6", "c2_negation", *extra)
+            assert (code, out, err) == (1, "", expected), (command, extra)
+
+
 def test_block_order_must_follow_generator_order(tmp_path, capsys):
     # Same degrees as the ring, listed in the other order: the matrix
     # columns would pair x with degree 12.
@@ -411,11 +424,21 @@ NON_REGULAR_STDOUT = {
 }
 
 
+# The bundled c2_negation acts on one degree-2 coordinate; this one negates
+# both generators of the ring above, so descent passes the grading check.
+NEGATION_GROUP = (
+    "[group]\nname = c2_negation\nblock = 2 2\n\n[generator]\nrow = -1 0\nrow = 0 -1\n"
+)
+
+
 @pytest.mark.parametrize("argv", [["duality"], ["descent", "c2_negation"]])
 def test_failed_regularity_check_warns_once_on_one_line(tmp_path, capsys, argv):
     ring = tmp_path / "bogus.ring"
     ring.write_text(NON_REGULAR_RING)
-    code, out, err = run(capsys, argv[0], str(ring), *argv[1:])
+    group = tmp_path / "c2_negation.group"
+    group.write_text(NEGATION_GROUP)
+    rest = [str(group) if arg == "c2_negation" else arg for arg in argv[1:]]
+    code, out, err = run(capsys, argv[0], str(ring), *rest)
     assert code == 0
     header = ["ring bogus", "  generators: x:2 y:2", "  relations:  f:3"]
     assert out.splitlines() == header + NON_REGULAR_STDOUT[argv[0]]

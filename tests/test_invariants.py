@@ -2,6 +2,7 @@
 Solomon verification, symmetric powers against the per-n recurrence, and
 explicit invariants against the averaging-operator (Reynolds) oracle."""
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,6 @@ from gorenstein_kit.invariants import (
     sym_power_character,
     sym_power_characters,
     verify_solomon,
-    _apply_element,
 )
 from gorenstein_kit.series import HilbertSeries, LaurentPolynomial
 
@@ -535,7 +535,7 @@ def test_sym_power_two_by_brute_force(sigma3_group):
         basis = monomials_of_degree((4, 4), 8)
         total = Fraction(0)
         for expvec in basis:
-            total += _apply_element(m, expvec).get(expvec, Fraction(0))
+            total += _substitute(m, expvec).get(expvec, Fraction(0))
         values.append(total)
     assert tuple(values) == sym_power_character(sigma3_group, 2)
     assert tuple(values) == (3, 1, 0)
@@ -734,11 +734,19 @@ def test_cubic_invariant_of_standard_action(sigma3_group):
 
 
 def test_invariant_dimensions_match_molien(c2_group, sigma3_group, all_group_fixtures):
-    for group in (c2_group, sigma3_group, all_group_fixtures["taf_d6_alphabeta"]):
+    # S_5 up to degree 24 (1820 monomials) and B_3 up to degree 32.
+    cases = [
+        (c2_group, 29),
+        (sigma3_group, 29),
+        (all_group_fixtures["taf_d6_alphabeta"], 29),
+        (signed_permutation_group(5, signed=False), 24),
+        (signed_permutation_group(3, signed=True), 32),
+    ]
+    for group, top in cases:
         series = molien_series(group).series
-        for degree in range(0, 30):
+        for degree in range(top + 1):
             expected = series.coefficient(degree)
-            assert len(invariant_basis(group, degree)) == expected
+            assert len(invariant_basis(group, degree)) == expected, (group.name, degree)
 
 
 def test_monomial_bound(sigma3_group):
@@ -759,6 +767,23 @@ def test_monomial_bound_is_checked_before_enumerating(monkeypatch):
         invariant_basis(s4_group(), 40, monomial_bound=10)
 
 
+def _substitute(m, exponents):
+    """Image of the monomial prod x_j^{e_j} under x_j -> sum_i m[i][j] x_i,
+    multiplied out one linear factor at a time.  The oracles below use this
+    and share no image code with ``invariant_basis``."""
+    result = {(0,) * len(exponents): Fraction(1)}
+    for j, e in enumerate(exponents):
+        linear = [(i, row[j]) for i, row in enumerate(m) if row[j]] if e else []
+        for _ in range(e):
+            product = {}
+            for mono, c in result.items():
+                for i, a in linear:
+                    key = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                    product[key] = product[key] + c * a if key in product else c * a
+            result = product
+    return {key: c for key, c in result.items() if c}
+
+
 def _reynolds_basis(group, degree):
     """Reference basis: the averaging operator (1/|G|) sum_g g. applied to
     every monomial of the degree, over every element, then row-reduced with
@@ -770,26 +795,26 @@ def _reynolds_basis(group, degree):
     col_index = {e: i for i, e in enumerate(columns)}
     rows = []
     for expvec in monomials:
-        row = [Fraction(0)] * len(columns)
+        row = {}
         for m in group.elements:
-            for e, c in _apply_element(m, expvec).items():
-                row[col_index[e]] += c
-        rows.append([c / group.order for c in row])
-    return [{columns[i]: c for i, c in enumerate(row) if c} for row in linalg.rref(rows)]
+            for e, c in _substitute(m, expvec).items():
+                row[col_index[e]] = row.get(col_index[e], Fraction(0)) + c
+        rows.append({j: c / group.order for j, c in row.items() if c})
+    return [{columns[i]: c for i, c in row.items()} for row in linalg.rref(rows)]
 
 
 def _act(m, poly):
     out = {}
     for exponents, c in poly.items():
-        for e, d in _apply_element(m, exponents).items():
+        for e, d in _substitute(m, exponents).items():
             out[e] = out.get(e, Fraction(0)) + c * d
     return {e: c for e, c in out.items() if c}
 
 
-@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "trivial"])
+@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "trivial", "s5", "b3"])
 def test_invariant_basis_matches_the_reynolds_oracle(name):
-    if name == "s4":
-        group, top = s4_group(), 12
+    if name in ("s4", "s5", "b3"):
+        group, top = signed_permutation_group(int(name[1]), signed=name == "b3"), 12
     elif name == "trivial":  # no generators: every monomial is invariant
         group, top = trivial_group(((2, 1), (4, 2))), 12
     else:
@@ -800,6 +825,27 @@ def test_invariant_basis_matches_the_reynolds_oracle(name):
         for m in group.elements:
             for poly in basis:
                 assert _act(m, poly) == poly, degree
+
+
+@pytest.mark.parametrize("name", ["s4", "b3"])
+def test_invariant_basis_reduces_sparse_rows(monkeypatch, name):
+    group = signed_permutation_group(int(name[1]), signed=name == "b3")
+    calls = []
+    original = linalg.rref
+
+    def recording(rows):
+        calls.append(list(rows))
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "rref", recording)
+    assert invariant_basis(group, 12)
+    assert calls and calls[0]
+    for rows in calls:
+        for row in rows:
+            assert isinstance(row, Mapping) and all(row.values())
+    # The first call reduces the rows of g - 1 over the generators: a signed
+    # permutation sends each monomial to one signed monomial.
+    assert all(len(row) <= 2 for row in calls[0])
 
 
 def test_off_grading_degree_has_no_monomials(sigma3_group):

@@ -1,5 +1,6 @@
 """Exact elimination (rref, rank, determinant, inverse) and products against
-sympy, on dense and on mostly-zero matrices."""
+sympy, on dense and on mostly-zero matrices.  ``rref`` takes and returns
+sparse rows (column -> nonzero entry); the other functions take matrices."""
 
 from fractions import Fraction
 
@@ -61,9 +62,13 @@ def from_sympy(m):
     return [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
 
 
+def sparse_rows(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 def check_rref_and_rank(m):
     reduced, pivots = to_sympy(m).rref()
-    assert linalg.rref(m) == from_sympy(reduced)[: len(pivots)]
+    assert linalg.rref(sparse_rows(m)) == sparse_rows(from_sympy(reduced)[: len(pivots)])
     assert linalg.rank(m) == len(pivots) == to_sympy(m).rank()
 
 
@@ -101,6 +106,24 @@ def test_sparse_determinant_and_inverse_match_sympy(m):
     check_determinant_and_inverse(m)
 
 
+@given(sparse_rectangular, st.randoms(use_true_random=False))
+@settings(max_examples=150)
+def test_rref_of_shuffled_sparse_rows_matches_sympy(m, rng):
+    # The row space, hence its reduced form, does not depend on row order.
+    rows = sparse_rows(m)
+    rng.shuffle(rows)
+    reduced, pivots = to_sympy(m).rref()
+    result = linalg.rref(rows)
+    assert result == sparse_rows(from_sympy(reduced)[: len(pivots)])
+    assert all(type(x) is Fraction and x for row in result for x in row.values())
+
+
+def test_rref_drops_rows_that_reduce_to_zero():
+    one, two, half = Fraction(1), Fraction(2), Fraction(1, 2)
+    rows = [{0: two, 2: one}, {}, {0: one, 2: half}, {1: one}, {0: -two, 1: two, 2: -one}]
+    assert linalg.rref(rows) == [{0: one, 2: half}, {1: one}]
+
+
 @given(st.one_of(dense_products, sparse_products))
 @settings(max_examples=150)
 def test_mat_mul_matches_sympy(pair):
@@ -125,4 +148,4 @@ def test_inverse_of_singular_matrix_raises():
 
 def test_rank_of_zero_matrix_is_zero():
     assert linalg.rank(linalg.freeze([[0, 0, 0], [0, 0, 0]])) == 0
-    assert linalg.rref(linalg.freeze([[0, 0]])) == []
+    assert linalg.rref([{}, {}]) == []

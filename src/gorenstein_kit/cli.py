@@ -24,12 +24,7 @@ import warnings
 from pathlib import Path
 
 from .dataset import TABLE_ROWS, fixture_path
-from .descent import (
-    NotPolynomialBase,
-    check_grading,
-    cross_check_invariant_shift,
-    descent_report,
-)
+from .descent import check_grading, cross_check_invariant_shift, descent_report
 from .duality import DualityReport, duality_report
 from .graded_ring import (
     GradedModuleSeries,
@@ -51,7 +46,7 @@ from .invariants import (
     molien_series,
     sym_power_characters,
 )
-from .records import ParseError, parse_group_record, parse_ring_record
+from .records import GroupInputRecord, ParseError, parse_group_record, parse_ring_record
 from .series import HilbertSeries
 
 SCHEMA_PREFIX = "gorenstein-kit"
@@ -87,9 +82,12 @@ def _load_ring(arg: str) -> RingPresentation:
     return parse_ring_record(path.read_text(), source=str(path))
 
 
-def _load_group(arg: str) -> tuple[GradedGroupRep, RationalCharacterTable | None]:
+def _load_group(arg: str, p: RingPresentation) -> GroupInputRecord:
+    """Parse a group file and check its grading; ``build`` enumerates it."""
     path = _resolve_input(arg)
-    return parse_group_record(path.read_text(), source=str(path)).build(cap=_order_cap())
+    record = parse_group_record(path.read_text(), source=str(path))
+    check_grading(p, record.blocks)
+    return record
 
 
 # -- rendering helpers ---------------------------------------------------------
@@ -229,8 +227,9 @@ def cmd_duality(args: argparse.Namespace) -> int:
 
 def cmd_molien(args: argparse.Namespace) -> int:
     p = _load_ring(args.ring)
-    group, table = _load_group(args.group)
-    check_grading(p, group)
+    group, table = _load_group(args.group, p).build(cap=_order_cap())
+    if args.twist not in ("trivial", "det"):
+        table = _table_for(group, table)
     report = molien_series(group, twist=args.twist, table=table)
     hi = args.max_degree
     if args.json:
@@ -269,6 +268,7 @@ def cmd_molien(args: argparse.Namespace) -> int:
 
 
 def _table_for(group: GradedGroupRep, table: RationalCharacterTable | None) -> RationalCharacterTable:
+    """The group file's table, else the built-in one (named twists, sympow)."""
     if table is not None:
         return table
     try:
@@ -281,8 +281,7 @@ def _table_for(group: GradedGroupRep, table: RationalCharacterTable | None) -> R
 
 def cmd_sympow(args: argparse.Namespace) -> int:
     p = _load_ring(args.ring)
-    group, table = _load_group(args.group)
-    check_grading(p, group)
+    group, table = _load_group(args.group, p).build(cap=_order_cap())
     table = _table_for(group, table)
     names = list(table.names)
     block_degrees = {d for d, _ in group.blocks}
@@ -310,8 +309,7 @@ def cmd_sympow(args: argparse.Namespace) -> int:
 
 def cmd_invgen(args: argparse.Namespace) -> int:
     p = _load_ring(args.ring)
-    group, _ = _load_group(args.group)
-    check_grading(p, group)
+    group, _ = _load_group(args.group, p).build(cap=_order_cap())
     symbols = [s for s, _ in p.generators]
     basis = invariant_basis(group, args.degree)
     payload = {
@@ -342,10 +340,8 @@ def cmd_invgen(args: argparse.Namespace) -> int:
 
 def cmd_descent(args: argparse.Namespace) -> int:
     p = _load_ring(args.ring)
-    group, _ = _load_group(args.group)
-    try:
-        report = descent_report(p, group)
-    except NotPolynomialBase:
+    record = _load_group(args.group, p)
+    if p.relations:  # descent_report would refuse the base: no group is built
         base = duality_report(p)
         payload = {
             "schema": f"{SCHEMA_PREFIX}/descent/1",
@@ -366,6 +362,8 @@ def cmd_descent(args: argparse.Namespace) -> int:
         lines.append(f"  anderson: {second}, i.e. {first}")
         _emit(payload if args.json else lines)
         return 0
+    group, _ = record.build(cap=_order_cap())
+    report = descent_report(p, group)
     consistent = cross_check_invariant_shift(report)
     payload = {
         "schema": f"{SCHEMA_PREFIX}/descent/1",

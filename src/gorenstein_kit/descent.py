@@ -61,13 +61,14 @@ class DescentReport:
     invariant_series: HilbertSeries
 
 
-def check_grading(p: RingPresentation, group: GradedGroupRep) -> None:
-    """Refuse a group whose coordinate degrees, in block order, differ from
-    the ring's generator degrees in generator order: matrix columns follow
-    the ring's generators."""
-    if list(p.generator_degrees) != list(group.graded_degrees):
+def check_grading(p: RingPresentation, blocks: tuple[tuple[int, int], ...]) -> None:
+    """Refuse grading blocks whose coordinate degrees, in block order, differ
+    from the ring's generator degrees in generator order (matrix columns
+    follow the ring's generators), before any group is enumerated."""
+    degrees = [degree for degree, dim in blocks for _ in range(dim)]
+    if list(p.generator_degrees) != degrees:
         raise BlockMismatch(
-            f"group grading {list(group.graded_degrees)} does not match "
+            f"group grading {degrees} does not match "
             f"generator degrees {list(p.generator_degrees)} of {p.name}"
         )
 
@@ -81,7 +82,7 @@ def descent_report(p: RingPresentation, group: GradedGroupRep) -> DescentReport:
     :class:`NotPolynomialInvariants`: the Gorenstein property need not
     descend, and this library makes no prediction).
     """
-    check_grading(p, group)
+    check_grading(p, group.blocks)
     if p.relations:
         raise NotPolynomialBase(
             f"{p.name}: base ring has relations; descent prediction needs a polynomial base"

@@ -171,16 +171,6 @@ class GradedModuleSeries:
     def coefficient(self, degree: int) -> Fraction:
         return self.expand(degree, degree)[0]
 
-    def effective_series(self) -> HilbertSeries:
-        """The underlying rational function with shift and dualization applied.
-
-        Note this is an identity of rational functions only; a dualized
-        module is expanded towards minus infinity, which ``HilbertSeries``
-        does not do.  Use :meth:`expand` for coefficients.
-        """
-        inner = self.series.substitute_inverse() if self.dualized else self.series
-        return inner.shifted(self.shift)
-
     def dual(self, label: str | None = None) -> "GradedModuleSeries":
         """The degree-reversed module: suspensions anticommute with duals."""
         if label is None:

@@ -2,12 +2,12 @@
 
 A group is enumerated explicitly (orders here are tiny, so exactness beats
 generality) as permutations of the orbit of the standard basis vectors
-under its generators: the orbit spans the space, so the action on it is
-faithful.  Each element's block-diagonal matrix with exact rational
-entries, one square block per generator degree, is read off the orbit.  On
-top of the enumeration this module computes Molien and character-twisted
-Molien series, pseudoreflection counts, fundamental invariant degrees by
-greedy peeling, the Solomon supplement together with its verification as
+under its generators: the orbit spans the space, so the action is faithful.
+An element is an index; its block-diagonal rational matrix, one square
+block per generator degree, is read off the orbit only for the class key
+and the class representatives.  On top of this the module computes Molien
+and character-twisted Molien series, pseudoreflection counts, invariant
+degrees by greedy peeling, the Solomon supplement with its verification as
 an identity of rational functions, symmetric-power characters,
 decompositions against rational character tables, and explicit invariant
 polynomials as the common kernel of g - 1 over the generators.
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -62,10 +63,6 @@ class NoBuiltinCharacterTable(LookupError):
     """No built-in rational character table for this group."""
 
 
-def _element_key(m: Matrix) -> tuple[Fraction, ...]:
-    return tuple(x for row in m for x in row)
-
-
 def _block_slices(blocks: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
     out = []
     start = 0
@@ -82,15 +79,15 @@ class GradedGroupRep:
     ``blocks`` lists (degree, dimension) pairs partitioning the generator
     set; every element is block-diagonal with respect to that partition.
     ``orbit`` is the orbit of the standard basis vectors, basis vectors
-    first; element i sends ``orbit[k]`` to ``orbit[permutations[i][k]]``,
-    and column j of its matrix ``elements[i]`` is ``orbit[permutations[i][j]]``.
-    ``elements`` is the full closure with the identity first.
+    first.  Element i, for i in ``range(order)``, is the permutation
+    ``permutations[i]`` of the orbit (the identity first): it sends
+    ``orbit[k]`` to ``orbit[permutations[i][k]]``.  Its matrix is built
+    only on request, by :meth:`matrix`.
     """
 
     name: str
     blocks: tuple[tuple[int, int], ...]
     generators: tuple[Matrix, ...]
-    elements: tuple[Matrix, ...]
     order: int
     orbit: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)
     permutations: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
@@ -114,6 +111,10 @@ class GradedGroupRep:
     def block_slices(self) -> list[tuple[int, int, int]]:
         """(degree, start, stop) coordinate ranges of the diagonal blocks."""
         return _block_slices(self.blocks)
+
+    def matrix(self, i: int) -> Matrix:
+        """Element i's matrix: column j is ``orbit[permutations[i][j]]``."""
+        return tuple(zip(*(self.orbit[k] for k in self.permutations[i][: self.dimension])))
 
     def element_order(self, i: int) -> int:
         """Order of element i: the lcm of its permutation's cycle lengths."""
@@ -194,7 +195,6 @@ def generate_group(
         name=name,
         blocks=blocks,
         generators=gens,
-        elements=tuple(tuple(zip(*(orbit[j] for j in p[:n]))) for p in perms),
         order=len(perms),
         orbit=tuple(orbit),
         permutations=tuple(perms),
@@ -232,9 +232,9 @@ def conjugacy_classes(group: GradedGroupRep) -> tuple[tuple[int, ...], ...]:
                     members.add(j)
                     stack.append(group.permutations[j])
         assigned |= members
-        rep = min(members, key=lambda i: _element_key(group.elements[i]))
-        key = (group.element_order(rep), len(members), _element_key(group.elements[rep]))
-        keyed.append((key, rep, tuple(sorted(members))))
+        # Distinct elements have distinct entries; no matrix is kept.
+        entries, rep = min((tuple(chain.from_iterable(group.matrix(j))), j) for j in members)
+        keyed.append(((group.element_order(rep), len(members), entries), rep, tuple(sorted(members))))
     keyed.sort()
     classes = tuple(cls for _, _, cls in keyed)
     object.__setattr__(group, "_classes", (classes, tuple(rep for _, rep, _ in keyed)))
@@ -254,11 +254,11 @@ def _class_factors(group: GradedGroupRep) -> tuple[tuple[LaurentPolynomial, ...]
         factors = tuple(
             tuple(
                 LaurentPolynomial(enumerate(linalg.det_one_minus_coefficients(
-                    tuple(row[start:stop] for row in group.elements[rep][start:stop])
+                    tuple(row[start:stop] for row in m[start:stop])
                 )))
                 for _, start, stop in group.block_slices()
             )
-            for rep in class_representatives(group)
+            for m in map(group.matrix, class_representatives(group))
         )
         object.__setattr__(group, "_factors", factors)
     return group._factors

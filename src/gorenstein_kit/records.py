@@ -35,8 +35,10 @@ generators; entries and character values are exact rationals written as
 integers or ``p/q``, so no floating point enters the pipeline anywhere.
 Character values are listed per conjugacy class in the canonical class order
 (by element order, then class size, then matrix entries of the least
-member).  A ring file parses straight to a ``RingPresentation``, a group file
-to a ``GroupInputRecord``; parsing then re-serializing either is a fixpoint.
+member).  A single-valued key or section given twice is refused on its
+second line.  A ring file parses straight to a ``RingPresentation``, a group
+file to a ``GroupInputRecord``; parsing then re-serializing either is a
+fixpoint.
 """
 
 from __future__ import annotations
@@ -94,6 +96,12 @@ def _split_sections(
     return sections
 
 
+def _once(seen: dict[str, int], what: str, source: str, line: int) -> None:
+    """Refuse a second use of a symbol, single-valued key or section."""
+    if seen.setdefault(what, line) != line:
+        raise ParseError(source, line, f"{what} already used on line {seen[what]}")
+
+
 def parse_rational(token: str, source: str = "<value>", line: int | None = None) -> Fraction:
     """An exact rational from an integer or ``p/q`` string."""
     try:
@@ -123,8 +131,10 @@ def parse_ring_record(text: str, source: str = "<ring>") -> RingPresentation:
     generators: list[tuple[str, int]] = []
     relations: list[tuple[str, int]] = []
     regular = True
-    seen_symbols: dict[str, int] = {}
+    seen: dict[str, int] = {}
     for line, key, value in entries:
+        if key in ("name", "coefficients", "regular"):
+            _once(seen, f"key {key!r}", source, line)
         if key == "name":
             name = value
         elif key == "coefficients":
@@ -134,13 +144,7 @@ def parse_ring_record(text: str, source: str = "<ring>") -> RingPresentation:
             if len(parts) != 2:
                 raise ParseError(source, line, f"expected '{key} = SYMBOL DEGREE'")
             symbol, degree = parts[0], _parse_int(parts[1], source, line, "degree")
-            if symbol in seen_symbols:
-                raise ParseError(
-                    source,
-                    line,
-                    f"symbol {symbol!r} already used on line {seen_symbols[symbol]}",
-                )
-            seen_symbols[symbol] = line
+            _once(seen, f"symbol {symbol!r}", source, line)
             minimum = 1 if key == "generator" else 2
             if degree < minimum:
                 raise ParseError(
@@ -218,10 +222,14 @@ def parse_group_record(text: str, source: str = "<group>") -> GroupInputRecord:
     matrices: list[tuple[tuple[Fraction, ...], ...]] = []
     character_rows: list[tuple[str, tuple[Fraction, ...]]] | None = None
     class_sizes: tuple[int, ...] | None = None
+    seen: dict[str, int] = {}
     for header, header_line, entries in sections:
+        if header in ("group", "character_table"):
+            _once(seen, f"section [{header}]", source, header_line)
         if header == "group":
             for line, key, value in entries:
                 if key == "name":
+                    _once(seen, "key 'name'", source, line)
                     name = value
                 elif key == "block":
                     parts = value.split()
@@ -263,6 +271,7 @@ def parse_group_record(text: str, source: str = "<group>") -> GroupInputRecord:
             character_rows = []
             for line, key, value in entries:
                 if key == "class_sizes":
+                    _once(seen, "key 'class_sizes'", source, line)
                     class_sizes = tuple(
                         _parse_int(tok, source, line, "class size") for tok in value.split()
                     )

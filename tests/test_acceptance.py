@@ -124,7 +124,7 @@ def test_criterion_5b_period_six_increment_as_stated(sigma3_group, sigma3_table,
     order = sigma3_group.order
     one = linalg.identity(sigma3_group.dimension)
     reps = sigma3_table.class_representatives
-    identity_class = next(k for k, rep in enumerate(reps) if sigma3_group.elements[rep] == one)
+    identity_class = next(k for k, rep in enumerate(reps) if sigma3_group.matrix(rep) == one)
     regular = tuple(order if k == identity_class else 0 for k in range(len(reps)))
     degrees = tuple(chi[identity_class] for _, chi in sigma3_table.irreducibles)
     witness = None

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gorenstein_kit import cli, records
 from gorenstein_kit.cli import (
     MAX_SYMPOW_N,
     MAX_WINDOW_DEGREE,
@@ -119,6 +120,25 @@ def test_sympow_uses_builtin_table_when_file_has_none(capsys):
     assert payload["irreducibles"] == ["triv", "chi1", "chi2", "chi3"]
 
 
+def test_named_twist_uses_the_builtin_table_like_sympow(capsys):
+    code, payload, _ = run_json(capsys, "molien", "taf_d6", "taf_d6_alphabeta", "--twist", "chi1")
+    assert code == 0
+    assert payload["twist"] == "chi1"
+
+
+def test_only_named_twists_resolve_a_table(capsys, monkeypatch):
+    def refuse(group):
+        raise AssertionError("built-in character table computed")
+
+    monkeypatch.setattr(cli, "builtin_character_table", refuse)
+    for argv in (
+        ["molien", "taf_d6", "taf_d6_alphabeta"],
+        ["molien", "taf_d6", "taf_d6_alphabeta", "--twist", "det"],
+        ["invgen", "taf_d6", "taf_d6_alphabeta", "--degree", "24"],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+
+
 def test_invgen_command(capsys):
     code, payload, _ = run_json(capsys, "invgen", "tmf2", "sigma3_standard", "--degree", "8")
     assert code == 0
@@ -178,6 +198,35 @@ def test_descent_checks_the_grading_before_the_relations(capsys):
         for extra in ([], ["--json"]):
             code, out, err = run(capsys, command, "taf_d6", "c2_negation", *extra)
             assert (code, out, err) == (1, "", expected), (command, extra)
+
+
+def test_descent_on_a_relation_base_builds_no_group(capsys, monkeypatch):
+    argvs = [["descent", "taf_d6", "taf_d6_alpha", *extra] for extra in ([], ["--json"])]
+    expected = [run(capsys, *argv) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("group enumerated")
+
+    monkeypatch.setattr(records, "generate_group", refuse)
+    assert [run(capsys, *argv) for argv in argvs] == expected
+    assert expected[0][0] == 0
+
+
+def test_grading_is_checked_before_the_group_is_built(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("group enumerated")
+
+    monkeypatch.setattr(records, "generate_group", refuse)
+    for argv in (
+        ["molien", "ku", "sigma3_standard"],
+        ["sympow", "ku", "sigma3_standard", "--n", "2"],
+        ["invgen", "ku", "sigma3_standard", "--degree", "2"],
+        ["descent", "ku", "sigma3_standard"],
+        ["descent", "taf_d6", "sigma3_standard"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: BlockMismatch: group grading [4, 4]"), argv
 
 
 def test_block_order_must_follow_generator_order(tmp_path, capsys):
@@ -328,6 +377,22 @@ def test_sympow_without_any_table_is_an_error(tmp_path, capsys):
     code, _, err = run(capsys, "sympow", str(ring), str(group), "--n", "2")
     assert code == 1
     assert "NoBuiltinCharacterTable" in err and "character_table" in err
+
+
+def test_named_twist_without_any_table_is_an_error(tmp_path, capsys):
+    group = tmp_path / "c3.group"
+    group.write_text(
+        "[group]\nname = c3\nblock = 4 2\n\n[generator]\nrow = 0 -1\nrow = 1 -1\n"
+    )
+    ring = tmp_path / "base.ring"
+    ring.write_text("[ring]\nname = base\ngenerator = x 4\ngenerator = y 4\n")
+    expected = (
+        "error: NoBuiltinCharacterTable: no built-in rational character table for a group"
+        " of order 3; supply a [character_table] section in the group file\n"
+    )
+    for argv in (["molien", "--twist", "chi1"], ["sympow", "--n", "2"]):
+        code, out, err = run(capsys, argv[0], str(ring), str(group), *argv[1:])
+        assert (code, out, err) == (1, "", expected), argv
 
 
 def test_sympow_refuses_an_incomplete_character_table(tmp_path, capsys):

@@ -12,6 +12,7 @@ from gorenstein_kit.dataset import GROUP_FIXTURES, load_group_fixture
 from gorenstein_kit.descent import descent_report
 from gorenstein_kit.graded_ring import polynomial_presentation
 from gorenstein_kit.invariants import (
+    GradedGroupRep,
     LengthMismatch,
     MonomialBoundExceeded,
     NoBuiltinCharacterTable,
@@ -60,6 +61,11 @@ def signed_permutation_group(n, signed):
     return generate_group(generators, [(2, n)], name=f"{'B' if signed else 'S'}{n}")
 
 
+def matrices(group):
+    """Every element's matrix, in element order."""
+    return [group.matrix(i) for i in range(group.order)]
+
+
 def s4_group():
     """S_4 permuting four degree-2 coordinates, from a transposition and a 4-cycle."""
     return signed_permutation_group(4, signed=False)
@@ -89,7 +95,7 @@ def test_empty_generators_give_trivial_group():
 
 def test_standard_action_has_order_six(sigma3_group):
     assert sigma3_group.order == 6
-    dets = sorted(linalg.determinant(m) for m in sigma3_group.elements)
+    dets = sorted(linalg.determinant(m) for m in matrices(sigma3_group))
     assert dets == [-1, -1, -1, 1, 1, 1]
 
 
@@ -120,7 +126,7 @@ def test_generator_validation():
 
 
 def test_group_axioms(sigma3_group):
-    elements = set(sigma3_group.elements)
+    elements = set(matrices(sigma3_group))
     ident = linalg.identity(2)
     assert ident in elements
     for a in elements:
@@ -200,7 +206,7 @@ def test_group_core_matches_the_matrix_closure(name):
     }
     group = builders[name]() if name in builders else load_group_fixture(name).build()[0]
     elements, classes, representatives = _matrix_group_core(group)
-    assert group.elements == elements
+    assert matrices(group) == list(elements)
     assert group.order == len(elements)
     assert conjugacy_classes(group) == classes
     assert class_representatives(group) == representatives
@@ -261,13 +267,14 @@ def test_classes_of_standard_action(name):
     if name in expected_sizes:
         assert [len(c) for c in classes] == expected_sizes[name]
     # brute-force cross-check of the partition
-    index = {m: i for i, m in enumerate(group.elements)}
+    elements = matrices(group)
+    index = {m: i for i, m in enumerate(elements)}
     for cls in classes:
         for i in cls:
-            x = group.elements[i]
+            x = elements[i]
             orbit = {
                 index[linalg.mat_mul(linalg.mat_mul(h, x), linalg.inverse(h))]
-                for h in group.elements
+                for h in elements
             }
             assert orbit == set(cls)
 
@@ -363,7 +370,7 @@ def _molien_by_elements(group, weight):
     element g, with each determinant taken over the common denominator
     (1 - t^{d|G|})^dim."""
     total = HilbertSeries.zero()
-    for m in group.elements:
+    for m in matrices(group):
         inv = linalg.inverse(m)
         term = HilbertSeries.one()
         for degree, start, stop in group.block_slices():
@@ -390,7 +397,7 @@ def test_class_sums_match_the_per_element_definition(name):
     # S_4 and B_3 have no table here: trivial and det twists only.
     group, table = _in_test_or_fixture_group(name)
     class_of = {
-        group.elements[i]: c for c, cls in enumerate(conjugacy_classes(group)) for i in cls
+        group.matrix(i): c for c, cls in enumerate(conjugacy_classes(group)) for i in cls
     }
     weights = {"trivial": lambda m: 1, "det": linalg.determinant}
     for character in table.names if table else ():
@@ -402,7 +409,7 @@ def test_class_sums_match_the_per_element_definition(name):
     ident = linalg.identity(group.dimension)
     by_element = sum(
         1
-        for m in group.elements
+        for m in matrices(group)
         if linalg.rank([[x - y for x, y in zip(row, one)] for row, one in zip(m, ident)]) == 1
     )
     assert pseudoreflection_count(group) == by_element
@@ -421,6 +428,40 @@ def test_class_factors_are_computed_once_per_class_and_block(name, monkeypatch):
     molien_series(group, "det")
     sym_power_characters(group, 10)
     assert len(calls) == len(conjugacy_classes(group)) * len(group.blocks)
+
+
+@pytest.mark.parametrize("name", ["s4", "taf_d6_alpha"])
+def test_element_matrices_are_read_only_where_needed(name, monkeypatch):
+    # Invariants come from the generators alone, and det(1 - s*g) from the
+    # class representatives alone: no other element's matrix is built.
+    group, _ = _in_test_or_fixture_group(name)
+    reps = class_representatives(group)
+    read = []
+    original = GradedGroupRep.matrix
+
+    def recording(self, i):
+        read.append(i)
+        return original(self, i)
+
+    def refuse(self, i):
+        raise AssertionError(f"invariant_basis read the matrix of element {i}")
+
+    monkeypatch.setattr(GradedGroupRep, "matrix", refuse)
+    assert invariant_basis(group, 24)
+    monkeypatch.setattr(GradedGroupRep, "matrix", recording)
+    invariants._class_factors(group)
+    assert read == list(reps)
+
+
+@pytest.mark.parametrize("name", GROUP_FIXTURES)
+def test_degree_weighted_twists_sum_to_the_free_ring(name):
+    # sum_chi chi(1) chi(g) is |G| at the identity and 0 elsewhere, so the
+    # chi(1)-weighted twisted Molien series add up to 1/prod(1 - t^{d_i}).
+    group, table = _in_test_or_fixture_group(name)
+    total = HilbertSeries.zero()
+    for character, chi in table.irreducibles:
+        total = total + molien_series(group, character, table=table).series * chi[0]
+    assert total == HilbertSeries.inverse_product(group.graded_degrees)
 
 
 def test_verify_solomon_peels_once_and_counts_no_pseudoreflections(monkeypatch):
@@ -522,7 +563,7 @@ def test_sym_power_zero_is_trivial(sigma3_group):
 
 def test_sym_power_one_is_the_representation(sigma3_group):
     reps = class_representatives(sigma3_group)
-    traces = tuple(linalg.trace(sigma3_group.elements[i]) for i in reps)
+    traces = tuple(linalg.trace(sigma3_group.matrix(i)) for i in reps)
     assert sym_power_character(sigma3_group, 1) == traces
     assert sym_power_character(sigma3_group, 1) == (2, 0, -1)
 
@@ -531,7 +572,7 @@ def test_sym_power_two_by_brute_force(sigma3_group):
     # induced action on the three quadratic monomials
     values = []
     for rep in class_representatives(sigma3_group):
-        m = sigma3_group.elements[rep]
+        m = sigma3_group.matrix(rep)
         basis = monomials_of_degree((4, 4), 8)
         total = Fraction(0)
         for expvec in basis:
@@ -546,7 +587,7 @@ def _sym_power_by_fractions(group, n):
     h_0 = 1, with c_i the coefficients of det(1 - s*g), per representative."""
     values = []
     for rep in class_representatives(group):
-        det_coeffs = linalg.det_one_minus_coefficients(group.elements[rep])
+        det_coeffs = linalg.det_one_minus_coefficients(group.matrix(rep))
         h = [Fraction(1)]
         for j in range(1, n + 1):
             s = Fraction(0)
@@ -796,7 +837,7 @@ def _reynolds_basis(group, degree):
     rows = []
     for expvec in monomials:
         row = {}
-        for m in group.elements:
+        for m in matrices(group):
             for e, c in _substitute(m, expvec).items():
                 row[col_index[e]] = row.get(col_index[e], Fraction(0)) + c
         rows.append({j: c / group.order for j, c in row.items() if c})
@@ -822,7 +863,7 @@ def test_invariant_basis_matches_the_reynolds_oracle(name):
     for degree in range(top + 1):
         basis = invariant_basis(group, degree)
         assert basis == _reynolds_basis(group, degree), degree
-        for m in group.elements:
+        for m in matrices(group):
             for poly in basis:
                 assert _act(m, poly) == poly, degree
 

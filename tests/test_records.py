@@ -106,6 +106,15 @@ def test_rational_parsing():
         ("[ring]\nname = a", "at least one generator"),
         ("[ring]\nname = a\ngenerator = x 2\nregular = maybe", "'yes' or 'no'"),
         ("[ring]\nname = a\nwhat = ever", "unknown key"),
+        ("[ring]\nname = a\nname = b\ngenerator = x 2", "bad.ring:3: key 'name' already used on line 2"),
+        (
+            "[ring]\nname = a\ncoefficients = Z\ngenerator = x 2\ncoefficients = Q",
+            "bad.ring:5: key 'coefficients' already used on line 3",
+        ),
+        (
+            "[ring]\nname = a\ngenerator = x 2\nregular = yes\nregular = no",
+            "bad.ring:5: key 'regular' already used on line 4",
+        ),
     ],
 )
 def test_ring_diagnostics(text, fragment):
@@ -133,6 +142,20 @@ def test_ring_diagnostic_carries_line_number():
         ("[generator]\nrow = 1", "starts with a [group] section"),
         ("[group]\nname = g\nblock = 2 1\n[mystery]\nrow = 1", "unknown section"),
         ("[group]\nname = g\nblock = 2 1\n[generator]\nrow = 1/0", "bad rational"),
+        ("[group]\nname = g\nname = h\nblock = 2 1", "bad.group:3: key 'name' already used on line 2"),
+        (
+            "[group]\nname = g\nblock = 2 1\n[generator]\nrow = -1\n[group]\nblock = 2 1",
+            "bad.group:6: section [group] already used on line 1",
+        ),
+        (
+            "[group]\nname = g\nblock = 2 1\n[generator]\nrow = -1\n"
+            "[character_table]\nirreducible = triv 1 1\n[character_table]\nirreducible = sign 1 -1",
+            "bad.group:8: section [character_table] already used on line 6",
+        ),
+        (
+            "[group]\nname = g\nblock = 2 1\n[character_table]\nclass_sizes = 1 1\nclass_sizes = 2",
+            "bad.group:6: key 'class_sizes' already used on line 5",
+        ),
     ],
 )
 def test_group_diagnostics(text, fragment):

@@ -39,6 +39,7 @@ from .invariants import (
     GradedGroupRep,
     NoBuiltinCharacterTable,
     RationalCharacterTable,
+    _checked_generators,
     builtin_character_table,
     decompose,
     format_polynomial,
@@ -342,6 +343,7 @@ def cmd_descent(args: argparse.Namespace) -> int:
     p = _load_ring(args.ring)
     record = _load_group(args.group, p)
     if p.relations:  # descent_report would refuse the base: no group is built
+        _checked_generators(record.generators, record.blocks)
         base = duality_report(p)
         payload = {
             "schema": f"{SCHEMA_PREFIX}/descent/1",

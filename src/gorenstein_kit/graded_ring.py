@@ -18,8 +18,8 @@ from typing import Sequence
 
 from .series import (
     HilbertSeries,
-    LaurentPolynomial,
     NotMonomialRatio,
+    prod_one_minus,
     ratio_as_signed_monomial,
 )
 
@@ -32,7 +32,7 @@ class RegularSequenceWarning(UserWarning):
     """An asserted regular sequence fails the nonnegativity necessary test."""
 
 
-#: Default window for the nonnegativity check backing a regularity assertion.
+#: Window for the nonnegativity check backing a regularity assertion.
 REGULARITY_CHECK_DEGREE = 80
 
 
@@ -87,23 +87,17 @@ def krull_dimension(p: RingPresentation) -> int:
     return len(p.generators) - len(p.relations)
 
 
-def hilbert_series(
-    p: RingPresentation,
-    regularity_check_degree: int | None = REGULARITY_CHECK_DEGREE,
-) -> HilbertSeries:
+def hilbert_series(p: RingPresentation) -> HilbertSeries:
     """prod (1 - t^{relation degrees}) / prod (1 - t^{generator degrees}).
 
     When the presentation asserts a regular sequence, the expansion is
-    checked for nonnegative coefficients up to ``regularity_check_degree``
+    checked for nonnegative coefficients up to ``REGULARITY_CHECK_DEGREE``
     (a necessary condition for regularity) and a
     :class:`RegularSequenceWarning` is emitted on failure.
     """
-    num = LaurentPolynomial.one()
-    for _, e in p.relations:
-        num = num * LaurentPolynomial.one_minus(e)
-    series = HilbertSeries(num, p.generator_degrees)
-    if p.regular_sequence_asserted and regularity_check_degree is not None:
-        coeffs = series.expand(0, regularity_check_degree)
+    series = HilbertSeries(prod_one_minus(p.relation_degrees), p.generator_degrees)
+    if p.regular_sequence_asserted:
+        coeffs = series.expand(0, REGULARITY_CHECK_DEGREE)
         k = next((i for i, c in enumerate(coeffs) if c < 0), None)
         if k is not None:
             warnings.warn(
@@ -171,10 +165,9 @@ class GradedModuleSeries:
     def coefficient(self, degree: int) -> Fraction:
         return self.expand(degree, degree)[0]
 
-    def dual(self, label: str | None = None) -> "GradedModuleSeries":
+    def dual(self) -> "GradedModuleSeries":
         """The degree-reversed module: suspensions anticommute with duals."""
-        if label is None:
-            label = f"dual({self.label})" if self.label else ""
+        label = f"dual({self.label})" if self.label else ""
         return GradedModuleSeries(self.series, -self.shift, not self.dualized, label)
 
     def suspended(self, k: int, label: str | None = None) -> "GradedModuleSeries":
@@ -223,11 +216,8 @@ def brute_force_hilbert(p: RingPresentation, n: int) -> list[int]:
 
 
 def polynomial_presentation(
-    name: str,
-    coefficient_label: str,
-    degrees: Sequence[int],
-    symbol_prefix: str = "f",
+    name: str, coefficient_label: str, degrees: Sequence[int]
 ) -> RingPresentation:
-    """A relation-free presentation with synthesized generator symbols."""
-    gens = tuple((f"{symbol_prefix}{i + 1}", int(d)) for i, d in enumerate(degrees))
+    """A relation-free presentation on generators f1, f2, ... of the degrees."""
+    gens = tuple((f"f{i + 1}", int(d)) for i, d in enumerate(degrees))
     return RingPresentation(name, coefficient_label, gens)

@@ -63,6 +63,10 @@ class NoBuiltinCharacterTable(LookupError):
     """No built-in rational character table for this group."""
 
 
+class UnknownCharacter(LookupError):
+    """A character table has no irreducible of the requested name."""
+
+
 def _block_slices(blocks: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
     out = []
     start = 0
@@ -138,6 +142,26 @@ def _is_block_diagonal(m: Matrix, slices: list[tuple[int, int, int]]) -> bool:
     return True
 
 
+def _checked_generators(
+    generators: Sequence[Sequence[Sequence[Fraction | int]]],
+    blocks: Sequence[tuple[int, int]],
+) -> tuple[Matrix, ...]:
+    """The generators as exact matrices, each checked to be square of the
+    blocks' total size, block-diagonal for them and nonsingular; nothing is
+    enumerated."""
+    n = sum(dim for _, dim in blocks)
+    slices = _block_slices(blocks)
+    gens = tuple(linalg.freeze(g) for g in generators)
+    for g in gens:
+        if len(g) != n or any(len(row) != n for row in g):
+            raise ValueError(f"generator is not {n}x{n}")
+        if not _is_block_diagonal(g, slices):
+            raise ValueError("generator is not block-diagonal for the given grading")
+        if linalg.determinant(g) == 0:
+            raise ValueError("generator is singular")
+    return gens
+
+
 def generate_group(
     generators: Sequence[Sequence[Sequence[Fraction | int]]],
     blocks: Sequence[tuple[int, int]],
@@ -157,16 +181,8 @@ def generate_group(
     for degree, dim in blocks:
         if degree < 1 or dim < 1:
             raise ValueError(f"bad block ({degree}, {dim}): degree and dimension must be >= 1")
+    gens = _checked_generators(generators, blocks)
     n = sum(dim for _, dim in blocks)
-    slices = _block_slices(blocks)
-    gens = tuple(linalg.freeze(g) for g in generators)
-    for g in gens:
-        if len(g) != n or any(len(row) != n for row in g):
-            raise ValueError(f"generator is not {n}x{n}")
-        if not _is_block_diagonal(g, slices):
-            raise ValueError("generator is not block-diagonal for the given grading")
-        if linalg.determinant(g) == 0:
-            raise ValueError("generator is singular")
     too_large = OrderCapExceeded(f"group closure exceeds the cap of {cap} elements")
     orbit = list(linalg.identity(n))
     position = {v: k for k, v in enumerate(orbit)}
@@ -280,7 +296,9 @@ class RationalCharacterTable:
         for row_name, values in self.irreducibles:
             if row_name == name:
                 return values
-        raise KeyError(f"no character named {name!r} in the table")
+        raise UnknownCharacter(
+            f"no character named {name!r} in the table; its characters are {', '.join(self.names)}"
+        )
 
     @property
     def group_order(self) -> int:
@@ -686,12 +704,13 @@ def invariant_basis(
     The invariants are the common kernel of g - 1 over the generators g on
     the monomials of the degree (Derksen-Kemper, *Computational Invariant
     Theory*, ch. 3), returned as the reduced row echelon form of that
-    kernel, which is unique for the fixed column order; their number equals
-    the Molien coefficient.  Each monomial's image under g is a product of
-    cached powers of g's linear forms, written straight into sparse rows of
-    g - 1 (at most two entries each for a signed permutation); the rows of
-    all generators go through one sparse elimination, and the kernel is
-    read off its pivot rows.  The monomial count, read from
+    kernel with the monomials descending, which is unique; their number
+    equals the Molien coefficient.  Each monomial's image under g is a
+    product of cached powers of g's linear forms, written straight into
+    sparse rows of g - 1 (at most two entries each for a signed
+    permutation); the rows of all generators go through one sparse
+    elimination over the monomials ascending, whose pivot rows give that
+    echelon form directly.  The monomial count, read from
     1/prod(1 - t^{d_i}), is checked against ``monomial_bound`` before any
     monomial is enumerated.  Polynomials are exponent dictionaries over the
     graded variables, one slot per matrix coordinate.
@@ -706,7 +725,7 @@ def invariant_basis(
         )
     if not count:
         return []
-    columns = sorted(monomials_of_degree(var_degrees, total_degree), reverse=True)
+    columns = monomials_of_degree(var_degrees, total_degree)
     col_index = {e: i for i, e in enumerate(columns)}
     rows: list[dict[int, Fraction]] = []
     for g in group.generators:
@@ -719,15 +738,17 @@ def invariant_basis(
             if diagonal:
                 g_rows[j][j] = diagonal
         rows += filter(None, g_rows)
-    # One kernel vector per free column: 1 there, minus that column of each
-    # pivot row at its pivot, 0 elsewhere.
+    # One kernel vector per free column j: 1 there, minus column j of each
+    # pivot row at that row's pivot, which is its least column, so below j.
+    # No other vector is nonzero at j: listed by j descending, the vectors
+    # are already in reduced row echelon form.
     pivot_rows = {min(row): row for row in linalg.rref(rows)}
-    kernel = {j: {j: Fraction(1)} for j in range(len(columns)) if j not in pivot_rows}
+    kernel = {j: {columns[j]: Fraction(1)} for j in reversed(range(len(columns))) if j not in pivot_rows}
     for pivot, row in pivot_rows.items():
         for j, c in row.items():
             if j != pivot:
-                kernel[j][pivot] = -c
-    return [{columns[i]: c for i, c in row.items()} for row in linalg.rref(list(kernel.values()))]
+                kernel[j][columns[pivot]] = -c
+    return list(kernel.values())
 
 
 def format_polynomial(poly: Polynomial, symbols: Sequence[str]) -> str:

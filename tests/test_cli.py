@@ -212,6 +212,45 @@ def test_descent_on_a_relation_base_builds_no_group(capsys, monkeypatch):
     assert expected[0][0] == 0
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (("0 0 0", "0 1 0", "0 0 1"), "generator is singular"),
+        (("1 1 0", "0 1 0", "0 0 1"), "generator is not block-diagonal for the given grading"),
+    ],
+    ids=["singular", "not-block-diagonal"],
+)
+def test_relation_base_descent_refuses_a_group_that_cannot_be_built(
+    tmp_path, capsys, monkeypatch, rows, message
+):
+    # taf_d6 has relations, so descent prints no group data; the generators
+    # are still checked, as molien checks them, without enumerating the group.
+    group = tmp_path / "bad.group"
+    group.write_text(
+        "[group]\nname = bad\nblock = 8 1\nblock = 12 1\nblock = 24 1\n\n[generator]\n"
+        + "".join(f"row = {row}\n" for row in rows)
+    )
+    expected = (1, "", f"error: ValueError: {message}\n")
+    assert run(capsys, "molien", "taf_d6", str(group)) == expected
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("group enumerated")
+
+    monkeypatch.setattr(records, "generate_group", refuse)
+    for extra in ([], ["--json"]):
+        assert run(capsys, "descent", "taf_d6", str(group), *extra) == expected, extra
+
+
+def test_unknown_twist_name_is_one_plain_line(capsys):
+    expected = (
+        "error: UnknownCharacter: no character named 'chi1' in the table;"
+        " its characters are triv, sign\n"
+    )
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, "molien", "ku", "c2_negation", "--twist", "chi1", *extra)
+        assert (code, out, err) == (1, "", expected), extra
+
+
 def test_grading_is_checked_before_the_group_is_built(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("group enumerated")

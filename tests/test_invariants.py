@@ -19,6 +19,7 @@ from gorenstein_kit.invariants import (
     NonIntegralMultiplicity,
     NotPolynomial,
     OrderCapExceeded,
+    UnknownCharacter,
     builtin_character_table,
     character_table,
     class_representatives,
@@ -720,6 +721,16 @@ def test_decompose_scales_fractional_values(sigma3_table):
         decompose((6.0, 0, 0), sigma3_table)
 
 
+def test_unknown_character_name_lists_the_table(sigma3_group, sigma3_table):
+    expected = "no character named 'chi1' in the table; its characters are triv, sign, std"
+    with pytest.raises(UnknownCharacter) as info:
+        sigma3_table.row("chi1")
+    assert str(info.value) == expected
+    assert isinstance(info.value, LookupError) and not isinstance(info.value, KeyError)
+    with pytest.raises(UnknownCharacter, match="its characters are triv, sign, std"):
+        molien_series(sigma3_group, twist="chi1", table=sigma3_table)
+
+
 def test_character_table_rejects_wrong_length(sigma3_group):
     with pytest.raises(ValueError):
         character_table(sigma3_group, [("triv", (1, 1))])
@@ -852,12 +863,14 @@ def _act(m, poly):
     return {e: c for e, c in out.items() if c}
 
 
-@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "trivial", "s5", "b3"])
+@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "trivial", "s5", "b3", "s4_conjugated"])
 def test_invariant_basis_matches_the_reynolds_oracle(name):
     if name in ("s4", "s5", "b3"):
         group, top = signed_permutation_group(int(name[1]), signed=name == "b3"), 12
     elif name == "trivial":  # no generators: every monomial is invariant
         group, top = trivial_group(((2, 1), (4, 2))), 12
+    elif name == "s4_conjugated":  # dense kernel vectors; about 2.5 s to degree 8
+        group, top = conjugated_s4_group(), 8
     else:
         group, top = load_group_fixture(name).build()[0], 48
     for degree in range(top + 1):
@@ -880,7 +893,9 @@ def test_invariant_basis_reduces_sparse_rows(monkeypatch, name):
 
     monkeypatch.setattr(linalg, "rref", recording)
     assert invariant_basis(group, 12)
-    assert calls and calls[0]
+    # One elimination: the kernel is read off its pivot rows already in
+    # reduced row echelon form.
+    assert len(calls) == 1 and calls[0]
     for rows in calls:
         for row in rows:
             assert isinstance(row, Mapping) and all(row.values())

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .series import (
     HilbertSeries,
     NotMonomialRatio,
+    Scalar,
     prod_one_minus,
     ratio_as_signed_monomial,
 )
@@ -155,14 +155,14 @@ class GradedModuleSeries:
     dualized: bool = False
     label: str = field(default="", compare=False)
 
-    def expand(self, lo: int, hi: int) -> list[Fraction]:
+    def expand(self, lo: int, hi: int) -> list[Scalar]:
         """Effective coefficients for degrees lo..hi inclusive."""
         if self.dualized:
             inner = self.series.expand(-(hi - self.shift), -(lo - self.shift))
             return inner[::-1]
         return self.series.expand(lo - self.shift, hi - self.shift)
 
-    def coefficient(self, degree: int) -> Fraction:
+    def coefficient(self, degree: int) -> Scalar:
         return self.expand(degree, degree)[0]
 
     def dual(self) -> "GradedModuleSeries":

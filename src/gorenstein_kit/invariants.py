@@ -591,10 +591,9 @@ def sym_power_characters(group: GradedGroupRep, top: int) -> list[tuple[int, ...
     columns = []
     for factors in _class_factors(group):
         det = math.prod(factors, start=LaurentPolynomial.one())
-        coeffs = [det.coefficient(k) for k in range(group.dimension + 1)]
-        if any(c.denominator != 1 for c in coeffs):
-            raise ArithmeticError(f"det(1 - s*g) has non-integral coefficients {coeffs}")
-        c = [int(x) for x in coeffs]
+        c = [det.coefficient(k) for k in range(group.dimension + 1)]
+        if any(type(x) is not int for x in c):
+            raise ArithmeticError(f"det(1 - s*g) has non-integral coefficients {c}")
         h = [1]
         for j in range(1, top + 1):
             h.append(-sum(c[i] * h[j - i] for i in range(1, min(j, len(c) - 1) + 1)))

@@ -2,7 +2,10 @@
 formal variable t.
 
 Everything in this module is computed over the rationals with no rounding
-anywhere.  A :class:`HilbertSeries` is a rational function kept in the shape
+anywhere.  A coefficient is held as an ``int`` when it is integral and as a
+``Fraction`` only when its denominator exceeds 1; an int equals, hashes and
+prints like the equal Fraction.  A :class:`HilbertSeries` is a rational
+function kept in the shape
 
     numerator / prod_{d in D} (1 - t^d)
 
@@ -32,33 +35,51 @@ class NotMonomialRatio(ArithmeticError):
     """Raised when one series is not a signed power of t times another."""
 
 
-def _as_fraction(value: Scalar) -> Fraction:
+def _as_exact(value: Scalar) -> Scalar:
+    """The value as an int when integral, else as a Fraction; refuses floats."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _exact_terms(acc: dict[int, Scalar]) -> dict[int, Scalar]:
+    """acc without its zero coefficients, each integral Fraction as its int."""
+    return {
+        e: c if type(c) is int else c.numerator if c.denominator == 1 else c
+        for e, c in acc.items()
+        if c
+    }
+
+
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b exactly: an int when b divides a, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _as_exact(Fraction(a) / b)
+
+
 class LaurentPolynomial:
-    """A finite sum of terms c * t^e with exact rational c and integer e."""
+    """A finite sum of terms c * t^e with exact rational c and integer e.
+
+    Each c is an int when integral and a Fraction otherwise.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Scalar] = {}
         for exponent, coeff in items:
-            c = acc.get(exponent, Fraction(0)) + _as_fraction(coeff)
-            if c:
-                acc[int(exponent)] = c
-            else:
-                acc.pop(exponent, None)
-        self._terms = acc
+            e = int(exponent)
+            acc[e] = acc.get(e, 0) + _as_exact(coeff)
+        self._terms = _exact_terms(acc)
 
     @classmethod
-    def _of(cls, terms: dict[int, Fraction]) -> "LaurentPolynomial":
-        """Wrap a dict of nonzero Fraction coefficients as is."""
+    def _of(cls, terms: dict[int, Scalar]) -> "LaurentPolynomial":
+        """Wrap a dict of nonzero coefficients, each already in exact form, as is."""
         out = cls.__new__(cls)
         out._terms = terms
         return out
@@ -92,12 +113,12 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+    def terms(self) -> tuple[tuple[int, Scalar], ...]:
         """Terms as (exponent, coefficient) pairs, ascending in exponent."""
         return tuple(sorted(self._terms.items()))
 
-    def coefficient(self, exponent: int) -> Fraction:
-        return self._terms.get(exponent, Fraction(0))
+    def coefficient(self, exponent: int) -> Scalar:
+        return self._terms.get(exponent, 0)
 
     @property
     def min_exponent(self) -> int:
@@ -121,12 +142,8 @@ class LaurentPolynomial:
             return NotImplemented
         acc = dict(self._terms)
         for e, c in other._terms.items():
-            v = acc.get(e, Fraction(0)) + c
-            if v:
-                acc[e] = v
-            else:
-                acc.pop(e, None)
-        return LaurentPolynomial._of(acc)
+            acc[e] = acc.get(e, 0) + c
+        return LaurentPolynomial._of(_exact_terms(acc))
 
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial._of({e: -c for e, c in self._terms.items()})
@@ -139,16 +156,12 @@ class LaurentPolynomial:
             return self.scale(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Scalar] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
-                v = acc.get(e, Fraction(0)) + c1 * c2
-                if v:
-                    acc[e] = v
-                else:
-                    acc.pop(e, None)
-        return LaurentPolynomial._of(acc)
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return LaurentPolynomial._of(_exact_terms(acc))
 
     __rmul__ = __mul__
 
@@ -166,10 +179,8 @@ class LaurentPolynomial:
         return result
 
     def scale(self, value: Scalar) -> "LaurentPolynomial":
-        v = _as_fraction(value)
-        if not v:
-            return LaurentPolynomial.zero()
-        return LaurentPolynomial._of({e: c * v for e, c in self._terms.items()})
+        v = _as_exact(value)
+        return LaurentPolynomial._of(_exact_terms({e: c * v for e, c in self._terms.items()}))
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by t^k."""
@@ -199,16 +210,16 @@ class LaurentPolynomial:
         div = {e - divisor.min_exponent: c for e, c in divisor._terms.items()}
         ddeg = max(div)
         dlead = div[ddeg]
-        quo: dict[int, Fraction] = {}
+        quo: dict[int, Scalar] = {}
         while rem:
             rdeg = max(rem)
             if rdeg < ddeg:
                 return None
-            c = rem[rdeg] / dlead
+            c = _quotient(rem[rdeg], dlead)
             quo[rdeg - ddeg] = c
             for e, dc in div.items():
                 k = rdeg - ddeg + e
-                v = rem.get(k, Fraction(0)) - c * dc
+                v = rem.get(k, 0) - c * dc
                 if v:
                     rem[k] = v
                 else:
@@ -237,7 +248,7 @@ class LaurentPolynomial:
         )
 
 
-def _render_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
+def _render_terms(terms: Iterable[tuple[Scalar, str]]) -> str:
     """Render (coefficient, monomial) pairs as ``-t + 3*t^2 - (1/2)*t^3``.
 
     The sign of each term is its separator, so the first term is the only
@@ -328,7 +339,7 @@ class HilbertSeries:
 
     # -- expansion ----------------------------------------------------------
 
-    def expand(self, lo: int, hi: int) -> list[Fraction]:
+    def expand(self, lo: int, hi: int) -> list[Scalar]:
         """Coefficients of the Laurent expansion for degrees lo..hi inclusive.
 
         Each denominator factor is expanded as the geometric series
@@ -340,17 +351,17 @@ class HilbertSeries:
         numerator has integer coefficients.  Multiplying by 1/(1 - t^d) is the
         prefix sum coeffs[k] += coeffs[k - d], which adds integers to
         integers, so every coefficient of L times the series is an integer v
-        and the true coefficient is exactly v/L.  Each coefficient of the
-        window becomes a Fraction once, at the end.
+        and the true coefficient is exactly v/L: the int v // L when L
+        divides v, else the Fraction v/L.
         """
         if lo > hi:
             raise ValueError("empty expansion window: lo > hi")
         width = hi - lo + 1
         if self._numerator.is_zero:
-            return [Fraction(0)] * width
+            return [0] * width
         base = self._numerator.min_exponent
         if hi < base:
-            return [Fraction(0)] * width
+            return [0] * width
         terms = self._numerator.terms()
         scale = math.lcm(*(c.denominator for _, c in terms))
         coeffs = [0] * (hi - base + 1)
@@ -360,15 +371,15 @@ class HilbertSeries:
         for d in self._denominator_degrees:
             for k in range(d, len(coeffs)):
                 coeffs[k] += coeffs[k - d]
-        out = [Fraction(0)] * (base - lo)  # zeros below the support
+        out: list[Scalar] = [0] * (base - lo)  # zeros below the support
         window = islice(coeffs, max(lo, base) - base, None)
         if scale == 1:
-            out.extend(map(Fraction, window))
+            out.extend(window)
         else:
-            out.extend(Fraction(v, scale) for v in window)
+            out.extend(v // scale if v % scale == 0 else Fraction(v, scale) for v in window)
         return out
 
-    def coefficient(self, degree: int) -> Fraction:
+    def coefficient(self, degree: int) -> Scalar:
         return self.expand(degree, degree)[0]
 
     # -- arithmetic ----------------------------------------------------------
@@ -487,12 +498,15 @@ def ratio_as_signed_monomial(a: HilbertSeries, b: HilbertSeries) -> tuple[int, i
         raise NotMonomialRatio("zero is not a signed monomial multiple")
     left = a.numerator * prod_one_minus(b.denominator_degrees)
     right = b.numerator * prod_one_minus(a.denominator_degrees)
-    if len(left) != len(right):
-        raise NotMonomialRatio(f"{a} / {b} is not a signed power of t")
     k = left.min_exponent - right.min_exponent
-    s = left.coefficient(left.min_exponent) / right.coefficient(right.min_exponent)
-    if s != 1 and s != -1:
-        raise NotMonomialRatio(f"{a} / {b} is not a signed power of t")
-    if left != right.shift(k).scale(s):
-        raise NotMonomialRatio(f"{a} / {b} is not a signed power of t")
-    return (1 if s == 1 else -1, k)
+    s = -1 if left.coefficient(left.min_exponent) == -right.coefficient(right.min_exponent) else 1
+    aligned = right.shift(k).scale(s)
+    if left != aligned:
+        e = min(x for x in left._terms.keys() | aligned._terms.keys()
+                if left.coefficient(x) != aligned.coefficient(x))
+        raise NotMonomialRatio(
+            f"{a} / {b} is not a signed power of t: over the common denominator, "
+            f"t^{e} has coefficient {left.coefficient(e)} in the first numerator "
+            f"and {aligned.coefficient(e)} in {'-' if s < 0 else ''}t^{k} times the second"
+        )
+    return (s, k)

@@ -19,6 +19,11 @@ def HS(numerator, degrees=()):
     return HilbertSeries(numerator, degrees)
 
 
+def in_exact_form(c):
+    """An int exactly when integral, otherwise a Fraction with denominator > 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 laurent_polys = st.dictionaries(
@@ -146,7 +151,7 @@ def test_expand_matches_multiset_convolution(numerator, degrees, offset, width):
     ]
     got = HilbertSeries(numerator, degrees).expand(lo, hi)
     assert got == expected
-    assert all(type(c) is Fraction for c in got)
+    assert all(map(in_exact_form, got))
 
 
 # -- arithmetic ------------------------------------------------------------------
@@ -341,3 +346,107 @@ def test_floats_are_rejected():
         LaurentPolynomial({0: 0.5})
     with pytest.raises(TypeError):
         LaurentPolynomial.constant(1.5)
+
+
+# -- coefficient types ----------------------------------------------------------------
+
+# Integral coefficients are ints, others Fractions; the reference arithmetic
+# below runs on all-Fraction dicts and knows nothing of that split.
+mixed_coeffs = st.one_of(st.integers(-6, 6), small_fractions)
+
+mixed_dicts = st.dictionaries(st.integers(min_value=-6, max_value=12), mixed_coeffs, max_size=5)
+
+
+def ref(terms):
+    return {e: Fraction(c) for e, c in dict(terms).items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def checked(p):
+    """The terms of p as a dict, after checking every coefficient's type."""
+    assert all(in_exact_form(c) for _, c in p.terms())
+    return dict(p.terms())
+
+
+@given(mixed_dicts, mixed_dicts, mixed_coeffs, st.integers(-5, 5))
+def test_arithmetic_keeps_integral_coefficients_as_ints(a, b, scalar, k):
+    p, q = LaurentPolynomial(a), LaurentPolynomial(b)
+    ra, rb = ref(a), ref(b)
+    assert checked(p) == ra
+    assert checked(p + q) == ref_add(ra, rb)
+    assert checked(p - q) == ref_add(ra, {e: -c for e, c in rb.items()})
+    assert checked(p * q) == ref_mul(ra, rb)
+    assert checked(p.scale(scalar)) == ref_mul(ra, {0: Fraction(scalar)})
+    assert checked(p.shift(k)) == {e + k: c for e, c in ra.items()}
+
+
+@given(mixed_dicts, mixed_dicts.filter(lambda d: any(d.values())))
+@example({0: 3, 1: 2}, {0: 2})  # 6/2 and 4/2: two ints that divide exactly
+@example({0: Fraction(3, 2)}, {0: 2})  # 3/2: two ints that do not
+def test_exact_division_keeps_integral_coefficients_as_ints(a, b):
+    product_ = LaurentPolynomial(a) * LaurentPolynomial(b)
+    quotient = product_.divide_exact(LaurentPolynomial(b))
+    assert quotient is not None
+    assert checked(quotient) == ref(a)
+
+
+@given(
+    mixed_dicts,
+    st.lists(st.integers(1, 6), max_size=2),
+    st.lists(st.integers(1, 6), max_size=1),
+    st.integers(-8, 0),
+    st.integers(0, 16),
+)
+def test_series_reduction_and_expand_keep_integral_coefficients_as_ints(a, factors, extra, offset, width):
+    ra = ref(a)
+    planted = ra
+    for d in factors:
+        planted = ref_mul(planted, {0: Fraction(1), d: Fraction(-1)})
+    s = HS(LaurentPolynomial(a) * prod_one_minus(factors), factors + extra)
+    # numerator / prod(1 - t^D) is unchanged as a rational function.
+    left = ref(checked(s.numerator))
+    for d in factors + extra:
+        left = ref_mul(left, {0: Fraction(1), d: Fraction(-1)})
+    right = planted
+    for d in s.denominator_degrees:
+        right = ref_mul(right, {0: Fraction(1), d: Fraction(-1)})
+    assert left == right
+    if not extra:
+        assert checked(s.numerator) == ra
+    # expand against the planted numerator convolved with multiset counts.
+    base = min(ra) if ra else 0
+    lo = base + offset
+    hi = lo + width
+    counts = [brute_count(factors + extra, k) for k in range(max(hi - base, 0) + 1)]
+    expected = [
+        sum((c * counts[n - e] for e, c in planted.items() if e <= n), Fraction(0))
+        for n in range(lo, hi + 1)
+    ]
+    got = s.expand(lo, hi)
+    assert got == expected
+    assert all(map(in_exact_form, got))
+
+
+def test_failed_ratio_names_its_witness():
+    s = HS(LaurentPolynomial({0: 1, 1: 1, 2: 2}), [1])  # (1 + t + 2t^2)/(1 - t)
+    with pytest.raises(NotMonomialRatio) as info:
+        ratio_as_signed_monomial(s.substitute_inverse(), s)
+    assert str(info.value) == (
+        "(-2*t^-1 - 1 - t)/(1 - t^1) / (1 + t + 2*t^2)/(1 - t^1) is not a signed power of t: "
+        "over the common denominator, t^-1 has coefficient -2 in the first numerator "
+        "and 1 in t^-1 times the second"
+    )

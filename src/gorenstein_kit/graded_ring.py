@@ -10,6 +10,7 @@ Hilbert series satisfies (Stanley's criterion).
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -53,8 +54,9 @@ class RingPresentation:
     regular_sequence_asserted: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple((str(s), int(d)) for s, d in self.generators))
-        object.__setattr__(self, "relations", tuple((str(s), int(d)) for s, d in self.relations))
+        for key in ("generators", "relations"):
+            pairs = tuple((str(s), operator.index(d)) for s, d in getattr(self, key))
+            object.__setattr__(self, key, pairs)
         if not self.generators:
             raise ValueError(f"{self.name or 'presentation'}: at least one generator is required")
         if len(self.relations) > len(self.generators):
@@ -219,5 +221,5 @@ def polynomial_presentation(
     name: str, coefficient_label: str, degrees: Sequence[int]
 ) -> RingPresentation:
     """A relation-free presentation on generators f1, f2, ... of the degrees."""
-    gens = tuple((f"f{i + 1}", int(d)) for i, d in enumerate(degrees))
+    gens = tuple((f"f{i + 1}", operator.index(d)) for i, d in enumerate(degrees))
     return RingPresentation(name, coefficient_label, gens)

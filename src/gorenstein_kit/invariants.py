@@ -22,13 +22,13 @@ but decomposition, which needs a rational, hence integer, character table.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Sequence
 
 from . import linalg
-from .linalg import Matrix, as_exact
+from .linalg import Matrix, Scalar, exact, quotient
 from .series import HilbertSeries, LaurentPolynomial, _render_terms
 
 DEFAULT_ORDER_CAP = 10_000
@@ -93,7 +93,7 @@ class GradedGroupRep:
     blocks: tuple[tuple[int, int], ...]
     generators: tuple[Matrix, ...]
     order: int
-    orbit: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)
+    orbit: tuple[tuple[Scalar, ...], ...] = field(compare=False, repr=False)
     permutations: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     generator_permutations: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     # (classes, representatives), filled in by conjugacy_classes.
@@ -143,7 +143,7 @@ def _is_block_diagonal(m: Matrix, slices: list[tuple[int, int, int]]) -> bool:
 
 
 def _checked_generators(
-    generators: Sequence[Sequence[Sequence[Fraction | int]]],
+    generators: Sequence[Sequence[Sequence[Scalar]]],
     blocks: Sequence[tuple[int, int]],
 ) -> tuple[Matrix, ...]:
     """The generators as exact matrices, each checked to be square of the
@@ -163,7 +163,7 @@ def _checked_generators(
 
 
 def generate_group(
-    generators: Sequence[Sequence[Sequence[Fraction | int]]],
+    generators: Sequence[Sequence[Sequence[Scalar]]],
     blocks: Sequence[tuple[int, int]],
     cap: int = DEFAULT_ORDER_CAP,
     name: str = "",
@@ -177,7 +177,7 @@ def generate_group(
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    blocks = tuple((int(d), int(m)) for d, m in blocks)
+    blocks = tuple((operator.index(d), operator.index(m)) for d, m in blocks)
     for degree, dim in blocks:
         if degree < 1 or dim < 1:
             raise ValueError(f"bad block ({degree}, {dim}): degree and dimension must be >= 1")
@@ -189,7 +189,7 @@ def generate_group(
     images: list[list[int]] = [[] for _ in gens]
     for v in orbit:  # breadth first: the loop visits the appended vectors too
         for g, image in zip(gens, images):
-            w = tuple(sum((a * x for a, x in zip(row, v) if x), Fraction(0)) for row in g)
+            w = tuple(exact(sum(a * x for a, x in zip(row, v) if x)) for row in g)
             if w not in position:
                 if len(orbit) >= n * cap:
                     raise too_large
@@ -307,7 +307,7 @@ class RationalCharacterTable:
 
 def character_table(
     group: GradedGroupRep,
-    irreducibles: Sequence[tuple[str, Sequence[Fraction | int]]],
+    irreducibles: Sequence[tuple[str, Sequence[Scalar]]],
 ) -> RationalCharacterTable:
     """Build and validate a character table against an enumerated group.
 
@@ -322,7 +322,7 @@ def character_table(
     rows = []
     names = set()
     for name, values in irreducibles:
-        values = tuple(as_exact(v) for v in values)
+        values = tuple(map(exact, values))
         if len(values) != len(classes):
             raise ValueError(
                 f"character {name!r} has {len(values)} values for {len(classes)} classes"
@@ -331,16 +331,16 @@ def character_table(
             raise ValueError(f"duplicate character name {name!r}")
         names.add(name)
         for k, v in enumerate(values):
-            if v.denominator != 1:
+            if type(v) is not int:
                 raise ValueError(f"character {name!r} has the non-integral value {v} on class {k}")
-        rows.append((str(name), tuple(int(v) for v in values)))
+        rows.append((str(name), values))
     for i, (name_i, chi_i) in enumerate(rows):
         for j, (name_j, chi_j) in enumerate(rows):
             inner = sum(s * a * b for s, a, b in zip(sizes, chi_i, chi_j))
             if inner != (group.order if i == j else 0):
                 raise ValueError(
                     f"characters {name_i!r}, {name_j!r} fail orthogonality: "
-                    f"<,> = {Fraction(inner, group.order)}"
+                    f"<,> = {quotient(inner, group.order)}"
                 )
     # The identity class comes first, so chi[0] is the degree chi(1).
     degrees_squared = sum(chi[0] ** 2 for _, chi in rows)
@@ -445,7 +445,7 @@ def _molien_sums(
         if any(weights):
             term = _element_term(group, rep, factors[k])
             totals = [t + term * (w * len(cls)) if w else t for t, w in zip(totals, weights)]
-    return [t * Fraction(1, group.order) for t in totals]
+    return [t * quotient(1, group.order) for t in totals]
 
 
 def pseudoreflection_count(group: GradedGroupRep) -> int:
@@ -607,7 +607,7 @@ def sym_power_character(group: GradedGroupRep, n: int) -> tuple[int, ...]:
 
 
 def decompose(
-    values: Sequence[Fraction | int], table: RationalCharacterTable
+    values: Sequence[Scalar], table: RationalCharacterTable
 ) -> tuple[int, ...]:
     """Multiplicities of the table's characters in a class function.
 
@@ -615,7 +615,7 @@ def decompose(
     raises :class:`NonIntegralMultiplicity`, the sign of a table that cannot
     see the representation (e.g. irrational characters would be needed).
     """
-    values = tuple(v if type(v) is int else as_exact(v) for v in values)
+    values = tuple(map(exact, values))
     if len(values) != len(table.class_sizes):
         raise LengthMismatch(
             f"{len(values)} values for {len(table.class_sizes)} classes"
@@ -631,7 +631,7 @@ def decompose(
         mult, rest = divmod(inner, divisor)
         if rest or mult < 0:
             raise NonIntegralMultiplicity(
-                f"multiplicity of {name!r} is {Fraction(inner, divisor)}, "
+                f"multiplicity of {name!r} is {quotient(inner, divisor)}, "
                 "not a nonnegative integer"
             )
         mults.append(mult)
@@ -640,7 +640,7 @@ def decompose(
 
 # -- explicit invariants from the generators ----------------------------------
 
-Polynomial = dict[tuple[int, ...], Fraction]
+Polynomial = dict[tuple[int, ...], Scalar]
 
 
 def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -649,14 +649,14 @@ def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
         for eb, cb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
             out[e] = out[e] + ca * cb if e in out else ca * cb
-    return {e: c for e, c in out.items() if c}
+    return {e: c if type(c) is int else exact(c) for e, c in out.items() if c}
 
 
 def _monomial_images(m: Matrix, monomials: Sequence[tuple[int, ...]]) -> Iterator[Polynomial]:
     """Image of each monomial prod x_j^{e_j} under x_j -> sum_i m[i][j] x_i,
     as a product of cached powers of those linear forms."""
     nvars = len(m)
-    one: Polynomial = {(0,) * nvars: Fraction(1)}
+    one: Polynomial = {(0,) * nvars: 1}
     powers = []
     for j in range(nvars):
         linear = {
@@ -716,7 +716,7 @@ def invariant_basis(
     """
     var_degrees = group.graded_degrees
     if total_degree == 0:
-        return [{(0,) * group.dimension: Fraction(1)}]
+        return [{(0,) * group.dimension: 1}]
     count = HilbertSeries.inverse_product(var_degrees).coefficient(total_degree)
     if count > monomial_bound:
         raise MonomialBoundExceeded(
@@ -726,14 +726,14 @@ def invariant_basis(
         return []
     columns = monomials_of_degree(var_degrees, total_degree)
     col_index = {e: i for i, e in enumerate(columns)}
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, Scalar]] = []
     for g in group.generators:
         # Row e of g - 1: coefficient of monomial e in g.m_j - m_j, over j.
-        g_rows: list[dict[int, Fraction]] = [{} for _ in columns]
+        g_rows: list[dict[int, Scalar]] = [{} for _ in columns]
         for j, image in enumerate(_monomial_images(g, columns)):
             for e, c in image.items():
                 g_rows[col_index[e]][j] = c
-            diagonal = g_rows[j].pop(j, Fraction(0)) - 1
+            diagonal = g_rows[j].pop(j, 0) - 1
             if diagonal:
                 g_rows[j][j] = diagonal
         rows += filter(None, g_rows)
@@ -742,7 +742,7 @@ def invariant_basis(
     # No other vector is nonzero at j: listed by j descending, the vectors
     # are already in reduced row echelon form.
     pivot_rows = {min(row): row for row in linalg.rref(rows)}
-    kernel = {j: {columns[j]: Fraction(1)} for j in reversed(range(len(columns))) if j not in pivot_rows}
+    kernel = {j: {columns[j]: 1} for j in reversed(range(len(columns))) if j not in pivot_rows}
     for pivot, row in pivot_rows.items():
         for j, c in row.items():
             if j != pivot:

@@ -44,7 +44,6 @@ fixpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .graded_ring import RingPresentation
@@ -56,6 +55,7 @@ from .invariants import (
     conjugacy_classes,
     generate_group,
 )
+from .linalg import Scalar, quotient
 
 
 class ParseError(ValueError):
@@ -102,13 +102,13 @@ def _once(seen: dict[str, int], what: str, source: str, line: int) -> None:
         raise ParseError(source, line, f"{what} already used on line {seen[what]}")
 
 
-def parse_rational(token: str, source: str = "<value>", line: int | None = None) -> Fraction:
-    """An exact rational from an integer or ``p/q`` string."""
+def parse_rational(token: str, source: str = "<value>", line: int | None = None) -> Scalar:
+    """An exact rational from an integer or ``p/q`` string, in :func:`exact` form."""
     try:
         if "/" in token:
             num, den = token.split("/", 1)
-            return Fraction(int(num.strip()), int(den.strip()))
-        return Fraction(int(token.strip()))
+            return quotient(int(num.strip()), int(den.strip()))
+        return int(token.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(source, line, f"bad rational {token!r}: {exc}") from exc
 
@@ -191,8 +191,8 @@ class GroupInputRecord:
 
     name: str
     blocks: tuple[tuple[int, int], ...]
-    generators: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    character_rows: tuple[tuple[str, tuple[Fraction, ...]], ...] | None = None
+    generators: tuple[tuple[tuple[Scalar, ...], ...], ...]
+    character_rows: tuple[tuple[str, tuple[Scalar, ...]], ...] | None = None
     class_sizes: tuple[int, ...] | None = None
 
     def build(
@@ -219,8 +219,8 @@ def parse_group_record(text: str, source: str = "<group>") -> GroupInputRecord:
         raise ParseError(source, None, "a group file starts with a [group] section")
     name: str | None = None
     blocks: list[tuple[int, int]] = []
-    matrices: list[tuple[tuple[Fraction, ...], ...]] = []
-    character_rows: list[tuple[str, tuple[Fraction, ...]]] | None = None
+    matrices: list[tuple[tuple[Scalar, ...], ...]] = []
+    character_rows: list[tuple[str, tuple[Scalar, ...]]] | None = None
     class_sizes: tuple[int, ...] | None = None
     seen: dict[str, int] = {}
     for header, header_line, entries in sections:
@@ -248,7 +248,7 @@ def parse_group_record(text: str, source: str = "<group>") -> GroupInputRecord:
             if not blocks:
                 raise ParseError(source, header_line, "[generator] before any block")
             n = sum(dim for _, dim in blocks)
-            rows: list[tuple[Fraction, ...]] = []
+            rows: list[tuple[Scalar, ...]] = []
             for line, key, value in entries:
                 if key != "row":
                     raise ParseError(source, line, f"unknown key {key!r} in [generator]")

@@ -2,9 +2,11 @@
 formal variable t.
 
 Everything in this module is computed over the rationals with no rounding
-anywhere.  A coefficient is held as an ``int`` when it is integral and as a
-``Fraction`` only when its denominator exceeds 1; an int equals, hashes and
-prints like the equal Fraction.  A :class:`HilbertSeries` is a rational
+anywhere.  Coefficients follow the package's one scalar rule,
+:func:`gorenstein_kit.linalg.exact`: an ``int`` when integral, a
+``Fraction`` only when the denominator exceeds 1.  Exponents and
+denominator degrees must be integers; anything else is refused with
+``TypeError``, never truncated.  A :class:`HilbertSeries` is a rational
 function kept in the shape
 
     numerator / prod_{d in D} (1 - t^d)
@@ -23,42 +25,27 @@ objects can be shared freely between threads or tasks.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
-Scalar = Union[int, Fraction]
+from .linalg import Scalar, exact, quotient
 
 
 class NotMonomialRatio(ArithmeticError):
     """Raised when one series is not a signed power of t times another."""
 
 
-def _as_exact(value: Scalar) -> Scalar:
-    """The value as an int when integral, else as a Fraction; refuses floats."""
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):
-        return int(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
 def _exact_terms(acc: dict[int, Scalar]) -> dict[int, Scalar]:
-    """acc without its zero coefficients, each integral Fraction as its int."""
+    """acc without its zero coefficients, each in :func:`exact` form (inlined:
+    this runs on every arithmetic result)."""
     return {
         e: c if type(c) is int else c.numerator if c.denominator == 1 else c
         for e, c in acc.items()
         if c
     }
-
-
-def _quotient(a: Scalar, b: Scalar) -> Scalar:
-    """a / b exactly: an int when b divides a, else a Fraction."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return _as_exact(Fraction(a) / b)
 
 
 class LaurentPolynomial:
@@ -73,8 +60,8 @@ class LaurentPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, Scalar] = {}
         for exponent, coeff in items:
-            e = int(exponent)
-            acc[e] = acc.get(e, 0) + _as_exact(coeff)
+            e = operator.index(exponent)
+            acc[e] = acc.get(e, 0) + exact(coeff)
         self._terms = _exact_terms(acc)
 
     @classmethod
@@ -179,11 +166,12 @@ class LaurentPolynomial:
         return result
 
     def scale(self, value: Scalar) -> "LaurentPolynomial":
-        v = _as_exact(value)
+        v = exact(value)
         return LaurentPolynomial._of(_exact_terms({e: c * v for e, c in self._terms.items()}))
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by t^k."""
+        k = operator.index(k)
         return LaurentPolynomial._of({e + k: c for e, c in self._terms.items()})
 
     def substitute_inverse(self) -> "LaurentPolynomial":
@@ -215,7 +203,7 @@ class LaurentPolynomial:
             rdeg = max(rem)
             if rdeg < ddeg:
                 return None
-            c = _quotient(rem[rdeg], dlead)
+            c = quotient(rem[rdeg], dlead)
             quo[rdeg - ddeg] = c
             for e, dc in div.items():
                 k = rdeg - ddeg + e
@@ -285,9 +273,9 @@ class HilbertSeries:
         numerator: LaurentPolynomial | Scalar = 1,
         denominator_degrees: Iterable[int] = (),
     ):
-        if isinstance(numerator, (int, Fraction)):
+        if not isinstance(numerator, LaurentPolynomial):
             numerator = LaurentPolynomial.constant(numerator)
-        degrees = sorted(int(d) for d in denominator_degrees)
+        degrees = sorted(map(operator.index, denominator_degrees))
         if any(d < 1 for d in degrees):
             raise ValueError("denominator degrees must be >= 1")
         if numerator.is_zero:
@@ -351,8 +339,7 @@ class HilbertSeries:
         numerator has integer coefficients.  Multiplying by 1/(1 - t^d) is the
         prefix sum coeffs[k] += coeffs[k - d], which adds integers to
         integers, so every coefficient of L times the series is an integer v
-        and the true coefficient is exactly v/L: the int v // L when L
-        divides v, else the Fraction v/L.
+        and the true coefficient is exactly ``quotient(v, L)``.
         """
         if lo > hi:
             raise ValueError("empty expansion window: lo > hi")
@@ -376,7 +363,7 @@ class HilbertSeries:
         if scale == 1:
             out.extend(window)
         else:
-            out.extend(v // scale if v % scale == 0 else Fraction(v, scale) for v in window)
+            out.extend(quotient(v, scale) for v in window)
         return out
 
     def coefficient(self, degree: int) -> Scalar:

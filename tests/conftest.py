@@ -1,6 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
 from gorenstein_kit.dataset import load_group_fixture, load_ring_fixture
+
+
+def in_exact_form(c):
+    """An int exactly when integral, otherwise a Fraction with denominator > 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
 @pytest.fixture(scope="session")

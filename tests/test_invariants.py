@@ -6,6 +6,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
+from conftest import in_exact_form
 
 from gorenstein_kit import invariants, linalg
 from gorenstein_kit.dataset import GROUP_FIXTURES, load_group_fixture
@@ -914,6 +915,22 @@ def test_format_polynomial():
     assert format_polynomial({}, ["x"]) == "0"
     assert format_polynomial({(0,): Fraction(5)}, ["x"]) == "5"
     assert format_polynomial({(0,): Fraction(-1, 2)}, ["x"]) == "-(1/2)"
+
+
+def test_conjugated_group_keeps_the_exact_scalar_rule():
+    # Rational generators: orbit vectors, matrices, characteristic
+    # polynomials and invariants are ints where integral, Fractions otherwise.
+    group = conjugated_s4_group()
+    assert all(in_exact_form(x) for v in group.orbit for x in v)
+    assert any(type(x) is Fraction for v in group.orbit for x in v)
+    for m in group.generators + tuple(map(group.matrix, class_representatives(group))):
+        assert all(in_exact_form(x) for row in m for x in row)
+    for factors in invariants._class_factors(group):
+        assert all(in_exact_form(c) for f in factors for _, c in f.terms())
+    for degree in range(9):
+        basis = invariant_basis(group, degree)
+        assert all(in_exact_form(c) for poly in basis for c in poly.values()), degree
+    assert len(basis) == 5  # degree 8: e1^4, e1^2*e2, e2^2, e1*e3, e4 in the x_i of degree 2
 
 
 def test_float_matrix_entries_are_rejected():

@@ -5,7 +5,8 @@ sparse rows (column -> nonzero entry); the other functions take matrices."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import in_exact_form
+from hypothesis import assume, given, settings, strategies as st
 
 from gorenstein_kit import linalg
 
@@ -115,7 +116,7 @@ def test_rref_of_shuffled_sparse_rows_matches_sympy(m, rng):
     reduced, pivots = to_sympy(m).rref()
     result = linalg.rref(rows)
     assert result == sparse_rows(from_sympy(reduced)[: len(pivots)])
-    assert all(type(x) is Fraction and x for row in result for x in row.values())
+    assert all(in_exact_form(x) and x for row in result for x in row.values())
 
 
 def test_rref_drops_rows_that_reduce_to_zero():
@@ -130,7 +131,7 @@ def test_mat_mul_matches_sympy(pair):
     a, b = pair
     product = linalg.mat_mul(a, b)
     assert [list(row) for row in product] == from_sympy(to_sympy(a) * to_sympy(b))
-    assert all(type(x) is Fraction for row in product for x in row)
+    assert all(in_exact_form(x) for row in product for x in row)
 
 
 def test_row_swap_changes_the_sign_of_the_determinant():
@@ -149,3 +150,115 @@ def test_inverse_of_singular_matrix_raises():
 def test_rank_of_zero_matrix_is_zero():
     assert linalg.rank(linalg.freeze([[0, 0, 0], [0, 0, 0]])) == 0
     assert linalg.rref([{}, {}]) == []
+
+
+# -- the exact-scalar rule -----------------------------------------------------
+#
+# Every result is an int when integral and a Fraction only otherwise, whether
+# the input is unfrozen ints (lists, never passed through freeze) or raw
+# Fractions, integral ones included.
+
+raw_entries = [
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),  # Fraction(2, 1) too
+]
+
+
+def raw_matrices(rows, cols):
+    """Unfrozen matrices: lists of lists, all ints or all Fractions."""
+    return st.sampled_from(raw_entries).flatmap(
+        lambda entry: st.lists(
+            st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        )
+    )
+
+
+raw_square = st.integers(1, 4).flatmap(lambda n: raw_matrices(n, n))
+raw_rectangular = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda rc: raw_matrices(*rc)
+)
+raw_products = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda nkm: st.tuples(raw_matrices(nkm[0], nkm[1]), raw_matrices(nkm[1], nkm[2]))
+)
+
+
+def all_exact(rows):
+    return all(in_exact_form(x) for row in rows for x in row)
+
+
+@given(raw_rectangular)
+@settings(max_examples=150)
+def test_rref_on_raw_input_is_in_exact_form(m):
+    reduced, pivots = to_sympy(m).rref()
+    result = linalg.rref(sparse_rows(m))
+    assert result == sparse_rows(from_sympy(reduced)[: len(pivots)])
+    assert all_exact(row.values() for row in result)
+
+
+@given(raw_square)
+@settings(max_examples=150)
+def test_determinant_and_inverse_on_raw_input_are_in_exact_form(m):
+    det = linalg.determinant(m)
+    assert in_exact_form(det)
+    expected = to_sympy(m).det()
+    assert det == Fraction(int(expected.p), int(expected.q))
+    assume(det)
+    inverse = linalg.inverse(m)
+    assert all_exact(inverse)
+    assert [list(row) for row in inverse] == from_sympy(to_sympy(m).inv())
+
+
+@given(raw_products)
+@settings(max_examples=150)
+def test_mat_mul_on_raw_input_is_in_exact_form(pair):
+    a, b = pair
+    product = linalg.mat_mul(a, b)
+    assert all_exact(product)
+    assert [list(row) for row in product] == from_sympy(to_sympy(a) * to_sympy(b))
+
+
+@given(raw_square)
+@settings(max_examples=150)
+def test_det_one_minus_coefficients_on_raw_input_are_in_exact_form(m):
+    coeffs = linalg.det_one_minus_coefficients(m)
+    assert all(map(in_exact_form, coeffs))
+    # det(1 - s*M) = s^n * charpoly(1/s): the characteristic polynomial's
+    # coefficients, leading one first.
+    expected = to_sympy(m).charpoly().all_coeffs()
+    assert coeffs == [Fraction(int(c.p), int(c.q)) for c in expected]
+
+
+def test_integer_matrices_stay_on_ints():
+    assert linalg.rref([{0: 3, 1: 1}]) == [{0: 1, 1: Fraction(1, 3)}]
+    assert type(linalg.determinant(((2, 1), (1, 1)))) is int
+    assert linalg.inverse(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
+    assert all(type(x) is int for row in linalg.inverse(((2, 1), (1, 1))) for x in row)
+    assert linalg.freeze([[Fraction(4, 2), Fraction(1, 2)]]) == ((2, Fraction(1, 2)),)
+    assert type(linalg.freeze([[Fraction(4, 2)]])[0][0]) is int
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: linalg.rref([{0: 1.5}]),
+        lambda: linalg.determinant([[1.5]]),
+        lambda: linalg.inverse([[2.0]]),
+        lambda: linalg.mat_mul([[1]], [[0.5]]),
+        lambda: linalg.det_one_minus_coefficients([[0.5]]),
+        lambda: linalg.freeze([[0.5]]),
+        lambda: linalg.quotient(1.5, 2),
+    ],
+    ids=["rref", "determinant", "inverse", "mat_mul", "det_one_minus", "freeze", "quotient"],
+)
+def test_floats_are_refused(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [(6, 3, 2), (3, 6, Fraction(1, 2)), (3, -2, Fraction(-3, 2)), (Fraction(3, 2), Fraction(1, 2), 3)],
+)
+def test_quotient_follows_the_rule(a, b, expected):
+    q = linalg.quotient(a, b)
+    assert q == expected and in_exact_form(q)

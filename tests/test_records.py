@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import in_exact_form
 
 from gorenstein_kit.dataset import (
     GROUP_FIXTURES,
@@ -87,6 +88,10 @@ def test_group_serialization_fixpoint(name):
 def test_rational_parsing():
     assert parse_rational("3/2") == Fraction(3, 2)
     assert parse_rational("-5") == Fraction(-5)
+    # One scalar rule: an int exactly when integral.
+    for token in ("3/2", "-5", "4/2", "6/-4"):
+        assert in_exact_form(parse_rational(token))
+    assert parse_rational("6/-4") == Fraction(-3, 2)
     with pytest.raises(ParseError):
         parse_rational("1.5")
     with pytest.raises(ParseError):

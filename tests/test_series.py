@@ -4,8 +4,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from conftest import in_exact_form
 from hypothesis import example, given, strategies as st
 
+from gorenstein_kit.graded_ring import RingPresentation, polynomial_presentation
+from gorenstein_kit.invariants import generate_group
 from gorenstein_kit.series import (
     HilbertSeries,
     LaurentPolynomial,
@@ -17,11 +20,6 @@ from gorenstein_kit.series import (
 
 def HS(numerator, degrees=()):
     return HilbertSeries(numerator, degrees)
-
-
-def in_exact_form(c):
-    """An int exactly when integral, otherwise a Fraction with denominator > 1."""
-    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -346,6 +344,42 @@ def test_floats_are_rejected():
         LaurentPolynomial({0: 0.5})
     with pytest.raises(TypeError):
         LaurentPolynomial.constant(1.5)
+    with pytest.raises(TypeError):
+        HilbertSeries(0.5)
+
+
+def test_non_integral_shifts_are_refused():
+    with pytest.raises(TypeError):
+        LaurentPolynomial({0: 1}).shift(1.5)
+    with pytest.raises(TypeError):
+        HilbertSeries.inverse_product([1]).shifted(1.5)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HilbertSeries(1, [1.5]),
+        lambda: LaurentPolynomial({1.5: 1}),
+        lambda: RingPresentation("r", "", [("x", Fraction(9, 2))]),
+        lambda: RingPresentation("r", "", [("x", 2), ("y", 2)], [("s", 4.5)]),
+        lambda: polynomial_presentation("p", "", [2.5]),
+        lambda: generate_group([], [(2.5, 1)]),
+        lambda: generate_group([], [(2, Fraction(3, 2))]),
+    ],
+    ids=[
+        "series-degree",
+        "laurent-exponent",
+        "ring-generator",
+        "ring-relation",
+        "polynomial-presentation",
+        "group-block-degree",
+        "group-block-dimension",
+    ],
+)
+def test_non_integral_degrees_and_exponents_are_refused(build):
+    # int() would truncate each of these silently, e.g. 9/2 to 4.
+    with pytest.raises(TypeError):
+        build()
 
 
 # -- coefficient types ----------------------------------------------------------------

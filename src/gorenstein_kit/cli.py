@@ -52,7 +52,8 @@ from .series import HilbertSeries
 
 SCHEMA_PREFIX = "gorenstein-kit"
 MAX_ORDER_ENV = "GORENSTEIN_KIT_MAX_ORDER"
-# Largest --max-degree of hilbert and molien, whose whole window is printed.
+# Largest --max-degree of hilbert and molien, whose whole window is printed,
+# and largest invgen --degree, whose monomial count expands a whole window.
 MAX_WINDOW_DEGREE = 200_000
 # Largest sympow --n: every power up to it is decomposed and printed.
 MAX_SYMPOW_N = 20_000
@@ -455,7 +456,8 @@ def non_negative_int(text: str, cap: int | None = None) -> int:
 
 
 def window_degree(text: str) -> int:
-    """argparse type for --max-degree: a non-negative degree up to MAX_WINDOW_DEGREE."""
+    """argparse type for --max-degree and invgen --degree: a non-negative
+    degree up to MAX_WINDOW_DEGREE."""
     return non_negative_int(text, MAX_WINDOW_DEGREE)
 
 
@@ -505,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("invgen", cmd_invgen, "explicit invariant polynomials of one degree")
     sp.add_argument("ring")
     sp.add_argument("group")
-    sp.add_argument("--degree", type=non_negative_int, required=True)
+    sp.add_argument("--degree", type=window_degree, required=True)
 
     sp = add("descent", cmd_descent, "descended shift prediction for a ring of invariants")
     sp.add_argument("ring")
@@ -515,13 +517,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: in-process callers of main parse many argument lists.
+_PARSER = build_parser()
+
+
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
     print(f"warning: {category.__name__}: {message}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:

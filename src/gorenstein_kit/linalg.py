@@ -7,15 +7,16 @@ Fraction): :func:`exact` puts a value in that form, refusing floats, and
 of such scalars, and every function is pure.  Elimination runs on sparse
 rows, dicts from column index to nonzero scalar: the rows of g - 1 on
 monomials behind invariant bases have one or two nonzeros each for a
-signed permutation g.  Determinant, rank and inverse take dense matrices
-and hand their nonzero entries to the same elimination.
+signed permutation g.  The package has two matrix algorithms: that one
+elimination, :func:`rref`, which backs rank and inverse on dense matrices,
+and the characteristic polynomial det(1 - s*M), which every class function
+and the determinant read.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -61,46 +62,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def _gauss_jordan(
-    rows: Iterable[Mapping[int, Scalar]],
-) -> tuple[list[dict[int, Scalar]], list[int], list[Scalar]]:
-    """Gauss-Jordan elimination on sparse rows.
-
-    Each row in turn is reduced at its leading column by the pivot row of
-    that column until its leading column has none; it then becomes that
-    column's pivot row, scaled to 1 there.  A row that reduces to zero is
-    dropped.  One back substitution, from the last pivot column down, clears
-    the other pivot columns from each pivot row, so no row is revisited for
-    each new pivot.
-
-    Returns the reduced rows in pivot column order, and the pivot columns and
-    the values divided out in the order the rows came in.  Subtracting
-    multiples of earlier rows leaves a determinant alone, so a regular
-    matrix's determinant is the product of those values, signed by the
-    permutation from row order to pivot column order.
-    """
-    echelon: dict[int, dict[int, Scalar]] = {}
-    pivots: list[int] = []
-    pivot_values: list[Scalar] = []
-    for source in rows:
-        row = {j: c if type(c) is int else exact(c) for j, c in source.items() if c}
-        while row:
-            lead = min(row)
-            pivot_row = echelon.get(lead)
-            if pivot_row is None:
-                value = row[lead]
-                echelon[lead] = row if value == 1 else {j: quotient(c, value) for j, c in row.items()}
-                pivots.append(lead)
-                pivot_values.append(value)
-                break
-            _subtract(row, row[lead], pivot_row)
-    for lead in sorted(echelon, reverse=True):
-        row = echelon[lead]
-        for col in [j for j in row if j != lead and j in echelon]:
-            _subtract(row, row[col], echelon[col])
-    return [echelon[col] for col in sorted(echelon)], pivots, pivot_values
-
-
 def _subtract(row: dict[int, Scalar], factor: Scalar, pivot_row: dict[int, Scalar]) -> None:
     """row -= factor * pivot_row in place, keeping only nonzero entries."""
     for j, c in pivot_row.items():
@@ -116,21 +77,19 @@ def _sparse(m: Matrix) -> list[dict[int, Scalar]]:
 
 
 def determinant(m: Matrix) -> Scalar:
-    _, pivots, pivot_values = _gauss_jordan(_sparse(m))
-    if len(pivots) < len(m):
-        return 0
-    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
-    return exact((-1) ** inversions * math.prod(pivot_values))
+    """det M, the top coefficient of det(1 - s*M) times (-1)^n."""
+    return (-1) ** len(m) * det_one_minus_coefficients(m)[-1]
 
 
 def rank(m: Matrix) -> int:
-    return len(_gauss_jordan(_sparse(m))[1])
+    return len(rref(_sparse(m)))
 
 
 def inverse(m: Matrix) -> Matrix:
+    # [M | I] has rank n, so M is singular exactly when a pivot lies in I.
     n = len(m)
-    reduced, pivots, _ = _gauss_jordan([{**row, n + i: 1} for i, row in enumerate(_sparse(m))])
-    if any(col >= n for col in pivots):
+    reduced = rref([{**row, n + i: 1} for i, row in enumerate(_sparse(m))])
+    if n and min(reduced[-1]) >= n:
         raise ZeroDivisionError("matrix is singular")
     return tuple(tuple(row.get(n + j, 0) for j in range(n)) for row in reduced)
 
@@ -159,7 +118,29 @@ def det_one_minus_coefficients(m: Matrix) -> list[Scalar]:
     return coeffs
 
 
-def rref(rows: Sequence[Mapping[int, Scalar]]) -> list[dict[int, Scalar]]:
+def rref(rows: Iterable[Mapping[int, Scalar]]) -> list[dict[int, Scalar]]:
     """Reduced row echelon form of sparse rows, in pivot column order; rows
-    that reduce to zero are dropped."""
-    return _gauss_jordan(rows)[0]
+    that reduce to zero are dropped.
+
+    Each row in turn is reduced at its leading column by the pivot row of
+    that column until its leading column has none; it then becomes that
+    column's pivot row, scaled to 1 there.  One back substitution, from the
+    last pivot column down, clears the other pivot columns from each pivot
+    row, so no row is revisited for each new pivot.
+    """
+    echelon: dict[int, dict[int, Scalar]] = {}
+    for source in rows:
+        row = {j: c if type(c) is int else exact(c) for j, c in source.items() if c}
+        while row:
+            lead = min(row)
+            pivot_row = echelon.get(lead)
+            if pivot_row is None:
+                value = row[lead]
+                echelon[lead] = row if value == 1 else {j: quotient(c, value) for j, c in row.items()}
+                break
+            _subtract(row, row[lead], pivot_row)
+    for lead in sorted(echelon, reverse=True):
+        row = echelon[lead]
+        for col in [j for j in row if j != lead and j in echelon]:
+            _subtract(row, row[col], echelon[col])
+    return [echelon[col] for col in sorted(echelon)]

@@ -310,10 +310,11 @@ def test_order_cap_env_validation(capsys, monkeypatch):
         ["hilbert", "ku", "--max-degree", str(MAX_WINDOW_DEGREE + 1)],
         ["molien", "tmf2", "sigma3_standard", "--max-degree", str(MAX_WINDOW_DEGREE + 1)],
         ["sympow", "tmf2", "sigma3_standard", "--n", str(MAX_SYMPOW_N + 1)],
+        ["invgen", "ku", "c2_negation", "--degree", str(MAX_WINDOW_DEGREE + 1)],
     ],
     ids=[
         "unknown-command", "hilbert-max-degree", "molien-max-degree", "sympow-n", "invgen-degree",
-        "hilbert-window-cap", "molien-window-cap", "sympow-n-cap",
+        "hilbert-window-cap", "molien-window-cap", "sympow-n-cap", "invgen-degree-cap",
     ],
 )
 def test_usage_error_exits_two(capsys, argv):
@@ -324,6 +325,20 @@ def test_usage_error_exits_two(capsys, argv):
 
 def test_window_cap_is_inclusive():
     assert window_degree(str(MAX_WINDOW_DEGREE)) == MAX_WINDOW_DEGREE
+
+
+def test_invgen_degree_cap_is_inclusive(capsys):
+    code, out, _ = run(capsys, "invgen", "ku", "c2_negation", "--degree", str(MAX_WINDOW_DEGREE))
+    assert code == 0
+    assert out.splitlines()[-1] == f"    v^{MAX_WINDOW_DEGREE // 2}"
+
+
+def test_main_does_not_rebuild_the_parser(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("main built a new parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert run(capsys, "shift", "ku")[0] == 0
 
 
 def test_sympow_cap_is_inclusive(capsys):

@@ -84,6 +84,13 @@ def conjugated_s4_group():
     return generate_group(generators, [(2, 4)], name="s4_conjugated")
 
 
+def mixed_block_group():
+    """S_3 through its standard representation on a degree-4 block and its
+    sign on a degree-6 block."""
+    generators = [[[-1, 1, 0], [0, 1, 0], [0, 0, -1]], [[1, 0, 0], [1, -1, 0], [0, 0, -1]]]
+    return generate_group(generators, [(4, 2), (6, 1)], name="mixed")
+
+
 # -- enumeration ----------------------------------------------------------------
 
 
@@ -357,6 +364,15 @@ def test_molien_of_atkin_lehner_actions(all_group_fixtures):
     assert both.polynomial_degrees is None
 
 
+@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "b3", "c3", "s4_conjugated", "mixed"])
+def test_molien_reciprocity(name):
+    # A second route to every Molien series: M(1/t) = (-1)^n t^{sum d_i} M_det(t).
+    group, _ = _in_test_or_fixture_group(name)
+    total_degree = sum(degree * dim for degree, dim in group.blocks)
+    predicted = molien_series(group, "det").series.shifted(total_degree) * (-1) ** group.dimension
+    assert molien_series(group).series.substitute_inverse() == predicted
+
+
 def test_pseudoreflection_degree_relation(c2_group, sigma3_group):
     # uniform generator degree d: reflections = sum(e_i/d - 1)
     for group in (c2_group, sigma3_group):
@@ -387,9 +403,16 @@ def _molien_by_elements(group, weight):
 
 
 def _in_test_or_fixture_group(name):
-    """(group, table or None) for an in-test S_4/B_3 or a bundled fixture."""
-    if name in ("s4", "b3"):
-        return signed_permutation_group(int(name[1]), signed=name == "b3"), None
+    """(group, table or None) for an in-test group or a bundled fixture."""
+    builders = {
+        "s4": s4_group,
+        "b3": lambda: signed_permutation_group(3, signed=True),
+        "c3": c3_group,
+        "s4_conjugated": conjugated_s4_group,
+        "mixed": mixed_block_group,
+    }
+    if name in builders:
+        return builders[name](), None
     group, table = load_group_fixture(name).build()
     return group, table or builtin_character_table(group)
 
@@ -419,12 +442,13 @@ def test_class_sums_match_the_per_element_definition(name):
 
 @pytest.mark.parametrize("name", ["sigma3_standard", "taf_d6_alpha", "s4", "b3"])
 def test_class_factors_are_computed_once_per_class_and_block(name, monkeypatch):
+    # Built first: checking each generator's determinant also reads det(1 - s*g).
+    group, _ = _in_test_or_fixture_group(name)
     calls = []
     original = linalg.det_one_minus_coefficients
     monkeypatch.setattr(
         linalg, "det_one_minus_coefficients", lambda m: calls.append(m) or original(m)
     )
-    group, _ = _in_test_or_fixture_group(name)
     base = polynomial_presentation("base", "Q", group.graded_degrees)
     assert descent_report(base, group).solomon_verified
     molien_series(group, "det")
@@ -639,6 +663,23 @@ def test_decomposition_period_six_adds_regular_representation(sigma3_group, sigm
         low = decompose(sym_power_character(sigma3_group, n), sigma3_table)
         high = decompose(sym_power_character(sigma3_group, n + 6), sigma3_table)
         assert high == (low[0] + 1, low[1] + 1, low[2] + 2)
+
+
+def test_period_six_law_as_rational_functions(sigma3_group, sigma3_table):
+    # In t = s^4: (1 - t^24) M_chi(t) - chi(1) t^24/(1 - t^4) is a polynomial
+    # of degree below 24, so Sym^{n+6} holds chi(1) more copies of chi than Sym^n.
+    expected = {
+        "triv": {0: 1, 8: 1, 12: 1, 16: 1, 20: 1},
+        "sign": {12: 1, 20: 1},
+        "std": {4: 1, 8: 1, 12: 1, 16: 2, 20: 2},
+    }
+    period = HilbertSeries(LaurentPolynomial.one_minus(24))
+    for name, values in sigma3_table.irreducibles:
+        twisted = molien_series(sigma3_group, name, table=sigma3_table).series
+        rest = twisted * period - HilbertSeries.inverse_product([4]).shifted(24) * values[0]
+        assert rest.denominator_degrees == ()
+        assert rest.numerator.max_exponent < 24
+        assert rest.numerator == LaurentPolynomial(expected[name]), name
 
 
 def test_invariant_multiplicity_is_one_periodic(sigma3_group, sigma3_table):

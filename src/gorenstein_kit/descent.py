@@ -92,7 +92,7 @@ def descent_report(p: RingPresentation, group: GradedGroupRep) -> DescentReport:
         solomon = verify_solomon(group)
     except NotPolynomial as exc:
         raise NotPolynomialInvariants(
-            f"{p.name}: invariants of {group.name or 'the group'} are not polynomial"
+            f"{p.name}: invariants of {group.name or 'the group'} are not polynomial; {exc}"
         ) from exc
     degrees = solomon.invariant_degrees
     b = solomon.supplement

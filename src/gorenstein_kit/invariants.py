@@ -7,7 +7,7 @@ An element is an index; its block-diagonal rational matrix, one square
 block per generator degree, is read off the orbit only for the class key
 and the class representatives.  On top of this the module computes Molien
 and character-twisted Molien series, pseudoreflection counts, invariant
-degrees by greedy peeling, the Solomon supplement with its verification as
+degrees by exact division, the Solomon supplement with its verification as
 an identity of rational functions, symmetric-power characters,
 decompositions against rational character tables, and explicit invariant
 polynomials as the common kernel of g - 1 over the generators.
@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 from . import linalg
 from .linalg import Matrix, Scalar, exact, quotient
-from .series import HilbertSeries, LaurentPolynomial, _render_terms
+from .series import HilbertSeries, LaurentPolynomial, _render_terms, prod_one_minus
 
 DEFAULT_ORDER_CAP = 10_000
 DEFAULT_MONOMIAL_BOUND = 5_000
@@ -494,32 +494,33 @@ def molien_series(
 
 
 def extract_polynomial_degrees(series: HilbertSeries, rank: int) -> tuple[int, ...]:
-    """Degrees e_1..e_rank with series = 1/prod(1 - t^{e_i}), if they exist.
+    """Degrees e_1 <= ... <= e_rank with series = 1/prod(1 - t^{e_i}), if they exist.
 
-    Greedy peeling, smallest degree first: repeatedly find the least
-    positive degree with a positive coefficient and multiply that geometric
-    factor away.  The multiset of degrees of a genuine polynomial series is
-    unique, so the greedy order only affects failure diagnostics.
+    Exact division, no coefficient window: the series N/D, D a product of
+    factors 1 - t^d, has that form exactly when D/N = prod(1 - t^{e_i}).
+    That product's least positive term is -m*t^e, e the least degree, so e
+    is read off it and 1 - t^e divided away, rank times, leaving 1.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    current = series
+    num = series.numerator
+    rest = None if num.is_zero else prod_one_minus(series.denominator_degrees).divide_exact(num)
     degrees: list[int] = []
-    for _ in range(rank):
-        if current.is_zero:
-            raise NotPolynomial("series vanished before peeling finished")
-        num = current.numerator
-        span = max(0, num.max_exponent) - min(0, num.min_exponent)
-        limit = sum(current.denominator_degrees) + span + 1
-        coeffs = current.expand(1, limit)
-        e = next((k for k, c in enumerate(coeffs, start=1) if c > 0), None)
-        if e is None:
-            raise NotPolynomial("no positive coefficient left to peel")
+    while rest is not None and len(degrees) < rank:
+        e = next((k for k, _ in rest.terms() if k > 0), 0)
+        if rest.coefficient(0) != 1 or rest.coefficient(e) >= 0:  # e = 0: no positive term
+            break
+        if (divided := rest.divide_exact(LaurentPolynomial.one_minus(e))) is None:
+            break
         degrees.append(e)
-        current = current * HilbertSeries(LaurentPolynomial.one_minus(e))
-    if not current.is_one():
-        raise NotPolynomial(f"residue after peeling {degrees} is {current}, not 1")
-    return tuple(sorted(degrees))
+        rest = divided
+    if rest != 1 or len(degrees) < rank:
+        why = (
+            "its numerator does not divide its denominator" if rest is None
+            else f"dividing its denominator by its numerator and 1 - t^e for e in {degrees} leaves {rest}"
+        )
+        raise NotPolynomial(f"{series} is not 1/prod(1 - t^e) over {rank} degrees: {why}")
+    return tuple(degrees)
 
 
 def solomon_supplement(
@@ -550,18 +551,13 @@ class SolomonVerification:
 def verify_solomon(group: GradedGroupRep) -> SolomonVerification:
     """Check the determinant-twisted Molien series against the prediction.
 
-    Requires polynomial invariants (so that the supplement is defined); the
-    check itself is an exact identity of rational functions, and the two
-    series, from one pass over the classes, are returned either way so a
-    failure carries its witness.  Only the untwisted series is peeled.
+    Requires polynomial invariants, else the peel's :class:`NotPolynomial`
+    propagates.  The check is an exact identity of rational functions; the
+    two series, from one pass over the classes, are returned either way so
+    a failure carries its witness.  Only the untwisted series is peeled.
     """
     trivial, twisted = _molien_sums(group, ["trivial", "det"])
-    try:
-        degrees = extract_polynomial_degrees(trivial, group.dimension)
-    except NotPolynomial as exc:
-        raise NotPolynomial(
-            "invariants are not a polynomial ring; no supplement to verify"
-        ) from exc
+    degrees = extract_polynomial_degrees(trivial, group.dimension)
     gen_degrees = group.graded_degrees
     b = solomon_supplement(gen_degrees, degrees)
     return SolomonVerification(
@@ -654,7 +650,7 @@ def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def _monomial_images(m: Matrix, monomials: Sequence[tuple[int, ...]]) -> Iterator[Polynomial]:
     """Image of each monomial prod x_j^{e_j} under x_j -> sum_i m[i][j] x_i,
-    as a product of cached powers of those linear forms."""
+    as a product of those linear forms' powers, kept only where a monomial uses one."""
     nvars = len(m)
     one: Polynomial = {(0,) * nvars: 1}
     powers = []
@@ -662,9 +658,12 @@ def _monomial_images(m: Matrix, monomials: Sequence[tuple[int, ...]]) -> Iterato
         linear = {
             tuple(int(k == i) for k in range(nvars)): m[i][j] for i in range(nvars) if m[i][j]
         }
-        cached = [one]
-        for _ in range(max(e[j] for e in monomials)):
-            cached.append(_poly_mul(cached[-1], linear))
+        used = {e[j] for e in monomials}
+        power, cached = one, {}
+        for k in range(1, max(used) + 1):
+            power = _poly_mul(power, linear)
+            if k in used:
+                cached[k] = power
         powers.append(cached)
     for exponents in monomials:
         image = one

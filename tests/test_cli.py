@@ -565,3 +565,35 @@ def test_failed_regularity_check_warns_once_on_one_line(tmp_path, capsys, argv):
         "warning: RegularSequenceWarning: bogus: asserted regular sequence, but"
         " the series has a negative coefficient -1 at degree 3\n"
     )
+
+
+def test_molien_and_descent_on_a_degree_million_generator(capsys, tmp_path):
+    # Invariant degrees come from exact division, so a huge generator degree
+    # costs no coefficient window.
+    ring = tmp_path / "big.ring"
+    ring.write_text("[ring]\nname = big\ncoefficients = Z\ngenerator = v 1000000\nregular = yes\n")
+    group = tmp_path / "minus.group"
+    group.write_text("[group]\nname = minus\nblock = 1000000 1\n\n[generator]\nrow = -1\n")
+    code, payload, _ = run_json(capsys, "molien", str(ring), str(group), "--max-degree", "2")
+    assert code == 0
+    assert payload["polynomial_degrees"] == [2000000]
+    code, out, err = run(capsys, "descent", str(ring), str(group))
+    assert code == 0 and err == ""
+    assert "  base gorenstein shift a = -1000001\n" in out
+    assert "  solomon supplement b = -1000000  (verified)\n" in out
+    assert "  descended gorenstein shift a+b = -2000001\n" in out
+    assert "  cross-check of the invariant ring's shift: ok\n" in out
+
+
+def test_descent_names_why_the_invariants_are_not_polynomial(capsys, tmp_path):
+    # -1 on both generators of tmf2: the Molien series is
+    # (1 + t^8)/(1 - t^8)^2, and 1 + t^8 does not divide (1 - t^8)^2.
+    group = tmp_path / "minus.group"
+    group.write_text("[group]\nname = minus\nblock = 4 2\n\n[generator]\nrow = -1 0\nrow = 0 -1\n")
+    code, out, err = run(capsys, "descent", "tmf2", str(group))
+    assert code == 1 and out == ""
+    assert err == (
+        "error: NotPolynomialInvariants: tmf2: invariants of minus are not polynomial;"
+        " (1 + t^8)/(1 - t^8)(1 - t^8) is not 1/prod(1 - t^e) over 2 degrees:"
+        " its numerator does not divide its denominator\n"
+    )

@@ -2,11 +2,13 @@
 Solomon verification, symmetric powers against the per-n recurrence, and
 explicit invariants against the averaging-operator (Reynolds) oracle."""
 
+import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 from conftest import in_exact_form
+from hypothesis import given, strategies as st
 
 from gorenstein_kit import invariants, linalg
 from gorenstein_kit.dataset import GROUP_FIXTURES, load_group_fixture
@@ -38,7 +40,7 @@ from gorenstein_kit.invariants import (
     sym_power_characters,
     verify_solomon,
 )
-from gorenstein_kit.series import HilbertSeries, LaurentPolynomial
+from gorenstein_kit.series import HilbertSeries, LaurentPolynomial, prod_one_minus
 
 
 def c3_group():
@@ -982,3 +984,119 @@ def test_float_matrix_entries_are_rejected():
 def test_float_character_values_are_rejected(sigma3_group):
     with pytest.raises(TypeError):
         character_table(sigma3_group, [("triv", (1.0, 1, 1))])
+
+
+def test_monomial_images_keep_only_the_powers_in_use(c2_group):
+    # v^10000 is the one monomial of degree 20000: only that power of -v is
+    # kept, not the 10000 powers below it.
+    tracemalloc.start()
+    try:
+        basis = invariant_basis(c2_group, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis == [{(10000,): 1}]
+    assert peak < 1_000_000
+
+
+# -- degree extraction against the coefficient-window peel ------------------------
+
+
+def _window_peel(series, rank):
+    """The coefficient-window peel that exact division replaced, kept as the
+    reference: expand a window, take the least positive degree with a
+    positive coefficient, multiply its factor away, rank times."""
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    current = series
+    degrees = []
+    for _ in range(rank):
+        if current.is_zero:
+            raise NotPolynomial("series vanished before peeling finished")
+        num = current.numerator
+        span = max(0, num.max_exponent) - min(0, num.min_exponent)
+        limit = sum(current.denominator_degrees) + span + 1
+        coeffs = current.expand(1, limit)
+        e = next((k for k, c in enumerate(coeffs, start=1) if c > 0), None)
+        if e is None:
+            raise NotPolynomial("no positive coefficient left to peel")
+        degrees.append(e)
+        current = current * HilbertSeries(LaurentPolynomial.one_minus(e))
+    if not current.is_one():
+        raise NotPolynomial(f"residue after peeling {degrees} is {current}, not 1")
+    return tuple(sorted(degrees))
+
+
+def _degrees_or_refusal(peel, series, rank):
+    try:
+        return peel(series, rank)
+    except NotPolynomial:
+        return None
+
+
+def _assert_peels_agree(series, rank):
+    expected = _degrees_or_refusal(_window_peel, series, rank)
+    assert _degrees_or_refusal(extract_polynomial_degrees, series, rank) == expected, (series, rank)
+    return expected
+
+
+@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "b3", "c3", "s4_conjugated", "mixed"])
+def test_exact_division_matches_the_window_peel_on_every_twist(name):
+    group, table = _in_test_or_fixture_group(name)
+    twists = ["trivial", "det", *(table.names if table else ())]
+    polynomial = 0
+    for series in invariants._molien_sums(group, twists, table):
+        for rank in range(max(group.dimension - 1, 1), group.dimension + 2):
+            polynomial += _assert_peels_agree(series, rank) is not None
+    # Every one of these groups but three is generated by pseudoreflections,
+    # so its untwisted series at least is polynomial.
+    assert polynomial or name in ("c3", "taf_d6_alphabeta", "mixed")
+
+
+peel_numerators = st.dictionaries(
+    st.integers(min_value=-4, max_value=14),
+    st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3)),
+    max_size=4,
+).map(LaurentPolynomial)
+peel_degrees = st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=4)
+
+
+@given(peel_numerators, peel_degrees, st.integers(-1, 1))
+def test_exact_division_matches_the_window_peel_on_random_series(numerator, degrees, offset):
+    _assert_peels_agree(HilbertSeries(numerator, degrees), max(len(degrees) + offset, 1))
+
+
+@given(peel_degrees, st.lists(st.integers(min_value=1, max_value=8), max_size=2), st.integers(-1, 1))
+def test_exact_division_matches_the_window_peel_on_products(degrees, extra, offset):
+    # 1/prod(1 - t^e), and the same times a product of factors 1 - t^d,
+    # which the canonical reduction may or may not cancel.
+    series = HilbertSeries.inverse_product(degrees)
+    assert _assert_peels_agree(series, len(degrees)) == tuple(sorted(degrees))
+    _assert_peels_agree(series, max(len(degrees) + offset, 1))
+    _assert_peels_agree(series * HilbertSeries(prod_one_minus(extra)), len(degrees))
+
+
+def test_refusal_names_the_degrees_divided_away_and_the_rest():
+    with pytest.raises(NotPolynomial, match=r"for e in \[8\] leaves 1 - t\^12$"):
+        extract_polynomial_degrees(HilbertSeries.inverse_product([8, 12]), 1)
+    with pytest.raises(NotPolynomial, match="numerator does not divide its denominator"):
+        extract_polynomial_degrees(HilbertSeries(LaurentPolynomial({0: 1, 8: 1}), [8, 8]), 2)
+    with pytest.raises(NotPolynomial, match=r"^0 is not"):
+        extract_polynomial_degrees(HilbertSeries.zero(), 1)
+
+
+@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4"])
+def test_degrees_and_solomon_expand_no_coefficient_window(name, monkeypatch):
+    group, table = _in_test_or_fixture_group(name)
+
+    def refuse(self, lo, hi):
+        raise AssertionError(f"expanded {self} over degrees {lo}..{hi}")
+
+    monkeypatch.setattr(HilbertSeries, "expand", refuse)
+    twists = ["trivial", "det", *(table.names if table else ())]
+    reports = [molien_series(group, twist, table=table) for twist in twists]
+    if reports[0].polynomial_degrees is None:
+        with pytest.raises(NotPolynomial):
+            verify_solomon(group)
+    else:
+        assert verify_solomon(group).verified

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import in_exact_form
+from hypothesis import given, strategies as st
 
 from gorenstein_kit.dataset import (
     GROUP_FIXTURES,
@@ -181,3 +182,56 @@ def test_fixture_path_resolution():
     assert fixture_path("sigma3_standard").name == "sigma3_standard.group"
     with pytest.raises(FileNotFoundError):
         fixture_path("nonexistent")
+
+
+# -- fuzzing: mutated fixture text ----------------------------------------------
+
+FIXTURE_TEXTS = [
+    fixture_path(name).read_text()
+    for name in (*(f"{r}.ring" for r in RING_FIXTURES), *(f"{g}.group" for g in GROUP_FIXTURES))
+]
+fragments = st.one_of(
+    st.sampled_from([
+        "[ring]", "[group]", "[generator]", "[character_table]", "[]", "=", " = ", "\n",
+        "#", "/", "-", "0", "1/0", "-1", "2/4", "9" * 30, "name", "generator", "relation",
+        "block", "row", "class_sizes", "irreducible", "regular", "yes", "no", "coefficients",
+        "x", " ", "\t", "\r\n",
+    ]),
+    st.text(max_size=4),
+)
+edits = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "replace", "duplicate line"]),
+              st.integers(min_value=0), st.integers(min_value=0, max_value=12), fragments),
+    min_size=1, max_size=4,
+)
+
+
+def _mutate(text, edits):
+    for kind, at, width, fragment in edits:
+        at %= len(text) + 1
+        if kind == "insert":
+            text = text[:at] + fragment + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + width:]
+        elif kind == "replace":
+            text = text[:at] + fragment + text[at + width:]
+        else:
+            start = text.rfind("\n", 0, at) + 1
+            end = text.find("\n", at) + 1 or len(text)
+            text = text[:end] + text[start:end] + text[end:]
+    return text
+
+
+@given(st.sampled_from(FIXTURE_TEXTS), edits)
+def test_mutated_fixture_text_parses_to_a_fixpoint_or_is_refused(text, edits):
+    text = _mutate(text, edits)
+    for parse, serialize in ((parse_ring_record, serialize_ring_record),
+                             (parse_group_record, serialize_group_record)):
+        try:
+            record = parse(text, "fuzz")
+        except ValueError:  # ParseError and the other ValueErrors are the allowed refusals
+            continue
+        serialized = serialize(record)
+        reparsed = parse(serialized, "fuzz")
+        assert reparsed == record
+        assert serialize(reparsed) == serialized

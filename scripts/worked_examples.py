@@ -5,7 +5,7 @@ degrees, Solomon supplements, and descended shifts."""
 
 from gorenstein_kit.dataset import load_group_fixture, load_ring_fixture
 from gorenstein_kit.descent import cross_check_invariant_shift, descent_report
-from gorenstein_kit.duality import duality_report
+from gorenstein_kit.duality import ring_duality_report
 from gorenstein_kit.graded_ring import hilbert_series
 from gorenstein_kit.invariants import (
     decompose,
@@ -23,7 +23,7 @@ def chain(ring_name: str, group_name: str, sym_powers: int = 0) -> None:
     print(f"== {ring.name} with {group.name} (order {group.order}) ==")
     print(f"  coefficients {ring.coefficient_label}, series {hilbert_series(ring)}")
 
-    base = duality_report(ring)
+    base = ring_duality_report(ring)
     first, second = base.display_strings()
     print(f"  base gorenstein shift a = {base.shift_a}; {second} ({first})")
 
@@ -35,12 +35,13 @@ def chain(ring_name: str, group_name: str, sym_powers: int = 0) -> None:
     solomon = verify_solomon(group)
     print(f"  det-twisted series {solomon.det_twisted_series}; "
           f"supplement b = {solomon.supplement} "
-          f"({'verified' if solomon.verified else 'FAILED'})")
+          f"({'verified' if solomon.verified else 'FAILED: ' + solomon.witness()})")
 
     report = descent_report(ring, group)
     print(f"  descended gorenstein shift a+b = {report.descended_gorenstein_shift}")
     print(f"  descended anderson shift a+b+1 = {report.descended_anderson_shift}")
-    print(f"  cross-check: {'ok' if cross_check_invariant_shift(report) else 'MISMATCH'}")
+    consistent, witness = cross_check_invariant_shift(report)
+    print(f"  cross-check: {'ok' if consistent else f'MISMATCH ({witness})'}")
 
     symbols = [s for s, _ in ring.generators]
     for degree in [d for d in sorted(set(report.invariant_degrees))]:

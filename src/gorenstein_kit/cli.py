@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .dataset import TABLE_ROWS, fixture_path
 from .descent import check_grading, cross_check_invariant_shift, descent_report
-from .duality import DualityReport, duality_report
+from .duality import DualityReport, ring_duality_report
 from .graded_ring import (
     GradedModuleSeries,
     RingPresentation,
@@ -189,10 +189,10 @@ def cmd_shift(args: argparse.Namespace) -> int:
     return 0
 
 
-def _duality_json(report: DualityReport) -> dict:
+def _duality_json(p: RingPresentation, report: DualityReport) -> dict:
     a = report.shift_a
     return {
-        "ring": _ring_json(report.presentation),
+        "ring": _ring_json(p),
         "krull_dimension": report.dim,
         "gorenstein_shift": a,
         "anderson_shift_exponent": report.anderson_shift,
@@ -207,8 +207,8 @@ def _duality_json(report: DualityReport) -> dict:
 
 def cmd_duality(args: argparse.Namespace) -> int:
     p = _load_ring(args.ring)
-    report = duality_report(p)
-    payload = {"schema": f"{SCHEMA_PREFIX}/duality/1", **_duality_json(report)}
+    report = ring_duality_report(p)
+    payload = {"schema": f"{SCHEMA_PREFIX}/duality/1", **_duality_json(p, report)}
     first, second = report.display_strings()
     lines = _ring_header(p)
     lines.append(f"  hilbert series: {report.cech_ring_part.series}")
@@ -345,7 +345,7 @@ def cmd_descent(args: argparse.Namespace) -> int:
     record = _load_group(args.group, p)
     if p.relations:  # descent_report would refuse the base: no group is built
         _checked_generators(record.generators, record.blocks)
-        base = duality_report(p)
+        base = ring_duality_report(p)
         payload = {
             "schema": f"{SCHEMA_PREFIX}/descent/1",
             "descent": None,
@@ -353,7 +353,7 @@ def cmd_descent(args: argparse.Namespace) -> int:
                 "descent prediction out of regime: the base ring is not"
                 " polynomial, so only the base-ring duality report is given"
             ),
-            "base_duality": _duality_json(base),
+            "base_duality": _duality_json(p, base),
         }
         lines = _ring_header(p)
         lines.append(
@@ -367,7 +367,7 @@ def cmd_descent(args: argparse.Namespace) -> int:
         return 0
     group, _ = record.build(cap=_order_cap())
     report = descent_report(p, group)
-    consistent = cross_check_invariant_shift(report)
+    consistent, witness = cross_check_invariant_shift(report)
     payload = {
         "schema": f"{SCHEMA_PREFIX}/descent/1",
         "descent": {
@@ -392,10 +392,12 @@ def cmd_descent(args: argparse.Namespace) -> int:
     lines.append(f"  base gorenstein shift a = {report.base_shift_a}")
     lines.append(f"  invariant degrees: {list(report.invariant_degrees)}")
     lines.append(f"  solomon supplement b = {report.solomon_b}"
-                 + ("  (verified)" if report.solomon_verified else "  (FAILED verification)"))
+                 + ("  (verified)" if report.solomon_verified
+                    else f"  (FAILED verification: {report.solomon_witness})"))
     lines.append(f"  descended gorenstein shift a+b = {report.descended_gorenstein_shift}")
     lines.append(f"  descended anderson shift a+b+1 = {report.descended_anderson_shift}")
-    lines.append(f"  cross-check of the invariant ring's shift: {'ok' if consistent else 'MISMATCH'}")
+    lines.append("  cross-check of the invariant ring's shift: "
+                 + ("ok" if consistent else f"MISMATCH ({witness})"))
     lines.append("  (prediction: exact for rational coefficients, necessary condition otherwise)")
     _emit(payload if args.json else lines)
     return 0

@@ -57,6 +57,7 @@ class DescentReport:
     descended_gorenstein_shift: int
     descended_anderson_shift: int
     solomon_verified: bool
+    solomon_witness: str
     invariant_presentation: RingPresentation
     invariant_series: HilbertSeries
 
@@ -110,13 +111,15 @@ def descent_report(p: RingPresentation, group: GradedGroupRep) -> DescentReport:
         descended_gorenstein_shift=a + b,
         descended_anderson_shift=a + b + 1,
         solomon_verified=solomon.verified,
+        solomon_witness=solomon.witness(),
         invariant_presentation=invariant_presentation,
         invariant_series=solomon.invariant_series,
     )
 
 
-def cross_check_invariant_shift(report: DescentReport) -> bool:
-    """True when both independent routes agree with the predicted shift.
+def cross_check_invariant_shift(report: DescentReport) -> tuple[bool, str]:
+    """Whether both independent routes agree with the predicted shift a + b,
+    and a witness line naming all three.
 
     Route one: the closed formula on the extracted invariant presentation.
     Route two: the functional-equation extraction from the Molien series at
@@ -127,4 +130,7 @@ def cross_check_invariant_shift(report: DescentReport) -> bool:
     by_series = gorenstein_shift_stanley(
         report.invariant_series, krull_dimension(report.invariant_presentation)
     )
-    return by_formula == predicted and by_series == predicted
+    witness = (
+        f"predicted a+b = {predicted}, closed formula {by_formula}, functional equation {by_series}"
+    )
+    return by_formula == predicted and by_series == predicted, witness

@@ -79,10 +79,6 @@ class RingPresentation:
     def relation_degrees(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.relations)
 
-    @property
-    def is_polynomial(self) -> bool:
-        return not self.relations
-
 
 def krull_dimension(p: RingPresentation) -> int:
     """Number of generators minus number of relations."""

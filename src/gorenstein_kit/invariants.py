@@ -29,7 +29,14 @@ from typing import Iterator, Sequence
 
 from . import linalg
 from .linalg import Matrix, Scalar, exact, quotient
-from .series import HilbertSeries, LaurentPolynomial, _render_terms, prod_one_minus
+from .series import (
+    HilbertSeries,
+    LaurentPolynomial,
+    NotMonomialRatio,
+    _render_terms,
+    prod_one_minus,
+    ratio_as_signed_monomial,
+)
 
 DEFAULT_ORDER_CAP = 10_000
 DEFAULT_MONOMIAL_BOUND = 5_000
@@ -546,6 +553,21 @@ class SolomonVerification:
     invariant_degrees: tuple[int, ...]
     invariant_series: HilbertSeries
     det_twisted_series: HilbertSeries
+
+    def witness(self) -> str:
+        """Why the identity fails, empty when it holds: the first exponent
+        at which the two series differ over a common denominator, or the
+        signed power of t found in place of t^{-b}."""
+        if self.verified:
+            return ""
+        try:
+            sign, k = ratio_as_signed_monomial(self.det_twisted_series, self.invariant_series)
+        except NotMonomialRatio as exc:
+            return str(exc)
+        return (
+            f"the det-twisted series is {'-' if sign < 0 else ''}t^{k} times the untwisted one,"
+            f" not t^{-self.supplement}"
+        )
 
 
 def verify_solomon(group: GradedGroupRep) -> SolomonVerification:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gorenstein_kit import cli, records
+from gorenstein_kit import cli, descent, records
 from gorenstein_kit.cli import (
     MAX_SYMPOW_N,
     MAX_WINDOW_DEGREE,
@@ -13,7 +13,7 @@ from gorenstein_kit.cli import (
     window_degree,
 )
 from gorenstein_kit.dataset import RING_FIXTURES, load_ring_fixture
-from gorenstein_kit.graded_ring import hilbert_series
+from gorenstein_kit.graded_ring import gorenstein_shift_stanley, hilbert_series
 
 
 def run(capsys, *argv):
@@ -156,6 +156,40 @@ def test_descent_command(capsys):
     assert descent["descended_anderson_shift"] == -4
     assert descent["solomon_verified"] is True
     assert descent["cross_check"] is True
+
+
+@pytest.mark.parametrize(
+    "twist, witness",
+    [
+        (lambda s: s.shifted(3), "the det-twisted series is t^3 times the untwisted one, not t^2"),
+        (lambda s: -s.shifted(2), "the det-twisted series is -t^2 times the untwisted one, not t^2"),
+        (lambda s: s.shifted(2) + 1, "t^2 has coefficient 1 in the first numerator and 0 in t^0"),
+    ],
+    ids=["wrong-power", "wrong-sign", "not-monomial"],
+)
+def test_failed_solomon_verification_names_its_witness(
+    capsys, monkeypatch, failing_solomon, twist, witness
+):
+    monkeypatch.setattr(descent, "verify_solomon", failing_solomon(twist))
+    code, out, _ = run(capsys, "descent", "ku", "c2_negation")
+    assert code == 0
+    assert "  solomon supplement b = -2  (FAILED verification: " in out and witness in out
+    code, payload, _ = run_json(capsys, "descent", "ku", "c2_negation")
+    assert payload["descent"]["solomon_verified"] is False
+
+
+def test_cross_check_mismatch_names_the_prediction_and_both_routes(capsys, monkeypatch):
+    monkeypatch.setattr(
+        descent, "gorenstein_shift_stanley", lambda s, dim: gorenstein_shift_stanley(s, dim) + 1
+    )
+    code, out, _ = run(capsys, "descent", "ku", "c2_negation")
+    assert code == 0
+    assert (
+        "  cross-check of the invariant ring's shift: MISMATCH"
+        " (predicted a+b = -5, closed formula -5, functional equation -4)\n"
+    ) in out
+    code, payload, _ = run_json(capsys, "descent", "ku", "c2_negation")
+    assert payload["descent"]["cross_check"] is False
 
 
 def test_descent_out_of_regime_gives_base_report(capsys):
@@ -483,7 +517,7 @@ def test_twisted_molien_refuses_a_non_integral_character_table(tmp_path, capsys)
 def test_series_json_reconstructs_the_series(capsys):
     from fractions import Fraction
 
-    from gorenstein_kit.graded_ring import hilbert_series
+    from gorenstein_kit.graded_ring import gorenstein_shift_stanley, hilbert_series
     from gorenstein_kit.dataset import load_ring_fixture
     from gorenstein_kit.series import HilbertSeries, LaurentPolynomial
 

@@ -1,19 +1,47 @@
 """Smoke test: the worked-examples script runs both descent chains."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from gorenstein_kit import descent
+from gorenstein_kit.graded_ring import gorenstein_shift_stanley
+
 ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "worked_examples.py"
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("_worked_examples", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_worked_examples_script_runs_both_chains():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "worked_examples.py")],
+        [sys.executable, str(SCRIPT)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("(verified)") == 2
     assert proc.stdout.count("cross-check: ok") == 2
+
+
+def test_worked_examples_print_the_failure_witnesses(capsys, monkeypatch, failing_solomon):
+    script = _load_script()
+    monkeypatch.setattr(script, "verify_solomon", failing_solomon(lambda s: s.shifted(3)))
+    monkeypatch.setattr(
+        descent, "gorenstein_shift_stanley", lambda s, dim: gorenstein_shift_stanley(s, dim) + 1
+    )
+    script.chain("ku", "c2_negation")
+    out = capsys.readouterr().out
+    assert (
+        "supplement b = -2 (FAILED: the det-twisted series is t^3 times the untwisted one, not t^2)"
+    ) in out
+    assert (
+        "cross-check: MISMATCH (predicted a+b = -5, closed formula -5, functional equation -4)"
+    ) in out

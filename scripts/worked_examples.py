@@ -13,7 +13,6 @@ from gorenstein_kit.invariants import (
     invariant_basis,
     molien_series,
     sym_power_characters,
-    verify_solomon,
 )
 
 
@@ -32,19 +31,18 @@ def chain(ring_name: str, group_name: str, sym_powers: int = 0) -> None:
     print(f"  invariant degrees {list(trivial.polynomial_degrees)}; "
           f"{trivial.pseudoreflection_count} pseudoreflections")
 
-    solomon = verify_solomon(group)
+    report = descent_report(ring, group)
+    solomon = report.solomon
     print(f"  det-twisted series {solomon.det_twisted_series}; "
           f"supplement b = {solomon.supplement} "
           f"({'verified' if solomon.verified else 'FAILED: ' + solomon.witness()})")
-
-    report = descent_report(ring, group)
-    print(f"  descended gorenstein shift a+b = {report.descended_gorenstein_shift}")
-    print(f"  descended anderson shift a+b+1 = {report.descended_anderson_shift}")
+    print(f"  descended gorenstein shift a+b = {report.invariant.shift_a}")
+    print(f"  descended anderson shift a+b+1 = {report.invariant.anderson_selfdual_display}")
     consistent, witness = cross_check_invariant_shift(report)
     print(f"  cross-check: {'ok' if consistent else f'MISMATCH ({witness})'}")
 
     symbols = [s for s, _ in ring.generators]
-    for degree in [d for d in sorted(set(report.invariant_degrees))]:
+    for degree in sorted(set(solomon.invariant_degrees)):
         for poly in invariant_basis(group, degree):
             print(f"  invariant of degree {degree}: {format_polynomial(poly, symbols)}")
 

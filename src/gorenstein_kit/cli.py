@@ -367,6 +367,7 @@ def cmd_descent(args: argparse.Namespace) -> int:
         return 0
     group, _ = record.build(cap=_order_cap())
     report = descent_report(p, group)
+    solomon, invariant = report.solomon, report.invariant
     consistent, witness = cross_check_invariant_shift(report)
     payload = {
         "schema": f"{SCHEMA_PREFIX}/descent/1",
@@ -374,14 +375,14 @@ def cmd_descent(args: argparse.Namespace) -> int:
             "ring": _ring_json(p),
             "group": group.name,
             "base_shift": report.base_shift_a,
-            "invariant_degrees": list(report.invariant_degrees),
-            "solomon_supplement": report.solomon_b,
-            "descended_gorenstein_shift": report.descended_gorenstein_shift,
-            "descended_anderson_shift": report.descended_anderson_shift,
-            "solomon_verified": report.solomon_verified,
+            "invariant_degrees": list(solomon.invariant_degrees),
+            "solomon_supplement": solomon.supplement,
+            "descended_gorenstein_shift": invariant.shift_a,
+            "descended_anderson_shift": invariant.anderson_selfdual_display,
+            "solomon_verified": solomon.verified,
             "cross_check": consistent,
             "invariant_ring": _ring_json(report.invariant_presentation),
-            "invariant_series": _series_json(report.invariant_series),
+            "invariant_series": _series_json(solomon.invariant_series),
             "prediction_only": True,
         },
         "note": "for non-rational coefficients this is a prediction, not a theorem",
@@ -390,12 +391,12 @@ def cmd_descent(args: argparse.Namespace) -> int:
     lines = _ring_header(p)
     lines.append(f"  group {group.name} of order {group.order}")
     lines.append(f"  base gorenstein shift a = {report.base_shift_a}")
-    lines.append(f"  invariant degrees: {list(report.invariant_degrees)}")
-    lines.append(f"  solomon supplement b = {report.solomon_b}"
-                 + ("  (verified)" if report.solomon_verified
-                    else f"  (FAILED verification: {report.solomon_witness})"))
-    lines.append(f"  descended gorenstein shift a+b = {report.descended_gorenstein_shift}")
-    lines.append(f"  descended anderson shift a+b+1 = {report.descended_anderson_shift}")
+    lines.append(f"  invariant degrees: {list(solomon.invariant_degrees)}")
+    lines.append(f"  solomon supplement b = {solomon.supplement}"
+                 + ("  (verified)" if solomon.verified
+                    else f"  (FAILED verification: {solomon.witness()})"))
+    lines.append(f"  descended gorenstein shift a+b = {invariant.shift_a}")
+    lines.append(f"  descended anderson shift a+b+1 = {invariant.anderson_selfdual_display}")
     lines.append("  cross-check of the invariant ring's shift: "
                  + ("ok" if consistent else f"MISMATCH ({witness})"))
     lines.append("  (prediction: exact for rational coefficients, necessary condition otherwise)")

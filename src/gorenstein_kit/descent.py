@@ -3,25 +3,22 @@
 For a polynomial base ring acted on by a finite group whose invariants are
 again polynomial, the Gorenstein shift of the invariant ring is the base
 shift a plus the Solomon supplement b, and the localized invariants are
-self-dual with shift a + b + 1.  For integral (non-rational) coefficients
-this is a necessary condition and a prediction of the shift, not a theorem,
-and reports should be labelled accordingly.  Bases with relations are
-outside this regime and are refused.
+self-dual with shift a + b + 1.  The invariant ring's own shifts come from
+its duality report, built from its Molien series with no presentation; the
+prediction a + b is checked against that report and against the closed
+formula on the extracted invariant degrees.  For integral (non-rational)
+coefficients this is a necessary condition and a prediction of the shift,
+not a theorem, and reports should be labelled accordingly.  Bases with
+relations are outside this regime and are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graded_ring import (
-    RingPresentation,
-    gorenstein_shift_formula,
-    gorenstein_shift_stanley,
-    krull_dimension,
-    polynomial_presentation,
-)
-from .invariants import GradedGroupRep, NotPolynomial, verify_solomon
-from .series import HilbertSeries
+from .duality import DualityReport, duality_report
+from .graded_ring import RingPresentation, gorenstein_shift_formula, polynomial_presentation
+from .invariants import GradedGroupRep, NotPolynomial, SolomonVerification, verify_solomon
 
 
 class NotPolynomialBase(ValueError):
@@ -41,25 +38,20 @@ class BlockMismatch(ValueError):
 
 @dataclass(frozen=True)
 class DescentReport:
-    """Shift bookkeeping for the passage to a ring of invariants.
+    """The base shift, the Solomon check, and the invariant ring's own report.
 
-    ``invariant_presentation`` is the relation-free presentation on the
-    extracted invariant degrees; its closed-formula shift always equals
-    ``descended_gorenstein_shift``, which is how the two routes of the
-    prediction are kept consistent.
+    ``invariant`` is the duality report of R^G's Molien series at the
+    group's dimension, so its ``shift_a`` is the descended Gorenstein shift
+    a + b and its ``anderson_selfdual_display`` is a + b + 1 whenever the
+    prediction holds.  ``invariant_presentation`` is the relation-free
+    presentation on the extracted invariant degrees, whose closed-formula
+    shift is the third value :func:`cross_check_invariant_shift` compares.
     """
 
-    base: RingPresentation
-    group: GradedGroupRep
     base_shift_a: int
-    invariant_degrees: tuple[int, ...]
-    solomon_b: int
-    descended_gorenstein_shift: int
-    descended_anderson_shift: int
-    solomon_verified: bool
-    solomon_witness: str
+    solomon: SolomonVerification
+    invariant: DualityReport
     invariant_presentation: RingPresentation
-    invariant_series: HilbertSeries
 
 
 def check_grading(p: RingPresentation, blocks: tuple[tuple[int, int], ...]) -> None:
@@ -95,25 +87,14 @@ def descent_report(p: RingPresentation, group: GradedGroupRep) -> DescentReport:
         raise NotPolynomialInvariants(
             f"{p.name}: invariants of {group.name or 'the group'} are not polynomial; {exc}"
         ) from exc
-    degrees = solomon.invariant_degrees
-    b = solomon.supplement
-    invariant_presentation = polynomial_presentation(
-        name=f"{p.name}^{group.name or 'G'}",
-        coefficient_label=p.coefficient_label,
-        degrees=degrees,
-    )
+    name = f"{p.name}^{group.name or 'G'}"
     return DescentReport(
-        base=p,
-        group=group,
         base_shift_a=a,
-        invariant_degrees=degrees,
-        solomon_b=b,
-        descended_gorenstein_shift=a + b,
-        descended_anderson_shift=a + b + 1,
-        solomon_verified=solomon.verified,
-        solomon_witness=solomon.witness(),
-        invariant_presentation=invariant_presentation,
-        invariant_series=solomon.invariant_series,
+        solomon=solomon,
+        invariant=duality_report(solomon.invariant_series, group.dimension, name),
+        invariant_presentation=polynomial_presentation(
+            name=name, coefficient_label=p.coefficient_label, degrees=solomon.invariant_degrees
+        ),
     )
 
 
@@ -122,14 +103,12 @@ def cross_check_invariant_shift(report: DescentReport) -> tuple[bool, str]:
     and a witness line naming all three.
 
     Route one: the closed formula on the extracted invariant presentation.
-    Route two: the functional-equation extraction from the Molien series at
-    the invariant ring's Krull dimension.
+    Route two: the invariant ring's duality report, whose shift is read off
+    the functional equation of its Molien series.
     """
-    predicted = report.base_shift_a + report.solomon_b
+    predicted = report.base_shift_a + report.solomon.supplement
     by_formula = gorenstein_shift_formula(report.invariant_presentation)
-    by_series = gorenstein_shift_stanley(
-        report.invariant_series, krull_dimension(report.invariant_presentation)
-    )
+    by_series = report.invariant.shift_a
     witness = (
         f"predicted a+b = {predicted}, closed formula {by_formula}, functional equation {by_series}"
     )

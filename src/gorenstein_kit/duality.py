@@ -112,13 +112,16 @@ def duality_report(series: HilbertSeries, dim: int, name: str) -> DualityReport:
     """
     gamma = local_cohomology_series(series, dim, name).suspended(-dim, label="pi_*(Gamma r)")
     a = gamma.shift
-    # The gamma series vanishes in degrees >= a+1 by construction; check it
-    # on a window rather than assuming it.
-    for degree, c in enumerate(gamma.expand(a + 1, a + 200), start=a + 1):
-        if c:
-            raise TorsionNotVanishing(
-                f"{name}: torsion homotopy is {c} in degree {degree}, above the shift {a}"
-            )
+    # gamma in degree a + k is the series' coefficient in degree -k, and the
+    # series starts at its least numerator exponent m, so above the shift
+    # gamma can be nonzero only in degrees a+1 .. a-m (none when m >= 0).
+    m = series.numerator.min_exponent
+    if m < 0:
+        for degree, c in enumerate(gamma.expand(a + 1, a - m), start=a + 1):
+            if c:
+                raise TorsionNotVanishing(
+                    f"{name}: torsion homotopy is {c} in degree {degree}, above the shift {a}"
+                )
     if a <= -2:
         splitting = Splitting.VANISHING_RANGE
     elif a % 2 == 0 and series.substitute_negative() == series:

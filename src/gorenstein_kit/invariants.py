@@ -549,7 +549,6 @@ class SolomonVerification:
 
     verified: bool
     supplement: int
-    generator_degrees: tuple[int, ...]
     invariant_degrees: tuple[int, ...]
     invariant_series: HilbertSeries
     det_twisted_series: HilbertSeries
@@ -580,12 +579,10 @@ def verify_solomon(group: GradedGroupRep) -> SolomonVerification:
     """
     trivial, twisted = _molien_sums(group, ["trivial", "det"])
     degrees = extract_polynomial_degrees(trivial, group.dimension)
-    gen_degrees = group.graded_degrees
-    b = solomon_supplement(gen_degrees, degrees)
+    b = solomon_supplement(group.graded_degrees, degrees)
     return SolomonVerification(
         verified=twisted == trivial.shifted(-b),
         supplement=b,
-        generator_degrees=gen_degrees,
         invariant_degrees=degrees,
         invariant_series=trivial,
         det_twisted_series=twisted,

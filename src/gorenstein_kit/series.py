@@ -322,9 +322,6 @@ class HilbertSeries:
     def is_zero(self) -> bool:
         return self._numerator.is_zero
 
-    def is_one(self) -> bool:
-        return not self._denominator_degrees and self._numerator == LaurentPolynomial.one()
-
     # -- expansion ----------------------------------------------------------
 
     def expand(self, lo: int, hi: int) -> list[Scalar]:

@@ -3,11 +3,25 @@ from fractions import Fraction
 import pytest
 
 from gorenstein_kit.dataset import load_group_fixture, load_ring_fixture
+from gorenstein_kit.invariants import generate_group
 
 
 def in_exact_form(c):
     """An int exactly when integral, otherwise a Fraction with denominator > 1."""
     return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def signed_permutation_group(n, signed):
+    """S_n, or B_n when signed, on n degree-2 coordinates: a transposition,
+    an n-cycle and, for B_n, the sign change of the first coordinate."""
+
+    def matrix(p, sign=1):
+        return [[(sign if j == 0 else 1) if p[j] == i else 0 for j in range(n)] for i in range(n)]
+
+    generators = [matrix([1, 0, *range(2, n)]), matrix([*range(1, n), 0])]
+    if signed:
+        generators.append(matrix(list(range(n)), -1))
+    return generate_group(generators, [(2, n)], name=f"{'B' if signed else 'S'}{n}")
 
 
 @pytest.fixture(scope="session")

@@ -73,18 +73,18 @@ def test_criterion_3_negation_descent_chain(ku, c2_group, capsys):
     chain = descent_report(ku, c2_group)
     ok = (
         base.shift_a == -3
-        and chain.solomon_b == -2
-        and chain.descended_gorenstein_shift == -5
+        and chain.solomon.supplement == -2
+        and chain.invariant.shift_a == -5
         and base.anderson_selfdual_display == -2
-        and chain.descended_anderson_shift == -4
+        and chain.invariant.anderson_selfdual_display == -4
     )
     with capsys.disabled():
         _report("3 (order-two descent chain)", ok)
     assert base.shift_a == -3
-    assert chain.solomon_b == -2
-    assert chain.descended_gorenstein_shift == -5
+    assert chain.solomon.supplement == -2
+    assert chain.invariant.shift_a == -5
     assert base.anderson_selfdual_display == -2
-    assert chain.descended_anderson_shift == -4
+    assert chain.invariant.anderson_selfdual_display == -4
 
 
 def test_criterion_4_standard_action_chain(tmf2, sigma3_group, capsys):
@@ -95,17 +95,17 @@ def test_criterion_4_standard_action_chain(tmf2, sigma3_group, capsys):
     ok = (
         string == expected_string
         and report.polynomial_degrees == (8, 12)
-        and chain.solomon_b == -12
-        and chain.descended_gorenstein_shift == -22
-        and chain.descended_anderson_shift == -21
+        and chain.solomon.supplement == -12
+        and chain.invariant.shift_a == -22
+        and chain.invariant.anderson_selfdual_display == -21
     )
     with capsys.disabled():
         _report("4 (order-six descent chain)", ok)
     assert string == expected_string
     assert report.polynomial_degrees == (8, 12)
-    assert chain.solomon_b == -12
-    assert chain.descended_gorenstein_shift == -22
-    assert chain.descended_anderson_shift == -21
+    assert chain.solomon.supplement == -12
+    assert chain.invariant.shift_a == -22
+    assert chain.invariant.anderson_selfdual_display == -21
 
 
 def test_criterion_5a_symmetric_power_decompositions(sigma3_group, sigma3_table, capsys):

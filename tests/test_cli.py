@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gorenstein_kit import cli, descent, records
+from gorenstein_kit import cli, descent, duality, records
 from gorenstein_kit.cli import (
     MAX_SYMPOW_N,
     MAX_WINDOW_DEGREE,
@@ -180,7 +180,7 @@ def test_failed_solomon_verification_names_its_witness(
 
 def test_cross_check_mismatch_names_the_prediction_and_both_routes(capsys, monkeypatch):
     monkeypatch.setattr(
-        descent, "gorenstein_shift_stanley", lambda s, dim: gorenstein_shift_stanley(s, dim) + 1
+        duality, "gorenstein_shift_stanley", lambda s, dim: gorenstein_shift_stanley(s, dim) + 1
     )
     code, out, _ = run(capsys, "descent", "ku", "c2_negation")
     assert code == 0
@@ -434,18 +434,13 @@ def test_computation_errors_carry_their_name(capsys):
 
 
 def test_torsion_check_failure_carries_its_name_and_witness(capsys, monkeypatch):
-    from fractions import Fraction
-
-    from gorenstein_kit.graded_ring import GradedModuleSeries
-
-    def expand(self, lo, hi):
-        return [Fraction(0)] * 4 + [Fraction(7)] + [Fraction(0)] * (hi - lo - 4)
-
-    monkeypatch.setattr(GradedModuleSeries, "expand", expand)
+    # A ring's series starts in degree 0, so its torsion cannot fail; 7*t^-5
+    # times taf_d6's series has shift 2 - 10 = -8 and torsion 7 in degree -3.
+    monkeypatch.setattr(duality, "hilbert_series", lambda p: 7 * hilbert_series(p).shifted(-5))
     code, out, err = run(capsys, "duality", "taf_d6")
     assert code == 1
     assert out == ""
-    assert "TorsionNotVanishing" in err and "7 in degree 7" in err
+    assert "TorsionNotVanishing" in err and "7 in degree -3, above the shift -8" in err
 
 
 def test_cap_error_carries_its_name(capsys, monkeypatch):

@@ -1,7 +1,12 @@
 """Descended Gorenstein and Anderson shifts for rings of invariants."""
 
-import pytest
+import sys
+from dataclasses import fields
 
+import pytest
+from conftest import signed_permutation_group
+
+from gorenstein_kit import graded_ring
 from gorenstein_kit.descent import (
     BlockMismatch,
     NotPolynomialBase,
@@ -9,18 +14,19 @@ from gorenstein_kit.descent import (
     cross_check_invariant_shift,
     descent_report,
 )
-from gorenstein_kit.graded_ring import gorenstein_shift_formula
+from gorenstein_kit.duality import DualityReport, duality_report
+from gorenstein_kit.graded_ring import gorenstein_shift_formula, polynomial_presentation
 from gorenstein_kit.invariants import generate_group
 
 
 def test_negation_chain(ku, c2_group):
     report = descent_report(ku, c2_group)
     assert report.base_shift_a == -3
-    assert report.invariant_degrees == (4,)
-    assert report.solomon_b == -2
-    assert report.descended_gorenstein_shift == -5
-    assert report.descended_anderson_shift == -4
-    assert report.solomon_verified
+    assert report.solomon.invariant_degrees == (4,)
+    assert report.solomon.supplement == -2
+    assert report.invariant.shift_a == -5
+    assert report.invariant.anderson_selfdual_display == -4
+    assert report.solomon.verified
     assert gorenstein_shift_formula(report.invariant_presentation) == -5
     assert cross_check_invariant_shift(report)[0]
 
@@ -28,11 +34,11 @@ def test_negation_chain(ku, c2_group):
 def test_standard_action_chain(tmf2, sigma3_group):
     report = descent_report(tmf2, sigma3_group)
     assert report.base_shift_a == -10
-    assert report.invariant_degrees == (8, 12)
-    assert report.solomon_b == -12
-    assert report.descended_gorenstein_shift == -22
-    assert report.descended_anderson_shift == -21
-    assert report.solomon_verified
+    assert report.solomon.invariant_degrees == (8, 12)
+    assert report.solomon.supplement == -12
+    assert report.invariant.shift_a == -22
+    assert report.invariant.anderson_selfdual_display == -21
+    assert report.solomon.verified
     assert gorenstein_shift_formula(report.invariant_presentation) == -22
     assert cross_check_invariant_shift(report)[0]
 
@@ -40,16 +46,16 @@ def test_standard_action_chain(tmf2, sigma3_group):
 def test_trivial_group_descends_to_itself(tmf2):
     trivial = generate_group([], [(4, 2)], name="trivial")
     report = descent_report(tmf2, trivial)
-    assert report.solomon_b == 0
-    assert report.invariant_degrees == (4, 4)
-    assert report.descended_gorenstein_shift == report.base_shift_a
+    assert report.solomon.supplement == 0
+    assert report.solomon.invariant_degrees == (4, 4)
+    assert report.invariant.shift_a == report.base_shift_a
     assert cross_check_invariant_shift(report)[0]
 
 
 def test_gorenstein_and_anderson_shifts_differ_by_one(ku, tmf2, c2_group, sigma3_group):
     for p, g in ((ku, c2_group), (tmf2, sigma3_group)):
         report = descent_report(p, g)
-        assert report.descended_anderson_shift - report.descended_gorenstein_shift == 1
+        assert report.invariant.anderson_selfdual_display - report.invariant.shift_a == 1
 
 
 def test_hypersurface_base_is_refused(taf_d6, all_group_fixtures):
@@ -74,3 +80,47 @@ def test_invariant_presentation_is_polynomial(ku, c2_group):
     assert not inv.relations
     assert inv.generator_degrees == (4,)
     assert inv.coefficient_label == ku.coefficient_label
+
+
+def _descent_cases(all_ring_fixtures, all_group_fixtures):
+    """(base ring, group) for both fixture chains, the trivial group, S_4 and B_3."""
+    tmf2 = all_ring_fixtures["tmf2"]
+    cases = [
+        (all_ring_fixtures["ku"], all_group_fixtures["c2_negation"]),
+        (tmf2, all_group_fixtures["sigma3_standard"]),
+        (tmf2, generate_group([], [(4, 2)], name="trivial")),
+    ]
+    for group in (signed_permutation_group(4, signed=False), signed_permutation_group(3, signed=True)):
+        cases.append((polynomial_presentation("base", "Q", group.graded_degrees), group))
+    return cases
+
+
+def test_invariant_report_is_the_duality_report_of_the_molien_series(
+    all_ring_fixtures, all_group_fixtures
+):
+    for p, group in _descent_cases(all_ring_fixtures, all_group_fixtures):
+        report = descent_report(p, group)
+        expected = duality_report(
+            report.solomon.invariant_series, group.dimension, f"{p.name}^{group.name}"
+        )
+        for f in fields(DualityReport):
+            assert getattr(report.invariant, f.name) == getattr(expected, f.name), (group.name, f.name)
+        shift = report.invariant.shift_a
+        assert shift == report.base_shift_a + report.solomon.supplement
+        assert shift == gorenstein_shift_formula(report.invariant_presentation)
+        assert report.invariant.anderson_selfdual_display == shift + 1
+        assert cross_check_invariant_shift(report)[0]
+
+
+def test_descent_reads_the_functional_equation_once(ku, c2_group, monkeypatch):
+    # Counted under every package module that binds the name.
+    calls = []
+    original = graded_ring.gorenstein_shift_stanley
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gorenstein_kit") and hasattr(module, "gorenstein_shift_stanley"):
+            monkeypatch.setattr(
+                module, "gorenstein_shift_stanley", lambda s, dim: calls.append(dim) or original(s, dim)
+            )
+    report = descent_report(ku, c2_group)
+    assert cross_check_invariant_shift(report)[0]
+    assert calls == [1]

@@ -1,7 +1,6 @@
 """Local cohomology bookkeeping, torsion/localized series, duality reports."""
 
 from dataclasses import fields, replace
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -241,14 +240,43 @@ def test_report_series_have_nonnegative_integer_coefficients(all_ring_fixtures):
                 assert c.denominator == 1 and c >= 0, (p.name, module.label)
 
 
-def test_report_refuses_torsion_above_the_shift(taf_d6, monkeypatch):
-    # A torsion expansion with 7 in its fifth degree above the shift a = 2.
-    def expand(self, lo, hi):
-        return [Fraction(0)] * 4 + [Fraction(7)] + [Fraction(0)] * (hi - lo - 4)
+def test_report_refuses_torsion_above_the_shift():
+    # t^-k/(1 - t^d) has shift a = -2k - d - 1, and its torsion homotopy is
+    # the series' t^-k in degree a + k: 5 above the shift for k = 5, and
+    # 500 above it for k = 500, which a fixed window past the shift misses.
+    for k, d, degree, shift in ((5, 10, -16, -21), (500, 1000, -1501, -2001)):
+        series = HilbertSeries(LaurentPolynomial({-k: 1}), [d])
+        with pytest.raises(
+            TorsionNotVanishing,
+            match=f"x: torsion homotopy is 1 in degree {degree}, above the shift {shift}",
+        ):
+            duality_report(series, 1, "x")
 
-    monkeypatch.setattr(GradedModuleSeries, "expand", expand)
-    with pytest.raises(TorsionNotVanishing, match="torsion homotopy is 7 in degree 7, above the shift 2"):
-        ring_duality_report(taf_d6)
+
+@given(
+    st.integers(0, 2000),
+    st.lists(st.integers(1, 2000), min_size=1, max_size=3),
+)
+def test_torsion_check_names_the_first_nonzero_degree_above_the_shift(k, degrees):
+    # Oracle: the coefficient of t^-j in t^-k/prod(1 - t^d) counts the ways
+    # of writing k - j as a sum of multiples of the d, listed for every
+    # negative degree -k .. -1.  Torsion in degree a + j is that coefficient.
+    ways = [1] + [0] * k
+    for d in degrees:
+        for m in range(d, k + 1):
+            ways[m] += ways[m - d]
+    shift = -2 * k - sum(degrees) - len(degrees)
+    series = HilbertSeries(LaurentPolynomial({-k: 1}), degrees)
+    first = next(((j, ways[k - j]) for j in range(1, k + 1) if ways[k - j]), None)
+    if first is None:
+        assert duality_report(series, len(degrees), "x").shift_a == shift
+        return
+    j, value = first
+    with pytest.raises(TorsionNotVanishing) as raised:
+        duality_report(series, len(degrees), "x")
+    assert str(raised.value) == (
+        f"x: torsion homotopy is {value} in degree {shift + j}, above the shift {shift}"
+    )
 
 
 def test_report_builds_series_and_shift_once(taf_d6, monkeypatch):

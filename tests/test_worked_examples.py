@@ -6,8 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from gorenstein_kit import descent
+from gorenstein_kit import descent, duality
 from gorenstein_kit.graded_ring import gorenstein_shift_stanley
+from gorenstein_kit.series import HilbertSeries
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "worked_examples.py"
@@ -33,9 +34,14 @@ def test_worked_examples_script_runs_both_chains():
 
 def test_worked_examples_print_the_failure_witnesses(capsys, monkeypatch, failing_solomon):
     script = _load_script()
-    monkeypatch.setattr(script, "verify_solomon", failing_solomon(lambda s: s.shifted(3)))
+    monkeypatch.setattr(descent, "verify_solomon", failing_solomon(lambda s: s.shifted(3)))
+    # Only the invariant ring's series 1/(1 - t^4) gets a wrong shift: the
+    # base ring's report still checks its own shift against the formula.
+    invariant = HilbertSeries.inverse_product([4])
     monkeypatch.setattr(
-        descent, "gorenstein_shift_stanley", lambda s, dim: gorenstein_shift_stanley(s, dim) + 1
+        duality,
+        "gorenstein_shift_stanley",
+        lambda s, dim: gorenstein_shift_stanley(s, dim) + (s == invariant),
     )
     script.chain("ku", "c2_negation")
     out = capsys.readouterr().out

@@ -4,19 +4,21 @@ A group is enumerated explicitly (orders here are tiny, so exactness beats
 generality) as permutations of the orbit of the standard basis vectors
 under its generators: the orbit spans the space, so the action is faithful.
 An element is an index; its block-diagonal rational matrix, one square
-block per generator degree, is read off the orbit only for the class key
-and the class representatives.  On top of this the module computes Molien
-and character-twisted Molien series, pseudoreflection counts, invariant
-degrees by exact division, the Solomon supplement with its verification as
-an identity of rational functions, symmetric-power characters,
-decompositions against rational character tables, and explicit invariant
-polynomials as the common kernel of g - 1 over the generators.
+block per generator degree, is read off the orbit only for the class key.
+On top of this the module computes Molien and character-twisted Molien
+series, pseudoreflection counts, invariant degrees by exact division, the
+Solomon supplement with its verification as an identity of rational
+functions, symmetric-power characters, decompositions against rational
+character tables, and explicit invariant polynomials as the common kernel
+of g - 1 over the generators.
 
 Every class function (Molien terms, determinants, symmetric-power
 characters, pseudoreflections) is read off det(1 - s*g on V_d), computed
 once per conjugacy class and grading block (Stanley, Bull. AMS 1 (1979),
-section 2).  Groups with irrational irreducible characters get everything
-but decomposition, which needs a rational, hence integer, character table.
+section 2) by Newton's identities from the traces of g's powers, which the
+representative's permutation gives without a matrix.  Groups with
+irrational irreducible characters get everything but decomposition, which
+needs a rational, hence integer, character table.
 """
 
 from __future__ import annotations
@@ -271,19 +273,23 @@ def class_representatives(group: GradedGroupRep) -> tuple[int, ...]:
 
 
 def _class_factors(group: GradedGroupRep) -> tuple[tuple[LaurentPolynomial, ...], ...]:
-    """det(1 - s*g on V_d) in s, per class (canonical order) and block V_d:
-    Faddeev-LeVerrier on the representative's diagonal block, once per group."""
+    """det(1 - s*g on V_d) in s, per class (canonical order) and block V_d,
+    once per group, by Newton's identities on the power sums tr(g^i on V_d),
+    i = 1..dim V_d.  g^i sends e_j to orbit[perm^i[j]], perm the
+    representative's permutation, so the trace is the sum over the block's j
+    of that vector's j-th entry: no matrix is built."""
     if group._factors is None:
-        factors = tuple(
-            tuple(
-                LaurentPolynomial(enumerate(linalg.det_one_minus_coefficients(
-                    tuple(row[start:stop] for row in m[start:stop])
-                )))
-                for _, start, stop in group.block_slices()
-            )
-            for m in map(group.matrix, class_representatives(group))
-        )
-        object.__setattr__(group, "_factors", factors)
+        orbit, factors = group.orbit, []
+        for rep in class_representatives(group):
+            perm, blocks = group.permutations[rep], []
+            for _, start, stop in group.block_slices():
+                images, traces = range(start, stop), []
+                for _ in range(start, stop):
+                    images = [perm[k] for k in images]
+                    traces.append(exact(sum(orbit[k][j] for j, k in enumerate(images, start))))
+                blocks.append(LaurentPolynomial(enumerate(linalg.det_one_minus_from_traces(traces))))
+            factors.append(tuple(blocks))
+        object.__setattr__(group, "_factors", tuple(factors))
     return group._factors
 
 
@@ -419,7 +425,7 @@ def _element_term(group: GradedGroupRep, rep: int, factors: Sequence[LaurentPoly
         det_poly = LaurentPolynomial({k * degree: c for k, c in factor.terms()})
         # All eigenvalues are order-th roots of unity, so det divides
         # (1 - t^{degree*order})^dim exactly.
-        full = LaurentPolynomial.one_minus(degree * order) ** dim
+        full = prod_one_minus([degree * order] * dim)
         quotient = full.divide_exact(det_poly)
         if quotient is None:
             raise ArithmeticError("characteristic factor failed to divide cyclotomic power")
@@ -463,7 +469,7 @@ def pseudoreflection_count(group: GradedGroupRep) -> int:
     exactly when prod_blocks det(1 - s*g) = (1 - s)^{n-1}(1 + s).
     """
     n = group.dimension
-    reflection = LaurentPolynomial({0: 1, 1: 1}) * LaurentPolynomial.one_minus(1) ** max(n - 1, 0)
+    reflection = LaurentPolynomial({0: 1, 1: 1}).times_one_minus([1] * (n - 1))
     return sum(
         len(cls)
         for cls, factors in zip(conjugacy_classes(group), _class_factors(group))
@@ -517,7 +523,7 @@ def extract_polynomial_degrees(series: HilbertSeries, rank: int) -> tuple[int, .
         e = next((k for k, _ in rest.terms() if k > 0), 0)
         if rest.coefficient(0) != 1 or rest.coefficient(e) >= 0:  # e = 0: no positive term
             break
-        if (divided := rest.divide_exact(LaurentPolynomial.one_minus(e))) is None:
+        if (divided := rest.over_one_minus(e)) is None:
             break
         degrees.append(e)
         rest = divided
@@ -667,6 +673,18 @@ def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     return {e: c if type(c) is int else exact(c) for e, c in out.items() if c}
 
 
+def _poly_pow(p: Polynomial, k: int) -> Polynomial:
+    """p^k for k >= 1, by repeated squaring; p itself, no product, for k = 1."""
+    result = None
+    while True:
+        if k & 1:
+            result = p if result is None else _poly_mul(result, p)
+        k >>= 1
+        if not k:
+            return result
+        p = _poly_mul(p, p)
+
+
 def _monomial_images(m: Matrix, monomials: Sequence[tuple[int, ...]]) -> Iterator[Polynomial]:
     """Image of each monomial prod x_j^{e_j} under x_j -> sum_i m[i][j] x_i,
     as a product of those linear forms' powers, kept only where a monomial uses one."""
@@ -677,12 +695,11 @@ def _monomial_images(m: Matrix, monomials: Sequence[tuple[int, ...]]) -> Iterato
         linear = {
             tuple(int(k == i) for k in range(nvars)): m[i][j] for i in range(nvars) if m[i][j]
         }
-        used = {e[j] for e in monomials}
-        power, cached = one, {}
-        for k in range(1, max(used) + 1):
-            power = _poly_mul(power, linear)
-            if k in used:
-                cached[k] = power
+        # From one used exponent to the next, times linear^gap.
+        power, previous, cached = one, 0, {}
+        for k in sorted({e[j] for e in monomials} - {0}):
+            power = _poly_mul(power, _poly_pow(linear, k - previous))
+            previous, cached[k] = k, power
         powers.append(cached)
     for exponents in monomials:
         image = one

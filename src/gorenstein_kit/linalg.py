@@ -9,14 +9,16 @@ rows, dicts from column index to nonzero scalar: the rows of g - 1 on
 monomials behind invariant bases have one or two nonzeros each for a
 signed permutation g.  The package has two matrix algorithms: that one
 elimination, :func:`rref`, which backs rank and inverse on dense matrices,
-and the characteristic polynomial det(1 - s*M), which every class function
-and the determinant read.
+and the characteristic polynomial det(1 - s*M), read by Newton's identities
+off the power sums tr(M^k).  The determinant reads it off the powers of M;
+every class function reads it off traces taken from a permutation, with no
+matrix at all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -99,22 +101,23 @@ def trace(m: Matrix) -> Scalar:
 
 
 def det_one_minus_coefficients(m: Matrix) -> list[Scalar]:
-    """Coefficients c_0..c_n of det(1 - s*M) as a polynomial in s.
+    """Coefficients c_0..c_n of det(1 - s*M) as a polynomial in s, from the
+    traces of M, M^2, ..., M^n by :func:`det_one_minus_from_traces`."""
+    traces, mk = [], m
+    for k in range(len(m)):
+        if k:
+            mk = mat_mul(mk, m)
+        traces.append(trace(mk))
+    return det_one_minus_from_traces(traces)
 
-    Computed by the Faddeev-LeVerrier recursion for the characteristic
-    polynomial; exact over the rationals.
-    """
-    n = len(m)
+
+def det_one_minus_from_traces(traces: Sequence[Scalar]) -> list[Scalar]:
+    """Coefficients c_0..c_n of det(1 - s*M) from the power sums p_k = tr(M^k),
+    k = 1..n, by Newton's identities k*c_k = -sum_{i<=k} p_i*c_{k-i}; exact
+    over the rationals."""
     coeffs: list[Scalar] = [1]
-    mk = m
-    for k in range(1, n + 1):
-        c = quotient(-trace(mk), k)
-        coeffs.append(c)
-        if k < n:
-            shifted = tuple(
-                tuple(mk[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)
-            )
-            mk = mat_mul(m, shifted)
+    for k in range(1, len(traces) + 1):
+        coeffs.append(quotient(-sum(p * c for p, c in zip(traces, reversed(coeffs))), k))
     return coeffs
 
 

@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Mapping
+from itertools import accumulate, compress, count
 
 from .linalg import Scalar, exact, quotient
 
@@ -81,7 +81,7 @@ class LaurentPolynomial:
 
     @classmethod
     def one(cls) -> "LaurentPolynomial":
-        return cls({0: 1})
+        return cls._of({0: 1})
 
     @classmethod
     def monomial(cls, exponent: int, coeff: Scalar = 1) -> "LaurentPolynomial":
@@ -90,9 +90,8 @@ class LaurentPolynomial:
     @classmethod
     def one_minus(cls, degree: int) -> "LaurentPolynomial":
         """The factor 1 - t^degree."""
-        if degree == 0:
-            return cls.zero()
-        return cls({0: 1, degree: -1})
+        degree = operator.index(degree)
+        return cls._of({0: 1, degree: -1} if degree else {})
 
     # -- queries -----------------------------------------------------------
 
@@ -214,6 +213,80 @@ class LaurentPolynomial:
                     rem.pop(k, None)
         return LaurentPolynomial._of(quo).shift(shift_back)
 
+    # -- the factors 1 - t^d, on dense integer arrays -------------------------
+
+    def _dense(self, base: int, step: int, size: int) -> tuple[list[int], int]:
+        """(a, scale) with sum_k a[k] t^(base + step*k) equal to scale*self
+        below t^(base + step*size): a has ``size`` integer entries and scale
+        is the lcm of the coefficient denominators.  base is the least
+        exponent and step divides every exponent's distance from it."""
+        scale = math.lcm(*(c.denominator for c in self._terms.values()))
+        a = [0] * size
+        for e, c in self._terms.items():
+            k = (e - base) // step
+            if k < size:
+                a[k] = c if scale == 1 else c.numerator * (scale // c.denominator)
+        return a, scale
+
+    @staticmethod
+    def _from_dense(base: int, step: int, a: list[int], scale: int) -> "LaurentPolynomial":
+        """The inverse of :meth:`_dense`."""
+        terms = dict(compress(zip(count(base, step), a), a))
+        if scale != 1:
+            terms = {e: quotient(c, scale) for e, c in terms.items()}
+        return LaurentPolynomial._of(terms)
+
+    def _lattice(self, degrees: Sequence[int]) -> tuple[int, int, int]:
+        """(base, step, span): the least exponent, the gcd of the degrees and
+        of the exponents' distances from it, and the number of multiples of
+        step from there to the greatest exponent.  Factors 1 - t^d and self
+        all live on base + step*Z, so the arrays run in units of step: a
+        degree-10^6 factor costs no 10^6-entry array.  self must be nonzero."""
+        base = min(self._terms)
+        step = math.gcd(*degrees, *(e - base for e in self._terms))
+        return base, step, (max(self._terms) - base) // step + 1
+
+    def times_one_minus(self, degrees: Iterable[int]) -> "LaurentPolynomial":
+        """self * prod_{d in degrees} (1 - t^d), degrees >= 0: one shift and
+        subtract of the coefficient array per factor."""
+        degrees = list(map(operator.index, degrees))
+        if any(d < 0 for d in degrees):
+            raise ValueError("factor degrees must be >= 0")
+        if self.is_zero or 0 in degrees:
+            return LaurentPolynomial._of({})
+        if not degrees:
+            return self
+        base, step, top = self._lattice(degrees)  # a[top:] is still zero
+        a, scale = self._dense(base, step, top + sum(degrees) // step)
+        for d in degrees:
+            d //= step
+            a[d : top + d] = map(operator.sub, a[d : top + d], a[:top])
+            top += d
+        return self._from_dense(base, step, a, scale)
+
+    def over_one_minus(self, degree: int) -> "LaurentPolynomial | None":
+        """self / (1 - t^degree), degree >= 1, when the division is exact, else None.
+
+        The quotient's coefficients are the partial sums of self's taken with
+        stride ``degree``; the division is exact when the top ``degree`` of
+        those sums, the remainder, are zero.
+        """
+        d = operator.index(degree)
+        if d < 1:
+            raise ValueError("factor degree must be >= 1")
+        if self.is_zero:
+            return self
+        base, step, span = self._lattice([d])
+        d //= step
+        if span <= d:
+            return None  # a nonzero multiple of 1 - t^d spans d + 1 exponents
+        a, scale = self._dense(base, step, span)
+        _strided_sums(a, d)
+        if any(a[-d:]):
+            return None
+        del a[-d:]
+        return self._from_dense(base, step, a, scale)
+
     # -- comparison and display ---------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -255,7 +328,20 @@ def _render_terms(terms: Iterable[tuple[Scalar, str]]) -> str:
 
 def prod_one_minus(degrees: Iterable[int]) -> LaurentPolynomial:
     """The product of the factors (1 - t^d) over the given degrees."""
-    return math.prod(map(LaurentPolynomial.one_minus, degrees), start=LaurentPolynomial.one())
+    return LaurentPolynomial.one().times_one_minus(degrees)
+
+
+def _strided_sums(a: list[int], d: int) -> None:
+    """a[k] += a[k - d] for k ascending, in place: the coefficients of
+    a/(1 - t^d) on range(len(a)).  One accumulate per residue class mod d
+    when there are few classes, else one block of d added per stride, so
+    either way at most sqrt(len(a)) steps run in Python."""
+    if d * d <= len(a):
+        for r in range(d):
+            a[r::d] = accumulate(a[r::d])
+    else:
+        for k in range(d, len(a), d):
+            a[k : k + d] = map(operator.add, a[k : k + d], a[k - d : k])
 
 
 class HilbertSeries:
@@ -288,7 +374,7 @@ class HilbertSeries:
             at_one = sum(numerator._terms.values())
             kept = []
             for d in degrees:
-                q = None if at_one else numerator.divide_exact(LaurentPolynomial.one_minus(d))
+                q = None if at_one else numerator.over_one_minus(d)
                 if q is None:
                     kept.append(d)
                 else:
@@ -334,34 +420,27 @@ class HilbertSeries:
         The sums run on integers and stay exact.  With L the least common
         multiple of the numerator's coefficient denominators, L times the
         numerator has integer coefficients.  Multiplying by 1/(1 - t^d) is the
-        prefix sum coeffs[k] += coeffs[k - d], which adds integers to
-        integers, so every coefficient of L times the series is an integer v
-        and the true coefficient is exactly ``quotient(v, L)``.
+        prefix sum coeffs[k] += coeffs[k - d], run as the strided sweep that
+        also divides by 1 - t^d (:meth:`LaurentPolynomial.over_one_minus`);
+        it adds integers to integers, so every coefficient of L times the
+        series is an integer v and the true coefficient is exactly
+        ``quotient(v, L)``.
         """
         if lo > hi:
             raise ValueError("empty expansion window: lo > hi")
         width = hi - lo + 1
-        if self._numerator.is_zero:
+        numerator = self._numerator
+        if numerator.is_zero or hi < numerator.min_exponent:
             return [0] * width
-        base = self._numerator.min_exponent
-        if hi < base:
-            return [0] * width
-        terms = self._numerator.terms()
-        scale = math.lcm(*(c.denominator for _, c in terms))
-        coeffs = [0] * (hi - base + 1)
-        for e, c in terms:
-            if e <= hi:
-                coeffs[e - base] = c.numerator * (scale // c.denominator)
+        base = numerator.min_exponent
+        coeffs, scale = numerator._dense(base, 1, hi - base + 1)
         for d in self._denominator_degrees:
-            for k in range(d, len(coeffs)):
-                coeffs[k] += coeffs[k - d]
-        out: list[Scalar] = [0] * (base - lo)  # zeros below the support
-        window = islice(coeffs, max(lo, base) - base, None)
-        if scale == 1:
-            out.extend(window)
-        else:
-            out.extend(quotient(v, scale) for v in window)
-        return out
+            _strided_sums(coeffs, d)
+        del coeffs[: max(lo - base, 0)]  # the window starts at lo,
+        coeffs[:0] = [0] * (base - lo)  # with zeros below the support
+        if scale != 1:
+            coeffs = [quotient(v, scale) for v in coeffs]
+        return coeffs
 
     def coefficient(self, degree: int) -> Scalar:
         return self.expand(degree, degree)[0]
@@ -381,8 +460,8 @@ class HilbertSeries:
         mine = Counter(self._denominator_degrees)
         theirs = Counter(other._denominator_degrees)
         common = mine | theirs
-        num = self._numerator * prod_one_minus((common - mine).elements())
-        num = num + other._numerator * prod_one_minus((common - theirs).elements())
+        num = self._numerator.times_one_minus((common - mine).elements())
+        num = num + other._numerator.times_one_minus((common - theirs).elements())
         return HilbertSeries(num, common.elements())
 
     __radd__ = __add__
@@ -430,15 +509,10 @@ class HilbertSeries:
         Useful for parity checks: a series is supported in even degrees
         exactly when it is fixed by this substitution.
         """
-        num = self._numerator.substitute_negative()
-        degrees: list[int] = []
-        for d in self._denominator_degrees:
-            if d % 2 == 0:
-                degrees.append(d)
-            else:
-                # 1/(1 + t^d) = (1 - t^d)/(1 - t^{2d})
-                num = num * LaurentPolynomial.one_minus(d)
-                degrees.append(2 * d)
+        # 1/(1 + t^d) = (1 - t^d)/(1 - t^{2d}) for each odd d
+        odd = [d for d in self._denominator_degrees if d % 2]
+        num = self._numerator.substitute_negative().times_one_minus(odd)
+        degrees = [2 * d if d % 2 else d for d in self._denominator_degrees]
         return HilbertSeries(num, degrees)
 
     # -- comparison and display ----------------------------------------------
@@ -451,8 +525,8 @@ class HilbertSeries:
         mine = Counter(self._denominator_degrees)
         theirs = Counter(other._denominator_degrees)
         shared = mine & theirs
-        left = self._numerator * prod_one_minus((theirs - shared).elements())
-        right = other._numerator * prod_one_minus((mine - shared).elements())
+        left = self._numerator.times_one_minus((theirs - shared).elements())
+        right = other._numerator.times_one_minus((mine - shared).elements())
         return left == right
 
     __hash__ = None  # semantically equal series may have distinct shapes
@@ -480,8 +554,8 @@ def ratio_as_signed_monomial(a: HilbertSeries, b: HilbertSeries) -> tuple[int, i
         raise ValueError("ratio against the zero series")
     if a.is_zero:
         raise NotMonomialRatio("zero is not a signed monomial multiple")
-    left = a.numerator * prod_one_minus(b.denominator_degrees)
-    right = b.numerator * prod_one_minus(a.denominator_degrees)
+    left = a.numerator.times_one_minus(b.denominator_degrees)
+    right = b.numerator.times_one_minus(a.denominator_degrees)
     k = left.min_exponent - right.min_exponent
     s = -1 if left.coefficient(left.min_exponent) == -right.coefficient(right.min_exponent) else 1
     aligned = right.shift(k).scale(s)

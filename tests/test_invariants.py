@@ -395,7 +395,10 @@ def _in_test_or_fixture_group(name):
     """(group, table or None) for an in-test group or a bundled fixture."""
     builders = {
         "s4": s4_group,
+        "s5": lambda: signed_permutation_group(5, signed=False),
+        "s6": lambda: signed_permutation_group(6, signed=False),
         "b3": lambda: signed_permutation_group(3, signed=True),
+        "b4": lambda: signed_permutation_group(4, signed=True),
         "c3": c3_group,
         "s4_conjugated": conjugated_s4_group,
         "mixed": mixed_block_group,
@@ -434,9 +437,9 @@ def test_class_factors_are_computed_once_per_class_and_block(name, monkeypatch):
     # Built first: checking each generator's determinant also reads det(1 - s*g).
     group, _ = _in_test_or_fixture_group(name)
     calls = []
-    original = linalg.det_one_minus_coefficients
+    original = linalg.det_one_minus_from_traces
     monkeypatch.setattr(
-        linalg, "det_one_minus_coefficients", lambda m: calls.append(m) or original(m)
+        linalg, "det_one_minus_from_traces", lambda p: calls.append(p) or original(p)
     )
     base = polynomial_presentation("base", "Q", group.graded_degrees)
     assert descent_report(base, group).solomon.verified
@@ -445,10 +448,44 @@ def test_class_factors_are_computed_once_per_class_and_block(name, monkeypatch):
     assert len(calls) == len(conjugacy_classes(group)) * len(group.blocks)
 
 
+def _faddeev_leverrier(m):
+    """det(1 - s*M) by the Faddeev-LeVerrier recursion, which the class
+    factors ran on each representative's block before Newton's identities on
+    permutation traces replaced it; kept as the reference."""
+    n = len(m)
+    coeffs = [Fraction(1)]
+    mk = m
+    for k in range(1, n + 1):
+        c = Fraction(-linalg.trace(mk), k)
+        coeffs.append(c)
+        if k < n:
+            shifted = tuple(
+                tuple(mk[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)
+            )
+            mk = linalg.mat_mul(m, shifted)
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "name", [*GROUP_FIXTURES, "s4", "s5", "s6", "b3", "b4", "c3", "s4_conjugated", "mixed"]
+)
+def test_class_factors_match_faddeev_leverrier_on_each_block(name):
+    group, _ = _in_test_or_fixture_group(name)
+    factors = invariants._class_factors(group)
+    assert len(factors) == len(conjugacy_classes(group))
+    for rep, block_factors in zip(class_representatives(group), factors):
+        m = group.matrix(rep)
+        assert len(block_factors) == len(group.blocks)
+        for (_, start, stop), factor in zip(group.block_slices(), block_factors):
+            block = tuple(tuple(row[start:stop]) for row in m[start:stop])
+            assert factor.terms() == LaurentPolynomial(enumerate(_faddeev_leverrier(block))).terms()
+            assert all(in_exact_form(c) for _, c in factor.terms())
+
+
 @pytest.mark.parametrize("name", ["s4", "taf_d6_alpha"])
 def test_element_matrices_are_read_only_where_needed(name, monkeypatch):
     # Invariants come from the generators alone, and det(1 - s*g) from the
-    # class representatives alone: no other element's matrix is built.
+    # class representatives' permutations: no element's matrix is built.
     group, _ = _in_test_or_fixture_group(name)
     reps = class_representatives(group)
     read = []
@@ -464,8 +501,9 @@ def test_element_matrices_are_read_only_where_needed(name, monkeypatch):
     monkeypatch.setattr(GradedGroupRep, "matrix", refuse)
     assert invariant_basis(group, 24)
     monkeypatch.setattr(GradedGroupRep, "matrix", recording)
+    object.__setattr__(group, "_factors", None)  # computed afresh, not read from the cache
     invariants._class_factors(group)
-    assert read == list(reps)
+    assert reps and read == []
 
 
 @pytest.mark.parametrize("name", GROUP_FIXTURES)
@@ -625,7 +663,7 @@ def test_sym_power_characters_match_the_per_n_recurrence(name):
 
 def test_sym_power_characters_refuse_non_integral_determinants(monkeypatch):
     monkeypatch.setattr(
-        linalg, "det_one_minus_coefficients", lambda m: [Fraction(1), Fraction(1, 2)]
+        linalg, "det_one_minus_from_traces", lambda p: [Fraction(1), Fraction(1, 2)]
     )
     # A fresh group: the session fixture may already hold its class factors.
     sigma3_group, _ = load_group_fixture("sigma3_standard").build()
@@ -984,6 +1022,25 @@ def test_monomial_images_keep_only_the_powers_in_use(c2_group):
         tracemalloc.stop()
     assert basis == [{(10000,): 1}]
     assert peak < 1_000_000
+
+
+def test_monomial_images_reach_a_power_by_squaring(c2_group, monkeypatch):
+    # v^100000 is the one monomial of degree 200000: about two products per
+    # bit of the exponent, not one per unit.
+    calls = []
+    original = invariants._poly_mul
+    monkeypatch.setattr(invariants, "_poly_mul", lambda a, b: calls.append(1) or original(a, b))
+    assert invariant_basis(c2_group, 200000) == [{(100000,): 1}]
+    assert len(calls) <= 2 * (100000).bit_length() + 2
+
+
+def test_poly_pow_matches_repeated_products():
+    linear = {(1, 0): 2, (0, 1): Fraction(-1, 3)}
+    assert invariants._poly_pow(linear, 1) is linear
+    power = linear
+    for k in range(2, 12):
+        power = invariants._poly_mul(power, linear)
+        assert invariants._poly_pow(linear, k) == power, k
 
 
 # -- degree extraction against the coefficient-window peel ------------------------

@@ -484,3 +484,99 @@ def test_failed_ratio_names_its_witness():
         "over the common denominator, t^-1 has coefficient -2 in the first numerator "
         "and 1 in t^-1 times the second"
     )
+
+
+# -- the (1 - t^d) kernels against the generic operations ------------------------
+
+int_or_fraction_polys = st.dictionaries(
+    st.integers(min_value=-8, max_value=16),
+    st.one_of(st.integers(-5, 5), small_fractions),
+    max_size=6,
+).map(LaurentPolynomial)
+
+
+def _stretched(p, stretch):
+    """p(t^stretch): every exponent is a multiple of stretch, so the kernels'
+    arrays run on that coarser lattice."""
+    return LaurentPolynomial({e * stretch: c for e, c in p.terms()})
+
+
+@given(int_or_fraction_polys, st.lists(st.integers(0, 9), max_size=4), st.integers(1, 3))
+@example(LaurentPolynomial({-3: 1, 5: Fraction(1, 2)}), [0], 1)  # a zero factor
+@example(LaurentPolynomial({2: Fraction(1, 2)}), [4, 4], 1000)  # one term, wide factors
+def test_times_one_minus_matches_the_generic_product(p, degrees, stretch):
+    p, degrees = _stretched(p, stretch), [d * stretch for d in degrees]
+    expected = p
+    for d in degrees:
+        expected = expected * LaurentPolynomial.one_minus(d)
+    got = p.times_one_minus(degrees)
+    assert got.terms() == expected.terms()
+    assert all(in_exact_form(c) for _, c in got.terms())
+
+
+@given(int_or_fraction_polys, st.integers(1, 12), st.booleans(), st.integers(1, 3))
+@example(LaurentPolynomial({0: 1, 8: 1}), 8, False, 1)  # (1 + t^8)/(1 - t^8): None
+@example(LaurentPolynomial({0: 1, 48: -1}), 8, False, 1)  # exact, 6 terms
+@example(LaurentPolynomial({-2: 1, 3: Fraction(-1, 3)}), 5, False, 1)  # sums to 2/3: None
+@example(LaurentPolynomial({-2: Fraction(1, 3), 3: Fraction(-1, 3)}), 5, False, 1)
+@example(LaurentPolynomial({0: 1, 3: -1}), 3, False, 1_000_000)  # 1 - t^(3*10^6), exact
+def test_over_one_minus_matches_divide_exact(p, d, plant, stretch):
+    # A planted factor makes the exact case common; otherwise most divisions fail.
+    if plant:
+        p = p * LaurentPolynomial.one_minus(d)
+    p, d = _stretched(p, stretch), d * stretch
+    expected = p.divide_exact(LaurentPolynomial.one_minus(d))
+    got = p.over_one_minus(d)
+    if expected is None:
+        assert got is None
+    else:
+        assert got.terms() == expected.terms()
+        assert all(in_exact_form(c) for _, c in got.terms())
+
+
+def test_one_minus_kernels_refuse_bad_degrees():
+    p = LaurentPolynomial({0: 1, 1: 2})
+    with pytest.raises(ValueError):
+        p.times_one_minus([2, -1])
+    with pytest.raises(ValueError):
+        p.over_one_minus(0)
+    with pytest.raises(TypeError):
+        p.over_one_minus(1.0)
+    with pytest.raises(TypeError):
+        LaurentPolynomial.one_minus(2.0)
+
+
+def _expand_by_prefix_sums(series, lo, hi):
+    """The expansion loop the strided sweep replaced, kept as the reference:
+    coeffs[k] += coeffs[k - d] over the window, one degree d at a time."""
+    width = hi - lo + 1
+    if series.numerator.is_zero or hi < series.numerator.min_exponent:
+        return [0] * width
+    base = series.numerator.min_exponent
+    coeffs = [Fraction(0)] * (hi - base + 1)
+    for e, c in series.numerator.terms():
+        if e <= hi:
+            coeffs[e - base] = Fraction(c)
+    for d in series.denominator_degrees:
+        for k in range(d, len(coeffs)):
+            coeffs[k] += coeffs[k - d]
+    return [0] * (base - lo) + coeffs[max(lo, base) - base :]
+
+
+@given(
+    st.builds(HilbertSeries, int_or_fraction_polys, st.lists(st.integers(1, 15), max_size=4)),
+    st.sampled_from(["below", "straddling", "above"]),
+    st.integers(0, 10),
+    st.integers(0, 40),
+)
+def test_expand_matches_the_prefix_sum_loop(series, where, gap, width):
+    num = series.numerator
+    least, greatest = (num.min_exponent, num.max_exponent) if not num.is_zero else (0, 0)
+    lo = {
+        "below": least - gap - width - 1,  # hi < least
+        "straddling": least - gap,
+        "above": greatest + gap + 1,  # lo > greatest
+    }[where]
+    got = series.expand(lo, lo + width)
+    assert got == _expand_by_prefix_sums(series, lo, lo + width)
+    assert all(map(in_exact_form, got))

@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from itertools import accumulate, compress, count
+from itertools import accumulate
 
 from .linalg import Scalar, exact, quotient
 
@@ -192,9 +192,9 @@ class LaurentPolynomial:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return LaurentPolynomial.zero()
-        shift_back = self.min_exponent - divisor.min_exponent
-        rem = {e - self.min_exponent: c for e, c in self._terms.items()}
-        div = {e - divisor.min_exponent: c for e, c in divisor._terms.items()}
+        base, dbase = self.min_exponent, divisor.min_exponent
+        rem = {e - base: c for e, c in self._terms.items()}
+        div = {e - dbase: c for e, c in divisor._terms.items()}
         ddeg = max(div)
         dlead = div[ddeg]
         quo: dict[int, Scalar] = {}
@@ -211,81 +211,56 @@ class LaurentPolynomial:
                     rem[k] = v
                 else:
                     rem.pop(k, None)
-        return LaurentPolynomial._of(quo).shift(shift_back)
+        return LaurentPolynomial._of(quo).shift(base - dbase)
 
-    # -- the factors 1 - t^d, on dense integer arrays -------------------------
-
-    def _dense(self, base: int, step: int, size: int) -> tuple[list[int], int]:
-        """(a, scale) with sum_k a[k] t^(base + step*k) equal to scale*self
-        below t^(base + step*size): a has ``size`` integer entries and scale
-        is the lcm of the coefficient denominators.  base is the least
-        exponent and step divides every exponent's distance from it."""
-        scale = math.lcm(*(c.denominator for c in self._terms.values()))
-        a = [0] * size
-        for e, c in self._terms.items():
-            k = (e - base) // step
-            if k < size:
-                a[k] = c if scale == 1 else c.numerator * (scale // c.denominator)
-        return a, scale
-
-    @staticmethod
-    def _from_dense(base: int, step: int, a: list[int], scale: int) -> "LaurentPolynomial":
-        """The inverse of :meth:`_dense`."""
-        terms = dict(compress(zip(count(base, step), a), a))
-        if scale != 1:
-            terms = {e: quotient(c, scale) for e, c in terms.items()}
-        return LaurentPolynomial._of(terms)
-
-    def _lattice(self, degrees: Sequence[int]) -> tuple[int, int, int]:
-        """(base, step, span): the least exponent, the gcd of the degrees and
-        of the exponents' distances from it, and the number of multiples of
-        step from there to the greatest exponent.  Factors 1 - t^d and self
-        all live on base + step*Z, so the arrays run in units of step: a
-        degree-10^6 factor costs no 10^6-entry array.  self must be nonzero."""
-        base = min(self._terms)
-        step = math.gcd(*degrees, *(e - base for e in self._terms))
-        return base, step, (max(self._terms) - base) // step + 1
+    # -- the factors 1 - t^d ------------------------------------------------
 
     def times_one_minus(self, degrees: Iterable[int]) -> "LaurentPolynomial":
         """self * prod_{d in degrees} (1 - t^d), degrees >= 0: one shift and
-        subtract of the coefficient array per factor."""
-        degrees = list(map(operator.index, degrees))
-        if any(d < 0 for d in degrees):
-            raise ValueError("factor degrees must be >= 0")
-        if self.is_zero or 0 in degrees:
-            return LaurentPolynomial._of({})
-        if not degrees:
-            return self
-        base, step, top = self._lattice(degrees)  # a[top:] is still zero
-        a, scale = self._dense(base, step, top + sum(degrees) // step)
-        for d in degrees:
-            d //= step
-            a[d : top + d] = map(operator.sub, a[d : top + d], a[:top])
-            top += d
-        return self._from_dense(base, step, a, scale)
+        subtract of the terms per factor, so a wide factor costs no more than
+        a narrow one."""
+        terms = self._terms
+        for d in map(operator.index, degrees):
+            if d < 0:
+                raise ValueError("factor degrees must be >= 0")
+            acc = dict(terms)
+            for e, c in terms.items():
+                acc[e + d] = acc.get(e + d, 0) - c
+            terms = _exact_terms(acc)
+        return LaurentPolynomial._of(terms)
 
     def over_one_minus(self, degree: int) -> "LaurentPolynomial | None":
         """self / (1 - t^degree), degree >= 1, when the division is exact, else None.
 
-        The quotient's coefficients are the partial sums of self's taken with
-        stride ``degree``; the division is exact when the top ``degree`` of
-        those sums, the remainder, are zero.
+        Multiplying by 1 - t^d keeps each residue class of exponents mod d to
+        itself, so the quotient is read off class by class: its coefficient
+        at t^k is the sum of self's at k, k - d, k - 2d, ..., which is constant
+        from one exponent of self to the next in the class.  The division is
+        exact when every class sums to zero, which one pass over the terms
+        checks first.  An exact division costs a sort of self's terms plus
+        one entry per quotient term, however wide the gaps between exponents.
         """
         d = operator.index(degree)
         if d < 1:
             raise ValueError("factor degree must be >= 1")
-        if self.is_zero:
-            return self
-        base, step, span = self._lattice([d])
-        d //= step
-        if span <= d:
-            return None  # a nonzero multiple of 1 - t^d spans d + 1 exponents
-        a, scale = self._dense(base, step, span)
-        _strided_sums(a, d)
-        if any(a[-d:]):
+        terms = self._terms
+        totals: dict[int, Scalar] = {}
+        for e, c in terms.items():
+            totals[e % d] = totals.get(e % d, 0) + c
+        if any(totals.values()):
             return None
-        del a[-d:]
-        return self._from_dense(base, step, a, scale)
+        last: dict[int, tuple[int, Scalar]] = {}  # class -> (exponent, sum up to it)
+        quo: dict[int, Scalar] = {}
+        for e in sorted(terms):
+            r = e % d
+            if r not in last:
+                last[r] = (e, terms[e])
+                continue
+            k, s = last[r]
+            if s:
+                quo.update(dict.fromkeys(range(k, e, d), s))
+            last[r] = (e, s + terms[e])
+        return LaurentPolynomial._of(_exact_terms(quo))
 
     # -- comparison and display ---------------------------------------------
 
@@ -329,19 +304,6 @@ def _render_terms(terms: Iterable[tuple[Scalar, str]]) -> str:
 def prod_one_minus(degrees: Iterable[int]) -> LaurentPolynomial:
     """The product of the factors (1 - t^d) over the given degrees."""
     return LaurentPolynomial.one().times_one_minus(degrees)
-
-
-def _strided_sums(a: list[int], d: int) -> None:
-    """a[k] += a[k - d] for k ascending, in place: the coefficients of
-    a/(1 - t^d) on range(len(a)).  One accumulate per residue class mod d
-    when there are few classes, else one block of d added per stride, so
-    either way at most sqrt(len(a)) steps run in Python."""
-    if d * d <= len(a):
-        for r in range(d):
-            a[r::d] = accumulate(a[r::d])
-    else:
-        for k in range(d, len(a), d):
-            a[k : k + d] = map(operator.add, a[k : k + d], a[k - d : k])
 
 
 class HilbertSeries:
@@ -420,11 +382,11 @@ class HilbertSeries:
         The sums run on integers and stay exact.  With L the least common
         multiple of the numerator's coefficient denominators, L times the
         numerator has integer coefficients.  Multiplying by 1/(1 - t^d) is the
-        prefix sum coeffs[k] += coeffs[k - d], run as the strided sweep that
-        also divides by 1 - t^d (:meth:`LaurentPolynomial.over_one_minus`);
-        it adds integers to integers, so every coefficient of L times the
-        series is an integer v and the true coefficient is exactly
-        ``quotient(v, L)``.
+        prefix sum coeffs[k] += coeffs[k - d], run as one running sum
+        (``itertools.accumulate``) over each residue class mod d that has two
+        or more entries in the window; it adds integers to integers, so every
+        coefficient of L times the series is an integer v and the true
+        coefficient is exactly ``quotient(v, L)``.
         """
         if lo > hi:
             raise ValueError("empty expansion window: lo > hi")
@@ -433,9 +395,15 @@ class HilbertSeries:
         if numerator.is_zero or hi < numerator.min_exponent:
             return [0] * width
         base = numerator.min_exponent
-        coeffs, scale = numerator._dense(base, 1, hi - base + 1)
+        terms = numerator._terms
+        scale = math.lcm(*(c.denominator for c in terms.values()))
+        coeffs = [0] * (hi - base + 1)
+        for e, c in terms.items():
+            if e <= hi:
+                coeffs[e - base] = c.numerator * (scale // c.denominator)
         for d in self._denominator_degrees:
-            _strided_sums(coeffs, d)
+            for r in range(min(d, len(coeffs) - d)):
+                coeffs[r::d] = accumulate(coeffs[r::d])
         del coeffs[: max(lo - base, 0)]  # the window starts at lo,
         coeffs[:0] = [0] * (base - lo)  # with zeros below the support
         if scale != 1:

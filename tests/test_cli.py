@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour over the bundled fixtures."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -612,6 +613,51 @@ def test_molien_and_descent_on_a_degree_million_generator(capsys, tmp_path):
     assert "  solomon supplement b = -1000000  (verified)\n" in out
     assert "  descended gorenstein shift a+b = -2000001\n" in out
     assert "  cross-check of the invariant ring's shift: ok\n" in out
+
+
+@pytest.mark.parametrize("wide", [10**6, 10**9])
+def test_degree_two_beside_a_huge_degree_costs_no_array_over_the_span(capsys, tmp_path, wide):
+    # Generator and relation degrees 2 and `wide` side by side: every product
+    # and quotient by a factor 1 - t^d stays a few terms, so the commands
+    # allocate nothing proportional to `wide`.
+    ring = tmp_path / "mixed.ring"
+    ring.write_text(
+        f"[ring]\nname = mixed\ncoefficients = Z\ngenerator = x 2\ngenerator = y {wide}\nregular = yes\n"
+    )
+    trivial = tmp_path / "trivial.group"
+    trivial.write_text(
+        f"[group]\nname = trivial\nblock = 2 1\nblock = {wide} 1\n\n[generator]\nrow = 1 0\nrow = 0 1\n"
+    )
+    complete = tmp_path / "complete.ring"
+    complete.write_text(
+        f"[ring]\nname = complete\ncoefficients = Z\ngenerator = x 2\ngenerator = y {wide}\n"
+        f"generator = z {wide}\nrelation = f 2\nrelation = g {wide}\nregular = yes\n"
+    )
+    single = tmp_path / "single.ring"
+    single.write_text(f"[ring]\nname = single\ncoefficients = Z\ngenerator = v {wide}\nregular = yes\n")
+    minus = tmp_path / "minus.group"
+    minus.write_text(f"[group]\nname = minus\nblock = {wide} 1\n\n[generator]\nrow = -1\n")
+    tracemalloc.start()
+    try:
+        code, payload, _ = run_json(capsys, "molien", str(ring), str(trivial), "--max-degree", "4")
+        assert code == 0 and payload["polynomial_degrees"] == [2, wide]
+        code, out, err = run(capsys, "descent", str(ring), str(trivial))
+        assert code == 0 and err == ""
+        assert f"  base gorenstein shift a = {-wide - 4}\n" in out
+        assert "  solomon supplement b = 0  (verified)\n" in out
+        code, out, err = run(capsys, "duality", str(complete))
+        assert code == 0 and err == ""
+        assert f"  hilbert series: 1/(1 - t^{wide})\n" in out
+        assert f"  krull dimension 1, gorenstein shift a = {-wide - 1}\n" in out
+        code, payload, _ = run_json(capsys, "molien", str(single), str(minus), "--max-degree", "4")
+        assert code == 0 and payload["polynomial_degrees"] == [2 * wide]
+        code, out, err = run(capsys, "descent", str(single), str(minus))
+        assert code == 0 and err == ""
+        assert f"  descended gorenstein shift a+b = {-2 * wide - 1}\n" in out
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_descent_names_why_the_invariants_are_not_polynomial(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Exact rational-function arithmetic: examples and algebraic laws."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -496,8 +497,8 @@ int_or_fraction_polys = st.dictionaries(
 
 
 def _stretched(p, stretch):
-    """p(t^stretch): every exponent is a multiple of stretch, so the kernels'
-    arrays run on that coarser lattice."""
+    """p(t^stretch): every exponent is a multiple of stretch, so factors and
+    gaps are wide while the term count stays small."""
     return LaurentPolynomial({e * stretch: c for e, c in p.terms()})
 
 
@@ -580,3 +581,41 @@ def test_expand_matches_the_prefix_sum_loop(series, where, gap, width):
     got = series.expand(lo, lo + width)
     assert got == _expand_by_prefix_sums(series, lo, lo + width)
     assert all(map(in_exact_form, got))
+
+
+@pytest.mark.parametrize("wide", [10**6, 10**9])
+def test_mixed_wide_factors_cost_their_terms_not_their_span(wide):
+    # 2 and a huge degree side by side: products, quotients, sums and
+    # comparisons stay a few terms each, never an array over the span.
+    tracemalloc.start()
+    try:
+        both = prod_one_minus([2, wide])
+        assert both.terms() == ((0, 1), (2, -1), (wide, -1), (wide + 2, 1))
+        assert both.over_one_minus(2).terms() == ((0, 1), (wide, -1))
+        assert both.over_one_minus(wide).terms() == ((0, 1), (2, -1))
+        assert both.over_one_minus(3) is None
+        assert both.over_one_minus(wide - 1) is None
+        series = HilbertSeries.inverse_product([2, wide])
+        assert HilbertSeries(both, [2, wide, wide]) == HilbertSeries.inverse_product([wide])
+        half = Fraction(1, 2)
+        other = HilbertSeries(LaurentPolynomial({0: 1, 2: 1}), [4, wide])  # (1 + t^2)/(1 - t^4)
+        assert series * half + other * half == series
+        odd = HilbertSeries.inverse_product([2, wide + 1]).substitute_negative()
+        assert odd.numerator.terms() == ((0, 1), (wide + 1, -1))
+        assert odd.denominator_degrees == (2, 2 * wide + 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_divide_exact_reads_each_least_exponent_once(monkeypatch):
+    # The anchoring shift is taken once per operand, not once per term.
+    calls = []
+    least = LaurentPolynomial.min_exponent
+    monkeypatch.setattr(
+        LaurentPolynomial, "min_exponent", property(lambda p: calls.append(p) or least.fget(p))
+    )
+    many = LaurentPolynomial({k: k + 1 for k in range(-3, 500)})
+    assert many.times_one_minus([2]).divide_exact(LaurentPolynomial.one_minus(2)) == many
+    assert len(calls) == 2

@@ -447,13 +447,13 @@ def cmd_table(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def non_negative_int(text: str, cap: int | None = None) -> int:
+def non_negative_int(text: str, cap: int) -> int:
     """argparse type for degrees and powers; a negative count, or one above
     ``cap``, is bad usage."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    if cap is not None and value > cap:
+    if value > cap:
         raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
     return value
 

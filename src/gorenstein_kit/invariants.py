@@ -297,7 +297,6 @@ def _class_factors(group: GradedGroupRep) -> tuple[tuple[LaurentPolynomial, ...]
 class RationalCharacterTable:
     """Rational, hence integer, characters, one value per canonical class."""
 
-    class_representatives: tuple[int, ...]
     class_sizes: tuple[int, ...]
     irreducibles: tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -362,11 +361,7 @@ def character_table(
             f"incomplete character table: {len(rows)} irreducibles for {len(classes)} "
             f"classes, sum of chi(1)^2 = {degrees_squared} for a group of order {group.order}"
         )
-    return RationalCharacterTable(
-        class_representatives=class_representatives(group),
-        class_sizes=sizes,
-        irreducibles=tuple(rows),
-    )
+    return RationalCharacterTable(class_sizes=sizes, irreducibles=tuple(rows))
 
 
 def builtin_character_table(group: GradedGroupRep) -> RationalCharacterTable:
@@ -452,7 +447,7 @@ def _molien_sums(
             raise ValueError(f"twist {twist!r} needs a character table")
         else:
             weightings.append(table.row(twist))
-    totals = [HilbertSeries.zero()] * len(twists)
+    totals = [HilbertSeries(0)] * len(twists)
     for k, (rep, cls) in enumerate(zip(class_representatives(group), conjugacy_classes(group))):
         weights = [w[k] for w in weightings]
         if any(weights):
@@ -752,7 +747,7 @@ def invariant_basis(
     var_degrees = group.graded_degrees
     if total_degree == 0:
         return [{(0,) * group.dimension: 1}]
-    count = HilbertSeries.inverse_product(var_degrees).coefficient(total_degree)
+    count = HilbertSeries(1, var_degrees).coefficient(total_degree)
     if count > monomial_bound:
         raise MonomialBoundExceeded(
             f"{count} monomials at degree {total_degree} (bound {monomial_bound})"

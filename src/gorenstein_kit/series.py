@@ -15,8 +15,15 @@ with the numerator a Laurent polynomial (negative exponents allowed, since
 duals and local cohomology live in negative degrees) and D a multiset of
 positive integers.  The shape is canonical in the sense that no denominator
 factor divides the numerator exactly; a reduction pass enforces this on
-construction.  Two series with different denominator multisets may still be
-equal as rational functions, so equality is tested by cross multiplication.
+construction.
+
+Each type has one validating constructor: ``LaurentPolynomial(terms)`` and
+``HilbertSeries(numerator, degrees)``, so ``HilbertSeries(1, degrees)`` is
+the series of a free ring on generators of those degrees and
+``prod_one_minus(degrees)`` is its denominator.  Two series with different
+denominator multisets may still be equal as rational functions, so sum,
+equality and ``ratio_as_signed_monomial`` lift both numerators to the least
+common multiple of the two denominator multisets and compare or add there.
 
 All values are immutable after construction and all operations are pure, so
 objects can be shared freely between threads or tasks.
@@ -72,26 +79,8 @@ class LaurentPolynomial:
         return out
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
-    def constant(cls, value: Scalar) -> "LaurentPolynomial":
-        return cls({0: value})
-
-    @classmethod
     def one(cls) -> "LaurentPolynomial":
         return cls._of({0: 1})
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff: Scalar = 1) -> "LaurentPolynomial":
-        return cls({exponent: coeff})
-
-    @classmethod
-    def one_minus(cls, degree: int) -> "LaurentPolynomial":
-        """The factor 1 - t^degree."""
-        degree = operator.index(degree)
-        return cls._of({0: 1, degree: -1} if degree else {})
 
     # -- queries -----------------------------------------------------------
 
@@ -111,12 +100,6 @@ class LaurentPolynomial:
         if not self._terms:
             raise ValueError("the zero polynomial has no support")
         return min(self._terms)
-
-    @property
-    def max_exponent(self) -> int:
-        if not self._terms:
-            raise ValueError("the zero polynomial has no support")
-        return max(self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -191,7 +174,7 @@ class LaurentPolynomial:
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
-            return LaurentPolynomial.zero()
+            return self
         base, dbase = self.min_exponent, divisor.min_exponent
         rem = {e - base: c for e, c in self._terms.items()}
         div = {e - dbase: c for e, c in divisor._terms.items()}
@@ -266,7 +249,7 @@ class LaurentPolynomial:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = LaurentPolynomial.constant(other)
+            other = LaurentPolynomial({0: other})
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self._terms == other._terms
@@ -322,7 +305,7 @@ class HilbertSeries:
         denominator_degrees: Iterable[int] = (),
     ):
         if not isinstance(numerator, LaurentPolynomial):
-            numerator = LaurentPolynomial.constant(numerator)
+            numerator = LaurentPolynomial({0: numerator})
         degrees = sorted(map(operator.index, denominator_degrees))
         if any(d < 1 for d in degrees):
             raise ValueError("denominator degrees must be >= 1")
@@ -344,19 +327,6 @@ class HilbertSeries:
             degrees = kept
         self._numerator = numerator
         self._denominator_degrees = tuple(degrees)
-
-    @classmethod
-    def zero(cls) -> "HilbertSeries":
-        return cls(0)
-
-    @classmethod
-    def one(cls) -> "HilbertSeries":
-        return cls(1)
-
-    @classmethod
-    def inverse_product(cls, degrees: Iterable[int]) -> "HilbertSeries":
-        """The series 1 / prod (1 - t^d)."""
-        return cls(1, degrees)
 
     @property
     def numerator(self) -> LaurentPolynomial:
@@ -424,13 +394,8 @@ class HilbertSeries:
     def __add__(self, other: "HilbertSeries | Scalar") -> "HilbertSeries":
         if not isinstance(other, (HilbertSeries, int, Fraction)):
             return NotImplemented
-        other = self._coerce(other)
-        mine = Counter(self._denominator_degrees)
-        theirs = Counter(other._denominator_degrees)
-        common = mine | theirs
-        num = self._numerator.times_one_minus((common - mine).elements())
-        num = num + other._numerator.times_one_minus((common - theirs).elements())
-        return HilbertSeries(num, common.elements())
+        left, right, common = _over_common_denominator(self, self._coerce(other))
+        return HilbertSeries(left + right, common)
 
     __radd__ = __add__
 
@@ -486,15 +451,9 @@ class HilbertSeries:
     # -- comparison and display ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = HilbertSeries(other)
-        if not isinstance(other, HilbertSeries):
+        if not isinstance(other, (HilbertSeries, int, Fraction)):
             return NotImplemented
-        mine = Counter(self._denominator_degrees)
-        theirs = Counter(other._denominator_degrees)
-        shared = mine & theirs
-        left = self._numerator.times_one_minus((theirs - shared).elements())
-        right = other._numerator.times_one_minus((mine - shared).elements())
+        left, right, _ = _over_common_denominator(self, self._coerce(other))
         return left == right
 
     __hash__ = None  # semantically equal series may have distinct shapes
@@ -512,6 +471,21 @@ class HilbertSeries:
         return f"{num}/{den}"
 
 
+def _over_common_denominator(
+    a: HilbertSeries, b: HilbertSeries
+) -> tuple[LaurentPolynomial, LaurentPolynomial, list[int]]:
+    """The numerators of a and b over the least common multiple of their
+    denominator multisets, and that multiset: each numerator is multiplied
+    only by the factors its own denominator lacks."""
+    mine, theirs = Counter(a._denominator_degrees), Counter(b._denominator_degrees)
+    common = mine | theirs
+    return (
+        a._numerator.times_one_minus((common - mine).elements()),
+        b._numerator.times_one_minus((common - theirs).elements()),
+        list(common.elements()),
+    )
+
+
 def ratio_as_signed_monomial(a: HilbertSeries, b: HilbertSeries) -> tuple[int, int]:
     """Return (s, k) with a = s * t^k * b as rational functions, s = +-1.
 
@@ -522,8 +496,7 @@ def ratio_as_signed_monomial(a: HilbertSeries, b: HilbertSeries) -> tuple[int, i
         raise ValueError("ratio against the zero series")
     if a.is_zero:
         raise NotMonomialRatio("zero is not a signed monomial multiple")
-    left = a.numerator.times_one_minus(b.denominator_degrees)
-    right = b.numerator.times_one_minus(a.denominator_degrees)
+    left, right, _ = _over_common_denominator(a, b)
     k = left.min_exponent - right.min_exponent
     s = -1 if left.coefficient(left.min_exponent) == -right.coefficient(right.min_exponent) else 1
     aligned = right.shift(k).scale(s)

@@ -25,6 +25,7 @@ from gorenstein_kit.graded_ring import (
     krull_dimension,
 )
 from gorenstein_kit.invariants import (
+    class_representatives,
     decompose,
     invariant_basis,
     molien_series,
@@ -123,7 +124,7 @@ def test_criterion_5b_period_six_increment_as_stated(sigma3_group, sigma3_table,
     # representation, which holds each irreducible chi_i(1) times.
     order = sigma3_group.order
     one = linalg.identity(sigma3_group.dimension)
-    reps = sigma3_table.class_representatives
+    reps = class_representatives(sigma3_group)
     identity_class = next(k for k, rep in enumerate(reps) if sigma3_group.matrix(rep) == one)
     regular = tuple(order if k == identity_class else 0 for k in range(len(reps)))
     degrees = tuple(chi[identity_class] for _, chi in sigma3_table.irreducibles)

@@ -172,7 +172,7 @@ def test_cech_summands_are_nonnegative_and_parity_disjoint(taf_d6):
 def test_point_module_is_anderson_self_dual():
     from gorenstein_kit.series import HilbertSeries
 
-    point = GradedModuleSeries(HilbertSeries.one())
+    point = GradedModuleSeries(HilbertSeries(1))
     assert point.dual().expand(-2, 2) == point.expand(-2, 2)
 
 
@@ -343,7 +343,7 @@ def test_non_gorenstein_series_is_refused_with_its_first_difference():
 
 def test_dimension_zero_series_is_refused():
     with pytest.raises(ZeroDimensional, match="point: Krull dimension 0"):
-        duality_report(HilbertSeries.one(), 0, "point")
+        duality_report(HilbertSeries(1), 0, "point")
 
 
 def test_ring_report_refuses_disagreeing_shift_routes(taf_d6, monkeypatch):

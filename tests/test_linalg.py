@@ -10,7 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gorenstein_kit import linalg
 
-sympy = pytest.importorskip("sympy")
+try:
+    import sympy
+except ImportError:  # only the tests against sympy need it
+    sympy = None
+
+needs_sympy = pytest.mark.skipif(sympy is None, reason="needs sympy")
 
 # Small entries with many zeros, so singular and rank-deficient matrices
 # come up often.
@@ -83,30 +88,35 @@ def check_determinant_and_inverse(m):
             linalg.inverse(m)
 
 
+@needs_sympy
 @given(rectangular)
 @settings(max_examples=150)
 def test_rref_and_rank_match_sympy(m):
     check_rref_and_rank(m)
 
 
+@needs_sympy
 @given(square)
 @settings(max_examples=150)
 def test_determinant_and_inverse_match_sympy(m):
     check_determinant_and_inverse(m)
 
 
+@needs_sympy
 @given(sparse_rectangular)
 @settings(max_examples=150)
 def test_sparse_rref_and_rank_match_sympy(m):
     check_rref_and_rank(m)
 
 
+@needs_sympy
 @given(sparse_square)
 @settings(max_examples=150)
 def test_sparse_determinant_and_inverse_match_sympy(m):
     check_determinant_and_inverse(m)
 
 
+@needs_sympy
 @given(sparse_rectangular, st.randoms(use_true_random=False))
 @settings(max_examples=150)
 def test_rref_of_shuffled_sparse_rows_matches_sympy(m, rng):
@@ -125,6 +135,7 @@ def test_rref_drops_rows_that_reduce_to_zero():
     assert linalg.rref(rows) == [{0: one, 2: half}, {1: one}]
 
 
+@needs_sympy
 @given(st.one_of(dense_products, sparse_products))
 @settings(max_examples=150)
 def test_mat_mul_matches_sympy(pair):
@@ -186,6 +197,7 @@ def all_exact(rows):
     return all(in_exact_form(x) for row in rows for x in row)
 
 
+@needs_sympy
 @given(raw_rectangular)
 @settings(max_examples=150)
 def test_rref_on_raw_input_is_in_exact_form(m):
@@ -195,6 +207,7 @@ def test_rref_on_raw_input_is_in_exact_form(m):
     assert all_exact(row.values() for row in result)
 
 
+@needs_sympy
 @given(raw_square)
 @settings(max_examples=150)
 def test_determinant_and_inverse_on_raw_input_are_in_exact_form(m):
@@ -208,6 +221,7 @@ def test_determinant_and_inverse_on_raw_input_are_in_exact_form(m):
     assert [list(row) for row in inverse] == from_sympy(to_sympy(m).inv())
 
 
+@needs_sympy
 @given(raw_products)
 @settings(max_examples=150)
 def test_mat_mul_on_raw_input_is_in_exact_form(pair):
@@ -217,6 +231,7 @@ def test_mat_mul_on_raw_input_is_in_exact_form(pair):
     assert [list(row) for row in product] == from_sympy(to_sympy(a) * to_sympy(b))
 
 
+@needs_sympy
 @given(raw_square)
 @settings(max_examples=150)
 def test_det_one_minus_coefficients_on_raw_input_are_in_exact_form(m):

@@ -1,6 +1,7 @@
 """Exact rational-function arithmetic: examples and algebraic laws."""
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -45,25 +46,25 @@ def test_laurent_drops_zero_coefficients():
 
 
 def test_laurent_division_exact_and_inexact():
-    p = LaurentPolynomial.one_minus(48)
-    q = p.divide_exact(LaurentPolynomial.one_minus(8))
+    p = prod_one_minus([48])
+    q = p.divide_exact(prod_one_minus([8]))
     assert q is not None
-    assert q * LaurentPolynomial.one_minus(8) == p
-    assert LaurentPolynomial({0: 1, 24: 1}).divide_exact(LaurentPolynomial.one_minus(8)) is None
+    assert q * prod_one_minus([8]) == p
+    assert LaurentPolynomial({0: 1, 24: 1}).divide_exact(prod_one_minus([8])) is None
 
 
 def test_laurent_division_handles_negative_exponents():
     p = LaurentPolynomial({-4: 1, 44: -1})  # t^-4 (1 - t^48)
-    q = p.divide_exact(LaurentPolynomial.one_minus(12))
+    q = p.divide_exact(prod_one_minus([12]))
     assert q is not None
-    assert q * LaurentPolynomial.one_minus(12) == p
+    assert q * prod_one_minus([12]) == p
 
 
 # -- expansion ------------------------------------------------------------------
 
 
 def test_expand_two_factor_string():
-    series = HilbertSeries.inverse_product([8, 12])
+    series = HilbertSeries(1, [8, 12])
     got = [int(c) for c in series.expand(0, 68)][::4]
     assert got == [1, 0, 1, 1, 1, 1, 2, 1, 2, 2, 2, 2, 3, 2, 3, 3, 3, 3]
 
@@ -73,7 +74,7 @@ def test_expand_constant():
 
 
 def test_expand_geometric_in_t_squared():
-    assert HilbertSeries.inverse_product([2]).expand(0, 6) == [1, 0, 1, 0, 1, 0, 1]
+    assert HilbertSeries(1, [2]).expand(0, 6) == [1, 0, 1, 0, 1, 0, 1]
 
 
 def test_expand_empty_window_rejected():
@@ -82,7 +83,7 @@ def test_expand_empty_window_rejected():
 
 
 def test_expand_window_below_support_is_zero():
-    assert HilbertSeries.inverse_product([2]).expand(-5, -1) == [0] * 5
+    assert HilbertSeries(1, [2]).expand(-5, -1) == [0] * 5
 
 
 @given(series_values, series_values, st.integers(-10, 10), st.integers(0, 20))
@@ -125,7 +126,7 @@ def brute_count(degrees, k):
 
 @given(st.lists(st.integers(1, 7), min_size=1, max_size=3), st.integers(0, 25))
 def test_inverse_product_counts_multisets(degrees, n):
-    series = HilbertSeries.inverse_product(degrees)
+    series = HilbertSeries(1, degrees)
     got = series.expand(0, n)
     assert got == [brute_count(degrees, k) for k in range(n + 1)]
 
@@ -157,22 +158,22 @@ def test_expand_matches_multiset_convolution(numerator, degrees, offset, width):
 
 
 def test_additive_identity():
-    s = HilbertSeries.inverse_product([1])
-    assert s + HilbertSeries.zero() == s
+    s = HilbertSeries(1, [1])
+    assert s + HilbertSeries(0) == s
 
 
 def test_inverse_pair_multiplies_to_one():
-    product_series = HilbertSeries.inverse_product([2]) * HS(LaurentPolynomial.one_minus(2))
+    product_series = HilbertSeries(1, [2]) * HS(prod_one_minus([2]))
     assert product_series == 1
 
 
 def test_additive_cancellation():
-    s = HilbertSeries.inverse_product([1])
+    s = HilbertSeries(1, [1])
     assert (s + (-s)).is_zero
 
 
 def test_scalar_multiplication():
-    s = HilbertSeries.inverse_product([2])
+    s = HilbertSeries(1, [2])
     assert (s * Fraction(1, 2)).expand(0, 4) == [Fraction(1, 2), 0, Fraction(1, 2), 0, Fraction(1, 2)]
 
 
@@ -190,7 +191,7 @@ def test_multiplication_associates(a, b, c):
 
 
 def test_reduction_strips_exact_factors():
-    series = HS(LaurentPolynomial.one_minus(4), [2, 2])
+    series = HS(prod_one_minus([4]), [2, 2])
     # (1 - t^4)/(1 - t^2)^2 = (1 + t^2)/(1 - t^2)
     assert series.denominator_degrees == (2,)
     assert series.numerator == LaurentPolynomial({0: 1, 2: 1})
@@ -204,7 +205,7 @@ def _reduce_with_restarts(numerator, degrees):
     while reduced:
         reduced = False
         for i, d in enumerate(degrees):
-            q = numerator.divide_exact(LaurentPolynomial.one_minus(d))
+            q = numerator.divide_exact(prod_one_minus([d]))
             if q is not None:
                 numerator = q
                 degrees.pop(i)
@@ -247,8 +248,8 @@ def test_denominator_degree_validation():
 
 
 def test_substitute_inverse_geometric():
-    s = HilbertSeries.inverse_product([2]).substitute_inverse()
-    assert s == HS(LaurentPolynomial.monomial(2, -1), [2])
+    s = HilbertSeries(1, [2]).substitute_inverse()
+    assert s == HS(LaurentPolynomial({2: -1}), [2])
 
 
 def test_substitute_inverse_fixes_constants():
@@ -256,7 +257,7 @@ def test_substitute_inverse_fixes_constants():
 
 
 def test_substitute_inverse_hypersurface():
-    base = HS(LaurentPolynomial.one_minus(48), [8, 12, 24])
+    base = HS(prod_one_minus([48]), [8, 12, 24])
     flipped = base.substitute_inverse()
     assert ratio_as_signed_monomial(flipped, base) == (1, -4)
 
@@ -284,34 +285,34 @@ def test_substitute_negative_flips_odd_coefficients(s, lo, width):
 
 
 def test_ratio_example_from_inversion():
-    a = HS(LaurentPolynomial.monomial(2, -1), [2])
-    b = HilbertSeries.inverse_product([2])
+    a = HS(LaurentPolynomial({2: -1}), [2])
+    b = HilbertSeries(1, [2])
     assert ratio_as_signed_monomial(a, b) == (-1, 2)
 
 
 def test_ratio_of_series_with_itself():
-    p = HS(LaurentPolynomial.one_minus(48), [8, 12, 24])
+    p = HS(prod_one_minus([48]), [8, 12, 24])
     assert ratio_as_signed_monomial(p, p) == (1, 0)
 
 
 def test_ratio_rejects_non_monomial():
-    a = HilbertSeries.inverse_product([1]) + 1  # (2 - t)/(1 - t)
-    b = HilbertSeries.inverse_product([1])
+    a = HilbertSeries(1, [1]) + 1  # (2 - t)/(1 - t)
+    b = HilbertSeries(1, [1])
     with pytest.raises(NotMonomialRatio):
         ratio_as_signed_monomial(a, b)
 
 
 def test_ratio_rejects_scaled_monomial():
-    b = HilbertSeries.inverse_product([2])
+    b = HilbertSeries(1, [2])
     with pytest.raises(NotMonomialRatio):
         ratio_as_signed_monomial(b * 2, b)
 
 
 def test_ratio_of_zero_numerator():
     with pytest.raises(NotMonomialRatio):
-        ratio_as_signed_monomial(HilbertSeries.zero(), HS(1))
+        ratio_as_signed_monomial(HilbertSeries(0), HS(1))
     with pytest.raises(ValueError):
-        ratio_as_signed_monomial(HS(1), HilbertSeries.zero())
+        ratio_as_signed_monomial(HS(1), HilbertSeries(0))
 
 
 @given(nonzero_series, st.sampled_from([1, -1]), st.integers(-20, 20))
@@ -320,13 +321,79 @@ def test_ratio_recovers_planted_sign_and_exponent(b, sign, k):
     assert ratio_as_signed_monomial(a, b) == (sign, k)
 
 
+# -- the common-denominator lift against the full product ---------------------------
+
+
+def _full_product_lift(a, b):
+    """The reference lift: each numerator times the other side's whole
+    denominator, so the pair sits over the product of the two multisets."""
+    return (
+        a.numerator.times_one_minus(b.denominator_degrees),
+        b.numerator.times_one_minus(a.denominator_degrees),
+    )
+
+
+def _reference_ratio(a, b):
+    left, right = _full_product_lift(a, b)
+    k = left.min_exponent - right.min_exponent
+    s = -1 if left.coefficient(left.min_exponent) == -right.coefficient(right.min_exponent) else 1
+    if left != right.shift(k).scale(s):
+        raise NotMonomialRatio("not a signed monomial")
+    return (s, k)
+
+
+def _reference_equal(a, b):
+    left, right = _full_product_lift(a, b)
+    return left == right
+
+
+# Small degrees drawn with repeats, so the two denominators share some
+# degrees, repeat some and miss others.
+lift_degrees = st.lists(st.integers(1, 4), max_size=3)
+nonzero_polys = laurent_polys.filter(lambda p: not p.is_zero)
+
+
+@st.composite
+def series_pairs(draw):
+    shared, only_a, only_b = draw(lift_degrees), draw(lift_degrees), draw(lift_degrees)
+    a = HS(draw(nonzero_polys), shared + only_a)
+    if draw(st.booleans()):  # b a signed monomial times a, over another denominator
+        sign, k = draw(st.sampled_from([1, -1])), draw(st.integers(-6, 6))
+        b = HS(a.numerator.shift(k).scale(sign).times_one_minus(only_b), shared + only_a + only_b)
+    else:
+        b = HS(draw(nonzero_polys), shared + only_b)
+    return a, b
+
+
+@given(series_pairs())
+@example((HS(1, [2]), HS(1, [3])))  # disjoint
+@example((HS(LaurentPolynomial({0: 1, 1: 1}), [2, 2]), HS(1, [1, 2, 2, 2])))  # repeated, monomial
+@example((HS(LaurentPolynomial({0: 1, 1: 2}), [1, 1]), HS(LaurentPolynomial({0: 2, 1: 1}), [1, 1])))
+def test_lift_to_the_lcm_agrees_with_the_full_product(pair):
+    a, b = pair
+    for x, y in (pair, pair[::-1]):
+        try:
+            expected = _reference_ratio(x, y)
+        except NotMonomialRatio:
+            with pytest.raises(NotMonomialRatio):
+                ratio_as_signed_monomial(x, y)
+        else:
+            assert ratio_as_signed_monomial(x, y) == expected
+    assert (a == b) is _reference_equal(a, b)
+    left, right = _full_product_lift(a, b)
+    total = a + b
+    assert _reference_equal(total, HS(left + right, a.denominator_degrees + b.denominator_degrees))
+    lcm = Counter(a.denominator_degrees) | Counter(b.denominator_degrees)
+    assert Counter(total.denominator_degrees) <= lcm
+
+
 # -- display -------------------------------------------------------------------------
 
 
 def test_prod_one_minus_and_str():
-    assert prod_one_minus([2]) == LaurentPolynomial.one_minus(2)
-    assert str(HilbertSeries.inverse_product([8, 12])) == "1/(1 - t^8)(1 - t^12)"
-    assert str(HS(LaurentPolynomial.monomial(2, -1), [2])) == "-t^2/(1 - t^2)"
+    assert prod_one_minus([2]) == LaurentPolynomial({0: 1, 2: -1})
+    assert str(HilbertSeries(1, [8, 12])) == "1/(1 - t^8)(1 - t^12)"
+    assert str(HS(LaurentPolynomial({2: -1}), [2])) == "-t^2/(1 - t^2)"
 
 
 @given(laurent_polys, laurent_polys.filter(lambda p: not p.is_zero))
@@ -344,7 +411,7 @@ def test_floats_are_rejected():
     with pytest.raises(TypeError):
         LaurentPolynomial({0: 0.5})
     with pytest.raises(TypeError):
-        LaurentPolynomial.constant(1.5)
+        LaurentPolynomial.one().scale(1.5)
     with pytest.raises(TypeError):
         HilbertSeries(0.5)
 
@@ -353,7 +420,7 @@ def test_non_integral_shifts_are_refused():
     with pytest.raises(TypeError):
         LaurentPolynomial({0: 1}).shift(1.5)
     with pytest.raises(TypeError):
-        HilbertSeries.inverse_product([1]).shifted(1.5)
+        HilbertSeries(1, [1]).shifted(1.5)
 
 
 @pytest.mark.parametrize(
@@ -509,7 +576,7 @@ def test_times_one_minus_matches_the_generic_product(p, degrees, stretch):
     p, degrees = _stretched(p, stretch), [d * stretch for d in degrees]
     expected = p
     for d in degrees:
-        expected = expected * LaurentPolynomial.one_minus(d)
+        expected = expected * LaurentPolynomial([(0, 1), (d, -1)])
     got = p.times_one_minus(degrees)
     assert got.terms() == expected.terms()
     assert all(in_exact_form(c) for _, c in got.terms())
@@ -524,9 +591,9 @@ def test_times_one_minus_matches_the_generic_product(p, degrees, stretch):
 def test_over_one_minus_matches_divide_exact(p, d, plant, stretch):
     # A planted factor makes the exact case common; otherwise most divisions fail.
     if plant:
-        p = p * LaurentPolynomial.one_minus(d)
+        p = p * LaurentPolynomial([(0, 1), (d, -1)])
     p, d = _stretched(p, stretch), d * stretch
-    expected = p.divide_exact(LaurentPolynomial.one_minus(d))
+    expected = p.divide_exact(LaurentPolynomial([(0, 1), (d, -1)]))
     got = p.over_one_minus(d)
     if expected is None:
         assert got is None
@@ -544,7 +611,7 @@ def test_one_minus_kernels_refuse_bad_degrees():
     with pytest.raises(TypeError):
         p.over_one_minus(1.0)
     with pytest.raises(TypeError):
-        LaurentPolynomial.one_minus(2.0)
+        prod_one_minus([2.0])
 
 
 def _expand_by_prefix_sums(series, lo, hi):
@@ -572,7 +639,7 @@ def _expand_by_prefix_sums(series, lo, hi):
 )
 def test_expand_matches_the_prefix_sum_loop(series, where, gap, width):
     num = series.numerator
-    least, greatest = (num.min_exponent, num.max_exponent) if not num.is_zero else (0, 0)
+    least, greatest = (num.terms()[0][0], num.terms()[-1][0]) if not num.is_zero else (0, 0)
     lo = {
         "below": least - gap - width - 1,  # hi < least
         "straddling": least - gap,
@@ -595,12 +662,12 @@ def test_mixed_wide_factors_cost_their_terms_not_their_span(wide):
         assert both.over_one_minus(wide).terms() == ((0, 1), (2, -1))
         assert both.over_one_minus(3) is None
         assert both.over_one_minus(wide - 1) is None
-        series = HilbertSeries.inverse_product([2, wide])
-        assert HilbertSeries(both, [2, wide, wide]) == HilbertSeries.inverse_product([wide])
+        series = HilbertSeries(1, [2, wide])
+        assert HilbertSeries(both, [2, wide, wide]) == HilbertSeries(1, [wide])
         half = Fraction(1, 2)
         other = HilbertSeries(LaurentPolynomial({0: 1, 2: 1}), [4, wide])  # (1 + t^2)/(1 - t^4)
         assert series * half + other * half == series
-        odd = HilbertSeries.inverse_product([2, wide + 1]).substitute_negative()
+        odd = HilbertSeries(1, [2, wide + 1]).substitute_negative()
         assert odd.numerator.terms() == ((0, 1), (wide + 1, -1))
         assert odd.denominator_degrees == (2, 2 * wide + 2)
         peak = tracemalloc.get_traced_memory()[1]
@@ -617,5 +684,5 @@ def test_divide_exact_reads_each_least_exponent_once(monkeypatch):
         LaurentPolynomial, "min_exponent", property(lambda p: calls.append(p) or least.fget(p))
     )
     many = LaurentPolynomial({k: k + 1 for k in range(-3, 500)})
-    assert many.times_one_minus([2]).divide_exact(LaurentPolynomial.one_minus(2)) == many
+    assert many.times_one_minus([2]).divide_exact(prod_one_minus([2])) == many
     assert len(calls) == 2

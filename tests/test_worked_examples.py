@@ -37,7 +37,7 @@ def test_worked_examples_print_the_failure_witnesses(capsys, monkeypatch, failin
     monkeypatch.setattr(descent, "verify_solomon", failing_solomon(lambda s: s.shifted(3)))
     # Only the invariant ring's series 1/(1 - t^4) gets a wrong shift: the
     # base ring's report still checks its own shift against the formula.
-    invariant = HilbertSeries.inverse_product([4])
+    invariant = HilbertSeries(1, [4])
     monkeypatch.setattr(
         duality,
         "gorenstein_shift_stanley",

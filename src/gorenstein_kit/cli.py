@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import warnings
+from itertools import chain
 from pathlib import Path
 
 from .dataset import TABLE_ROWS, fixture_path
@@ -127,9 +128,29 @@ def _module_json(m: GradedModuleSeries, lo: int, hi: int) -> dict:
     }
 
 
-def _emit(output: dict | list[str]) -> None:
+def _window_lines(coefficients: list) -> list[str]:
+    """Text rows ``    t^k: c`` of a coefficient window from degree 0, zeros skipped."""
+    return [f"    t^{k}: {c}" for k, c in enumerate(coefficients) if c]
+
+
+def _window_json(coefficients: list) -> str:
+    """JSON text of ``[[k, str(c)] for k, c in enumerate(coefficients)]``, as
+    ``json.dumps`` writes it, in one format call: ``%s`` of an int or Fraction
+    is ``str(c)``, digits, ``-`` and ``/`` only, which need no escaping."""
+    template = ", ".join(['[%d, "%s"]'] * len(coefficients))
+    return "[" + template % tuple(chain.from_iterable(enumerate(coefficients))) + "]"
+
+
+def _emit(output: dict | list[str], window: list | None = None) -> None:
+    """Write a JSON payload or text lines.  ``window`` is the payload's
+    ``"coefficients"`` value, rendered by `_window_json` and written first,
+    where ``sort_keys`` puts it: every other key of a payload that has one
+    sorts after it."""
     if isinstance(output, dict):
-        sys.stdout.write(json.dumps(output, sort_keys=True) + "\n")
+        text = json.dumps(output, sort_keys=True)
+        if window is not None:
+            text = '{"coefficients": ' + _window_json(window) + ", " + text[1:]
+        sys.stdout.write(text + "\n")
     else:
         sys.stdout.write("\n".join(output) + "\n")
 
@@ -150,18 +171,18 @@ def _ring_header(p: RingPresentation) -> list[str]:
 def cmd_hilbert(args: argparse.Namespace) -> int:
     p = _load_ring(args.ring)
     series = hilbert_series(p)
+    window = series.expand(0, args.max_degree)
     if args.json:
         _emit({
             "schema": f"{SCHEMA_PREFIX}/hilbert/1",
             "ring": _ring_json(p),
             "series": _series_json(series),
-            "coefficients": [[k, str(c)] for k, c in enumerate(series.expand(0, args.max_degree))],
-        })
+        }, window)
         return 0
     lines = _ring_header(p)
     lines.append(f"  hilbert series: {series}")
     lines.append(f"  coefficients 0..{args.max_degree}:")
-    lines += [f"    t^{k}: {c}" for k, c in enumerate(series.expand(0, args.max_degree)) if c]
+    lines += _window_lines(window)
     _emit(lines)
     return 0
 
@@ -234,6 +255,7 @@ def cmd_molien(args: argparse.Namespace) -> int:
         table = _table_for(group, table)
     report = molien_series(group, twist=args.twist, table=table)
     hi = args.max_degree
+    window = report.series.expand(0, hi)
     if args.json:
         _emit({
             "schema": f"{SCHEMA_PREFIX}/molien/1",
@@ -242,13 +264,12 @@ def cmd_molien(args: argparse.Namespace) -> int:
             "group_order": group.order,
             "twist": report.twist,
             "series": _series_json(report.series),
-            "coefficients": [[k, str(c)] for k, c in enumerate(report.series.expand(0, hi))],
             "polynomial_degrees": list(report.polynomial_degrees)
             if report.polynomial_degrees is not None
             else None,
             "pseudoreflection_count": report.pseudoreflection_count,
             "relations_ignored": bool(p.relations),
-        })
+        }, window)
         return 0
     lines = _ring_header(p)
     lines.append(f"  group {group.name} of order {group.order}, twist {report.twist}")
@@ -264,7 +285,7 @@ def cmd_molien(args: argparse.Namespace) -> int:
         lines.append("  invariants are not polynomial at this rank")
     lines.append(f"  pseudoreflections: {report.pseudoreflection_count}")
     lines.append(f"  coefficients 0..{hi}:")
-    lines += [f"    t^{k}: {c}" for k, c in enumerate(report.series.expand(0, hi)) if c]
+    lines += _window_lines(window)
     _emit(lines)
     return 0
 

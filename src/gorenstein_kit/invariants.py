@@ -663,7 +663,7 @@ def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     out: Polynomial = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(operator.add, ea, eb))
             out[e] = out[e] + ca * cb if e in out else ca * cb
     return {e: c if type(c) is int else exact(c) for e, c in out.items() if c}
 

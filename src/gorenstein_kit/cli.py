@@ -264,9 +264,7 @@ def cmd_molien(args: argparse.Namespace) -> int:
             "group_order": group.order,
             "twist": report.twist,
             "series": _series_json(report.series),
-            "polynomial_degrees": list(report.polynomial_degrees)
-            if report.polynomial_degrees is not None
-            else None,
+            "polynomial_degrees": report.polynomial_degrees,
             "pseudoreflection_count": report.pseudoreflection_count,
             "relations_ignored": bool(p.relations),
         }, window)
@@ -389,6 +387,7 @@ def cmd_descent(args: argparse.Namespace) -> int:
     group, _ = record.build(cap=_order_cap())
     report = descent_report(p, group)
     solomon, invariant = report.solomon, report.invariant
+    degrees, presentation = solomon.invariant_degrees, report.invariant_presentation
     consistent, witness = cross_check_invariant_shift(report)
     payload = {
         "schema": f"{SCHEMA_PREFIX}/descent/1",
@@ -396,13 +395,13 @@ def cmd_descent(args: argparse.Namespace) -> int:
             "ring": _ring_json(p),
             "group": group.name,
             "base_shift": report.base_shift_a,
-            "invariant_degrees": list(solomon.invariant_degrees),
+            "invariant_degrees": degrees,
             "solomon_supplement": solomon.supplement,
             "descended_gorenstein_shift": invariant.shift_a,
             "descended_anderson_shift": invariant.anderson_selfdual_display,
             "solomon_verified": solomon.verified,
             "cross_check": consistent,
-            "invariant_ring": _ring_json(report.invariant_presentation),
+            "invariant_ring": None if presentation is None else _ring_json(presentation),
             "invariant_series": _series_json(solomon.invariant_series),
             "prediction_only": True,
         },
@@ -412,7 +411,8 @@ def cmd_descent(args: argparse.Namespace) -> int:
     lines = _ring_header(p)
     lines.append(f"  group {group.name} of order {group.order}")
     lines.append(f"  base gorenstein shift a = {report.base_shift_a}")
-    lines.append(f"  invariant degrees: {list(solomon.invariant_degrees)}")
+    lines.append("  invariants are not polynomial at this rank" if degrees is None
+                 else f"  invariant degrees: {list(degrees)}")
     lines.append(f"  solomon supplement b = {solomon.supplement}"
                  + ("  (verified)" if solomon.verified
                     else f"  (FAILED verification: {solomon.witness()})"))

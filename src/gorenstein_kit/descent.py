@@ -1,15 +1,14 @@
 """Compose base-ring duality with invariant theory: descended shifts.
 
-For a polynomial base ring acted on by a finite group whose invariants are
-again polynomial, the Gorenstein shift of the invariant ring is the base
-shift a plus the Solomon supplement b, and the localized invariants are
-self-dual with shift a + b + 1.  The invariant ring's own shifts come from
-its duality report, built from its Molien series with no presentation; the
-prediction a + b is checked against that report and against the closed
-formula on the extracted invariant degrees.  For integral (non-rational)
-coefficients this is a necessary condition and a prediction of the shift,
-not a theorem, and reports should be labelled accordingly.  Bases with
-relations are outside this regime and are refused.
+For a polynomial base ring acted on by a finite group with Gorenstein
+invariants R^G, the Gorenstein shift of R^G is the base shift a plus the
+supplement b read off M_det/M (see :func:`verify_solomon`), and the
+localized invariants are self-dual with shift a + b + 1.  R^G's own shifts
+come from its duality report, built from its Molien series with no
+presentation; the prediction a + b is checked against that report.  For
+integral (non-rational) coefficients this is a necessary condition and a
+prediction of the shift, not a theorem, and reports should be labelled
+accordingly.  Bases with relations are outside this regime and are refused.
 """
 
 from __future__ import annotations
@@ -17,19 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .duality import DualityReport, duality_report
-from .graded_ring import RingPresentation, gorenstein_shift_formula, polynomial_presentation
-from .invariants import GradedGroupRep, NotPolynomial, SolomonVerification, verify_solomon
+from .graded_ring import (
+    NotGorensteinSeries,
+    RingPresentation,
+    gorenstein_shift_formula,
+    polynomial_presentation,
+)
+from .invariants import GradedGroupRep, SolomonVerification, verify_solomon
+from .series import NotMonomialRatio
 
 
 class NotPolynomialBase(ValueError):
     """The base presentation has relations; descent prediction needs a
     polynomial base ring."""
-
-
-class NotPolynomialInvariants(ArithmeticError):
-    """Invariant degrees could not be extracted: the invariants are not a
-    polynomial ring (or the group is not generated by pseudoreflections), so
-    no descent prediction is available."""
 
 
 class BlockMismatch(ValueError):
@@ -44,14 +43,13 @@ class DescentReport:
     group's dimension, so its ``shift_a`` is the descended Gorenstein shift
     a + b and its ``anderson_selfdual_display`` is a + b + 1 whenever the
     prediction holds.  ``invariant_presentation`` is the relation-free
-    presentation on the extracted invariant degrees, whose closed-formula
-    shift is the third value :func:`cross_check_invariant_shift` compares.
+    presentation on the invariant degrees, None without them.
     """
 
     base_shift_a: int
     solomon: SolomonVerification
     invariant: DualityReport
-    invariant_presentation: RingPresentation
+    invariant_presentation: RingPresentation | None
 
 
 def check_grading(p: RingPresentation, blocks: tuple[tuple[int, int], ...]) -> None:
@@ -70,10 +68,9 @@ def descent_report(p: RingPresentation, group: GradedGroupRep) -> DescentReport:
     """Predict the invariant ring's shifts from the base ring and the action.
 
     Requires generator degrees that match the group's grading blocks
-    (checked first, as by every group command), a relation-free base, and
-    an action whose invariants are polynomial (otherwise
-    :class:`NotPolynomialInvariants`: the Gorenstein property need not
-    descend, and this library makes no prediction).
+    (checked first, as by every group command), a relation-free base, and a
+    Gorenstein R^G, else :class:`NotGorensteinSeries` names R^G and the
+    first exponent at which M_det/M fails to be a signed power of t.
     """
     check_grading(p, group.blocks)
     if p.relations:
@@ -81,35 +78,31 @@ def descent_report(p: RingPresentation, group: GradedGroupRep) -> DescentReport:
             f"{p.name}: base ring has relations; descent prediction needs a polynomial base"
         )
     a = gorenstein_shift_formula(p)
+    name = f"{p.name}^{group.name or 'G'}"
     try:
         solomon = verify_solomon(group)
-    except NotPolynomial as exc:
-        raise NotPolynomialInvariants(
-            f"{p.name}: invariants of {group.name or 'the group'} are not polynomial; {exc}"
-        ) from exc
-    name = f"{p.name}^{group.name or 'G'}"
+    except NotMonomialRatio as exc:
+        raise NotGorensteinSeries(f"{name} is not Gorenstein: {exc}") from exc
+    degrees = solomon.invariant_degrees
     return DescentReport(
         base_shift_a=a,
         solomon=solomon,
         invariant=duality_report(solomon.invariant_series, group.dimension, name),
-        invariant_presentation=polynomial_presentation(
-            name=name, coefficient_label=p.coefficient_label, degrees=solomon.invariant_degrees
+        invariant_presentation=None if degrees is None else polynomial_presentation(
+            name=name, coefficient_label=p.coefficient_label, degrees=degrees
         ),
     )
 
 
 def cross_check_invariant_shift(report: DescentReport) -> tuple[bool, str]:
-    """Whether both independent routes agree with the predicted shift a + b,
-    and a witness line naming all three.
+    """Whether the predicted shift a + b equals the one read off the
+    functional equation of R^G's Molien series M, with a witness line.
 
-    Route one: the closed formula on the extracted invariant presentation.
-    Route two: the invariant ring's duality report, whose shift is read off
-    the functional equation of its Molien series.
+    Two exact routes, b from M_det/M and the shift from M(1/t)/M(t), which
+    Stanley's reciprocity M(1/t) = (-1)^n t^{sum d} M_det(t) relates.  The
+    closed formula on invariant degrees e_i, -sum e - n, equals a + b by
+    construction, so it is no third route.
     """
     predicted = report.base_shift_a + report.solomon.supplement
-    by_formula = gorenstein_shift_formula(report.invariant_presentation)
     by_series = report.invariant.shift_a
-    witness = (
-        f"predicted a+b = {predicted}, closed formula {by_formula}, functional equation {by_series}"
-    )
-    return by_formula == predicted and by_series == predicted, witness
+    return by_series == predicted, f"predicted a+b = {predicted}, functional equation {by_series}"

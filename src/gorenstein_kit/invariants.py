@@ -7,8 +7,8 @@ An element is an index; its block-diagonal rational matrix, one square
 block per generator degree, is read off the orbit only for the class key.
 On top of this the module computes Molien and character-twisted Molien
 series, pseudoreflection counts, invariant degrees by exact division, the
-Solomon supplement with its verification as an identity of rational
-functions, symmetric-power characters, decompositions against rational
+supplement b read off the ratio of the det-twisted to the untwisted Molien
+series, symmetric-power characters, decompositions against rational
 character tables, and explicit invariant polynomials as the common kernel
 of g - 1 over the generators.
 
@@ -489,16 +489,20 @@ def molien_series(
     as its inverse, since its eigenvalues are roots of unity.
     """
     (series,) = _molien_sums(group, [twist], table)
-    try:
-        degrees = extract_polynomial_degrees(series, group.dimension)
-    except NotPolynomial:
-        degrees = None
     return MolienReport(
         series=series,
         twist=twist,
-        polynomial_degrees=degrees,
+        polynomial_degrees=_polynomial_degrees(series, group.dimension),
         pseudoreflection_count=pseudoreflection_count(group),
     )
+
+
+def _polynomial_degrees(series: HilbertSeries, rank: int) -> tuple[int, ...] | None:
+    """:func:`extract_polynomial_degrees`, or None where it refuses."""
+    try:
+        return extract_polynomial_degrees(series, rank)
+    except NotPolynomial:
+        return None
 
 
 def extract_polynomial_degrees(series: HilbertSeries, rank: int) -> tuple[int, ...]:
@@ -546,11 +550,12 @@ def solomon_supplement(
 
 @dataclass(frozen=True)
 class SolomonVerification:
-    """Outcome of checking twisted = t^{-b} * untwisted as rational functions."""
+    """Outcome of checking twisted = t^{-b} * untwisted as rational functions;
+    ``invariant_degrees`` is None when the invariants are not polynomial."""
 
     verified: bool
     supplement: int
-    invariant_degrees: tuple[int, ...]
+    invariant_degrees: tuple[int, ...] | None
     invariant_series: HilbertSeries
     det_twisted_series: HilbertSeries
 
@@ -571,18 +576,26 @@ class SolomonVerification:
 
 
 def verify_solomon(group: GradedGroupRep) -> SolomonVerification:
-    """Check the determinant-twisted Molien series against the prediction.
+    """Read the supplement b off M_det/M, the det-twisted over the untwisted
+    Molien series, both from one pass over the classes.
 
-    Requires polynomial invariants, else the peel's :class:`NotPolynomial`
-    propagates.  The check is an exact identity of rational functions; the
-    two series, from one pass over the classes, are returned either way so
-    a failure carries its witness.  Only the untwisted series is peeled.
+    By reciprocity (Stanley, Bull. AMS 1 (1979), section 4) and Stanley's
+    criterion (Adv. Math. 28 (1978), Thm 4.4), M_det/M is some +t^k exactly
+    when R^G is Gorenstein.  With invariant degrees e_i, b = sum d - sum e,
+    verified when M_det/M = t^{-b}; without them b = -k, and a ratio that is
+    no signed power of t raises :class:`NotMonomialRatio`.
     """
     trivial, twisted = _molien_sums(group, ["trivial", "det"])
-    degrees = extract_polynomial_degrees(trivial, group.dimension)
-    b = solomon_supplement(group.graded_degrees, degrees)
+    degrees = _polynomial_degrees(trivial, group.dimension)
+    try:
+        ratio = ratio_as_signed_monomial(twisted, trivial)
+    except NotMonomialRatio:
+        if degrees is None:
+            raise
+        ratio = None
+    b = -ratio[1] if degrees is None else solomon_supplement(group.graded_degrees, degrees)
     return SolomonVerification(
-        verified=twisted == trivial.shifted(-b),
+        verified=ratio == (1, -b),
         supplement=b,
         invariant_degrees=degrees,
         invariant_series=trivial,
@@ -745,8 +758,6 @@ def invariant_basis(
     graded variables, one slot per matrix coordinate.
     """
     var_degrees = group.graded_degrees
-    if total_degree == 0:
-        return [{(0,) * group.dimension: 1}]
     count = HilbertSeries(1, var_degrees).coefficient(total_degree)
     if count > monomial_bound:
         raise MonomialBoundExceeded(

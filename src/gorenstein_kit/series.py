@@ -419,10 +419,6 @@ class HilbertSeries:
 
     __rmul__ = __mul__
 
-    def shifted(self, k: int) -> "HilbertSeries":
-        """Multiply by t^k (the series of a k-fold suspension)."""
-        return HilbertSeries(self._numerator.shift(k), self._denominator_degrees)
-
     def substitute_inverse(self) -> "HilbertSeries":
         """The exact rational function obtained by substituting t -> 1/t.
 

@@ -4,11 +4,17 @@ import pytest
 
 from gorenstein_kit.dataset import load_group_fixture, load_ring_fixture
 from gorenstein_kit.invariants import generate_group
+from gorenstein_kit.series import HilbertSeries
 
 
 def in_exact_form(c):
     """An int exactly when integral, otherwise a Fraction with denominator > 1."""
     return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def shifted(s, k):
+    """t^k times the series s."""
+    return HilbertSeries(s.numerator.shift(k), s.denominator_degrees)
 
 
 def signed_permutation_group(n, signed):

@@ -10,6 +10,8 @@ reading contradicts the dimension count 6 = 1 + 1 + 2 * 2.
 
 import random
 
+from conftest import shifted
+
 from gorenstein_kit import linalg
 from gorenstein_kit.cli import main as cli_main
 from gorenstein_kit.dataset import TABLE_ROWS
@@ -155,12 +157,12 @@ def test_criterion_6_solomon_verification(c2_group, sigma3_group, capsys):
     results = [verify_solomon(c2_group), verify_solomon(sigma3_group)]
     ok = all(r.verified for r in results)
     for r in results:
-        ok = ok and r.det_twisted_series == r.invariant_series.shifted(-r.supplement)
+        ok = ok and r.det_twisted_series == shifted(r.invariant_series, -r.supplement)
     with capsys.disabled():
         _report("6 (determinant-twist identity)", ok)
     for r in results:
         assert r.verified
-        assert r.det_twisted_series == r.invariant_series.shifted(-r.supplement)
+        assert r.det_twisted_series == shifted(r.invariant_series, -r.supplement)
 
 
 def test_criterion_7_cech_splitting(taf_d6, capsys):

@@ -2,8 +2,10 @@
 
 import json
 import tracemalloc
+from itertools import groupby
 
 import pytest
+from conftest import shifted
 
 from gorenstein_kit import cli, descent, duality, records
 from gorenstein_kit.cli import (
@@ -162,9 +164,9 @@ def test_descent_command(capsys):
 @pytest.mark.parametrize(
     "twist, witness",
     [
-        (lambda s: s.shifted(3), "the det-twisted series is t^3 times the untwisted one, not t^2"),
-        (lambda s: -s.shifted(2), "the det-twisted series is -t^2 times the untwisted one, not t^2"),
-        (lambda s: s.shifted(2) + 1, "t^2 has coefficient 1 in the first numerator and 0 in t^0"),
+        (lambda s: shifted(s, 3), "the det-twisted series is t^3 times the untwisted one, not t^2"),
+        (lambda s: -shifted(s, 2), "the det-twisted series is -t^2 times the untwisted one, not t^2"),
+        (lambda s: shifted(s, 2) + 1, "t^2 has coefficient 1 in the first numerator and 0 in t^0"),
     ],
     ids=["wrong-power", "wrong-sign", "not-monomial"],
 )
@@ -187,7 +189,7 @@ def test_cross_check_mismatch_names_the_prediction_and_both_routes(capsys, monke
     assert code == 0
     assert (
         "  cross-check of the invariant ring's shift: MISMATCH"
-        " (predicted a+b = -5, closed formula -5, functional equation -4)\n"
+        " (predicted a+b = -5, functional equation -4)\n"
     ) in out
     code, payload, _ = run_json(capsys, "descent", "ku", "c2_negation")
     assert payload["descent"]["cross_check"] is False
@@ -437,7 +439,7 @@ def test_computation_errors_carry_their_name(capsys):
 def test_torsion_check_failure_carries_its_name_and_witness(capsys, monkeypatch):
     # A ring's series starts in degree 0, so its torsion cannot fail; 7*t^-5
     # times taf_d6's series has shift 2 - 10 = -8 and torsion 7 in degree -3.
-    monkeypatch.setattr(duality, "hilbert_series", lambda p: 7 * hilbert_series(p).shifted(-5))
+    monkeypatch.setattr(duality, "hilbert_series", lambda p: 7 * shifted(hilbert_series(p), -5))
     code, out, err = run(capsys, "duality", "taf_d6")
     assert code == 1
     assert out == ""
@@ -662,13 +664,84 @@ def test_degree_two_beside_a_huge_degree_costs_no_array_over_the_span(capsys, tm
 
 def test_descent_names_why_the_invariants_are_not_polynomial(capsys, tmp_path):
     # -1 on both generators of tmf2: the Molien series is
-    # (1 + t^8)/(1 - t^8)^2, and 1 + t^8 does not divide (1 - t^8)^2.
+    # (1 + t^8)/(1 - t^8)^2, and 1 + t^8 does not divide (1 - t^8)^2, but
+    # -1 lies in SL(V), so M_det = M and R^G is Gorenstein with b = 0.
     group = tmp_path / "minus.group"
     group.write_text("[group]\nname = minus\nblock = 4 2\n\n[generator]\nrow = -1 0\nrow = 0 -1\n")
     code, out, err = run(capsys, "descent", "tmf2", str(group))
-    assert code == 1 and out == ""
-    assert err == (
-        "error: NotPolynomialInvariants: tmf2: invariants of minus are not polynomial;"
-        " (1 + t^8)/(1 - t^8)(1 - t^8) is not 1/prod(1 - t^e) over 2 degrees:"
-        " its numerator does not divide its denominator\n"
+    assert code == 0 and err == ""
+    assert (
+        "  invariants are not polynomial at this rank\n"
+        "  solomon supplement b = 0  (verified)\n"
+        "  descended gorenstein shift a+b = -10\n"
+    ) in out
+    assert "  cross-check of the invariant ring's shift: ok\n" in out
+
+
+def _diagonal(*entries):
+    return [[e if i == j else 0 for j in range(len(entries))] for i, e in enumerate(entries)]
+
+
+def _descent_files(tmp_path, ring, generators):
+    """(ring, group) arguments for ``descent``: ``ring`` is a bundled name or
+    the generator degrees of a relation-free base ring named ``base``, and
+    the group ``g`` is generated by ``generators``, one grading block per
+    run of equal degrees."""
+    if isinstance(ring, str):
+        degrees = load_ring_fixture(ring).generator_degrees
+    else:
+        degrees, path = ring, tmp_path / "base.ring"
+        path.write_text(
+            "[ring]\nname = base\n" + "".join(f"generator = x{i} {d}\n" for i, d in enumerate(ring))
+        )
+        ring = str(path)
+    blocks = "".join(f"block = {d} {len(list(run))}\n" for d, run in groupby(degrees))
+    rows = "".join(
+        "\n[generator]\n" + "".join(f"row = {' '.join(map(str, row))}\n" for row in m)
+        for m in generators
     )
+    group = tmp_path / "g.group"
+    group.write_text(f"[group]\nname = g\n{blocks}{rows}")
+    return ring, str(group)
+
+
+@pytest.mark.parametrize(
+    "ring, generators, shift",
+    [
+        pytest.param("tmf2", [[[0, -1], [1, -1]]], -10, id="c3-in-sigma3-on-tmf2"),
+        pytest.param((2, 6), [_diagonal(-1, -1)], -10, id="minus-on-tmf_1(3)-degrees"),
+        pytest.param((2,) * 4, [_diagonal(-1, -1, -1, -1)], -12, id="minus-on-four"),
+        pytest.param((2, 2), [[[0, -1], [1, 0]]], -6, id="c4-rotation"),
+        pytest.param((2, 2, 2), [_diagonal(-1, -1, 1)], -9, id="diag(-1,-1,1)"),
+        pytest.param("tmf2", [_diagonal(-1, -1)], -10, id="minus-on-tmf2"),
+    ],
+)
+def test_descent_reports_gorenstein_invariants_that_are_not_polynomial(
+    capsys, tmp_path, ring, generators, shift
+):
+    # Each group lies in SL(V) and has no pseudoreflection: by Watanabe R^G
+    # is Gorenstein, and M_det = M gives b = 0, so R^G has the base shift.
+    code, payload, err = run_json(capsys, "descent", *_descent_files(tmp_path, ring, generators))
+    assert code == 0 and err == ""
+    d = payload["descent"]
+    assert d["invariant_degrees"] is None and d["invariant_ring"] is None
+    assert d["base_shift"] == d["descended_gorenstein_shift"] == shift
+    assert d["solomon_supplement"] == 0 and d["solomon_verified"] is True
+    assert d["cross_check"] is True
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_veronese_invariants_are_gorenstein_exactly_for_even_n(capsys, tmp_path, n):
+    # -1 on n degree-2 coordinates: R^G is the second Veronese ring, which is
+    # Gorenstein iff 2 | n (Goto-Watanabe), with shift -3n when it is.
+    ring, group = _descent_files(tmp_path, (2,) * n, [_diagonal(*[-1] * n)])
+    code, out, err = run(capsys, "descent", ring, group, "--json")
+    if n % 2:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: NotGorensteinSeries: base^g is not Gorenstein: ")
+        assert "is not a signed power of t: over the common denominator, t^2 has coefficient" in err
+        assert err.count("\n") == 1
+    else:
+        assert code == 0 and err == ""
+        d = json.loads(out)["descent"]
+        assert d["descended_gorenstein_shift"] == -3 * n and d["invariant_degrees"] is None

@@ -10,7 +10,6 @@ from gorenstein_kit import graded_ring
 from gorenstein_kit.descent import (
     BlockMismatch,
     NotPolynomialBase,
-    NotPolynomialInvariants,
     cross_check_invariant_shift,
     descent_report,
 )
@@ -68,10 +67,18 @@ def test_block_mismatch(ku, sigma3_group):
         descent_report(ku, sigma3_group)
 
 
-def test_non_reflection_action_is_refused(tmf2):
+def test_non_reflection_action_descends_to_the_base_shift(tmf2):
+    # C_3 in SL(V) has no pseudoreflection: its invariants are not
+    # polynomial, but R^G is Gorenstein with b = 0 (Watanabe).
     rotation = generate_group([[[0, -1], [1, -1]]], [(4, 2)], name="c3")
-    with pytest.raises(NotPolynomialInvariants):
-        descent_report(tmf2, rotation)
+    report = descent_report(tmf2, rotation)
+    assert report.solomon.invariant_degrees is None
+    assert report.invariant_presentation is None
+    assert report.solomon.verified and report.solomon.supplement == 0
+    assert report.invariant.shift_a == report.base_shift_a == -10
+    assert cross_check_invariant_shift(report) == (
+        True, "predicted a+b = -10, functional equation -10"
+    )
 
 
 def test_invariant_presentation_is_polynomial(ku, c2_group):

@@ -7,13 +7,18 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
-from conftest import in_exact_form, signed_permutation_group
-from hypothesis import given, strategies as st
+from conftest import in_exact_form, shifted, signed_permutation_group
+from hypothesis import given, settings, strategies as st
 
 from gorenstein_kit import invariants, linalg
 from gorenstein_kit.dataset import GROUP_FIXTURES, load_group_fixture
 from gorenstein_kit.descent import descent_report
-from gorenstein_kit.graded_ring import polynomial_presentation
+from gorenstein_kit.graded_ring import (
+    NotGorensteinSeries,
+    gorenstein_shift_formula,
+    gorenstein_shift_stanley,
+    polynomial_presentation,
+)
 from gorenstein_kit.invariants import (
     GradedGroupRep,
     LengthMismatch,
@@ -40,7 +45,7 @@ from gorenstein_kit.invariants import (
     sym_power_characters,
     verify_solomon,
 )
-from gorenstein_kit.series import HilbertSeries, LaurentPolynomial, prod_one_minus
+from gorenstein_kit.series import HilbertSeries, LaurentPolynomial, NotMonomialRatio, prod_one_minus
 
 
 def c3_group():
@@ -358,7 +363,7 @@ def test_molien_reciprocity(name):
     # A second route to every Molien series: M(1/t) = (-1)^n t^{sum d_i} M_det(t).
     group, _ = _in_test_or_fixture_group(name)
     total_degree = sum(degree * dim for degree, dim in group.blocks)
-    predicted = molien_series(group, "det").series.shifted(total_degree) * (-1) ** group.dimension
+    predicted = shifted(molien_series(group, "det").series, total_degree) * (-1) ** group.dimension
     assert molien_series(group).series.substitute_inverse() == predicted
 
 
@@ -400,6 +405,7 @@ def _in_test_or_fixture_group(name):
         "b3": lambda: signed_permutation_group(3, signed=True),
         "b4": lambda: signed_permutation_group(4, signed=True),
         "c3": c3_group,
+        "trivial": trivial_group,
         "s4_conjugated": conjugated_s4_group,
         "mixed": mixed_block_group,
     }
@@ -594,7 +600,7 @@ def test_solomon_verification_for_standard_action(sigma3_group):
     result = verify_solomon(sigma3_group)
     assert result.verified
     assert result.supplement == -12
-    assert result.det_twisted_series == result.invariant_series.shifted(12)
+    assert result.det_twisted_series == shifted(result.invariant_series, 12)
 
 
 def test_solomon_verification_for_trivial_group():
@@ -602,9 +608,61 @@ def test_solomon_verification_for_trivial_group():
     assert result.verified and result.supplement == 0
 
 
-def test_solomon_needs_polynomial_invariants():
-    with pytest.raises(NotPolynomial):
-        verify_solomon(c3_group())
+def test_solomon_reads_b_off_the_ratio_without_invariant_degrees():
+    # C_3 lies in SL(V), so M_det = M and b = 0, with no degrees to peel.
+    result = verify_solomon(c3_group())
+    assert result.invariant_degrees is None
+    assert result.verified and result.supplement == 0
+    assert result.det_twisted_series == result.invariant_series
+
+
+def test_solomon_refuses_a_ratio_that_is_no_power_of_t():
+    # -1 on three coordinates: R^G is the second Veronese ring, not Gorenstein.
+    minus = generate_group([[[-1 if i == j else 0 for j in range(3)] for i in range(3)]], [(2, 3)])
+    with pytest.raises(NotMonomialRatio, match=r"t\^2 has coefficient 3 in the first numerator"):
+        verify_solomon(minus)
+
+
+@st.composite
+def small_signed_groups(draw):
+    """A group generated by diagonal +-1 or signed permutation matrices on
+    n <= 4 coordinates of random block degrees, each permuting coordinates
+    only within its block."""
+    n = draw(st.integers(1, 4))
+    flags = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    cuts = [0, *(k for k, cut in enumerate(flags, start=1) if cut), n]
+    dims = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+    degrees = draw(st.lists(st.integers(1, 6), min_size=len(dims), max_size=len(dims), unique=True))
+    diagonal = draw(st.booleans())
+    generators = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm, start = [], 0
+        for dim in dims:
+            block = range(start, start + dim)
+            perm += block if diagonal else draw(st.permutations(block))
+            start += dim
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        generators.append([[signs[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)])
+    return generate_group(generators, list(zip(degrees, dims)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_signed_groups())
+def test_solomon_ratio_gives_the_functional_equation_shift(group):
+    # Stanley's reciprocity: M_det/M = t^-b exactly when M has the
+    # functional equation, and then shift(R^G) = a + b.
+    n = group.dimension
+    try:
+        solomon = verify_solomon(group)
+    except NotMonomialRatio:
+        with pytest.raises(NotGorensteinSeries):
+            gorenstein_shift_stanley(molien_series(group).series, n)
+        return
+    a = gorenstein_shift_formula(polynomial_presentation("base", "Q", group.graded_degrees))
+    assert solomon.verified
+    assert a + solomon.supplement == gorenstein_shift_stanley(solomon.invariant_series, n)
+    if solomon.invariant_degrees is not None:
+        assert solomon.supplement == sum(group.graded_degrees) - sum(solomon.invariant_degrees)
 
 
 # -- symmetric powers and decomposition ----------------------------------------------------
@@ -703,7 +761,7 @@ def test_period_six_law_as_rational_functions(sigma3_group, sigma3_table):
     period = HilbertSeries(prod_one_minus([24]))
     for name, values in sigma3_table.irreducibles:
         twisted = molien_series(sigma3_group, name, table=sigma3_table).series
-        rest = twisted * period - HilbertSeries(1, [4]).shifted(24) * values[0]
+        rest = twisted * period - shifted(HilbertSeries(1, [4]), 24) * values[0]
         assert rest.denominator_degrees == ()
         assert rest.numerator.terms()[-1][0] < 24
         assert rest.numerator == LaurentPolynomial(expected[name]), name
@@ -828,9 +886,10 @@ def scalar_multiple(p, q):
     return ratios.pop() if len(ratios) == 1 else None
 
 
-def test_degree_zero_invariants_are_constants(sigma3_group):
-    basis = invariant_basis(sigma3_group, 0)
-    assert basis == [{(0, 0): Fraction(1)}]
+@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "trivial", "c3"])
+def test_degree_zero_invariants_are_constants(name):
+    group, _ = _in_test_or_fixture_group(name)
+    assert invariant_basis(group, 0) == [{(0,) * group.dimension: 1}]
 
 
 def test_quadratic_invariant_of_standard_action(sigma3_group):
@@ -1139,8 +1198,6 @@ def test_degrees_and_solomon_expand_no_coefficient_window(name, monkeypatch):
     monkeypatch.setattr(HilbertSeries, "expand", refuse)
     twists = ["trivial", "det", *(table.names if table else ())]
     reports = [molien_series(group, twist, table=table) for twist in twists]
-    if reports[0].polynomial_degrees is None:
-        with pytest.raises(NotPolynomial):
-            verify_solomon(group)
-    else:
-        assert verify_solomon(group).verified
+    solomon = verify_solomon(group)
+    assert solomon.verified
+    assert solomon.invariant_degrees == reports[0].polynomial_degrees

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import in_exact_form
+from conftest import in_exact_form, shifted
 from hypothesis import example, given, strategies as st
 
 from gorenstein_kit.graded_ring import RingPresentation, polynomial_presentation
@@ -317,7 +317,7 @@ def test_ratio_of_zero_numerator():
 
 @given(nonzero_series, st.sampled_from([1, -1]), st.integers(-20, 20))
 def test_ratio_recovers_planted_sign_and_exponent(b, sign, k):
-    a = b.shifted(k) * sign
+    a = shifted(b, k) * sign
     assert ratio_as_signed_monomial(a, b) == (sign, k)
 
 
@@ -420,7 +420,7 @@ def test_non_integral_shifts_are_refused():
     with pytest.raises(TypeError):
         LaurentPolynomial({0: 1}).shift(1.5)
     with pytest.raises(TypeError):
-        HilbertSeries(1, [1]).shifted(1.5)
+        shifted(HilbertSeries(1, [1]), 1.5)
 
 
 @pytest.mark.parametrize(

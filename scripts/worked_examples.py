@@ -28,8 +28,10 @@ def chain(ring_name: str, group_name: str, sym_powers: int = 0) -> None:
 
     trivial = molien_series(group)
     print(f"  molien series {trivial.series}")
-    print(f"  invariant degrees {list(trivial.polynomial_degrees)}; "
-          f"{trivial.pseudoreflection_count} pseudoreflections")
+    degrees = trivial.polynomial_degrees
+    shape = (f"invariant degrees {list(degrees)}" if degrees is not None
+             else "invariants are not polynomial at this rank")
+    print(f"  {shape}; {trivial.pseudoreflection_count} pseudoreflections")
 
     report = descent_report(ring, group)
     solomon = report.solomon
@@ -42,7 +44,7 @@ def chain(ring_name: str, group_name: str, sym_powers: int = 0) -> None:
     print(f"  cross-check: {'ok' if consistent else f'MISMATCH ({witness})'}")
 
     symbols = [s for s, _ in ring.generators]
-    for degree in sorted(set(solomon.invariant_degrees)):
+    for degree in sorted(set(solomon.invariant_degrees or ())):
         for poly in invariant_basis(group, degree):
             print(f"  invariant of degree {degree}: {format_polynomial(poly, symbols)}")
 

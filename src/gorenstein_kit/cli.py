@@ -2,9 +2,9 @@
 
 Subcommands mirror the library: ``hilbert``, ``shift``, ``duality``,
 ``molien``, ``sympow``, ``invgen``, ``descent`` and ``table``.  Ring and
-group arguments are file paths; a bare name that is not a file is looked up
-among the bundled fixtures, so ``gorenstein-kit shift taf_d15`` works out of
-the box.  Every subcommand accepts ``--json`` for machine output: a single
+group arguments are file paths; a name that is not a file names a bundled
+fixture of its kind (see ``dataset.load_ring_fixture``), so
+``gorenstein-kit shift taf_d15`` works out of the box.  Every subcommand accepts ``--json`` for machine output: a single
 newline-terminated JSON object with a versioned ``schema`` field, all
 rationals rendered as exact ``p/q`` strings.  The environment variable
 ``GORENSTEIN_KIT_MAX_ORDER`` overrides the group-enumeration cap.
@@ -22,9 +22,8 @@ import os
 import sys
 import warnings
 from itertools import chain
-from pathlib import Path
 
-from .dataset import TABLE_ROWS, fixture_path
+from .dataset import TABLE_ROWS, load_group_fixture, load_ring_fixture
 from .descent import check_grading, cross_check_invariant_shift, descent_report
 from .duality import DualityReport, ring_duality_report
 from .graded_ring import (
@@ -48,7 +47,7 @@ from .invariants import (
     molien_series,
     sym_power_characters,
 )
-from .records import GroupInputRecord, ParseError, parse_group_record, parse_ring_record
+from .records import GroupInputRecord, ParseError
 from .series import HilbertSeries
 
 SCHEMA_PREFIX = "gorenstein-kit"
@@ -73,22 +72,9 @@ def _order_cap() -> int:
     return cap
 
 
-def _resolve_input(arg: str) -> Path:
-    path = Path(arg)
-    if path.is_file():
-        return path
-    return fixture_path(arg)
-
-
-def _load_ring(arg: str) -> RingPresentation:
-    path = _resolve_input(arg)
-    return parse_ring_record(path.read_text(), source=str(path))
-
-
 def _load_group(arg: str, p: RingPresentation) -> GroupInputRecord:
     """Parse a group file and check its grading; ``build`` enumerates it."""
-    path = _resolve_input(arg)
-    record = parse_group_record(path.read_text(), source=str(path))
+    record = load_group_fixture(arg)
     check_grading(p, record.blocks)
     return record
 
@@ -169,7 +155,7 @@ def _ring_header(p: RingPresentation) -> list[str]:
 
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
-    p = _load_ring(args.ring)
+    p = load_ring_fixture(args.ring)
     series = hilbert_series(p)
     window = series.expand(0, args.max_degree)
     if args.json:
@@ -188,7 +174,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 
 
 def cmd_shift(args: argparse.Namespace) -> int:
-    p = _load_ring(args.ring)
+    p = load_ring_fixture(args.ring)
     dim = krull_dimension(p)
     by_formula = gorenstein_shift_formula(p)
     by_series = gorenstein_shift_stanley(hilbert_series(p), dim)
@@ -227,7 +213,7 @@ def _duality_json(p: RingPresentation, report: DualityReport) -> dict:
 
 
 def cmd_duality(args: argparse.Namespace) -> int:
-    p = _load_ring(args.ring)
+    p = load_ring_fixture(args.ring)
     report = ring_duality_report(p)
     payload = {"schema": f"{SCHEMA_PREFIX}/duality/1", **_duality_json(p, report)}
     first, second = report.display_strings()
@@ -249,7 +235,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
 
 
 def cmd_molien(args: argparse.Namespace) -> int:
-    p = _load_ring(args.ring)
+    p = load_ring_fixture(args.ring)
     group, table = _load_group(args.group, p).build(cap=_order_cap())
     if args.twist not in ("trivial", "det"):
         table = _table_for(group, table)
@@ -301,7 +287,7 @@ def _table_for(group: GradedGroupRep, table: RationalCharacterTable | None) -> R
 
 
 def cmd_sympow(args: argparse.Namespace) -> int:
-    p = _load_ring(args.ring)
+    p = load_ring_fixture(args.ring)
     group, table = _load_group(args.group, p).build(cap=_order_cap())
     table = _table_for(group, table)
     names = list(table.names)
@@ -329,7 +315,7 @@ def cmd_sympow(args: argparse.Namespace) -> int:
 
 
 def cmd_invgen(args: argparse.Namespace) -> int:
-    p = _load_ring(args.ring)
+    p = load_ring_fixture(args.ring)
     group, _ = _load_group(args.group, p).build(cap=_order_cap())
     symbols = [s for s, _ in p.generators]
     basis = invariant_basis(group, args.degree)
@@ -360,7 +346,7 @@ def cmd_invgen(args: argparse.Namespace) -> int:
 
 
 def cmd_descent(args: argparse.Namespace) -> int:
-    p = _load_ring(args.ring)
+    p = load_ring_fixture(args.ring)
     record = _load_group(args.group, p)
     if p.relations:  # descent_report would refuse the base: no group is built
         _checked_generators(record.generators, record.blocks)

@@ -1,9 +1,11 @@
-"""Bundled dataset: the twelve-row table of worked ring spectra and the
-fixture files shipped with the package.
+"""Bundled dataset: the twelve-row table of worked ring spectra, the
+fixture files shipped with the package, and the one rule from a
+command-line argument to an input file.
 
 Each table row carries only degree data plus the published Gorenstein shift;
 recomputation uses the degrees alone, and the expected value is consulted
-only when rendering a PASS/FAIL comparison.
+only when rendering a PASS/FAIL comparison.  The fixture lists are read off
+``DATA_DIR``: every ``<name>.ring`` and ``<name>.group`` file in it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from .records import GroupInputRecord, parse_group_record, parse_ring_record
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
-_GENERATOR_SYMBOLS = ("x", "y", "z")
+_FILE_NAMES = sorted(path.name for path in DATA_DIR.iterdir())
+RING_FIXTURES = tuple(n.removesuffix(".ring") for n in _FILE_NAMES if n.endswith(".ring"))
+GROUP_FIXTURES = tuple(n.removesuffix(".group") for n in _FILE_NAMES if n.endswith(".group"))
 
 
 @dataclass(frozen=True)
@@ -33,7 +37,7 @@ class PaperTableRow:
 
     def presentation(self) -> RingPresentation:
         generators = tuple(
-            (sym, deg) for sym, deg in zip(_GENERATOR_SYMBOLS, self.generator_degrees)
+            (f"x{i}", deg) for i, deg in enumerate(self.generator_degrees, start=1)
         )
         relations = (
             (("f", self.relation_degree),) if self.relation_degree is not None else ()
@@ -61,43 +65,30 @@ TABLE_ROWS: tuple[PaperTableRow, ...] = (
     PaperTableRow("taf_d15", "2", "C_8 x C_2", (2, 6, 12), 24, 2),
 )
 
-RING_FIXTURES = (
-    "ku",
-    "tmf2",
-    "taf_d6",
-    "taf_d6_al_alpha",
-    "taf_d6_al_beta",
-    "taf_d6_al_alphabeta",
-    "taf_d14",
-    "taf_d10_sqrt2",
-    "taf_d15",
-)
-
-GROUP_FIXTURES = (
-    "c2_negation",
-    "sigma3_standard",
-    "taf_d6_alpha",
-    "taf_d6_beta",
-    "taf_d6_alphabeta",
-)
+def fixture_path(file_name: str) -> Path:
+    """Path of the bundled fixture with this file name, such as ``ku.ring``."""
+    if file_name not in _FILE_NAMES:
+        available = ", ".join(_FILE_NAMES)
+        raise FileNotFoundError(f"no bundled fixture {file_name!r}; available: {available}")
+    return DATA_DIR / file_name
 
 
-def fixture_path(name: str) -> Path:
-    """Path of a bundled fixture, by bare name or name with extension."""
-    candidates = [name] if "." in name else [f"{name}.ring", f"{name}.group"]
-    for candidate in candidates:
-        path = DATA_DIR / candidate
-        if path.is_file():
-            return path
-    available = ", ".join(sorted(p.name for p in DATA_DIR.iterdir()))
-    raise FileNotFoundError(f"no bundled fixture {name!r}; available: {available}")
+def _input_path(arg: str, suffix: str) -> Path:
+    path = Path(arg)
+    if path.is_file():
+        return path
+    return fixture_path(arg if path.suffix else arg + suffix)
 
 
-def load_ring_fixture(name: str) -> RingPresentation:
-    path = fixture_path(name if "." in name else f"{name}.ring")
-    return parse_ring_record(path.read_text(), source=path.name)
+def load_ring_fixture(arg: str) -> RingPresentation:
+    """The ring in the file at path ``arg`` if there is one, else the bundled
+    fixture ``arg``, read as ``<arg>.ring`` when ``arg`` has no suffix.  Parse
+    errors name the file as ``str(path)``."""
+    path = _input_path(arg, ".ring")
+    return parse_ring_record(path.read_text(), source=str(path))
 
 
-def load_group_fixture(name: str) -> GroupInputRecord:
-    path = fixture_path(name if "." in name else f"{name}.group")
-    return parse_group_record(path.read_text(), source=path.name)
+def load_group_fixture(arg: str) -> GroupInputRecord:
+    """As ``load_ring_fixture``, for a group; the bundled file is ``<arg>.group``."""
+    path = _input_path(arg, ".group")
+    return parse_group_record(path.read_text(), source=str(path))

@@ -60,9 +60,6 @@ from .linalg import Scalar, quotient
 
 class ParseError(ValueError):
     def __init__(self, source: str, line: int | None, message: str):
-        self.source = source
-        self.line = line
-        self.message = message
         where = f"{source}:{line}" if line is not None else source
         super().__init__(f"{where}: {message}")
 

@@ -15,7 +15,7 @@ from gorenstein_kit.cli import (
     sympow_power,
     window_degree,
 )
-from gorenstein_kit.dataset import RING_FIXTURES, load_ring_fixture
+from gorenstein_kit.dataset import RING_FIXTURES, TABLE_ROWS, load_group_fixture, load_ring_fixture
 from gorenstein_kit.graded_ring import gorenstein_shift_stanley, hilbert_series
 
 
@@ -208,6 +208,15 @@ def test_missing_input_is_an_error(capsys):
     assert code == 1
     assert out == ""
     assert "error:" in err
+
+
+def test_a_bare_name_is_looked_up_among_the_fixtures_of_its_kind(capsys):
+    # tmf2 names a ring fixture; in the group slot it is tmf2.group, which is
+    # not bundled, not the ring file read as a group.
+    code, out, err = run(capsys, "molien", "tmf2", "tmf2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: FileNotFoundError: no bundled fixture 'tmf2.group'; ")
+    assert err.count("\n") == 1
 
 
 def test_parse_error_reports_location(tmp_path, capsys):
@@ -745,3 +754,20 @@ def test_veronese_invariants_are_gorenstein_exactly_for_even_n(capsys, tmp_path,
         assert code == 0 and err == ""
         d = json.loads(out)["descent"]
         assert d["descended_gorenstein_shift"] == -3 * n and d["invariant_degrees"] is None
+
+
+def test_one_transposition_of_sigma3_descends_to_the_tmf_0_2_row(capsys, tmp_path):
+    # tmf(2) -> tmf_0(2) in the table's tower: tmf2 under the C_2 generated
+    # by the first transposition of sigma3_standard.
+    transposition = load_group_fixture("sigma3_standard").generators[0]
+    assert transposition == ((-1, 1), (0, 1))
+    code, out, err = run(capsys, "descent", *_descent_files(tmp_path, "tmf2", [transposition]))
+    assert code == 0 and err == ""
+    assert (
+        "  invariant degrees: [4, 8]\n"
+        "  solomon supplement b = -4  (verified)\n"
+        "  descended gorenstein shift a+b = -14\n"
+    ) in out
+    assert "  cross-check of the invariant ring's shift: ok\n" in out
+    (row,) = [row for row in TABLE_ROWS if row.name == "tmf_0(2)"]
+    assert row.expected_shift_a == -14

@@ -6,6 +6,8 @@ from gorenstein_kit.dataset import (
     GROUP_FIXTURES,
     RING_FIXTURES,
     TABLE_ROWS,
+    PaperTableRow,
+    fixture_path,
     load_group_fixture,
     load_ring_fixture,
 )
@@ -19,6 +21,13 @@ def test_table_has_twelve_rows():
 @pytest.mark.parametrize("row", TABLE_ROWS, ids=lambda r: f"{r.name}@{r.prime_label}")
 def test_recorded_shift_matches_degree_formula(row):
     assert gorenstein_shift_formula(row.presentation()) == row.expected_shift_a
+
+
+def test_a_row_with_four_degrees_counts_every_degree():
+    row = PaperTableRow("four", "2", "", (2, 4, 6, 8), None, -24)
+    p = row.presentation()
+    assert p.generators == (("x1", 2), ("x2", 4), ("x3", 6), ("x4", 8))
+    assert gorenstein_shift_formula(p) == -(2 + 4 + 6 + 8) - 4 == row.expected_shift_a
 
 
 def test_expected_column_in_table_order():
@@ -63,3 +72,11 @@ def test_group_fixtures_enumerate(name):
         "taf_d6_alphabeta": 4,
     }
     assert group.order == expected_orders[name]
+
+
+def test_input_files_load_by_a_path_relative_to_the_working_directory(tmp_path, monkeypatch):
+    (tmp_path / "c2.group").write_text(fixture_path("c2_negation.group").read_text())
+    (tmp_path / "line.ring").write_text(fixture_path("ku.ring").read_text())
+    monkeypatch.chdir(tmp_path)
+    assert load_group_fixture("c2.group") == load_group_fixture("c2_negation")
+    assert load_ring_fixture("line.ring") == load_ring_fixture("ku")

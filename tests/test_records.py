@@ -178,10 +178,18 @@ def test_declared_class_sizes_must_match():
 
 
 def test_fixture_path_resolution():
-    assert fixture_path("ku").name == "ku.ring"
-    assert fixture_path("sigma3_standard").name == "sigma3_standard.group"
-    with pytest.raises(FileNotFoundError):
-        fixture_path("nonexistent")
+    # Each loader looks a bare name up among the fixtures of its own kind.
+    assert load_ring_fixture("ku").name == "ku"
+    assert load_group_fixture("sigma3_standard").name == "sigma3"
+    assert fixture_path("ku.ring").name == "ku.ring"
+    assert fixture_path("sigma3_standard.group").name == "sigma3_standard.group"
+    for lookup in (fixture_path, load_ring_fixture, load_group_fixture):
+        with pytest.raises(FileNotFoundError):
+            lookup("nonexistent")
+    with pytest.raises(FileNotFoundError, match="'ku'"):
+        fixture_path("ku")
+    with pytest.raises(FileNotFoundError, match="'sigma3_standard.ring'"):
+        load_ring_fixture("sigma3_standard")
 
 
 # -- fuzzing: mutated fixture text ----------------------------------------------

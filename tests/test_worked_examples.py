@@ -53,3 +53,15 @@ def test_worked_examples_print_the_failure_witnesses(capsys, monkeypatch, failin
     assert (
         "cross-check: MISMATCH (predicted a+b = -5, functional equation -4)"
     ) in out
+
+
+def test_worked_examples_chain_on_invariants_that_are_not_polynomial(capsys, tmp_path):
+    # -1 on both generators of tmf2: M = (1 + t^8)/(1 - t^8)^2 is no free-ring
+    # series, and -1 lies in SL(V), so b = 0 and R^G keeps the base shift.
+    group = tmp_path / "minus.group"
+    group.write_text("[group]\nname = minus\nblock = 4 2\n\n[generator]\nrow = -1 0\nrow = 0 -1\n")
+    _load_script().chain("tmf2", str(group))
+    out = capsys.readouterr().out
+    assert "  invariants are not polynomial at this rank; 0 pseudoreflections\n" in out
+    assert "  descended gorenstein shift a+b = -10\n" in out
+    assert "invariant of degree" not in out

@@ -319,29 +319,26 @@ def cmd_invgen(args: argparse.Namespace) -> int:
     group, _ = _load_group(args.group, p).build(cap=_order_cap())
     symbols = [s for s, _ in p.generators]
     basis = invariant_basis(group, args.degree)
-    payload = {
-        "schema": f"{SCHEMA_PREFIX}/invgen/1",
-        "ring": _ring_json(p),
-        "group": group.name,
-        "degree": args.degree,
-        "dimension": len(basis),
-        "basis": [
-            {
-                "display": format_polynomial(poly, symbols),
-                "terms": [
-                    [list(exponents), str(c)] for exponents, c in sorted(poly.items(), reverse=True)
-                ],
-            }
-            for poly in basis
-        ],
-    }
+    if args.json:
+        _emit({
+            "schema": f"{SCHEMA_PREFIX}/invgen/1",
+            "ring": _ring_json(p),
+            "group": group.name,
+            "degree": args.degree,
+            "dimension": len(basis),
+            "basis": [
+                {"display": format_polynomial(terms, symbols),
+                 "terms": [[list(e), str(c)] for e, c in terms]}
+                for terms in (sorted(poly.items(), reverse=True) for poly in basis)
+            ],
+        })
+        return 0
     lines = _ring_header(p)
     lines.append(
         f"  invariants of {group.name} in degree {args.degree}: dimension {len(basis)}"
     )
-    for poly in basis:
-        lines.append(f"    {format_polynomial(poly, symbols)}")
-    _emit(payload if args.json else lines)
+    lines += (f"    {format_polynomial(poly, symbols)}" for poly in basis)
+    _emit(lines)
     return 0
 
 

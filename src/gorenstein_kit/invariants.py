@@ -736,6 +736,52 @@ def monomials_of_degree(var_degrees: Sequence[int], total: int) -> list[tuple[in
     return out
 
 
+def _monomial_maps(group: GradedGroupRep) -> list[tuple[list[int], list[tuple[int, Scalar]]]] | None:
+    """Per generator sending each x_j to c*x_i, read off the orbit: the j
+    sent to each x_i, and the (j, c) with c != 1; None for any other group."""
+    n, maps = group.dimension, []
+    for perm in group.generator_permutations:
+        targets = sorted(
+            (i, j, c) for j, k in enumerate(perm[:n]) for i, c in enumerate(group.orbit[k]) if c
+        )
+        if len(targets) != n:  # each orbit vector is nonzero: n entries means one each
+            return None
+        maps.append(([j for _, j, _ in targets], [(j, c) for _, j, c in targets if c != 1]))
+    return maps
+
+
+def _orbit_sums(
+    maps: list[tuple[list[int], list[tuple[int, Scalar]]]], columns: list[tuple[int, ...]]
+) -> list[Polynomial]:
+    """Orbit sums, one per orbit that no path reaches with two values: 1 at
+    its highest column, value(g.m) = value(m) * c.  The orbits are disjoint,
+    so listed highest column first they are already in reduced echelon form."""
+    col_index = {e: k for k, e in enumerate(columns)}
+    value: dict[int, Scalar] = {}
+    basis = []
+    for start in reversed(range(len(columns))):
+        if start in value:
+            continue
+        value[start], orbit, consistent = 1, [start], True
+        for k in orbit:  # breadth first: the loop visits the appended columns too
+            m = columns[k]
+            for source, scaled in maps:
+                c = value[k]
+                for j, a in scaled:
+                    if m[j]:
+                        c *= a ** m[j]
+                target = col_index[tuple([m[j] for j in source])]
+                c = c if type(c) is int else exact(c)
+                if target not in value:
+                    value[target] = c
+                    orbit.append(target)
+                elif value[target] != c:
+                    consistent = False
+        if consistent:
+            basis.append({columns[k]: value[k] for k in orbit})
+    return basis
+
+
 def invariant_basis(
     group: GradedGroupRep,
     total_degree: int,
@@ -747,12 +793,14 @@ def invariant_basis(
     the monomials of the degree (Derksen-Kemper, *Computational Invariant
     Theory*, ch. 3), returned as the reduced row echelon form of that
     kernel with the monomials descending, which is unique; their number
-    equals the Molien coefficient.  Each monomial's image under g is a
-    product of cached powers of g's linear forms, written straight into
-    sparse rows of g - 1 (at most two entries each for a signed
-    permutation); the rows of all generators go through one sparse
-    elimination over the monomials ascending, whose pivot rows give that
-    echelon form directly.  The monomial count, read from
+    equals the Molien coefficient.  For a monomial group, whose generators
+    send each variable to one scaled variable, the kernel is spanned by the
+    orbit sums of the monomials (Stanley, Bull. AMS 1 (1979), section 2),
+    read off one breadth-first walk per orbit.  Any other group builds each
+    monomial's image under g from cached powers of g's linear forms into
+    sparse rows of g - 1, and the rows of all generators go through one
+    sparse elimination over the monomials ascending, whose pivot rows give
+    the echelon form directly.  The monomial count, read from
     1/prod(1 - t^{d_i}), is checked against ``monomial_bound`` before any
     monomial is enumerated.  Polynomials are exponent dictionaries over the
     graded variables, one slot per matrix coordinate.
@@ -766,6 +814,9 @@ def invariant_basis(
     if not count:
         return []
     columns = monomials_of_degree(var_degrees, total_degree)
+    maps = _monomial_maps(group)
+    if maps is not None:
+        return _orbit_sums(maps, columns)
     col_index = {e: i for i, e in enumerate(columns)}
     rows: list[dict[int, Scalar]] = []
     for g in group.generators:
@@ -791,12 +842,16 @@ def invariant_basis(
     return list(kernel.values())
 
 
-def format_polynomial(poly: Polynomial, symbols: Sequence[str]) -> str:
-    """Human-readable rendering like ``x^2 + x*y + y^2``."""
+def format_polynomial(
+    poly: Polynomial | Sequence[tuple[tuple[int, ...], Scalar]], symbols: Sequence[str]
+) -> str:
+    """Human-readable rendering like ``x^2 + x*y + y^2``, highest monomial
+    first; a sequence of (exponents, coefficient) terms is taken in its order."""
+    terms = sorted(poly.items(), reverse=True) if isinstance(poly, dict) else poly
     return _render_terms(
         (
             coeff,
             "*".join(sym if e == 1 else f"{sym}^{e}" for sym, e in zip(symbols, exponents) if e),
         )
-        for exponents, coeff in sorted(poly.items(), reverse=True)
+        for exponents, coeff in terms
     )

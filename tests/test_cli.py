@@ -149,6 +149,19 @@ def test_invgen_command(capsys):
     assert payload["basis"][0]["display"] == "x^2 + x*y + y^2"
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_invgen_renders_each_polynomial_once(capsys, monkeypatch, flags):
+    # Only the printed form is built: one rendering per basis polynomial.
+    calls = []
+    original = cli.format_polynomial
+    monkeypatch.setattr(cli, "format_polynomial", lambda *a: calls.append(1) or original(*a))
+    code, out, _ = run(capsys, "invgen", "taf_d6", "taf_d6_alphabeta", "--degree", "48", *flags)
+    assert code == 0
+    lines = out.splitlines()
+    dimension = json.loads(out)["dimension"] if flags else sum(line.startswith("    ") for line in lines)
+    assert dimension > 1 and len(calls) == dimension
+
+
 def test_descent_command(capsys):
     code, payload, _ = run_json(capsys, "descent", "ku", "c2_negation")
     assert code == 0

@@ -991,9 +991,25 @@ def _act(m, poly):
     return {e: c for e, c in out.items() if c}
 
 
-@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "trivial", "s5", "b3", "s4_conjugated"])
+# Monomial groups with rational scalars: x <-> y scaled by 2 and 1/2; the
+# rotation C_4, whose orbits through x^a*y^b with a + b odd cancel; a scaled
+# swap on a degree-2 block beside a negation on a degree-4 block; and
+# x -> y/2, y -> 2z, z -> x, where a product of two Fractions is an int.
+MONOMIAL_GENERATORS = {
+    "scaled_swap": ([[[0, 2], [Fraction(1, 2), 0]]], [(2, 2)]),
+    "c4_rotation": ([[[0, -1], [1, 0]]], [(2, 2)]),
+    "mixed_monomial": ([[[0, 3, 0], [Fraction(1, 3), 0, 0], [0, 0, -1]]], [(2, 2), (4, 1)]),
+    "scaled_3_cycle": ([[[0, 0, 1], [Fraction(1, 2), 0, 0], [0, 2, 0]]], [(2, 3)]),
+}
+
+
+@pytest.mark.parametrize(
+    "name", [*GROUP_FIXTURES, "s4", "trivial", "s5", "b3", "s4_conjugated", *MONOMIAL_GENERATORS]
+)
 def test_invariant_basis_matches_the_reynolds_oracle(name):
-    if name in ("s4", "s5", "b3"):
+    if name in MONOMIAL_GENERATORS:
+        group, top = generate_group(*MONOMIAL_GENERATORS[name], name=name), 20
+    elif name in ("s4", "s5", "b3"):
         group, top = signed_permutation_group(int(name[1]), signed=name == "b3"), 12
     elif name == "trivial":  # no generators: every monomial is invariant
         group, top = trivial_group(((2, 1), (4, 2))), 12
@@ -1004,14 +1020,19 @@ def test_invariant_basis_matches_the_reynolds_oracle(name):
     for degree in range(top + 1):
         basis = invariant_basis(group, degree)
         assert basis == _reynolds_basis(group, degree), degree
+        assert all(in_exact_form(c) for poly in basis for c in poly.values()), degree
         for m in matrices(group):
             for poly in basis:
                 assert _act(m, poly) == poly, degree
 
 
-@pytest.mark.parametrize("name", ["s4", "b3"])
+@pytest.mark.parametrize("name", ["sigma3_standard", "s4_conjugated"])
 def test_invariant_basis_reduces_sparse_rows(monkeypatch, name):
-    group = signed_permutation_group(int(name[1]), signed=name == "b3")
+    # Groups that are not monomial take the elimination path.
+    if name in GROUP_FIXTURES:
+        group, degree = load_group_fixture(name).build()[0], 24
+    else:  # dense rows of Fractions: low degree keeps it quick
+        group, degree = conjugated_s4_group(), 6
     calls = []
     original = linalg.rref
 
@@ -1020,16 +1041,31 @@ def test_invariant_basis_reduces_sparse_rows(monkeypatch, name):
         return original(rows)
 
     monkeypatch.setattr(linalg, "rref", recording)
-    assert invariant_basis(group, 12)
+    assert invariant_basis(group, degree)
     # One elimination: the kernel is read off its pivot rows already in
     # reduced row echelon form.
     assert len(calls) == 1 and calls[0]
-    for rows in calls:
-        for row in rows:
-            assert isinstance(row, Mapping) and all(row.values())
-    # The first call reduces the rows of g - 1 over the generators: a signed
-    # permutation sends each monomial to one signed monomial.
-    assert all(len(row) <= 2 for row in calls[0])
+    for row in calls[0]:
+        assert isinstance(row, Mapping) and all(row.values())
+
+
+@pytest.mark.parametrize("name", ["s4", "b3", "c2_negation", "taf_d6_alphabeta", "trivial"])
+def test_monomial_groups_walk_the_orbits(monkeypatch, name):
+    # A group whose generators send each variable to one scaled variable
+    # builds no polynomial product and runs no elimination.
+    if name in GROUP_FIXTURES:
+        group, top = load_group_fixture(name).build()[0], 48
+    elif name == "trivial":
+        group, top = trivial_group(((2, 1), (4, 2))), 12
+    else:
+        group, top = signed_permutation_group(int(name[1]), signed=name == "b3"), 12
+    expected = [_reynolds_basis(group, degree) for degree in range(top + 1)]
+    calls = []
+    for module, attr in ((linalg, "rref"), (invariants, "_poly_mul")):
+        original = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *a, f=original, k=attr: calls.append(k) or f(*a))
+    assert [invariant_basis(group, degree) for degree in range(top + 1)] == expected
+    assert calls == []
 
 
 def test_off_grading_degree_has_no_monomials(sigma3_group):
@@ -1083,14 +1119,15 @@ def test_monomial_images_keep_only_the_powers_in_use(c2_group):
     assert peak < 1_000_000
 
 
-def test_monomial_images_reach_a_power_by_squaring(c2_group, monkeypatch):
-    # v^100000 is the one monomial of degree 200000: about two products per
-    # bit of the exponent, not one per unit.
+def test_monomial_images_reach_a_power_by_squaring(monkeypatch):
+    # y^100000 under the non-monomial x -> x + y, y -> y: about two products
+    # per bit of the exponent, not one per unit.
     calls = []
     original = invariants._poly_mul
     monkeypatch.setattr(invariants, "_poly_mul", lambda a, b: calls.append(1) or original(a, b))
-    assert invariant_basis(c2_group, 200000) == [{(100000,): 1}]
-    assert len(calls) <= 2 * (100000).bit_length() + 2
+    images = list(invariants._monomial_images(((1, 0), (1, 1)), [(0, 100000)]))
+    assert images == [{(0, 100000): 1}]
+    assert 0 < len(calls) <= 2 * (100000).bit_length() + 2
 
 
 def test_poly_pow_matches_repeated_products():

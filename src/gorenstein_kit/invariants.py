@@ -3,22 +3,19 @@
 A group is enumerated explicitly (orders here are tiny, so exactness beats
 generality) as permutations of the orbit of the standard basis vectors
 under its generators: the orbit spans the space, so the action is faithful.
-An element is an index; its block-diagonal rational matrix, one square
-block per generator degree, is read off the orbit only for the class key.
-On top of this the module computes Molien and character-twisted Molien
-series, pseudoreflection counts, invariant degrees by exact division, the
-supplement b read off the ratio of the det-twisted to the untwisted Molien
-series, symmetric-power characters, decompositions against rational
-character tables, and explicit invariant polynomials as the common kernel
-of g - 1 over the generators.
+An element is an index; products and conjugates compose index maps with
+``operator.itemgetter``, and the class key reads entries off the orbit, so
+no element's matrix is built.  On top of this the module computes (twisted)
+Molien series, pseudoreflection counts, invariant degrees by exact
+division, the supplement b read off M_det/M, symmetric-power characters,
+decompositions against rational character tables, and invariant
+polynomials as the common kernel of g - 1 over the generators.
 
-Every class function (Molien terms, determinants, symmetric-power
-characters, pseudoreflections) is read off det(1 - s*g on V_d), computed
-once per conjugacy class and grading block (Stanley, Bull. AMS 1 (1979),
-section 2) by Newton's identities from the traces of g's powers, which the
-representative's permutation gives without a matrix.  Groups with
-irrational irreducible characters get everything but decomposition, which
-needs a rational, hence integer, character table.
+Every class function is read off det(1 - s*g on V_d), once per conjugacy
+class and grading block (Stanley, Bull. AMS 1 (1979), section 2), by
+Newton's identities on traces read off the representative's permutation;
+a Molien class term divides (1 - s^o)^dim by it with an integer
+recurrence.  Decomposition needs a rational, hence integer, character table.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -142,13 +138,9 @@ class GradedGroupRep:
 
 
 def _is_block_diagonal(m: Matrix, slices: list[tuple[int, int, int]]) -> bool:
-    n = len(m)
-    for _, start, stop in slices:
-        for i in range(start, stop):
-            for j in range(n):
-                if not (start <= j < stop) and m[i][j]:
-                    return False
-    return True
+    return all(
+        not any(row[:start]) and not any(row[stop:]) for _, start, stop in slices for row in m[start:stop]
+    )
 
 
 def _checked_generators(
@@ -166,7 +158,7 @@ def _checked_generators(
             raise ValueError(f"generator is not {n}x{n}")
         if not _is_block_diagonal(g, slices):
             raise ValueError("generator is not block-diagonal for the given grading")
-        if linalg.determinant(g) == 0:
+        if linalg.rank(g) < n:
             raise ValueError("generator is singular")
     return gens
 
@@ -208,9 +200,11 @@ def generate_group(
     gen_perms = tuple(tuple(image) for image in images)
     perms = [tuple(range(len(orbit)))]
     seen = set(perms)
-    for m in perms:  # breadth first, as for the orbit; m*g sends k to m[g[k]]
-        for g in gen_perms:
-            prod = tuple([m[k] for k in g])
+    # m*g sends k to m[g[k]]: itemgetter(*g)(m), a tuple unless the orbit is one fixed vector.
+    composers = [operator.itemgetter(*g) for g in gen_perms] if len(orbit) > 1 else []
+    for m in perms:  # breadth first, as for the orbit
+        for compose in composers:
+            prod = compose(m)
             if prod not in seen:
                 if len(seen) >= cap:
                     raise too_large
@@ -237,12 +231,13 @@ def conjugacy_classes(group: GradedGroupRep) -> tuple[tuple[int, ...], ...]:
     """
     if group._classes is not None:
         return group._classes[0]
-    # The class of x is its orbit under x -> g^-1 x g for the generators g:
-    # conjugation by any element is a composite of these.  As permutations,
-    # g^-1 x g sends k to g^-1[x[g[k]]].
+    # The class of x is its orbit under x -> g^-1 x g for the generators g, of
+    # which every conjugation is a composite; g^-1 x g sends k to g^-1[x[g[k]]],
+    # itemgetter(*x[g])(g^-1).  The trivial group may have an orbit of one.
+    gens = group.generator_permutations if group.order > 1 else ()
+    conjugators = [(sorted(range(len(g)), key=g.__getitem__), operator.itemgetter(*g)) for g in gens]
     index = {p: i for i, p in enumerate(group.permutations)}
-    gens = group.generator_permutations
-    conjugators = [(sorted(range(len(g)), key=g.__getitem__), g) for g in gens]
+    n, rows = group.dimension, tuple(zip(*group.orbit))  # rows of the orbit's transpose
     assigned: set[int] = set()
     keyed = []
     for i in range(group.order):
@@ -251,14 +246,16 @@ def conjugacy_classes(group: GradedGroupRep) -> tuple[tuple[int, ...], ...]:
         members, stack = {i}, [group.permutations[i]]
         while stack:
             y = stack.pop()
-            for ginv, g in conjugators:
-                j = index[tuple([ginv[y[k]] for k in g])]
+            for ginv, by_g in conjugators:
+                j = index[operator.itemgetter(*by_g(y))(ginv)]
                 if j not in members:
                     members.add(j)
                     stack.append(group.permutations[j])
         assigned |= members
-        # Distinct elements have distinct entries; no matrix is kept.
-        entries, rep = min((tuple(chain.from_iterable(group.matrix(j))), j) for j in members)
+        # Entry (r, c) of j's matrix is orbit[perm_j[c]][r]; distinct elements have distinct entries.
+        entries, rep = min(
+            (tuple([row[k] for row in rows for k in group.permutations[j][:n]]), j) for j in members
+        )
         keyed.append(((group.element_order(rep), len(members), entries), rep, tuple(sorted(members))))
     keyed.sort()
     classes = tuple(cls for _, _, cls in keyed)
@@ -410,21 +407,32 @@ class MolienReport:
     pseudoreflection_count: int
 
 
+def _over_det(full: list[int], c: list[Scalar]) -> list[Scalar]:
+    """The first len(full) power-series coefficients of full / (1 + c_1 s +
+    ... + c_k s^k), c listing c_k .. c_1: q_j = full_j - sum_i c_i q_{j-i}."""
+    k = len(c)
+    q = [0] * k + full  # q_j at q[k + j], after k zeros
+    for j in range(k, len(q)):
+        q[j] -= sum(map(operator.mul, c, q[j - k : j]))
+    return q[k:]
+
+
 def _element_term(group: GradedGroupRep, rep: int, factors: Sequence[LaurentPolynomial]) -> HilbertSeries:
     """1 / prod_blocks det(1 - m t^d on V_d) for the element m at index rep,
-    from its block factors det(1 - s*m on V_d)."""
+    from its block factors det(1 - s*m on V_d), of degree dim.  m has order o,
+    so each divides (1 - s^o)^dim: :func:`_over_det` gives the quotient up to
+    s^{o*dim}, exact when its last dim coefficients vanish (then all later do)."""
     order = group.element_order(rep)
     numerator = LaurentPolynomial.one()
     dens: list[int] = []
     for (degree, dim), factor in zip(group.blocks, factors):
-        det_poly = LaurentPolynomial({k * degree: c for k, c in factor.terms()})
-        # All eigenvalues are order-th roots of unity, so det divides
-        # (1 - t^{degree*order})^dim exactly.
-        full = prod_one_minus([degree * order] * dim)
-        quotient = full.divide_exact(det_poly)
-        if quotient is None:
+        full = [0] * (order * dim + 1)
+        full[::order] = [(-1) ** i * math.comb(dim, i) for i in range(dim + 1)]
+        q = _over_det(full, [factor.coefficient(i) for i in range(dim, 0, -1)])
+        if any(q[-dim:]):
             raise ArithmeticError("characteristic factor failed to divide cyclotomic power")
-        numerator = numerator * quotient
+        block = {j * degree: x if type(x) is int else exact(x) for j, x in enumerate(q[:-dim]) if x}
+        numerator = numerator * LaurentPolynomial._of(block)
         dens.extend([degree * order] * dim)
     return HilbertSeries(numerator, dens)
 
@@ -463,13 +471,10 @@ def pseudoreflection_count(group: GradedGroupRep) -> int:
     n - 1 eigenvalues 1 and one rational root of unity other than 1, i.e. -1:
     exactly when prod_blocks det(1 - s*g) = (1 - s)^{n-1}(1 + s).
     """
-    n = group.dimension
-    reflection = LaurentPolynomial({0: 1, 1: 1}).times_one_minus([1] * (n - 1))
-    return sum(
-        len(cls)
-        for cls, factors in zip(conjugacy_classes(group), _class_factors(group))
-        if math.prod(factors, start=LaurentPolynomial.one()) == reflection
-    )
+    one = LaurentPolynomial.one()
+    reflection = LaurentPolynomial({0: 1, 1: 1}).times_one_minus([1] * (group.dimension - 1))
+    classes = zip(conjugacy_classes(group), _class_factors(group))
+    return sum(len(cls) for cls, factors in classes if math.prod(factors, start=one) == reflection)
 
 
 def molien_series(
@@ -479,14 +484,11 @@ def molien_series(
 ) -> MolienReport:
     """Exact (twisted) Molien series of the group action.
 
-    Averages 1/det(1 - g^{-1} t^d on V_d) over the group, each degree-d
-    block contributing at t^d; for ``twist="det"`` every term is weighted by
-    the determinant of g, and for a named twist by that character's value on
-    the class of g (the table must contain the name).  Terms and weights are
-    class functions, so the sum runs over conjugacy classes, one term per
-    class times the class size.  Each term uses g in place of g^{-1}: a
-    rational matrix of finite order has the same characteristic polynomial
-    as its inverse, since its eigenvalues are roots of unity.
+    The average over G of 1/prod_d det(1 - g^{-1} t^d on V_d), weighted by
+    det g for ``twist="det"`` and by the table's character of that name for
+    a named twist.  Terms and weights are class functions, so the sum runs
+    over the classes, one term per class, and g stands in for g^{-1}: a
+    rational matrix of finite order has its inverse's characteristic polynomial.
     """
     (series,) = _molien_sums(group, [twist], table)
     return MolienReport(
@@ -623,10 +625,7 @@ def sym_power_characters(group: GradedGroupRep, top: int) -> list[tuple[int, ...
         c = [det.coefficient(k) for k in range(group.dimension + 1)]
         if any(type(x) is not int for x in c):
             raise ArithmeticError(f"det(1 - s*g) has non-integral coefficients {c}")
-        h = [1]
-        for j in range(1, top + 1):
-            h.append(-sum(c[i] * h[j - i] for i in range(1, min(j, len(c) - 1) + 1)))
-        columns.append(h)
+        columns.append(_over_det([1] + [0] * top, c[:0:-1]))
     return list(zip(*columns))
 
 
@@ -718,22 +717,22 @@ def _monomial_images(m: Matrix, monomials: Sequence[tuple[int, ...]]) -> Iterato
 
 
 def monomials_of_degree(var_degrees: Sequence[int], total: int) -> list[tuple[int, ...]]:
-    """Exponent vectors with sum(e_i * var_degrees[i]) = total."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, remaining: int, prefix: list[int]):
-        if i == len(var_degrees) - 1:
-            if remaining % var_degrees[i] == 0:
-                out.append(tuple(prefix + [remaining // var_degrees[i]]))
-            return
-        d = var_degrees[i]
-        for e in range(remaining // d + 1):
-            rec(i + 1, remaining - e * d, prefix + [e])
-
+    """Exponent vectors with sum(e_i * var_degrees[i]) = total, ascending
+    lexicographically: one odometer over the exponents of all variables but
+    the last, kept in place, and the last exponent where it divides the rest."""
     if total < 0:
         return []
-    rec(0, total, [])
-    return out
+    *head, last = var_degrees
+    e, out, rest = [0] * len(head), [], total
+    while True:
+        if rest % last == 0:
+            out.append((*e, rest // last))
+        i = len(head) - 1  # raise the last exponent that fits, zeroing those after it
+        while i >= 0 and rest < head[i]:
+            rest, e[i], i = rest + e[i] * head[i], 0, i - 1
+        if i < 0:
+            return out
+        e[i], rest = e[i] + 1, rest - head[i]
 
 
 def _monomial_maps(group: GradedGroupRep) -> list[tuple[list[int], list[tuple[int, Scalar]]]] | None:

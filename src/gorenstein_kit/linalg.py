@@ -4,15 +4,11 @@ Every exact scalar is an ``int`` when integral and a ``Fraction`` only when
 its denominator exceeds 1 (an int equals, hashes and prints like the equal
 Fraction): :func:`exact` puts a value in that form, refusing floats, and
 :func:`quotient` divides into it.  Matrices are immutable tuples of tuples
-of such scalars, and every function is pure.  Elimination runs on sparse
-rows, dicts from column index to nonzero scalar: the rows of g - 1 on
-monomials behind invariant bases have one or two nonzeros each for a
-signed permutation g.  The package has two matrix algorithms: that one
-elimination, :func:`rref`, which backs rank and inverse on dense matrices,
-and the characteristic polynomial det(1 - s*M), read by Newton's identities
-off the power sums tr(M^k).  The determinant reads it off the powers of M;
-every class function reads it off traces taken from a permutation, with no
-matrix at all.
+of such scalars, and every function is pure.  The package has two matrix
+algorithms: one elimination on sparse rows (dicts from column index to
+nonzero scalar), :func:`rref`, behind invariant bases and the rank test of
+group generators; and det(1 - s*M) by Newton's identities on the power sums
+tr(M^k), which every class function takes from a permutation's traces.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ function kept in the shape
 
 with the numerator a Laurent polynomial (negative exponents allowed, since
 duals and local cohomology live in negative degrees) and D a multiset of
-positive integers.  The shape is canonical in the sense that no denominator
-factor divides the numerator exactly; a reduction pass enforces this on
-construction.
+positive integers.  The shape is canonical: no denominator factor divides
+the numerator exactly.  A reduction pass enforces this on construction; a
+nonzero scalar multiple keeps the shape and needs no pass.
 
 Each type has one validating constructor: ``LaurentPolynomial(terms)`` and
 ``HilbertSeries(numerator, degrees)``, so ``HilbertSeries(1, degrees)`` is
@@ -400,7 +400,7 @@ class HilbertSeries:
     __radd__ = __add__
 
     def __neg__(self) -> "HilbertSeries":
-        return HilbertSeries(-self._numerator, self._denominator_degrees)
+        return self * -1
 
     def __sub__(self, other: "HilbertSeries | Scalar") -> "HilbertSeries":
         if not isinstance(other, (HilbertSeries, int, Fraction)):
@@ -409,7 +409,12 @@ class HilbertSeries:
 
     def __mul__(self, other: "HilbertSeries | Scalar") -> "HilbertSeries":
         if isinstance(other, (int, Fraction)):
-            return HilbertSeries(self._numerator.scale(other), self._denominator_degrees)
+            if not other:
+                return HilbertSeries(0)
+            # 1 - t^d divides c*N, c != 0, only if it divides N: the shape stays canonical.
+            out = HilbertSeries.__new__(HilbertSeries)
+            out._numerator, out._denominator_degrees = self._numerator.scale(other), self._denominator_degrees
+            return out
         if not isinstance(other, HilbertSeries):
             return NotImplemented
         return HilbertSeries(

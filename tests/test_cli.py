@@ -300,6 +300,32 @@ def test_relation_base_descent_refuses_a_group_that_cannot_be_built(
         assert run(capsys, "descent", "taf_d6", str(group), *extra) == expected, extra
 
 
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        (("2 4", "1 2"), "generator is singular"),
+        (("1 1/2", "2 1"), "generator is singular"),
+        (("0 -1", "1 -1"), None),
+    ],
+    ids=["dense-singular", "singular-with-a-half", "dense-nonsingular"],
+)
+def test_generators_with_a_dense_block_are_checked_by_rank(tmp_path, capsys, block, message):
+    # taf_d6_al_alpha has two degree-24 generators and a relation: molien
+    # builds the group, and descent only checks the generators.
+    group = tmp_path / "dense.group"
+    group.write_text(
+        "[group]\nname = dense\nblock = 8 1\nblock = 24 2\n\n[generator]\nrow = 1 0 0\n"
+        + "".join(f"row = 0 {row}\n" for row in block)
+    )
+    for command in ("molien", "descent"):
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, command, "taf_d6_al_alpha", str(group), *extra)
+            if message is None:
+                assert (code, err) == (0, "") and out, (command, extra)
+            else:
+                assert (code, out, err) == (1, "", f"error: ValueError: {message}\n"), (command, extra)
+
+
 def test_unknown_twist_name_is_one_plain_line(capsys):
     expected = (
         "error: UnknownCharacter: no character named 'chi1' in the table;"

@@ -406,6 +406,8 @@ def _in_test_or_fixture_group(name):
         "b4": lambda: signed_permutation_group(4, signed=True),
         "c3": c3_group,
         "trivial": trivial_group,
+        # The identity matrix twice on one coordinate: an orbit of one vector.
+        "trivial_by_identity": lambda: generate_group([[[1]], [[1]]], [(2, 1)], name="trivial"),
         "s4_conjugated": conjugated_s4_group,
         "mixed": mixed_block_group,
     }
@@ -510,6 +512,109 @@ def test_element_matrices_are_read_only_where_needed(name, monkeypatch):
     object.__setattr__(group, "_factors", None)  # computed afresh, not read from the cache
     invariants._class_factors(group)
     assert reps and read == []
+
+
+def _group_core_results(group):
+    """Classes, representatives, class factors and the trivial and det
+    Molien sums, each computed afresh."""
+    object.__setattr__(group, "_classes", None)
+    object.__setattr__(group, "_factors", None)
+    classes = conjugacy_classes(group)
+    factors = invariants._class_factors(group)
+    sums = invariants._molien_sums(group, ["trivial", "det"])
+    return (
+        classes,
+        class_representatives(group),
+        [[f.terms() for f in fs] for fs in factors],
+        [(s.numerator.terms(), s.denominator_degrees) for s in sums],
+    )
+
+
+@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "s4_conjugated", "mixed"])
+def test_group_core_builds_no_element_matrix(name, monkeypatch):
+    # The class key reads its entries off the orbit, and the class terms
+    # come from the class factors: no element's matrix is ever built.
+    expected = _group_core_results(_in_test_or_fixture_group(name)[0])
+
+    def refuse(self, i):
+        raise AssertionError(f"the matrix of element {i} was built")
+
+    monkeypatch.setattr(GradedGroupRep, "matrix", refuse)
+    group = _in_test_or_fixture_group(name)[0]
+    assert _group_core_results(group) == expected
+
+
+@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "b3", "s4_conjugated", "mixed"])
+def test_generators_are_checked_without_a_determinant(name, monkeypatch):
+    expected = _in_test_or_fixture_group(name)[0]
+
+    def refuse(m):
+        raise AssertionError("a determinant was computed")
+
+    monkeypatch.setattr(linalg, "determinant", refuse)
+    group = _in_test_or_fixture_group(name)[0]
+    assert group.permutations == expected.permutations and group.orbit == expected.orbit
+
+
+def _element_term_by_long_division(group, rep, factors):
+    """The class term as it was built before the integer recurrence: the
+    product per block of (1 - t^{d*o})^dim divided by det(1 - m t^d on V_d)
+    by long division; kept as the reference."""
+    order = group.element_order(rep)
+    numerator = LaurentPolynomial.one()
+    dens = []
+    for (degree, dim), factor in zip(group.blocks, factors):
+        det_poly = LaurentPolynomial({k * degree: c for k, c in factor.terms()})
+        quotient = prod_one_minus([degree * order] * dim).divide_exact(det_poly)
+        if quotient is None:
+            raise ArithmeticError("characteristic factor failed to divide cyclotomic power")
+        numerator = numerator * quotient
+        dens.extend([degree * order] * dim)
+    return HilbertSeries(numerator, dens)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [*GROUP_FIXTURES, "s4", "s5", "s6", "b3", "b4", "c3", "s4_conjugated", "mixed", "trivial_by_identity"],
+)
+def test_class_terms_match_long_division(name, monkeypatch):
+    group, _ = _in_test_or_fixture_group(name)
+    reps, factors = class_representatives(group), invariants._class_factors(group)
+    expected = [_element_term_by_long_division(group, rep, fs) for rep, fs in zip(reps, factors)]
+
+    def refuse(self, divisor):
+        raise AssertionError("a class term used long division")
+
+    monkeypatch.setattr(LaurentPolynomial, "divide_exact", refuse)
+    for rep, fs, reference in zip(reps, factors, expected):
+        term = invariants._element_term(group, rep, fs)
+        assert term.numerator.terms() == reference.numerator.terms()
+        assert term.denominator_degrees == reference.denominator_degrees
+        assert all(in_exact_form(c) for _, c in term.numerator.terms())
+
+
+def test_trivial_group_generated_on_one_coordinate_keeps_tuples():
+    # The orbit is the one basis vector, where a single-index itemgetter
+    # would return a bare index instead of a permutation.
+    group, _ = _in_test_or_fixture_group("trivial_by_identity")
+    assert group.order == 1
+    assert group.permutations == ((0,),) and group.generator_permutations == ((0,), (0,))
+    assert conjugacy_classes(group) == ((0,),) and class_representatives(group) == (0,)
+    assert molien_series(group).series == HilbertSeries(1, [2])
+
+
+@pytest.mark.parametrize(
+    "name, order, factor",
+    [("c2_negation", 2, {0: 1, 1: 2}), ("sigma3_standard", 3, {0: 1, 1: 1, 2: 2})],
+    ids=["1+2s", "1+s+2s^2"],
+)
+def test_class_term_refuses_a_factor_that_does_not_divide(name, order, factor):
+    # A fabricated factor of the block's degree that does not divide (1 - s^order)^dim.
+    group, _ = _in_test_or_fixture_group(name)
+    rep = next(r for r in class_representatives(group) if group.element_order(r) == order)
+    for term in (invariants._element_term, _element_term_by_long_division):
+        with pytest.raises(ArithmeticError, match="failed to divide"):
+            term(group, rep, [LaurentPolynomial(factor)])
 
 
 @pytest.mark.parametrize("name", GROUP_FIXTURES)
@@ -1066,6 +1171,50 @@ def test_monomial_groups_walk_the_orbits(monkeypatch, name):
         monkeypatch.setattr(module, attr, lambda *a, f=original, k=attr: calls.append(k) or f(*a))
     assert [invariant_basis(group, degree) for degree in range(top + 1)] == expected
     assert calls == []
+
+
+def _monomials_by_recursion(var_degrees, total):
+    """The exponent vectors as monomials_of_degree listed them by recursion,
+    copying the prefix at every level; kept as the reference for their order."""
+    out = []
+
+    def rec(i, remaining, prefix):
+        if i == len(var_degrees) - 1:
+            if remaining % var_degrees[i] == 0:
+                out.append(tuple(prefix + [remaining // var_degrees[i]]))
+            return
+        d = var_degrees[i]
+        for e in range(remaining // d + 1):
+            rec(i + 1, remaining - e * d, prefix + [e])
+
+    if total < 0:
+        return []
+    rec(0, total, [])
+    return out
+
+
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=5), st.integers(-3, 30))
+@settings(max_examples=300)
+def test_monomials_match_the_recursive_listing(var_degrees, total):
+    assert monomials_of_degree(var_degrees, total) == _monomials_by_recursion(var_degrees, total)
+
+
+@pytest.mark.parametrize(
+    "var_degrees, total, expected",
+    [
+        ((3,), 12, [(4,)]),
+        ((3,), 13, []),
+        ((2, 4, 6), 0, [(0, 0, 0)]),
+        ((4, 6), 2, []),
+        ((4, 6, 10), 7, []),
+        ((2, 2), -2, []),
+        ((1, 2), 4, [(0, 2), (2, 1), (4, 0)]),
+    ],
+    ids=["one-variable", "one-variable-indivisible", "total-0", "below-every-degree", "no-degree-divides",
+         "negative", "lexicographic"],
+)
+def test_monomials_of_degree_edge_cases(var_degrees, total, expected):
+    assert monomials_of_degree(var_degrees, total) == expected == _monomials_by_recursion(var_degrees, total)
 
 
 def test_off_grading_degree_has_no_monomials(sigma3_group):

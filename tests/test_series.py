@@ -177,6 +177,28 @@ def test_scalar_multiplication():
     assert (s * Fraction(1, 2)).expand(0, 4) == [Fraction(1, 2), 0, Fraction(1, 2), 0, Fraction(1, 2)]
 
 
+# Series whose numerator the reduction sweep divides by some of the factors.
+reducible_series = st.builds(
+    lambda p, extra, degrees: HilbertSeries(p.times_one_minus(extra), extra + degrees),
+    laurent_polys,
+    st.lists(st.integers(1, 6), max_size=3),
+    denominators,
+)
+nonzero_scalars = st.one_of(st.integers(-6, 6), small_fractions).filter(bool)
+
+
+@given(st.one_of(series_values, reducible_series), nonzero_scalars)
+def test_scalar_multiples_keep_the_reduced_shape(s, c):
+    # 1 - t^d divides c*N exactly when it divides N, so no sweep is needed.
+    for product, scalar in ((s * c, c), (c * s, c), (-s, -1)):
+        expected = HilbertSeries(s.numerator.scale(scalar), s.denominator_degrees)
+        assert product.numerator.terms() == expected.numerator.terms()
+        assert product.denominator_degrees == expected.denominator_degrees
+        assert all(in_exact_form(x) for _, x in product.numerator.terms())
+    for zero in (s * 0, 0 * s, s * Fraction(0)):
+        assert zero.is_zero and zero.denominator_degrees == ()
+
+
 @given(series_values, series_values)
 def test_addition_commutes(a, b):
     assert a + b == b + a

@@ -27,14 +27,8 @@ from typing import Iterator, Sequence
 
 from . import linalg
 from .linalg import Matrix, Scalar, exact, quotient
-from .series import (
-    HilbertSeries,
-    LaurentPolynomial,
-    NotMonomialRatio,
-    _render_terms,
-    prod_one_minus,
-    ratio_as_signed_monomial,
-)
+from .series import HilbertSeries, LaurentPolynomial, NotMonomialRatio, prod_one_minus, ratio_as_signed_monomial
+from .series import _add, _reduce, _render_terms, _times
 
 DEFAULT_ORDER_CAP = 10_000
 DEFAULT_MONOMIAL_BOUND = 5_000
@@ -188,9 +182,15 @@ def generate_group(
     orbit = list(linalg.identity(n))
     position = {v: k for k, v in enumerate(orbit)}
     images: list[list[int]] = [[] for _ in gens]
+    columns = [tuple(zip(*g)) for g in gens]
     for v in orbit:  # breadth first: the loop visits the appended vectors too
-        for g, image in zip(gens, images):
-            w = tuple(exact(sum(a * x for a, x in zip(row, v) if x)) for row in g)
+        (j, x), *rest = [(j, x) for j, x in enumerate(v) if x]
+        for g_columns, image in zip(columns, images):
+            # g.v is the sum of v_j * (column j of g) over v's nonzero entries.
+            w = [x * a for a in g_columns[j]]
+            for k, y in rest:
+                w = [c + y * a for c, a in zip(w, g_columns[k])]
+            w = tuple([c if type(c) is int else exact(c) for c in w])
             if w not in position:
                 if len(orbit) >= n * cap:
                     raise too_large
@@ -252,11 +252,16 @@ def conjugacy_classes(group: GradedGroupRep) -> tuple[tuple[int, ...], ...]:
                     members.add(j)
                     stack.append(group.permutations[j])
         assigned |= members
-        # Entry (r, c) of j's matrix is orbit[perm_j[c]][r]; distinct elements have distinct entries.
-        entries, rep = min(
-            (tuple([row[k] for row in rows for k in group.permutations[j][:n]]), j) for j in members
-        )
-        keyed.append(((group.element_order(rep), len(members), entries), rep, tuple(sorted(members))))
+        # Entry (r, c) of j's matrix is orbit[perm_j[c]][r]; distinct elements have distinct
+        # entries.  The least member is found one row of entries at a time over the members still tied.
+        cls = tied = tuple(sorted(members))
+        for row in rows:
+            if len(tied) > 1:
+                entries = [[row[k] for k in group.permutations[j][:n]] for j in tied]
+                least = min(entries)
+                tied = [j for j, e in zip(tied, entries) if e == least]
+        entries = tuple([row[k] for row in rows for k in group.permutations[tied[0]][:n]])
+        keyed.append(((group.element_order(tied[0]), len(members), entries), tied[0], cls))
     keyed.sort()
     classes = tuple(cls for _, _, cls in keyed)
     object.__setattr__(group, "_classes", (classes, tuple(rep for _, rep, _ in keyed)))
@@ -333,9 +338,7 @@ def character_table(
     for name, values in irreducibles:
         values = tuple(map(exact, values))
         if len(values) != len(classes):
-            raise ValueError(
-                f"character {name!r} has {len(values)} values for {len(classes)} classes"
-            )
+            raise ValueError(f"character {name!r} has {len(values)} values for {len(classes)} classes")
         if name in names:
             raise ValueError(f"duplicate character name {name!r}")
         names.add(name)
@@ -423,7 +426,7 @@ def _element_term(group: GradedGroupRep, rep: int, factors: Sequence[LaurentPoly
     so each divides (1 - s^o)^dim: :func:`_over_det` gives the quotient up to
     s^{o*dim}, exact when its last dim coefficients vanish (then all later do)."""
     order = group.element_order(rep)
-    numerator = LaurentPolynomial.one()
+    numerator: dict[int, Scalar] = {0: 1}
     dens: list[int] = []
     for (degree, dim), factor in zip(group.blocks, factors):
         full = [0] * (order * dim + 1)
@@ -431,10 +434,9 @@ def _element_term(group: GradedGroupRep, rep: int, factors: Sequence[LaurentPoly
         q = _over_det(full, [factor.coefficient(i) for i in range(dim, 0, -1)])
         if any(q[-dim:]):
             raise ArithmeticError("characteristic factor failed to divide cyclotomic power")
-        block = {j * degree: x if type(x) is int else exact(x) for j, x in enumerate(q[:-dim]) if x}
-        numerator = numerator * LaurentPolynomial._of(block)
+        numerator = _times(numerator, {j * degree: x for j, x in enumerate(q[:-dim]) if x})
         dens.extend([degree * order] * dim)
-    return HilbertSeries(numerator, dens)
+    return HilbertSeries._of(*_reduce(numerator, sorted(dens)))
 
 
 def _molien_sums(
@@ -442,7 +444,8 @@ def _molien_sums(
 ) -> list[HilbertSeries]:
     """The Molien series twisted by each of ``twists``, in one pass over the
     classes: each class term is built once, classes are added in canonical
-    order, and zero weights are skipped."""
+    order, and zero weights are skipped.  Totals are series-kernel (terms,
+    degrees) pairs, each weight chi(g)*|C| folded into the term's lift."""
     factors = _class_factors(group)
     weightings = []
     for twist in twists:
@@ -455,13 +458,14 @@ def _molien_sums(
             raise ValueError(f"twist {twist!r} needs a character table")
         else:
             weightings.append(table.row(twist))
-    totals = [HilbertSeries(0)] * len(twists)
+    totals = [({}, ())] * len(twists)
     for k, (rep, cls) in enumerate(zip(class_representatives(group), conjugacy_classes(group))):
         weights = [w[k] for w in weightings]
         if any(weights):
             term = _element_term(group, rep, factors[k])
-            totals = [t + term * (w * len(cls)) if w else t for t, w in zip(totals, weights)]
-    return [t * quotient(1, group.order) for t in totals]
+            terms, degrees = term.numerator._terms, term.denominator_degrees
+            totals = [_add(*t, terms, degrees, w * len(cls)) if w else t for t, w in zip(totals, weights)]
+    return [HilbertSeries._of(*t) * quotient(1, group.order) for t in totals]
 
 
 def pseudoreflection_count(group: GradedGroupRep) -> int:
@@ -537,9 +541,7 @@ def extract_polynomial_degrees(series: HilbertSeries, rank: int) -> tuple[int, .
     return tuple(degrees)
 
 
-def solomon_supplement(
-    generator_degrees: Sequence[int], invariant_degrees: Sequence[int]
-) -> int:
+def solomon_supplement(generator_degrees: Sequence[int], invariant_degrees: Sequence[int]) -> int:
     """Shift relating determinant-twisted invariants to invariants:
     sum of generator degrees minus sum of invariant degrees."""
     if len(generator_degrees) != len(invariant_degrees):
@@ -634,9 +636,7 @@ def sym_power_character(group: GradedGroupRep, n: int) -> tuple[int, ...]:
     return sym_power_characters(group, n)[n]
 
 
-def decompose(
-    values: Sequence[Scalar], table: RationalCharacterTable
-) -> tuple[int, ...]:
+def decompose(values: Sequence[Scalar], table: RationalCharacterTable) -> tuple[int, ...]:
     """Multiplicities of the table's characters in a class function.
 
     Every multiplicity must come out a nonnegative integer; anything else
@@ -645,9 +645,7 @@ def decompose(
     """
     values = tuple(map(exact, values))
     if len(values) != len(table.class_sizes):
-        raise LengthMismatch(
-            f"{len(values)} values for {len(table.class_sizes)} classes"
-        )
+        raise LengthMismatch(f"{len(values)} values for {len(table.class_sizes)} classes")
     # The inner products run on integers: scale the values by the lcm L of
     # their denominators and divide by L*|G| once per irreducible.
     scale = math.lcm(*(v.denominator for v in values))

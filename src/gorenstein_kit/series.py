@@ -20,10 +20,13 @@ nonzero scalar multiple keeps the shape and needs no pass.
 Each type has one validating constructor: ``LaurentPolynomial(terms)`` and
 ``HilbertSeries(numerator, degrees)``, so ``HilbertSeries(1, degrees)`` is
 the series of a free ring on generators of those degrees and
-``prod_one_minus(degrees)`` is its denominator.  Two series with different
-denominator multisets may still be equal as rational functions, so sum,
-equality and ``ratio_as_signed_monomial`` lift both numerators to the least
-common multiple of the two denominator multisets and compare or add there.
+``prod_one_minus(degrees)`` is its denominator.  Both run on one kernel over
+exponent -> coefficient dicts and sorted degree tuples, sized by the terms,
+never by the exponent span: :func:`_lcm` merges two denominators,
+:func:`_lift` multiplies by the factors one lacks, :func:`_over_one_minus`
+divides by one exactly and :func:`_reduce` is the reduction sweep.  Sum
+(:func:`_add`), equality and ``ratio_as_signed_monomial`` lift both
+numerators to the lcm of the denominators, as equal series may differ there.
 
 All values are immutable after construction and all operations are pure, so
 objects can be shared freely between threads or tasks.
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import accumulate
@@ -45,14 +47,96 @@ class NotMonomialRatio(ArithmeticError):
     """Raised when one series is not a signed power of t times another."""
 
 
-def _exact_terms(acc: dict[int, Scalar]) -> dict[int, Scalar]:
+Terms = dict[int, Scalar]  # exponent -> nonzero coefficient, the kernel's numerators
+
+
+def _exact_terms(acc: Terms) -> Terms:
     """acc without its zero coefficients, each in :func:`exact` form (inlined:
     this runs on every arithmetic result)."""
-    return {
-        e: c if type(c) is int else c.numerator if c.denominator == 1 else c
-        for e, c in acc.items()
-        if c
-    }
+    return {e: c if type(c) is int else c.numerator if c.denominator == 1 else c for e, c in acc.items() if c}
+
+
+def _times(a: Terms, b: Terms) -> Terms:
+    """The product of two term dicts."""
+    acc: Terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return _exact_terms(acc)
+
+
+def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    """The least common multiple of two sorted denominator tuples, by one
+    merge, with the factors each lacks: (common, a's lift, b's lift), sorted."""
+    common, lift_a, lift_b, i, j = [], [], [], 0, 0
+    while i < len(a) and j < len(b):
+        x, y = a[i], b[j]
+        common.append(min(x, y))
+        if x != y:
+            (lift_b if x < y else lift_a).append(min(x, y))
+        i, j = i + (x <= y), j + (y <= x)
+    common += a[i:] + b[j:]
+    return common, lift_a + list(b[j:]), lift_b + list(a[i:])
+
+
+def _lift(terms: Terms, degrees: Iterable[int], scale: Scalar = 1) -> Terms:
+    """scale * terms * prod_{d in degrees} (1 - t^d), d >= 0, one shift and subtract
+    per factor; zeros and integral Fractions stay for the caller's :func:`_exact_terms`."""
+    acc = {e: c * scale for e, c in terms.items()}
+    for d in degrees:
+        for e, c in list(acc.items()):
+            if c:
+                acc[e + d] = acc.get(e + d, 0) - c
+    return acc
+
+
+def _over_one_minus(terms: Terms, d: int) -> Terms | None:
+    """terms / (1 - t^d), d >= 1, when exact, else None.  1 - t^d keeps each
+    residue class mod d to itself, and the quotient's coefficient at t^k is
+    the sum of the terms' at k, k - d, k - 2d, ...: constant from one
+    exponent of the class to the next, and exact when each class sums to 0.
+    It costs a sort plus one entry per quotient term, however wide the gaps."""
+    totals: Terms = {}
+    for e, c in terms.items():
+        totals[e % d] = totals.get(e % d, 0) + c
+    if any(totals.values()):
+        return None
+    last: dict[int, tuple[int, Scalar]] = {}  # class -> (exponent, sum up to it)
+    quo: Terms = {}
+    for e in sorted(terms):
+        r = e % d
+        if r not in last:
+            last[r] = (e, terms[e])
+            continue
+        k, s = last[r]
+        if s:
+            quo.update(dict.fromkeys(range(k, e, d), s))
+        last[r] = (e, s + terms[e])
+    return _exact_terms(quo)
+
+
+def _reduce(terms: Terms, degrees: Iterable[int]) -> tuple[Terms, tuple[int, ...]]:
+    """(terms, kept degrees) after stripping each 1 - t^d, degrees ascending,
+    that divides the terms: one sweep, as 1 - t^e dividing N/(1 - t^d) divides
+    N.  Nothing divides when N(1) != 0, and zero keeps no factor."""
+    kept, at_one = [], sum(terms.values())
+    for d in degrees:
+        q = None if at_one else _over_one_minus(terms, d)
+        if q is None:
+            kept.append(d)
+        else:
+            terms, at_one = q, sum(q.values())
+    return terms, tuple(kept)
+
+
+def _add(a: Terms, a_degrees: tuple, b: Terms, b_degrees: tuple, scale: Scalar = 1) -> tuple[Terms, tuple]:
+    """a/prod(1 - t^d, a_degrees) + scale*b/prod(1 - t^d, b_degrees) as canonical
+    (terms, degrees): lifted to the merged lcm, summed, made exact once, swept."""
+    common, lift_a, lift_b = _lcm(a_degrees, b_degrees)
+    acc = _lift(a, lift_a)
+    for e, c in _lift(b, lift_b, scale).items():
+        acc[e] = acc.get(e, 0) + c
+    return _reduce(_exact_terms(acc), common)
 
 
 class LaurentPolynomial:
@@ -109,10 +193,7 @@ class LaurentPolynomial:
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            acc[e] = acc.get(e, 0) + c
-        return LaurentPolynomial._of(_exact_terms(acc))
+        return LaurentPolynomial._of(_add(self._terms, (), other._terms, ())[0])  # no denominators
 
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial._of({e: -c for e, c in self._terms.items()})
@@ -125,12 +206,7 @@ class LaurentPolynomial:
             return self.scale(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        acc: dict[int, Scalar] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPolynomial._of(_exact_terms(acc))
+        return LaurentPolynomial._of(_times(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -199,51 +275,19 @@ class LaurentPolynomial:
     # -- the factors 1 - t^d ------------------------------------------------
 
     def times_one_minus(self, degrees: Iterable[int]) -> "LaurentPolynomial":
-        """self * prod_{d in degrees} (1 - t^d), degrees >= 0: one shift and
-        subtract of the terms per factor, so a wide factor costs no more than
-        a narrow one."""
-        terms = self._terms
-        for d in map(operator.index, degrees):
-            if d < 0:
-                raise ValueError("factor degrees must be >= 0")
-            acc = dict(terms)
-            for e, c in terms.items():
-                acc[e + d] = acc.get(e + d, 0) - c
-            terms = _exact_terms(acc)
-        return LaurentPolynomial._of(terms)
+        """self * prod_{d in degrees} (1 - t^d), degrees >= 0 (:func:`_lift`)."""
+        degrees = list(map(operator.index, degrees))
+        if any(d < 0 for d in degrees):
+            raise ValueError("factor degrees must be >= 0")
+        return LaurentPolynomial._of(_exact_terms(_lift(self._terms, degrees)))
 
     def over_one_minus(self, degree: int) -> "LaurentPolynomial | None":
-        """self / (1 - t^degree), degree >= 1, when the division is exact, else None.
-
-        Multiplying by 1 - t^d keeps each residue class of exponents mod d to
-        itself, so the quotient is read off class by class: its coefficient
-        at t^k is the sum of self's at k, k - d, k - 2d, ..., which is constant
-        from one exponent of self to the next in the class.  The division is
-        exact when every class sums to zero, which one pass over the terms
-        checks first.  An exact division costs a sort of self's terms plus
-        one entry per quotient term, however wide the gaps between exponents.
-        """
+        """self / (1 - t^degree), degree >= 1, if exact, else None (:func:`_over_one_minus`)."""
         d = operator.index(degree)
         if d < 1:
             raise ValueError("factor degree must be >= 1")
-        terms = self._terms
-        totals: dict[int, Scalar] = {}
-        for e, c in terms.items():
-            totals[e % d] = totals.get(e % d, 0) + c
-        if any(totals.values()):
-            return None
-        last: dict[int, tuple[int, Scalar]] = {}  # class -> (exponent, sum up to it)
-        quo: dict[int, Scalar] = {}
-        for e in sorted(terms):
-            r = e % d
-            if r not in last:
-                last[r] = (e, terms[e])
-                continue
-            k, s = last[r]
-            if s:
-                quo.update(dict.fromkeys(range(k, e, d), s))
-            last[r] = (e, s + terms[e])
-        return LaurentPolynomial._of(_exact_terms(quo))
+        q = _over_one_minus(self._terms, d)
+        return None if q is None else LaurentPolynomial._of(q)
 
     # -- comparison and display ---------------------------------------------
 
@@ -299,34 +343,21 @@ class HilbertSeries:
 
     __slots__ = ("_numerator", "_denominator_degrees")
 
-    def __init__(
-        self,
-        numerator: LaurentPolynomial | Scalar = 1,
-        denominator_degrees: Iterable[int] = (),
-    ):
+    def __init__(self, numerator: LaurentPolynomial | Scalar = 1, denominator_degrees: Iterable[int] = ()):
         if not isinstance(numerator, LaurentPolynomial):
             numerator = LaurentPolynomial({0: numerator})
         degrees = sorted(map(operator.index, denominator_degrees))
-        if any(d < 1 for d in degrees):
+        if degrees and degrees[0] < 1:
             raise ValueError("denominator degrees must be >= 1")
-        if numerator.is_zero:
-            degrees = []
-        else:
-            # Reduction pass: strip every denominator factor dividing the
-            # numerator exactly, in one forward sweep.  A factor skipped once
-            # never divides later: if 1 - t^e does not divide N, it does not
-            # divide N/(1 - t^d) either.  Nothing divides when N(1) != 0.
-            at_one = sum(numerator._terms.values())
-            kept = []
-            for d in degrees:
-                q = None if at_one else numerator.over_one_minus(d)
-                if q is None:
-                    kept.append(d)
-                else:
-                    numerator, at_one = q, sum(q._terms.values())
-            degrees = kept
-        self._numerator = numerator
-        self._denominator_degrees = tuple(degrees)
+        terms, self._denominator_degrees = _reduce(numerator._terms, degrees)
+        self._numerator = numerator if terms is numerator._terms else LaurentPolynomial._of(terms)
+
+    @classmethod
+    def _of(cls, terms: Terms, degrees: tuple[int, ...]) -> "HilbertSeries":
+        """Wrap exact nonzero terms over sorted degrees, already canonical, as is."""
+        out = cls.__new__(cls)
+        out._numerator, out._denominator_degrees = LaurentPolynomial._of(terms), degrees
+        return out
 
     @property
     def numerator(self) -> LaurentPolynomial:
@@ -387,15 +418,15 @@ class HilbertSeries:
 
     @staticmethod
     def _coerce(value: "HilbertSeries | Scalar") -> "HilbertSeries":
-        if isinstance(value, HilbertSeries):
-            return value
-        return HilbertSeries(value)
+        return value if isinstance(value, HilbertSeries) else HilbertSeries(value)
 
     def __add__(self, other: "HilbertSeries | Scalar") -> "HilbertSeries":
         if not isinstance(other, (HilbertSeries, int, Fraction)):
             return NotImplemented
-        left, right, common = _over_common_denominator(self, self._coerce(other))
-        return HilbertSeries(left + right, common)
+        other = self._coerce(other)
+        return HilbertSeries._of(*_add(
+            self._numerator._terms, self._denominator_degrees, other._numerator._terms, other._denominator_degrees
+        ))
 
     __radd__ = __add__
 
@@ -412,15 +443,10 @@ class HilbertSeries:
             if not other:
                 return HilbertSeries(0)
             # 1 - t^d divides c*N, c != 0, only if it divides N: the shape stays canonical.
-            out = HilbertSeries.__new__(HilbertSeries)
-            out._numerator, out._denominator_degrees = self._numerator.scale(other), self._denominator_degrees
-            return out
+            return HilbertSeries._of(self._numerator.scale(other)._terms, self._denominator_degrees)
         if not isinstance(other, HilbertSeries):
             return NotImplemented
-        return HilbertSeries(
-            self._numerator * other._numerator,
-            self._denominator_degrees + other._denominator_degrees,
-        )
+        return HilbertSeries(self._numerator * other._numerator, self._denominator_degrees + other._denominator_degrees)
 
     __rmul__ = __mul__
 
@@ -478,13 +504,8 @@ def _over_common_denominator(
     """The numerators of a and b over the least common multiple of their
     denominator multisets, and that multiset: each numerator is multiplied
     only by the factors its own denominator lacks."""
-    mine, theirs = Counter(a._denominator_degrees), Counter(b._denominator_degrees)
-    common = mine | theirs
-    return (
-        a._numerator.times_one_minus((common - mine).elements()),
-        b._numerator.times_one_minus((common - theirs).elements()),
-        list(common.elements()),
-    )
+    common, lift_a, lift_b = _lcm(a._denominator_degrees, b._denominator_degrees)
+    return a._numerator.times_one_minus(lift_a), b._numerator.times_one_minus(lift_b), common
 
 
 def ratio_as_signed_monomial(a: HilbertSeries, b: HilbertSeries) -> tuple[int, int]:

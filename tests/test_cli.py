@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour over the bundled fixtures."""
 
 import json
+import time
 import tracemalloc
 from itertools import groupby
 
@@ -708,6 +709,29 @@ def test_degree_two_beside_a_huge_degree_costs_no_array_over_the_span(capsys, tm
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_swapping_two_generators_of_degree_a_billion(capsys, tmp_path):
+    # The class pass adds 1/(1 - t^d)^2 and (1 - t^2d)/(1 - t^2d)^2 over the
+    # lcm (1 - t^d)^2(1 - t^2d), d = 10^9: a few terms each, so it is
+    # immediate; a kernel sized by the exponent span would need 10^9 entries.
+    ring = tmp_path / "wide.ring"
+    ring.write_text(
+        "[ring]\nname = wide\ncoefficients = Z\ngenerator = x 1000000000\ngenerator = y 1000000000\n"
+        "regular = yes\n"
+    )
+    group = tmp_path / "swap.group"
+    group.write_text("[group]\nname = swap\nblock = 1000000000 2\n\n[generator]\nrow = 0 1\nrow = 1 0\n")
+    started = time.perf_counter()
+    code, payload, err = run_json(capsys, "molien", str(ring), str(group))
+    assert code == 0 and err == ""
+    assert payload["series"]["display"] == "1/(1 - t^1000000000)(1 - t^2000000000)"
+    assert payload["polynomial_degrees"] == [1000000000, 2000000000]
+    code, out, err = run(capsys, "descent", str(ring), str(group))
+    assert code == 0 and err == ""
+    assert "  invariant degrees: [1000000000, 2000000000]\n" in out
+    assert "  solomon supplement b = -1000000000  (verified)\n" in out
+    assert time.perf_counter() - started < 0.5
 
 
 def test_descent_names_why_the_invariants_are_not_polynomial(capsys, tmp_path):

@@ -2,6 +2,7 @@
 Solomon verification, symmetric powers against the per-n recurrence, and
 explicit invariants against the averaging-operator (Reynolds) oracle."""
 
+import operator
 import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
@@ -591,6 +592,119 @@ def test_class_terms_match_long_division(name, monkeypatch):
         assert term.numerator.terms() == reference.numerator.terms()
         assert term.denominator_degrees == reference.denominator_degrees
         assert all(in_exact_form(c) for _, c in term.numerator.terms())
+
+
+ALL_GROUPS = [*GROUP_FIXTURES, "s4", "s5", "s6", "b3", "b4", "c3", "s4_conjugated", "mixed", "trivial_by_identity"]
+
+
+def _classes_by_full_key(group):
+    """Classes and representatives as conjugacy_classes found them before it
+    compared the key one row at a time, kept as the reference: every member's
+    whole key entries built, and the least (entries, index) taken by min."""
+    gens = group.generator_permutations if group.order > 1 else ()
+    conjugators = [(sorted(range(len(g)), key=g.__getitem__), operator.itemgetter(*g)) for g in gens]
+    index = {p: i for i, p in enumerate(group.permutations)}
+    n, rows = group.dimension, tuple(zip(*group.orbit))
+    assigned, keyed = set(), []
+    for i in range(group.order):
+        if i in assigned:
+            continue
+        members, stack = {i}, [group.permutations[i]]
+        while stack:
+            y = stack.pop()
+            for ginv, by_g in conjugators:
+                j = index[operator.itemgetter(*by_g(y))(ginv)]
+                if j not in members:
+                    members.add(j)
+                    stack.append(group.permutations[j])
+        assigned |= members
+        entries, rep = min(
+            (tuple([row[k] for row in rows for k in group.permutations[j][:n]]), j) for j in members
+        )
+        keyed.append(((group.element_order(rep), len(members), entries), rep, tuple(sorted(members))))
+    keyed.sort()
+    return tuple(cls for _, _, cls in keyed), tuple(rep for _, rep, _ in keyed)
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_row_by_row_representatives_match_the_full_key_min(name):
+    # Same key, order and representatives, so file-supplied tables stay valid.
+    group, _ = _in_test_or_fixture_group(name)
+    expected = _classes_by_full_key(group)
+    object.__setattr__(group, "_classes", None)  # computed afresh, not read from the cache
+    assert (conjugacy_classes(group), class_representatives(group)) == expected
+
+
+def _orbit_by_rows(group):
+    """The orbit walk of generate_group before it read generator columns,
+    kept as the reference: each image g.v as n row dot products."""
+    orbit = list(linalg.identity(group.dimension))
+    position = {v: k for k, v in enumerate(orbit)}
+    images = [[] for _ in group.generators]
+    for v in orbit:
+        for g, image in zip(group.generators, images):
+            w = tuple(linalg.exact(sum(a * x for a, x in zip(row, v) if x)) for row in g)
+            if w not in position:
+                position[w] = len(orbit)
+                orbit.append(w)
+            image.append(position[w])
+    return tuple(orbit), tuple(map(tuple, images))
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_orbit_images_through_columns_match_the_row_route(name):
+    group, _ = _in_test_or_fixture_group(name)
+    assert (group.orbit, group.generator_permutations) == _orbit_by_rows(group)
+    assert all(in_exact_form(x) for v in group.orbit for x in v)
+
+
+def _molien_sums_by_series(group, twists, table):
+    """The class pass before the series kernel, kept as the reference:
+    total + term * (w * |C|) through HilbertSeries, classes in canonical
+    order, then times 1/|G|; det weights from each representative's matrix."""
+    reps, classes = class_representatives(group), conjugacy_classes(group)
+    factors = invariants._class_factors(group)
+    out = []
+    for twist in twists:
+        if twist == "trivial":
+            weights = [1] * len(reps)
+        elif twist == "det":
+            weights = [linalg.determinant(group.matrix(rep)) for rep in reps]
+        else:
+            weights = table.row(twist)
+        total = HilbertSeries(0)
+        for rep, cls, fs, w in zip(reps, classes, factors, weights):
+            if w:
+                total = total + invariants._element_term(group, rep, fs) * (w * len(cls))
+        out.append(total * Fraction(1, group.order))
+    return out
+
+
+def _shapes(series_list):
+    return [(s.numerator.terms(), s.denominator_degrees) for s in series_list]
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_class_pass_matches_the_sequential_series_sum(name):
+    # Same lcm and sweep after every class, in the same order: the same canonical forms.
+    group, table = _in_test_or_fixture_group(name)
+    twists = ["trivial", "det", *(table.names if table else ())]
+    got = invariants._molien_sums(group, twists, table)
+    assert _shapes(got) == _shapes(_molien_sums_by_series(group, twists, table))
+    assert all(in_exact_form(c) for s in got for _, c in s.numerator.terms())
+
+
+@pytest.mark.parametrize("name", ["sigma3_standard", "taf_d6_alphabeta", "s4", "b3", "mixed"])
+def test_class_pass_adds_no_series_objects(name, monkeypatch):
+    group, table = _in_test_or_fixture_group(name)
+    twists = ["trivial", "det", *(table.names if table else ())]
+    expected = _shapes(_molien_sums_by_series(group, twists, table))
+
+    def refuse(self, other):
+        raise AssertionError("the class pass added two HilbertSeries")
+
+    monkeypatch.setattr(HilbertSeries, "__add__", refuse)
+    assert _shapes(invariants._molien_sums(group, twists, table)) == expected
 
 
 def test_trivial_group_generated_on_one_coordinate_keeps_tuples():

@@ -7,14 +7,18 @@ from itertools import product
 
 import pytest
 from conftest import in_exact_form, shifted
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gorenstein_kit.graded_ring import RingPresentation, polynomial_presentation
 from gorenstein_kit.invariants import generate_group
+from gorenstein_kit.linalg import exact
 from gorenstein_kit.series import (
     HilbertSeries,
     LaurentPolynomial,
     NotMonomialRatio,
+    _add,
+    _lcm,
+    _reduce,
     prod_one_minus,
     ratio_as_signed_monomial,
 )
@@ -708,3 +712,109 @@ def test_divide_exact_reads_each_least_exponent_once(monkeypatch):
     many = LaurentPolynomial({k: k + 1 for k in range(-3, 500)})
     assert many.times_one_minus([2]).divide_exact(prod_one_minus([2])) == many
     assert len(calls) == 2
+
+
+# -- the term-dict kernel against the route it replaced ---------------------------
+
+
+def _old_times_one_minus(terms, degrees):
+    """LaurentPolynomial.times_one_minus before the kernel, kept as the
+    reference: one shift and subtract per factor, each put in exact form."""
+    for d in degrees:
+        acc = dict(terms)
+        for e, c in terms.items():
+            acc[e + d] = acc.get(e + d, 0) - c
+        terms = {e: exact(c) for e, c in acc.items() if c}
+    return terms
+
+
+def _old_over_one_minus(terms, d):
+    """LaurentPolynomial.over_one_minus before the kernel, kept as the reference."""
+    totals = {}
+    for e, c in terms.items():
+        totals[e % d] = totals.get(e % d, 0) + c
+    if any(totals.values()):
+        return None
+    last, quo = {}, {}
+    for e in sorted(terms):
+        r = e % d
+        if r not in last:
+            last[r] = (e, terms[e])
+            continue
+        k, s = last[r]
+        if s:
+            quo.update(dict.fromkeys(range(k, e, d), s))
+        last[r] = (e, s + terms[e])
+    return {e: exact(c) for e, c in quo.items() if c}
+
+
+def _old_sweep(terms, degrees):
+    """HilbertSeries' reduction pass before the kernel, kept as the reference."""
+    if not terms:
+        return terms, ()
+    at_one, kept = sum(terms.values()), []
+    for d in sorted(degrees):
+        q = None if at_one else _old_over_one_minus(terms, d)
+        if q is None:
+            kept.append(d)
+        else:
+            terms, at_one = q, sum(q.values())
+    return terms, tuple(kept)
+
+
+def _old_add(a, a_degrees, b, b_degrees, scale):
+    """a + scale*b as HilbertSeries added them before the kernel: b scaled
+    first, both lifted to the Counter lcm one factor at a time, summed and swept."""
+    b = {e: exact(c * scale) for e, c in b.items()}
+    mine, theirs = Counter(a_degrees), Counter(b_degrees)
+    common = mine | theirs
+    total = dict(_old_times_one_minus(a, (common - mine).elements()))
+    for e, c in _old_times_one_minus(b, (common - theirs).elements()).items():
+        total[e] = total.get(e, 0) + c
+    return _old_sweep({e: exact(c) for e, c in total.items() if c}, common.elements())
+
+
+denominator_tuples = st.lists(st.sampled_from([1, 2, 3, 4, 6, 10**9, 2 * 10**9]), max_size=6).map(
+    lambda ds: tuple(sorted(ds))
+)
+
+
+@given(denominator_tuples, denominator_tuples)
+@example((2, 2, 10**9), (2, 10**9, 10**9))
+def test_merged_lcm_equals_the_counter_lcm(a, b):
+    mine, theirs = Counter(a), Counter(b)
+    common = mine | theirs
+    assert _lcm(a, b) == (
+        sorted(common.elements()), sorted((common - mine).elements()), sorted((common - theirs).elements())
+    )
+
+
+@st.composite
+def lattice_series(draw, stride, offset):
+    """A sparse (terms, degrees) pair: exponents offset + stride*m + j with
+    small m and j in 0..2, some denominator factors planted in the terms,
+    degrees stride times 1..6.  Every quotient the sweep can take stays a
+    few terms, however wide the stride and offset."""
+    raw = draw(st.lists(st.tuples(st.integers(-4, 6), st.integers(0, 2), mixed_coeffs), max_size=5))
+    planted = [stride * d for d in draw(st.lists(st.integers(1, 6), max_size=3))]
+    extra = [stride * d for d in draw(st.lists(st.integers(1, 6), max_size=3))]
+    terms = LaurentPolynomial([(offset + stride * m + j, c) for m, j, c in raw]).terms()
+    return _old_times_one_minus(dict(terms), planted), tuple(sorted(planted + extra))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([1, 2, 7, 10**9 - 7, 10**9]), st.integers(-(10**9), 10**9), mixed_coeffs)
+def test_kernel_lift_add_and_sweep_equal_the_old_route(data, stride, offset, scale):
+    (a, a_degrees), (b, b_degrees) = (data.draw(lattice_series(stride, offset)) for _ in range(2))
+    lifted = LaurentPolynomial._of(a).times_one_minus(b_degrees)
+    assert dict(lifted.terms()) == _old_times_one_minus(a, b_degrees)
+    swept, kept = _reduce(a, a_degrees)
+    old_swept, old_kept = _old_sweep(a, a_degrees)
+    assert (sorted(swept.items()), kept) == (sorted(old_swept.items()), old_kept)
+    if scale:
+        total, degrees = _add(a, a_degrees, b, b_degrees, scale)
+        old_total, old_degrees = _old_add(a, a_degrees, b, b_degrees, scale)
+        assert (sorted(total.items()), degrees) == (sorted(old_total.items()), old_degrees)
+        assert all(map(in_exact_form, total.values()))
+        series = HilbertSeries._of(a, a_degrees) + HilbertSeries._of(b, b_degrees) * scale
+        assert (dict(series.numerator.terms()), series.denominator_degrees) == (old_total, old_degrees)

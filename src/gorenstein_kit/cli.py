@@ -179,20 +179,22 @@ def cmd_shift(args: argparse.Namespace) -> int:
     by_formula = gorenstein_shift_formula(p)
     by_series = gorenstein_shift_stanley(hilbert_series(p), dim)
     agree = by_formula == by_series
-    payload = {
-        "schema": f"{SCHEMA_PREFIX}/shift/1",
-        "ring": _ring_json(p),
-        "krull_dimension": dim,
-        "shift_by_formula": by_formula,
-        "shift_by_series": by_series,
-        "agree": agree,
-    }
+    if args.json:
+        _emit({
+            "schema": f"{SCHEMA_PREFIX}/shift/1",
+            "ring": _ring_json(p),
+            "krull_dimension": dim,
+            "shift_by_formula": by_formula,
+            "shift_by_series": by_series,
+            "agree": agree,
+        })
+        return 0
     lines = _ring_header(p)
     lines.append(f"  krull dimension: {dim}")
     lines.append(f"  gorenstein shift by degree formula:      {by_formula}")
     lines.append(f"  gorenstein shift by functional equation: {by_series}")
     lines.append(f"  agreement: {'yes' if agree else 'NO -- MISMATCH'}")
-    _emit(payload if args.json else lines)
+    _emit(lines)
     return 0
 
 
@@ -215,7 +217,9 @@ def _duality_json(p: RingPresentation, report: DualityReport) -> dict:
 def cmd_duality(args: argparse.Namespace) -> int:
     p = load_ring_fixture(args.ring)
     report = ring_duality_report(p)
-    payload = {"schema": f"{SCHEMA_PREFIX}/duality/1", **_duality_json(p, report)}
+    if args.json:
+        _emit({"schema": f"{SCHEMA_PREFIX}/duality/1", **_duality_json(p, report)})
+        return 0
     first, second = report.display_strings()
     lines = _ring_header(p)
     lines.append(f"  hilbert series: {report.cech_ring_part.series}")
@@ -230,7 +234,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
         "  duality recovery range (shift <= -2, torsion vanishing above it): "
         + ("yes" if report.recovery_hypotheses_hold else "no")
     )
-    _emit(payload if args.json else lines)
+    _emit(lines)
     return 0
 
 
@@ -291,26 +295,28 @@ def cmd_sympow(args: argparse.Namespace) -> int:
     group, table = _load_group(args.group, p).build(cap=_order_cap())
     table = _table_for(group, table)
     names = list(table.names)
-    block_degrees = {d for d, _ in group.blocks}
-    uniform_degree = block_degrees.pop() if len(block_degrees) == 1 else None
     rows = [
         (n, decompose(values, table))
         for n, values in enumerate(sym_power_characters(group, args.n))
     ]
-    payload = {
-        "schema": f"{SCHEMA_PREFIX}/sympow/1",
-        "ring": _ring_json(p),
-        "group": group.name,
-        "irreducibles": names,
-        "multiplicities": [[n, list(m)] for n, m in rows],
-    }
+    if args.json:
+        _emit({
+            "schema": f"{SCHEMA_PREFIX}/sympow/1",
+            "ring": _ring_json(p),
+            "group": group.name,
+            "irreducibles": names,
+            "multiplicities": [[n, list(m)] for n, m in rows],
+        })
+        return 0
+    block_degrees = {d for d, _ in group.blocks}
+    uniform_degree = block_degrees.pop() if len(block_degrees) == 1 else None
     lines = _ring_header(p)
     lines.append(f"  group {group.name}, decomposition against ({', '.join(names)})")
     for n, mults in rows:
         degree = f"  (degree {n * uniform_degree})" if uniform_degree else ""
         vec = "".join(str(m) for m in mults) if all(m < 10 for m in mults) else str(mults)
         lines.append(f"    Sym^{n}: ({vec}){degree}")
-    _emit(payload if args.json else lines)
+    _emit(lines)
     return 0
 
 
@@ -348,15 +354,17 @@ def cmd_descent(args: argparse.Namespace) -> int:
     if p.relations:  # descent_report would refuse the base: no group is built
         _checked_generators(record.generators, record.blocks)
         base = ring_duality_report(p)
-        payload = {
-            "schema": f"{SCHEMA_PREFIX}/descent/1",
-            "descent": None,
-            "note": (
-                "descent prediction out of regime: the base ring is not"
-                " polynomial, so only the base-ring duality report is given"
-            ),
-            "base_duality": _duality_json(p, base),
-        }
+        if args.json:
+            _emit({
+                "schema": f"{SCHEMA_PREFIX}/descent/1",
+                "descent": None,
+                "note": (
+                    "descent prediction out of regime: the base ring is not"
+                    " polynomial, so only the base-ring duality report is given"
+                ),
+                "base_duality": _duality_json(p, base),
+            })
+            return 0
         lines = _ring_header(p)
         lines.append(
             "  note: base ring is not polynomial; descent prediction out of"
@@ -365,32 +373,34 @@ def cmd_descent(args: argparse.Namespace) -> int:
         lines.append(f"  gorenstein shift a = {base.shift_a}")
         first, second = base.display_strings()
         lines.append(f"  anderson: {second}, i.e. {first}")
-        _emit(payload if args.json else lines)
+        _emit(lines)
         return 0
     group, _ = record.build(cap=_order_cap())
     report = descent_report(p, group)
     solomon, invariant = report.solomon, report.invariant
     degrees, presentation = solomon.invariant_degrees, report.invariant_presentation
     consistent, witness = cross_check_invariant_shift(report)
-    payload = {
-        "schema": f"{SCHEMA_PREFIX}/descent/1",
-        "descent": {
-            "ring": _ring_json(p),
-            "group": group.name,
-            "base_shift": report.base_shift_a,
-            "invariant_degrees": degrees,
-            "solomon_supplement": solomon.supplement,
-            "descended_gorenstein_shift": invariant.shift_a,
-            "descended_anderson_shift": invariant.anderson_selfdual_display,
-            "solomon_verified": solomon.verified,
-            "cross_check": consistent,
-            "invariant_ring": None if presentation is None else _ring_json(presentation),
-            "invariant_series": _series_json(solomon.invariant_series),
-            "prediction_only": True,
-        },
-        "note": "for non-rational coefficients this is a prediction, not a theorem",
-        "base_duality": None,
-    }
+    if args.json:
+        _emit({
+            "schema": f"{SCHEMA_PREFIX}/descent/1",
+            "descent": {
+                "ring": _ring_json(p),
+                "group": group.name,
+                "base_shift": report.base_shift_a,
+                "invariant_degrees": degrees,
+                "solomon_supplement": solomon.supplement,
+                "descended_gorenstein_shift": invariant.shift_a,
+                "descended_anderson_shift": invariant.anderson_selfdual_display,
+                "solomon_verified": solomon.verified,
+                "cross_check": consistent,
+                "invariant_ring": None if presentation is None else _ring_json(presentation),
+                "invariant_series": _series_json(solomon.invariant_series),
+                "prediction_only": True,
+            },
+            "note": "for non-rational coefficients this is a prediction, not a theorem",
+            "base_duality": None,
+        })
+        return 0
     lines = _ring_header(p)
     lines.append(f"  group {group.name} of order {group.order}")
     lines.append(f"  base gorenstein shift a = {report.base_shift_a}")
@@ -404,7 +414,7 @@ def cmd_descent(args: argparse.Namespace) -> int:
     lines.append("  cross-check of the invariant ring's shift: "
                  + ("ok" if consistent else f"MISMATCH ({witness})"))
     lines.append("  (prediction: exact for rational coefficients, necessary condition otherwise)")
-    _emit(payload if args.json else lines)
+    _emit(lines)
     return 0
 
 
@@ -416,23 +426,25 @@ def cmd_table(args: argparse.Namespace) -> int:
         ok = computed == row.expected_shift_a
         all_pass = all_pass and ok
         rows.append((row, computed, ok))
-    payload = {
-        "schema": f"{SCHEMA_PREFIX}/table/1",
-        "rows": [
-            {
-                "name": row.name,
-                "prime": row.prime_label,
-                "group": row.group_label,
-                "generator_degrees": list(row.generator_degrees),
-                "relation_degree": row.relation_degree,
-                "computed_shift": computed,
-                "expected_shift": row.expected_shift_a,
-                "pass": ok,
-            }
-            for row, computed, ok in rows
-        ],
-        "all_pass": all_pass,
-    }
+    if args.json:
+        _emit({
+            "schema": f"{SCHEMA_PREFIX}/table/1",
+            "rows": [
+                {
+                    "name": row.name,
+                    "prime": row.prime_label,
+                    "group": row.group_label,
+                    "generator_degrees": list(row.generator_degrees),
+                    "relation_degree": row.relation_degree,
+                    "computed_shift": computed,
+                    "expected_shift": row.expected_shift_a,
+                    "pass": ok,
+                }
+                for row, computed, ok in rows
+            ],
+            "all_pass": all_pass,
+        })
+        return 0 if all_pass else 1
     header = f"{'name':<20} {'p':<12} {'group':<10} {'degrees':<12} {'rel':<5} {'a':>4} {'expected':>9}  status"
     lines = [header, "-" * len(header)]
     for row, computed, ok in rows:
@@ -444,7 +456,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             + ("PASS" if ok else "FAIL")
         )
     lines.append("all rows pass" if all_pass else "some rows fail")
-    _emit(payload if args.json else lines)
+    _emit(lines)
     return 0 if all_pass else 1
 
 

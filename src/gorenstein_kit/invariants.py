@@ -3,19 +3,23 @@
 A group is enumerated explicitly (orders here are tiny, so exactness beats
 generality) as permutations of the orbit of the standard basis vectors
 under its generators: the orbit spans the space, so the action is faithful.
-An element is an index; products and conjugates compose index maps with
-``operator.itemgetter``, and the class key reads entries off the orbit, so
-no element's matrix is built.  On top of this the module computes (twisted)
-Molien series, pseudoreflection counts, invariant degrees by exact
+An element is an index.  The closure composes index maps with
+``operator.itemgetter`` and records each generator's right-multiplication
+table on the indices, with the tree edge that first reached each element;
+conjugation by a generator is then two lookups in those tables, and the
+class key reads entries off the orbit one at a time over the members still
+tied, so no element's matrix is built.  On top of this the module computes
+(twisted) Molien series, pseudoreflection counts, invariant degrees by exact
 division, the supplement b read off M_det/M, symmetric-power characters,
 decompositions against rational character tables, and invariant
 polynomials as the common kernel of g - 1 over the generators.
 
 Every class function is read off det(1 - s*g on V_d), once per conjugacy
 class and grading block (Stanley, Bull. AMS 1 (1979), section 2), by
-Newton's identities on traces read off the representative's permutation;
-a Molien class term divides (1 - s^o)^dim by it with an integer
-recurrence.  Decomposition needs a rational, hence integer, character table.
+Newton's identities on traces read off the representative's permutation,
+or off their product over the blocks, cached with them; a Molien class term
+divides (1 - s^o)^dim by it with an integer recurrence.  Decomposition
+needs a rational, hence integer, character table.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Iterator, Sequence
 from . import linalg
 from .linalg import Matrix, Scalar, exact, quotient
 from .series import HilbertSeries, LaurentPolynomial, NotMonomialRatio, prod_one_minus, ratio_as_signed_monomial
-from .series import _add, _reduce, _render_terms, _times
+from .series import _add, _exact_terms, _reduce, _render_terms, _times
 
 DEFAULT_ORDER_CAP = 10_000
 DEFAULT_MONOMIAL_BOUND = 5_000
@@ -85,7 +89,9 @@ class GradedGroupRep:
     first.  Element i, for i in ``range(order)``, is the permutation
     ``permutations[i]`` of the orbit (the identity first): it sends
     ``orbit[k]`` to ``orbit[permutations[i][k]]``.  Its matrix is built
-    only on request, by :meth:`matrix`.
+    only on request, by :meth:`matrix`.  ``right_tables[h][i]`` is the
+    index of element i times generator h, and ``tree_edges[j - 1]`` is the
+    (i, h) with j = i * h by which the closure first reached element j >= 1.
     """
 
     name: str
@@ -95,12 +101,16 @@ class GradedGroupRep:
     orbit: tuple[tuple[Scalar, ...], ...] = field(compare=False, repr=False)
     permutations: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     generator_permutations: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    right_tables: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    tree_edges: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
     # (classes, representatives), filled in by conjugacy_classes.
     _classes: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = field(
         default=None, compare=False, repr=False
     )
-    # det(1 - s*g on V_d) per class and block V_d, filled in by _class_factors.
-    _factors: tuple[tuple[LaurentPolynomial, ...], ...] | None = field(default=None, compare=False, repr=False)
+    # (det(1 - s*g on V_d) per class and block V_d, their product per class), filled in by _class_factors.
+    _factors: tuple[tuple[tuple[LaurentPolynomial, ...], ...], tuple[LaurentPolynomial, ...]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def dimension(self) -> int:
@@ -199,17 +209,27 @@ def generate_group(
             image.append(position[w])
     gen_perms = tuple(tuple(image) for image in images)
     perms = [tuple(range(len(orbit)))]
-    seen = set(perms)
-    # m*g sends k to m[g[k]]: itemgetter(*g)(m), a tuple unless the orbit is one fixed vector.
-    composers = [operator.itemgetter(*g) for g in gen_perms] if len(orbit) > 1 else []
+    index = {perms[0]: 0}
+    # m*g sends k to m[g[k]]: itemgetter(*g)(m), a tuple unless the orbit is one
+    # fixed vector, on which every generator is the identity and tuple(m) is m.
+    composers = [operator.itemgetter(*g) for g in gen_perms] if len(orbit) > 1 else [tuple] * len(gens)
+    # products[i*k + h] is the index of element i times generator h, of k; the
+    # product at position first[j - 1] is the one that first reached element j.
+    products: list[int] = []
+    first: list[int] = []
+    size = 1
     for m in perms:  # breadth first, as for the orbit
         for compose in composers:
             prod = compose(m)
-            if prod not in seen:
-                if len(seen) >= cap:
+            j = index.setdefault(prod, size)
+            if j == size:
+                if size >= cap:
                     raise too_large
-                seen.add(prod)
                 perms.append(prod)
+                first.append(len(products))
+                size += 1
+            products.append(j)
+    k = len(composers)
     return GradedGroupRep(
         name=name,
         blocks=blocks,
@@ -218,6 +238,8 @@ def generate_group(
         orbit=tuple(orbit),
         permutations=tuple(perms),
         generator_permutations=gen_perms,
+        right_tables=tuple(tuple(products[h::k]) for h in range(k)),
+        tree_edges=tuple(divmod(p, k) for p in first),
     )
 
 
@@ -232,36 +254,44 @@ def conjugacy_classes(group: GradedGroupRep) -> tuple[tuple[int, ...], ...]:
     if group._classes is not None:
         return group._classes[0]
     # The class of x is its orbit under x -> g^-1 x g for the generators g, of
-    # which every conjugation is a composite; g^-1 x g sends k to g^-1[x[g[k]]],
-    # itemgetter(*x[g])(g^-1).  The trivial group may have an orbit of one.
-    gens = group.generator_permutations if group.order > 1 else ()
-    conjugators = [(sorted(range(len(g)), key=g.__getitem__), operator.itemgetter(*g)) for g in gens]
-    index = {p: i for i, p in enumerate(group.permutations)}
-    n, rows = group.dimension, tuple(zip(*group.orbit))  # rows of the orbit's transpose
-    assigned: set[int] = set()
+    # which every conjugation is a composite: an index map, x * g looked up in
+    # g's right table, then g^-1 times that.  Left multiplication by g^-1
+    # commutes with every right multiplication, so it follows the closure's
+    # tree from g^-1, the index that g sends to the identity.
+    order, right = group.order, group.right_tables
+    conjugations = []
+    for table in right:
+        left = [table.index(0)] * order  # left[j] = g^-1 * j: g^-1 at j = 0,
+        for j, (i, h) in enumerate(group.tree_edges, 1):
+            left[j] = right[h][left[i]]  # then g^-1 * (i * h) = (g^-1 * i) * h
+        conjugations.append([left[k] for k in table])
+    perms, n, rows = group.permutations, group.dimension, tuple(zip(*group.orbit))
+    # Entry (r, c) of j's matrix is orbit[perm_j[c]][r] = rows[r][perm_j[c]]; distinct elements differ.
+    entry_order = [(row, c) for row in rows for c in range(n)]
+    assigned = [False] * order
     keyed = []
-    for i in range(group.order):
-        if i in assigned:
+    for i in range(order):
+        if assigned[i]:
             continue
-        members, stack = {i}, [group.permutations[i]]
-        while stack:
-            y = stack.pop()
-            for ginv, by_g in conjugators:
-                j = index[operator.itemgetter(*by_g(y))(ginv)]
-                if j not in members:
-                    members.add(j)
-                    stack.append(group.permutations[j])
-        assigned |= members
-        # Entry (r, c) of j's matrix is orbit[perm_j[c]][r]; distinct elements have distinct
-        # entries.  The least member is found one row of entries at a time over the members still tied.
+        assigned[i], members = True, [i]
+        for x in members:  # the loop visits the appended members too
+            for conjugate in conjugations:
+                y = conjugate[x]
+                if not assigned[y]:
+                    assigned[y] = True
+                    members.append(y)
+        # The least member is found one entry at a time, row-major, over the members still tied.
         cls = tied = tuple(sorted(members))
-        for row in rows:
-            if len(tied) > 1:
-                entries = [[row[k] for k in group.permutations[j][:n]] for j in tied]
-                least = min(entries)
-                tied = [j for j, e in zip(tied, entries) if e == least]
-        entries = tuple([row[k] for row in rows for k in group.permutations[tied[0]][:n]])
-        keyed.append(((group.element_order(tied[0]), len(members), entries), tied[0], cls))
+        for row, c in entry_order:
+            if len(tied) == 1:
+                break
+            values = [row[perms[j][c]] for j in tied]
+            least = min(values)
+            if values.count(least) < len(tied):  # else every member stays tied
+                tied = [j for j, v in zip(tied, values) if v == least]
+        rep = tied[0]
+        entries = tuple([row[k] for row in rows for k in perms[rep][:n]])
+        keyed.append(((group.element_order(rep), len(members), entries), rep, cls))
     keyed.sort()
     classes = tuple(cls for _, _, cls in keyed)
     object.__setattr__(group, "_classes", (classes, tuple(rep for _, rep, _ in keyed)))
@@ -279,20 +309,31 @@ def _class_factors(group: GradedGroupRep) -> tuple[tuple[LaurentPolynomial, ...]
     once per group, by Newton's identities on the power sums tr(g^i on V_d),
     i = 1..dim V_d.  g^i sends e_j to orbit[perm^i[j]], perm the
     representative's permutation, so the trace is the sum over the block's j
-    of that vector's j-th entry: no matrix is built."""
+    of that vector's j-th entry: no matrix is built.  Their product over the
+    blocks, det(1 - s*g), is cached with them; see :func:`_class_dets`."""
     if group._factors is None:
-        orbit, factors = group.orbit, []
+        orbit, factors, dets = group.orbit, [], []
         for rep in class_representatives(group):
-            perm, blocks = group.permutations[rep], []
+            perm, blocks, det = group.permutations[rep], [], {0: 1}
             for _, start, stop in group.block_slices():
                 images, traces = range(start, stop), []
                 for _ in range(start, stop):
                     images = [perm[k] for k in images]
                     traces.append(exact(sum(orbit[k][j] for j, k in enumerate(images, start))))
-                blocks.append(LaurentPolynomial(enumerate(linalg.det_one_minus_from_traces(traces))))
+                terms = _exact_terms(dict(enumerate(linalg.det_one_minus_from_traces(traces))))
+                blocks.append(LaurentPolynomial._of(terms))
+                det = _times(det, terms)
             factors.append(tuple(blocks))
-        object.__setattr__(group, "_factors", tuple(factors))
-    return group._factors
+            dets.append(LaurentPolynomial._of(det))
+        object.__setattr__(group, "_factors", (tuple(factors), tuple(dets)))
+    return group._factors[0]
+
+
+def _class_dets(group: GradedGroupRep) -> tuple[LaurentPolynomial, ...]:
+    """det(1 - s*g) on the whole space per class, the product of its block
+    factors, built once with them by :func:`_class_factors`."""
+    _class_factors(group)
+    return group._factors[1]
 
 
 @dataclass(frozen=True)
@@ -346,9 +387,12 @@ def character_table(
             if type(v) is not int:
                 raise ValueError(f"character {name!r} has the non-integral value {v} on class {k}")
         rows.append((str(name), values))
+    # The form is symmetric, so the pairs i <= j suffice; the first failing pair
+    # in (i, j) order has i <= j, as its mirror image comes later.
     for i, (name_i, chi_i) in enumerate(rows):
-        for j, (name_j, chi_j) in enumerate(rows):
-            inner = sum(s * a * b for s, a, b in zip(sizes, chi_i, chi_j))
+        weighted = [s * a for s, a in zip(sizes, chi_i)]
+        for j, (name_j, chi_j) in enumerate(rows[i:], i):
+            inner = sum(map(operator.mul, weighted, chi_j))
             if inner != (group.order if i == j else 0):
                 raise ValueError(
                     f"characters {name_i!r}, {name_j!r} fail orthogonality: "
@@ -452,8 +496,8 @@ def _molien_sums(
         if twist == "trivial":
             weightings.append([1] * len(factors))
         elif twist == "det":  # det(1 - s*g) has top coefficient (-1)^n det(g)
-            n, one = group.dimension, LaurentPolynomial.one()
-            weightings.append([(-1) ** n * math.prod(fs, start=one).coefficient(n) for fs in factors])
+            n = group.dimension
+            weightings.append([(-1) ** n * det.coefficient(n) for det in _class_dets(group)])
         elif table is None:
             raise ValueError(f"twist {twist!r} needs a character table")
         else:
@@ -475,10 +519,9 @@ def pseudoreflection_count(group: GradedGroupRep) -> int:
     n - 1 eigenvalues 1 and one rational root of unity other than 1, i.e. -1:
     exactly when prod_blocks det(1 - s*g) = (1 - s)^{n-1}(1 + s).
     """
-    one = LaurentPolynomial.one()
     reflection = LaurentPolynomial({0: 1, 1: 1}).times_one_minus([1] * (group.dimension - 1))
-    classes = zip(conjugacy_classes(group), _class_factors(group))
-    return sum(len(cls) for cls, factors in classes if math.prod(factors, start=one) == reflection)
+    classes = zip(conjugacy_classes(group), _class_dets(group))
+    return sum(len(cls) for cls, det in classes if det == reflection)
 
 
 def molien_series(
@@ -622,8 +665,7 @@ def sym_power_characters(group: GradedGroupRep, top: int) -> list[tuple[int, ...
     if top < 0:
         raise ValueError("symmetric power index must be >= 0")
     columns = []
-    for factors in _class_factors(group):
-        det = math.prod(factors, start=LaurentPolynomial.one())
+    for det in _class_dets(group):
         c = [det.coefficient(k) for k in range(group.dimension + 1)]
         if any(type(x) is not int for x in c):
             raise ArithmeticError(f"det(1 - s*g) has non-integral coefficients {c}")

@@ -118,10 +118,12 @@ def _over_one_minus(terms: Terms, d: int) -> Terms | None:
 def _reduce(terms: Terms, degrees: Iterable[int]) -> tuple[Terms, tuple[int, ...]]:
     """(terms, kept degrees) after stripping each 1 - t^d, degrees ascending,
     that divides the terms: one sweep, as 1 - t^e dividing N/(1 - t^d) divides
-    N.  Nothing divides when N(1) != 0, and zero keeps no factor."""
+    N.  Nothing divides when N(1) != 0, and zero keeps no factor.  A multiple
+    e of a kept d is kept untried: 1 - t^d divides 1 - t^e, and what did not
+    divide the terms divides none of their later quotients."""
     kept, at_one = [], sum(terms.values())
     for d in degrees:
-        q = None if at_one else _over_one_minus(terms, d)
+        q = None if at_one or any(d % f == 0 for f in kept) else _over_one_minus(terms, d)
         if q is None:
             kept.append(d)
         else:

@@ -445,6 +445,29 @@ def test_duality_text_prints_the_ring_series(capsys, ring):
 
 @pytest.mark.parametrize(
     "argv",
+    [
+        ["shift", "taf_d6"],
+        ["duality", "taf_d6"],
+        ["sympow", "tmf2", "sigma3_standard", "--n", "6"],
+        ["descent", "tmf2", "sigma3_standard"],
+        ["descent", "taf_d6", "taf_d6_alpha"],  # a base with relations: its duality report only
+    ],
+    ids=" ".join,
+)
+def test_text_output_builds_no_json_payload(capsys, monkeypatch, argv):
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+
+    def refuse(*args):
+        raise AssertionError("text output built a JSON payload")
+
+    for helper in ("_ring_json", "_series_json", "_module_json", "_duality_json"):
+        monkeypatch.setattr(cli, helper, refuse)
+    assert run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["hilbert", "taf_d6"], ["molien", "tmf2", "sigma3_standard"]],
     ids=["hilbert", "molien"],
 )

@@ -2,6 +2,7 @@
 Solomon verification, symmetric powers against the per-n recurrence, and
 explicit invariants against the averaging-operator (Reynolds) oracle."""
 
+import math
 import operator
 import tracemalloc
 from collections.abc import Mapping
@@ -635,6 +636,84 @@ def test_row_by_row_representatives_match_the_full_key_min(name):
     assert (conjugacy_classes(group), class_representatives(group)) == expected
 
 
+def _least_member_by_rows(group, members):
+    """The least member as conjugacy_classes found it before it compared one
+    entry at a time, kept as the reference: one row of key entries at a time
+    over the members still tied."""
+    n, rows = group.dimension, tuple(zip(*group.orbit))
+    tied = sorted(members)
+    for row in rows:
+        if len(tied) > 1:
+            entries = [[row[k] for k in group.permutations[j][:n]] for j in tied]
+            least = min(entries)
+            tied = [j for j, e in zip(tied, entries) if e == least]
+    return tied[0], tuple([row[k] for row in rows for k in group.permutations[tied[0]][:n]])
+
+
+def _classes_by_brute_force(group):
+    """Each class as {h^-1 x h} over every element h, on the permutations
+    alone, keyed by (order, size, entries of the least member by rows)."""
+    perms = group.permutations
+    index = {p: i for i, p in enumerate(perms)}
+    inverses = [tuple(sorted(range(len(p)), key=p.__getitem__)) for p in perms]
+    assigned, keyed = set(), []
+    for x in range(group.order):
+        if x in assigned:
+            continue
+        # h^-1 x h sends k to h^-1[x[h[k]]]
+        members = {index[tuple([hinv[perms[x][k]] for k in h])] for h, hinv in zip(perms, inverses)}
+        assigned |= members
+        rep, entries = _least_member_by_rows(group, members)
+        keyed.append(((group.element_order(rep), len(members), entries), rep, tuple(sorted(members))))
+    keyed.sort()
+    return tuple(cls for _, _, cls in keyed), tuple(rep for _, rep, _ in keyed)
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_classes_on_index_tables_match_brute_force_conjugation(name, monkeypatch):
+    group, _ = _in_test_or_fixture_group(name)
+    expected = _classes_by_brute_force(group)
+
+    def refuse(*items):
+        raise AssertionError("conjugacy_classes built an itemgetter")
+
+    monkeypatch.setattr(operator, "itemgetter", refuse)
+    object.__setattr__(group, "_classes", None)  # computed afresh, not read from the cache
+    assert (conjugacy_classes(group), class_representatives(group)) == expected
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_right_tables_and_tree_edges_compose_with_the_generators(name):
+    group, _ = _in_test_or_fixture_group(name)
+    perms, gens = group.permutations, group.generator_permutations
+
+    def times(i, h):  # element i, then generator h: k -> perm_i[g_h[k]]
+        return tuple([perms[i][k] for k in gens[h]])
+
+    assert len(group.right_tables) == len(gens)
+    for h, table in enumerate(group.right_tables):
+        assert len(table) == group.order
+        assert all(perms[j] == times(i, h) for i, j in enumerate(table))
+    assert len(group.tree_edges) == group.order - 1
+    for j, (i, h) in enumerate(group.tree_edges, 1):
+        # breadth first: j is the first product that reached it, from an earlier element
+        assert i < j and group.right_tables[h][i] == j
+        assert all(group.right_tables[g][a] != j for a in range(i) for g in range(len(gens)))
+        assert all(group.right_tables[g][i] != j for g in range(h))
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_cached_class_dets_are_the_products_of_the_block_factors(name):
+    group, _ = _in_test_or_fixture_group(name)
+    dets = invariants._class_dets(group)
+    factors = invariants._class_factors(group)
+    assert len(dets) == len(factors) == len(conjugacy_classes(group))
+    for det, fs in zip(dets, factors):
+        assert det.terms() == math.prod(fs, start=LaurentPolynomial.one()).terms()
+        assert all(in_exact_form(c) for _, c in det.terms())
+    assert invariants._class_dets(group) is dets  # built once, with the factors
+
+
 def _orbit_by_rows(group):
     """The orbit walk of generate_group before it read generator columns,
     kept as the reference: each image g.v as n row dot products."""
@@ -1036,6 +1115,51 @@ def test_no_builtin_table_for_rotation_group():
 def test_character_table_rejects_non_orthogonal_rows(sigma3_group):
     with pytest.raises(ValueError):
         character_table(sigma3_group, [("bad", (1, 1, 0))])
+
+
+def _first_failing_pair(group, rows):
+    """The orthogonality message of the first failing (i, j), every ordered
+    pair tried, as character_table checked it before it weighted the rows
+    once and tried i <= j only; kept as the reference.  None if none fails."""
+    sizes = [len(c) for c in conjugacy_classes(group)]
+    for i, (name_i, chi_i) in enumerate(rows):
+        for j, (name_j, chi_j) in enumerate(rows):
+            inner = sum(s * a * b for s, a, b in zip(sizes, chi_i, chi_j))
+            if inner != (group.order if i == j else 0):
+                return (
+                    f"characters {name_i!r}, {name_j!r} fail orthogonality: "
+                    f"<,> = {Fraction(inner, group.order)}"
+                )
+    return None
+
+
+def test_character_table_names_the_first_failing_pair(sigma3_group):
+    # triv is fine with itself; (triv, bad) is the first pair to fail, before (bad, triv).
+    rows = [("triv", (1, 1, 1)), ("bad", (1, 1, 0)), ("std", (2, 0, -1))]
+    expected = "characters 'triv', 'bad' fail orthogonality: <,> = 2/3"
+    assert _first_failing_pair(sigma3_group, rows) == expected
+    with pytest.raises(ValueError) as info:
+        character_table(sigma3_group, rows)
+    assert str(info.value) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["sigma3_standard", "c2_negation", "taf_d6_alphabeta"]), st.data())
+def test_character_table_refuses_with_the_first_failing_pair(name, data):
+    group, table = _in_test_or_fixture_group(name)
+    n = len(conjugacy_classes(group))
+    rows = [(chi_name, list(values)) for chi_name, values in table.irreducibles]
+    # Perturb some values of the valid table, so that failing pairs are common but not universal.
+    for _ in range(data.draw(st.integers(0, 3))):
+        r, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[r][1][k] += data.draw(st.integers(-2, 2))
+    expected = _first_failing_pair(group, rows)
+    if expected is None:
+        assert character_table(group, rows).irreducibles == tuple((a, tuple(v)) for a, v in rows)
+    else:
+        with pytest.raises(ValueError) as info:
+            character_table(group, rows)
+        assert str(info.value) == expected
 
 
 def test_character_table_rejects_incomplete_tables(sigma3_group):

@@ -18,6 +18,7 @@ from gorenstein_kit.series import (
     NotMonomialRatio,
     _add,
     _lcm,
+    _over_one_minus,
     _reduce,
     prod_one_minus,
     ratio_as_signed_monomial,
@@ -252,6 +253,44 @@ def test_reduction_sweep_matches_the_restart_loop(base, factors, degrees):
     expected_numerator, expected_degrees = _reduce_with_restarts(numerator, degrees)
     assert s.numerator.terms() == expected_numerator.terms()
     assert s.denominator_degrees == expected_degrees
+
+
+def _sweep_trying_every_degree(terms, degrees):
+    """The reduction sweep before it skipped the multiples of a kept degree,
+    kept as the reference: every degree tried while the terms vanish at 1."""
+    kept, at_one = [], sum(terms.values())
+    for d in degrees:
+        q = None if at_one else _over_one_minus(terms, d)
+        if q is None:
+            kept.append(d)
+        else:
+            terms, at_one = q, sum(q.values())
+    return terms, tuple(kept)
+
+
+divisor_chain = st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12, 24]), max_size=6).map(sorted)
+
+
+@given(laurent_polys, divisor_chain, divisor_chain)
+@example(LaurentPolynomial.one(), [3, 5], [2, 4, 5, 8])
+def test_sweep_skipping_multiples_of_kept_degrees_matches_trying_every_degree(base, planted, degrees):
+    # Degrees that divide one another, planted and not, so that kept degrees have multiples.
+    terms = dict((base * prod_one_minus(planted)).terms())
+    swept, kept = _reduce(terms, degrees)
+    expected, expected_kept = _sweep_trying_every_degree(terms, degrees)
+    assert (sorted(swept.items()), kept) == (sorted(expected.items()), expected_kept)
+    assert all(map(in_exact_form, swept.values()))
+
+
+def test_sweep_does_not_retry_a_multiple_of_a_kept_degree(monkeypatch):
+    tried = []
+    monkeypatch.setattr(
+        "gorenstein_kit.series._over_one_minus", lambda terms, d: tried.append(d) or _over_one_minus(terms, d)
+    )
+    # 1 - t^2 does not divide (1 - t^3)(1 - t^5), so neither does 1 - t^4 or 1 - t^8.
+    terms = dict(prod_one_minus([3, 5]).terms())
+    assert _reduce(terms, [2, 4, 5, 8]) == (dict(prod_one_minus([3]).terms()), (2, 4, 8))
+    assert tried == [2, 5]
 
 
 @given(series_values)

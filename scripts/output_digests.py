@@ -10,6 +10,11 @@ The commands are:
 - on every bundled fixture pair: ``molien`` with every twist (trivial, det
   and each irreducible of the group's table), ``descent``, ``sympow`` and
   ``invgen``, in text and with ``--json``.
+- last, a fixed list of commands that fail: a ring path that does not
+  exist (for each subcommand that takes a ring), a group with no fixture,
+  an unknown ``--twist``, ``sympow`` on a group file with neither a
+  ``[character_table]`` nor a built-in table, a bad
+  ``GORENSTEIN_KIT_MAX_ORDER``, and three usage errors, which exit 2.
 
 Each runs in-process through ``gorenstein_kit.cli.main``, imported from the
 ``PYTHONPATH``.  The workload input files are written under this checkout's
@@ -28,9 +33,11 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import shutil
 import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK_DIR = ROOT / ".bench_work" / "output_digests"
@@ -60,6 +67,29 @@ def fixture_argvs() -> list[list[str]]:
     return [command + flag for command in commands for flag in ([], ["--json"])]
 
 
+def error_argvs(work_dir: Path) -> list[tuple[list[str], dict[str, str]]]:
+    """(argv, environment overrides) of each failing command; the input files
+    they need are written under ``work_dir``."""
+    work_dir.mkdir(parents=True, exist_ok=True)
+    c3 = work_dir / "c3.group"
+    c3.write_text("[group]\nname = c3\nblock = 4 2\n\n[generator]\nrow = 0 -1\nrow = 1 -1\n")
+    base = work_dir / "base.ring"
+    base.write_text("[ring]\nname = base\ngenerator = x 4\ngenerator = y 4\n")
+    missing = str(work_dir / "no_such.ring")
+    group_args = {"molien": [], "sympow": ["--n", "2"], "invgen": ["--degree", "4"], "descent": []}
+    commands = [([command, missing], {}) for command in ("hilbert", "shift", "duality")]
+    commands += [([command, missing, "sigma3_standard", *extra], {}) for command, extra in group_args.items()]
+    return commands + [
+        (["molien", "tmf2", "no_such_group"], {}),
+        (["molien", "tmf2", "sigma3_standard", "--twist", "no_such_twist"], {}),
+        (["sympow", str(base), str(c3), "--n", "2"], {}),
+        (["molien", "tmf2", "sigma3_standard"], {"GORENSTEIN_KIT_MAX_ORDER": "abc"}),
+        (["invgen", "tmf2", "sigma3_standard", "--degree", "-1"], {}),
+        (["hilbert", "ku", "--max-degree", "200001"], {}),
+        ([], {}),
+    ]
+
+
 def digest_line(main, label: str, argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -87,6 +117,10 @@ def main(argv: list[str] | None = None) -> int:
                     print(digest_line(cli.main, f"{workload} seed {seed}: {job['id']}", job["argv"]))
         for command in fixture_argvs():
             print(digest_line(cli.main, " ".join(command), command))
+        for command, env in error_argvs(WORK_DIR / "errors"):
+            label = " ".join([*(f"{k}={v}" for k, v in env.items()), "gorenstein-kit", *command])
+            with mock.patch.dict(os.environ, env):
+                print(digest_line(cli.main, label.replace(f"{ROOT}/", ""), command))
     finally:
         shutil.rmtree(WORK_DIR, ignore_errors=True)
     return 0

@@ -4,14 +4,22 @@ Subcommands mirror the library: ``hilbert``, ``shift``, ``duality``,
 ``molien``, ``sympow``, ``invgen``, ``descent`` and ``table``.  Ring and
 group arguments are file paths; a name that is not a file names a bundled
 fixture of its kind (see ``dataset.load_ring_fixture``), so
-``gorenstein-kit shift taf_d15`` works out of the box.  Every subcommand accepts ``--json`` for machine output: a single
-newline-terminated JSON object with a versioned ``schema`` field, all
-rationals rendered as exact ``p/q`` strings.  The environment variable
-``GORENSTEIN_KIT_MAX_ORDER`` overrides the group-enumeration cap.
+``gorenstein-kit shift taf_d15`` works out of the box.  Every subcommand
+accepts ``--json`` for machine output: a single newline-terminated JSON
+object with a versioned ``schema`` field, all rationals rendered as exact
+``p/q`` strings.  The environment variable ``GORENSTEIN_KIT_MAX_ORDER``
+overrides the group-enumeration cap.
 
 Exit status is 0 on success (for ``table``: all rows PASS), 1 on a
 computation or input error, 2 on bad usage.  A warning, such as a failed
 regularity check, is one ``warning: <Name>: <message>`` line on stderr.
+
+Each ``cmd_*`` function returns its output and writes nothing: a JSON
+payload, or the text lines after the ring header, built only for the mode
+it prints.  `main` alone loads the ring (for every subcommand whose parser
+declares a ``ring`` argument), writes the ring header, renders the
+coefficient window of ``hilbert`` and ``molien``, writes stdout once and
+sets the exit status.
 """
 
 from __future__ import annotations
@@ -127,18 +135,9 @@ def _window_json(coefficients: list) -> str:
     return "[" + template % tuple(chain.from_iterable(enumerate(coefficients))) + "]"
 
 
-def _emit(output: dict | list[str], window: list | None = None) -> None:
-    """Write a JSON payload or text lines.  ``window`` is the payload's
-    ``"coefficients"`` value, rendered by `_window_json` and written first,
-    where ``sort_keys`` puts it: every other key of a payload that has one
-    sorts after it."""
-    if isinstance(output, dict):
-        text = json.dumps(output, sort_keys=True)
-        if window is not None:
-            text = '{"coefficients": ' + _window_json(window) + ", " + text[1:]
-        sys.stdout.write(text + "\n")
-    else:
-        sys.stdout.write("\n".join(output) + "\n")
+def _emit(text: str) -> None:
+    """Write the command's whole output, newline-terminated, to stdout."""
+    sys.stdout.write(text + "\n")
 
 
 def _ring_header(p: RingPresentation) -> list[str]:
@@ -152,50 +151,42 @@ def _ring_header(p: RingPresentation) -> list[str]:
 
 
 # -- subcommands ----------------------------------------------------------------
+# ``hilbert`` and ``molien`` return their output with its coefficient window,
+# ``table`` with its verdict; the others return the output alone.
 
 
-def cmd_hilbert(args: argparse.Namespace) -> int:
-    p = load_ring_fixture(args.ring)
+def cmd_hilbert(args: argparse.Namespace, p: RingPresentation) -> tuple[dict | list[str], list]:
     series = hilbert_series(p)
     window = series.expand(0, args.max_degree)
     if args.json:
-        _emit({
+        return {
             "schema": f"{SCHEMA_PREFIX}/hilbert/1",
             "ring": _ring_json(p),
             "series": _series_json(series),
-        }, window)
-        return 0
-    lines = _ring_header(p)
-    lines.append(f"  hilbert series: {series}")
-    lines.append(f"  coefficients 0..{args.max_degree}:")
-    lines += _window_lines(window)
-    _emit(lines)
-    return 0
+        }, window
+    return [f"  hilbert series: {series}"], window
 
 
-def cmd_shift(args: argparse.Namespace) -> int:
-    p = load_ring_fixture(args.ring)
+def cmd_shift(args: argparse.Namespace, p: RingPresentation) -> dict | list[str]:
     dim = krull_dimension(p)
     by_formula = gorenstein_shift_formula(p)
     by_series = gorenstein_shift_stanley(hilbert_series(p), dim)
     agree = by_formula == by_series
     if args.json:
-        _emit({
+        return {
             "schema": f"{SCHEMA_PREFIX}/shift/1",
             "ring": _ring_json(p),
             "krull_dimension": dim,
             "shift_by_formula": by_formula,
             "shift_by_series": by_series,
             "agree": agree,
-        })
-        return 0
-    lines = _ring_header(p)
-    lines.append(f"  krull dimension: {dim}")
-    lines.append(f"  gorenstein shift by degree formula:      {by_formula}")
-    lines.append(f"  gorenstein shift by functional equation: {by_series}")
-    lines.append(f"  agreement: {'yes' if agree else 'NO -- MISMATCH'}")
-    _emit(lines)
-    return 0
+        }
+    return [
+        f"  krull dimension: {dim}",
+        f"  gorenstein shift by degree formula:      {by_formula}",
+        f"  gorenstein shift by functional equation: {by_series}",
+        f"  agreement: {'yes' if agree else 'NO -- MISMATCH'}",
+    ]
 
 
 def _duality_json(p: RingPresentation, report: DualityReport) -> dict:
@@ -214,40 +205,31 @@ def _duality_json(p: RingPresentation, report: DualityReport) -> dict:
     }
 
 
-def cmd_duality(args: argparse.Namespace) -> int:
-    p = load_ring_fixture(args.ring)
+def cmd_duality(args: argparse.Namespace, p: RingPresentation) -> dict | list[str]:
     report = ring_duality_report(p)
     if args.json:
-        _emit({"schema": f"{SCHEMA_PREFIX}/duality/1", **_duality_json(p, report)})
-        return 0
+        return {"schema": f"{SCHEMA_PREFIX}/duality/1", **_duality_json(p, report)}
     first, second = report.display_strings()
-    lines = _ring_header(p)
-    lines.append(f"  hilbert series: {report.cech_ring_part.series}")
-    lines.append(f"  krull dimension {report.dim}, gorenstein shift a = {report.shift_a}")
-    lines.append(f"  torsion part:   {report.gamma_series.label}  = Sigma^{report.shift_a} dual(r_*)")
-    lines.append(
+    return [
+        f"  hilbert series: {report.cech_ring_part.series}",
+        f"  krull dimension {report.dim}, gorenstein shift a = {report.shift_a}",
+        f"  torsion part:   {report.gamma_series.label}  = Sigma^{report.shift_a} dual(r_*)",
         f"  localized ring: {report.cech_ring_part.label} (+) {report.cech_dual_part.label}"
-        f"   [{report.splitting.value}]"
-    )
-    lines.append(f"  anderson: {second}, i.e. {first}")
-    lines.append(
+        f"   [{report.splitting.value}]",
+        f"  anderson: {second}, i.e. {first}",
         "  duality recovery range (shift <= -2, torsion vanishing above it): "
-        + ("yes" if report.recovery_hypotheses_hold else "no")
-    )
-    _emit(lines)
-    return 0
+        + ("yes" if report.recovery_hypotheses_hold else "no"),
+    ]
 
 
-def cmd_molien(args: argparse.Namespace) -> int:
-    p = load_ring_fixture(args.ring)
+def cmd_molien(args: argparse.Namespace, p: RingPresentation) -> tuple[dict | list[str], list]:
     group, table = _load_group(args.group, p).build(cap=_order_cap())
     if args.twist not in ("trivial", "det"):
         table = _table_for(group, table)
     report = molien_series(group, twist=args.twist, table=table)
-    hi = args.max_degree
-    window = report.series.expand(0, hi)
+    window = report.series.expand(0, args.max_degree)
     if args.json:
-        _emit({
+        return {
             "schema": f"{SCHEMA_PREFIX}/molien/1",
             "ring": _ring_json(p),
             "group": group.name,
@@ -257,10 +239,8 @@ def cmd_molien(args: argparse.Namespace) -> int:
             "polynomial_degrees": report.polynomial_degrees,
             "pseudoreflection_count": report.pseudoreflection_count,
             "relations_ignored": bool(p.relations),
-        }, window)
-        return 0
-    lines = _ring_header(p)
-    lines.append(f"  group {group.name} of order {group.order}, twist {report.twist}")
+        }, window
+    lines = [f"  group {group.name} of order {group.order}, twist {report.twist}"]
     if p.relations:
         lines.append(
             "  note: relations ignored; this is the invariant series of the free"
@@ -272,10 +252,7 @@ def cmd_molien(args: argparse.Namespace) -> int:
     else:
         lines.append("  invariants are not polynomial at this rank")
     lines.append(f"  pseudoreflections: {report.pseudoreflection_count}")
-    lines.append(f"  coefficients 0..{hi}:")
-    lines += _window_lines(window)
-    _emit(lines)
-    return 0
+    return lines, window
 
 
 def _table_for(group: GradedGroupRep, table: RationalCharacterTable | None) -> RationalCharacterTable:
@@ -290,8 +267,7 @@ def _table_for(group: GradedGroupRep, table: RationalCharacterTable | None) -> R
         ) from exc
 
 
-def cmd_sympow(args: argparse.Namespace) -> int:
-    p = load_ring_fixture(args.ring)
+def cmd_sympow(args: argparse.Namespace, p: RingPresentation) -> dict | list[str]:
     group, table = _load_group(args.group, p).build(cap=_order_cap())
     table = _table_for(group, table)
     names = list(table.names)
@@ -300,33 +276,29 @@ def cmd_sympow(args: argparse.Namespace) -> int:
         for n, values in enumerate(sym_power_characters(group, args.n))
     ]
     if args.json:
-        _emit({
+        return {
             "schema": f"{SCHEMA_PREFIX}/sympow/1",
             "ring": _ring_json(p),
             "group": group.name,
             "irreducibles": names,
             "multiplicities": [[n, list(m)] for n, m in rows],
-        })
-        return 0
+        }
     block_degrees = {d for d, _ in group.blocks}
     uniform_degree = block_degrees.pop() if len(block_degrees) == 1 else None
-    lines = _ring_header(p)
-    lines.append(f"  group {group.name}, decomposition against ({', '.join(names)})")
+    lines = [f"  group {group.name}, decomposition against ({', '.join(names)})"]
     for n, mults in rows:
         degree = f"  (degree {n * uniform_degree})" if uniform_degree else ""
         vec = "".join(str(m) for m in mults) if all(m < 10 for m in mults) else str(mults)
         lines.append(f"    Sym^{n}: ({vec}){degree}")
-    _emit(lines)
-    return 0
+    return lines
 
 
-def cmd_invgen(args: argparse.Namespace) -> int:
-    p = load_ring_fixture(args.ring)
+def cmd_invgen(args: argparse.Namespace, p: RingPresentation) -> dict | list[str]:
     group, _ = _load_group(args.group, p).build(cap=_order_cap())
     symbols = [s for s, _ in p.generators]
     basis = invariant_basis(group, args.degree)
     if args.json:
-        _emit({
+        return {
             "schema": f"{SCHEMA_PREFIX}/invgen/1",
             "ring": _ring_json(p),
             "group": group.name,
@@ -337,25 +309,20 @@ def cmd_invgen(args: argparse.Namespace) -> int:
                  "terms": [[list(e), str(c)] for e, c in terms]}
                 for terms in (sorted(poly.items(), reverse=True) for poly in basis)
             ],
-        })
-        return 0
-    lines = _ring_header(p)
-    lines.append(
-        f"  invariants of {group.name} in degree {args.degree}: dimension {len(basis)}"
-    )
-    lines += (f"    {format_polynomial(poly, symbols)}" for poly in basis)
-    _emit(lines)
-    return 0
+        }
+    return [
+        f"  invariants of {group.name} in degree {args.degree}: dimension {len(basis)}",
+        *(f"    {format_polynomial(poly, symbols)}" for poly in basis),
+    ]
 
 
-def cmd_descent(args: argparse.Namespace) -> int:
-    p = load_ring_fixture(args.ring)
+def cmd_descent(args: argparse.Namespace, p: RingPresentation) -> dict | list[str]:
     record = _load_group(args.group, p)
     if p.relations:  # descent_report would refuse the base: no group is built
         _checked_generators(record.generators, record.blocks)
         base = ring_duality_report(p)
         if args.json:
-            _emit({
+            return {
                 "schema": f"{SCHEMA_PREFIX}/descent/1",
                 "descent": None,
                 "note": (
@@ -363,25 +330,21 @@ def cmd_descent(args: argparse.Namespace) -> int:
                     " polynomial, so only the base-ring duality report is given"
                 ),
                 "base_duality": _duality_json(p, base),
-            })
-            return 0
-        lines = _ring_header(p)
-        lines.append(
-            "  note: base ring is not polynomial; descent prediction out of"
-            " regime, base-ring report follows"
-        )
-        lines.append(f"  gorenstein shift a = {base.shift_a}")
+            }
         first, second = base.display_strings()
-        lines.append(f"  anderson: {second}, i.e. {first}")
-        _emit(lines)
-        return 0
+        return [
+            "  note: base ring is not polynomial; descent prediction out of"
+            " regime, base-ring report follows",
+            f"  gorenstein shift a = {base.shift_a}",
+            f"  anderson: {second}, i.e. {first}",
+        ]
     group, _ = record.build(cap=_order_cap())
     report = descent_report(p, group)
     solomon, invariant = report.solomon, report.invariant
     degrees, presentation = solomon.invariant_degrees, report.invariant_presentation
     consistent, witness = cross_check_invariant_shift(report)
     if args.json:
-        _emit({
+        return {
             "schema": f"{SCHEMA_PREFIX}/descent/1",
             "descent": {
                 "ring": _ring_json(p),
@@ -399,26 +362,23 @@ def cmd_descent(args: argparse.Namespace) -> int:
             },
             "note": "for non-rational coefficients this is a prediction, not a theorem",
             "base_duality": None,
-        })
-        return 0
-    lines = _ring_header(p)
-    lines.append(f"  group {group.name} of order {group.order}")
-    lines.append(f"  base gorenstein shift a = {report.base_shift_a}")
-    lines.append("  invariants are not polynomial at this rank" if degrees is None
-                 else f"  invariant degrees: {list(degrees)}")
-    lines.append(f"  solomon supplement b = {solomon.supplement}"
-                 + ("  (verified)" if solomon.verified
-                    else f"  (FAILED verification: {solomon.witness()})"))
-    lines.append(f"  descended gorenstein shift a+b = {invariant.shift_a}")
-    lines.append(f"  descended anderson shift a+b+1 = {invariant.anderson_selfdual_display}")
-    lines.append("  cross-check of the invariant ring's shift: "
-                 + ("ok" if consistent else f"MISMATCH ({witness})"))
-    lines.append("  (prediction: exact for rational coefficients, necessary condition otherwise)")
-    _emit(lines)
-    return 0
+        }
+    return [
+        f"  group {group.name} of order {group.order}",
+        f"  base gorenstein shift a = {report.base_shift_a}",
+        "  invariants are not polynomial at this rank" if degrees is None
+        else f"  invariant degrees: {list(degrees)}",
+        f"  solomon supplement b = {solomon.supplement}"
+        + ("  (verified)" if solomon.verified else f"  (FAILED verification: {solomon.witness()})"),
+        f"  descended gorenstein shift a+b = {invariant.shift_a}",
+        f"  descended anderson shift a+b+1 = {invariant.anderson_selfdual_display}",
+        "  cross-check of the invariant ring's shift: "
+        + ("ok" if consistent else f"MISMATCH ({witness})"),
+        "  (prediction: exact for rational coefficients, necessary condition otherwise)",
+    ]
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> tuple[dict | list[str], bool]:
     rows = []
     all_pass = True
     for row in TABLE_ROWS:
@@ -427,7 +387,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         all_pass = all_pass and ok
         rows.append((row, computed, ok))
     if args.json:
-        _emit({
+        return {
             "schema": f"{SCHEMA_PREFIX}/table/1",
             "rows": [
                 {
@@ -443,8 +403,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                 for row, computed, ok in rows
             ],
             "all_pass": all_pass,
-        })
-        return 0 if all_pass else 1
+        }, all_pass
     header = f"{'name':<20} {'p':<12} {'group':<10} {'degrees':<12} {'rel':<5} {'a':>4} {'expected':>9}  status"
     lines = [header, "-" * len(header)]
     for row, computed, ok in rows:
@@ -456,8 +415,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             + ("PASS" if ok else "FAIL")
         )
     lines.append("all rows pass" if all_pass else "some rows fail")
-    _emit(lines)
-    return 0 if all_pass else 1
+    return lines, all_pass
 
 
 # -- parser ---------------------------------------------------------------------
@@ -495,43 +453,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, func, help_text: str, *positionals: str) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
         sp.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+        for positional in positionals:
+            sp.add_argument(positional)
         return sp
 
-    sp = add("hilbert", cmd_hilbert, "Hilbert series and coefficient table of a ring")
-    sp.add_argument("ring")
+    sp = add("hilbert", cmd_hilbert, "Hilbert series and coefficient table of a ring", "ring")
     sp.add_argument("--max-degree", type=window_degree, default=40)
 
-    sp = add("shift", cmd_shift, "Gorenstein shift, by formula and by functional equation")
-    sp.add_argument("ring")
+    add("shift", cmd_shift, "Gorenstein shift, by formula and by functional equation", "ring")
+    add("duality", cmd_duality, "full duality report for a ring", "ring")
 
-    sp = add("duality", cmd_duality, "full duality report for a ring")
-    sp.add_argument("ring")
-
-    sp = add("molien", cmd_molien, "(twisted) Molien series of a group action")
-    sp.add_argument("ring")
-    sp.add_argument("group")
+    sp = add("molien", cmd_molien, "(twisted) Molien series of a group action", "ring", "group")
     sp.add_argument("--twist", default="trivial",
                     help="'trivial', 'det', or a character name from the table")
     sp.add_argument("--max-degree", type=window_degree, default=48)
 
-    sp = add("sympow", cmd_sympow, "symmetric-power decompositions against a character table")
-    sp.add_argument("ring")
-    sp.add_argument("group")
+    sp = add("sympow", cmd_sympow, "symmetric-power decompositions against a character table",
+             "ring", "group")
     sp.add_argument("--n", type=sympow_power, required=True, help="largest symmetric power")
 
-    sp = add("invgen", cmd_invgen, "explicit invariant polynomials of one degree")
-    sp.add_argument("ring")
-    sp.add_argument("group")
+    sp = add("invgen", cmd_invgen, "explicit invariant polynomials of one degree", "ring", "group")
     sp.add_argument("--degree", type=window_degree, required=True)
 
-    sp = add("descent", cmd_descent, "descended shift prediction for a ring of invariants")
-    sp.add_argument("ring")
-    sp.add_argument("group")
-
+    add("descent", cmd_descent, "descended shift prediction for a ring of invariants", "ring", "group")
     add("table", cmd_table, "recompute the bundled twelve-row example table")
     return parser
 
@@ -545,11 +493,14 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: parse, load the ring, compute, write stdout once.
+    Returns the exit status; bad usage exits 2 from argparse."""
     args = _PARSER.parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
-            return args.func(args)
+            p = load_ring_fixture(args.ring) if "ring" in args else None
+            output = args.func(args) if p is None else args.func(args, p)
         except ParseError as exc:
             # parse errors already carry their source:line location
             print(f"error: {exc}", file=sys.stderr)
@@ -558,6 +509,22 @@ def main(argv: list[str] | None = None) -> int:
             message = str(exc) or repr(exc)
             print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
             return 1
+    window, all_pass = None, True
+    if "max_degree" in args:
+        output, window = output
+    elif args.command == "table":
+        output, all_pass = output
+    if args.json:
+        text = json.dumps(output, sort_keys=True)
+        if window is not None:  # sort_keys puts "coefficients" ahead of every other key
+            text = '{"coefficients": ' + _window_json(window) + ", " + text[1:]
+    else:
+        lines = output if p is None else _ring_header(p) + output
+        if window is not None:
+            lines += [f"  coefficients 0..{args.max_degree}:", *_window_lines(window)]
+        text = "\n".join(lines)
+    _emit(text)
+    return 0 if all_pass else 1
 
 
 if __name__ == "__main__":

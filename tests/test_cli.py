@@ -502,6 +502,69 @@ def test_json_outputs_are_newline_terminated(capsys):
         assert out.endswith("\n") and out.count("\n") == 1
 
 
+# One passing command line per subcommand; all but table take a ring first.
+SUBCOMMANDS = {
+    "hilbert": ["hilbert", "ku"],
+    "shift": ["shift", "ku"],
+    "duality": ["duality", "ku"],
+    "molien": ["molien", "tmf2", "sigma3_standard"],
+    "sympow": ["sympow", "tmf2", "sigma3_standard", "--n", "4"],
+    "invgen": ["invgen", "tmf2", "sigma3_standard", "--degree", "8"],
+    "descent": ["descent", "tmf2", "sigma3_standard"],
+    "table": ["table"],
+}
+RING_SUBCOMMANDS = [command for command in SUBCOMMANDS if command != "table"]
+GROUP_SUBCOMMANDS = ["molien", "sympow", "invgen", "descent"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_writes_one_newline_terminated_output(capsys, command, flags):
+    code, out, err = run(capsys, *SUBCOMMANDS[command], *flags)
+    assert (code, err) == (0, "")
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    if flags:
+        assert out.count("\n") == 1
+        assert json.loads(out)["schema"] == f"gorenstein-kit/{command}/1"
+
+
+def test_the_parser_says_which_subcommands_take_a_ring_and_a_group():
+    parsed = {command: cli._PARSER.parse_args(argv) for command, argv in SUBCOMMANDS.items()}
+    assert [command for command, args in parsed.items() if "ring" in args] == RING_SUBCOMMANDS
+    assert [command for command, args in parsed.items() if "group" in args] == GROUP_SUBCOMMANDS
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", RING_SUBCOMMANDS)
+def test_a_missing_ring_is_one_error_line(capsys, tmp_path, command, flags):
+    missing = tmp_path / "missing.ring"
+    argv = [command, str(missing), *SUBCOMMANDS[command][2:]]
+    code, out, err = run(capsys, *argv, *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: FileNotFoundError: no bundled fixture '{missing}'; ")
+    assert err.endswith("\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", GROUP_SUBCOMMANDS)
+def test_a_missing_ring_is_reported_before_a_missing_group(capsys, tmp_path, command):
+    ring, group = tmp_path / "missing.ring", tmp_path / "missing.group"
+    code, out, err = run(capsys, command, str(ring), str(group), *SUBCOMMANDS[command][3:])
+    assert (code, out) == (1, "")
+    assert f"'{ring}'" in err and "missing.group" not in err
+
+
+def test_a_bad_degree_exits_two_before_any_file_is_read(capsys, monkeypatch):
+    def refuse(arg):
+        raise AssertionError(f"read {arg} before the arguments were checked")
+
+    monkeypatch.setattr(cli, "load_ring_fixture", refuse)
+    monkeypatch.setattr(cli, "load_group_fixture", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["invgen", "tmf2", "sigma3_standard", "--degree", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_computation_errors_carry_their_name(capsys):
     code, _, err = run(capsys, "descent", "tmf2", "c2_negation")
     assert code == 1

@@ -19,8 +19,9 @@ The commands are:
 Each runs in-process through ``gorenstein_kit.cli.main``, imported from the
 ``PYTHONPATH``.  The workload input files are written under this checkout's
 ``.bench_work/output_digests`` and removed afterwards; the same checkout
-writes them to the same paths for any source tree.  Usage, from the root of
-a checkout::
+writes them to the same paths for any source tree, and the output and
+labels name them relative to the checkout's root, so two checkouts' lines
+can be compared directly.  Usage, from the root of a checkout::
 
     PYTHONPATH=src python3 scripts/output_digests.py --seeds 3 11 > change.txt
     PYTHONPATH=/path/to/parent/src python3 scripts/output_digests.py --seeds 3 11 > parent.txt
@@ -97,7 +98,10 @@ def digest_line(main, label: str, argv: list[str]) -> str:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-    digests = (hashlib.sha256(stream.getvalue().encode()).hexdigest() for stream in (out, err))
+    # Paths under this checkout are hashed relative to its root, so that two
+    # checkouts at different places print the same lines.
+    texts = (stream.getvalue().replace(f"{ROOT}/", "") for stream in (out, err))
+    digests = (hashlib.sha256(text.encode()).hexdigest() for text in texts)
     return f"{code} {' '.join(digests)} {label}"
 
 

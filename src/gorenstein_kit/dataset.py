@@ -10,8 +10,8 @@ only when rendering a PASS/FAIL comparison.  The fixture lists are read off
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .graded_ring import RingPresentation
 from .records import GroupInputRecord, parse_group_record, parse_ring_record
@@ -23,8 +23,7 @@ RING_FIXTURES = tuple(n.removesuffix(".ring") for n in _FILE_NAMES if n.endswith
 GROUP_FIXTURES = tuple(n.removesuffix(".group") for n in _FILE_NAMES if n.endswith(".group"))
 
 
-@dataclass(frozen=True)
-class PaperTableRow:
+class PaperTableRow(NamedTuple):
     """One tabulated example: a named ring, its degree data, and the
     published shift value used only for comparison at render time."""
 

@@ -13,7 +13,7 @@ accordingly.  Bases with relations are outside this regime and are refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .duality import DualityReport, duality_report
 from .graded_ring import (
@@ -35,8 +35,7 @@ class BlockMismatch(ValueError):
     """The group's grading blocks do not match the ring's generator degrees."""
 
 
-@dataclass(frozen=True)
-class DescentReport:
+class DescentReport(NamedTuple):
     """The base shift, the Solomon check, and the invariant ring's own report.
 
     ``invariant`` is the duality report of R^G's Molien series at the

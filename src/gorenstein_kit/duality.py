@@ -19,7 +19,7 @@ closed-formula shift against it on every call.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graded_ring import (
     GradedModuleSeries,
@@ -63,8 +63,7 @@ def local_cohomology_series(series: HilbertSeries, dim: int, name: str) -> Grade
     return GradedModuleSeries(series, shift=a + dim, dualized=True, label=label)
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     """Everything this library can say about the duality of one Gorenstein series.
 
     ``anderson_shift`` is the exponent q in "the dual of R is Sigma^q R";

@@ -5,16 +5,17 @@ degrees are topological throughout (t tracks the degree of homotopy/graded
 pieces exactly as printed, with no half-degree normalization).  The
 Gorenstein shift of a presentation is computed two independent ways: a closed
 formula in the degrees, and extraction from the functional equation the
-Hilbert series satisfies (Stanley's criterion).
+Hilbert series satisfies (Stanley's criterion).  Presentations and graded
+module series are immutable records: named tuples, the presentation
+validated on every construction.
 """
 
 from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .series import (
     HilbertSeries,
@@ -37,39 +38,47 @@ class RegularSequenceWarning(UserWarning):
 REGULARITY_CHECK_DEGREE = 80
 
 
-@dataclass(frozen=True)
-class RingPresentation:
-    """A graded complete intersection: generators modulo a regular sequence.
-
-    ``regular_sequence_asserted`` records the user's claim that the relations
-    form a regular sequence; the library only verifies the necessary
-    condition that the resulting Hilbert series has nonnegative coefficients.
-    A polynomial ring is presented relation-free.
-    """
-
+class _RingFields(NamedTuple):
     name: str
     coefficient_label: str
     generators: tuple[tuple[str, int], ...]
     relations: tuple[tuple[str, int], ...] = ()
     regular_sequence_asserted: bool = True
 
-    def __post_init__(self):
-        for key in ("generators", "relations"):
-            pairs = tuple((str(s), operator.index(d)) for s, d in getattr(self, key))
-            object.__setattr__(self, key, pairs)
-        if not self.generators:
-            raise ValueError(f"{self.name or 'presentation'}: at least one generator is required")
-        if len(self.relations) > len(self.generators):
-            raise ValueError(f"{self.name}: more relations than generators")
-        for sym, deg in self.generators:
+
+class RingPresentation(_RingFields):
+    """A graded complete intersection: generators modulo a regular sequence.
+
+    ``regular_sequence_asserted`` records the user's claim that the relations
+    form a regular sequence; the library only verifies the necessary
+    condition that the resulting Hilbert series has nonnegative coefficients.
+    A polynomial ring is presented relation-free.  An immutable record,
+    normalised and validated on every construction, ``_replace`` included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name, coefficient_label, generators, relations=(), regular_sequence_asserted=True):
+        generators = tuple((str(s), operator.index(d)) for s, d in generators)
+        relations = tuple((str(s), operator.index(d)) for s, d in relations)
+        if not generators:
+            raise ValueError(f"{name or 'presentation'}: at least one generator is required")
+        if len(relations) > len(generators):
+            raise ValueError(f"{name}: more relations than generators")
+        for sym, deg in generators:
             if deg < 1:
-                raise ValueError(f"{self.name}: generator {sym} has degree {deg} < 1")
-        for sym, deg in self.relations:
+                raise ValueError(f"{name}: generator {sym} has degree {deg} < 1")
+        for sym, deg in relations:
             if deg < 2:
-                raise ValueError(f"{self.name}: relation {sym} has degree {deg} < 2")
-        symbols = [s for s, _ in self.generators] + [s for s, _ in self.relations]
+                raise ValueError(f"{name}: relation {sym} has degree {deg} < 2")
+        symbols = [s for s, _ in generators] + [s for s, _ in relations]
         if len(set(symbols)) != len(symbols):
-            raise ValueError(f"{self.name}: generator/relation symbols are not pairwise distinct")
+            raise ValueError(f"{name}: generator/relation symbols are not pairwise distinct")
+        return super().__new__(cls, name, coefficient_label, generators, relations, regular_sequence_asserted)
+
+    @classmethod
+    def _make(cls, iterable):  # the path of _replace, validated as the constructor is
+        return cls(*iterable)
 
     @property
     def generator_degrees(self) -> tuple[int, ...]:
@@ -135,8 +144,7 @@ def gorenstein_shift_stanley(series: HilbertSeries, dim: int) -> int:
     return -k - dim
 
 
-@dataclass(frozen=True)
-class GradedModuleSeries:
+class GradedModuleSeries(NamedTuple):
     """A graded module presented as a Hilbert series, an applied suspension,
     and a dualization flag.
 
@@ -145,13 +153,22 @@ class GradedModuleSeries:
     ``dualized`` (the degree-n part of the dual is the dual of the
     degree-(-n) part).  Expansion respects the direction in which the module
     is bounded: duals of connective modules are supported towards minus
-    infinity and are expanded that way.
+    infinity and are expanded that way.  An immutable record whose equality
+    ignores ``label``; like its series, it is unhashable.
     """
 
     series: HilbertSeries
     shift: int = 0
     dualized: bool = False
-    label: str = field(default="", compare=False)
+    label: str = ""
+
+    def __eq__(self, other: object) -> bool:
+        return self[:3] == other[:3] if type(other) is GradedModuleSeries else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = None
 
     def expand(self, lo: int, hi: int) -> list[Scalar]:
         """Effective coefficients for degrees lo..hi inclusive."""

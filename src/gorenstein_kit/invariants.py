@@ -19,15 +19,16 @@ class and grading block (Stanley, Bull. AMS 1 (1979), section 2), by
 Newton's identities on traces read off the representative's permutation,
 or off their product over the blocks, cached with them; a Molien class term
 divides (1 - s^o)^dim by it with an integer recurrence.  Decomposition
-needs a rational, hence integer, character table.
+needs a rational, hence integer, character table.  The group is an immutable
+slotted record; character tables and the Molien and Solomon reports are
+immutable records (named tuples).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .linalg import Matrix, Scalar, exact, quotient
@@ -79,7 +80,6 @@ def _block_slices(blocks: Sequence[tuple[int, int]]) -> list[tuple[int, int, int
     return out
 
 
-@dataclass(frozen=True)
 class GradedGroupRep:
     """An enumerated finite group of graded, invertible rational matrices.
 
@@ -92,25 +92,44 @@ class GradedGroupRep:
     only on request, by :meth:`matrix`.  ``right_tables[h][i]`` is the
     index of element i times generator h, and ``tree_edges[j - 1]`` is the
     (i, h) with j = i * h by which the closure first reached element j >= 1.
+    An immutable record: equality, hash and repr read only the name,
+    blocks, generators and order.
     """
 
-    name: str
-    blocks: tuple[tuple[int, int], ...]
-    generators: tuple[Matrix, ...]
-    order: int
-    orbit: tuple[tuple[Scalar, ...], ...] = field(compare=False, repr=False)
-    permutations: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    generator_permutations: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    right_tables: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    tree_edges: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
-    # (classes, representatives), filled in by conjugacy_classes.
-    _classes: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = field(
-        default=None, compare=False, repr=False
+    __slots__ = (
+        "name", "blocks", "generators", "order", "orbit", "permutations", "generator_permutations",
+        "right_tables", "tree_edges",
+        "_classes",  # (classes, representatives), filled in by conjugacy_classes.
+        "_factors",  # (det(1 - s*g on V_d) per class and block, their product per class), by _class_factors.
     )
-    # (det(1 - s*g on V_d) per class and block V_d, their product per class), filled in by _class_factors.
-    _factors: tuple[tuple[tuple[LaurentPolynomial, ...], ...], tuple[LaurentPolynomial, ...]] | None = field(
-        default=None, compare=False, repr=False
-    )
+
+    def __init__(self, name, blocks, generators, order, orbit, permutations, generator_permutations,
+                 right_tables, tree_edges):
+        values = (name, blocks, generators, order, orbit, permutations, generator_permutations,
+                  right_tables, tree_edges, None, None)
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copies and pickles are rebuilt without the caches
+        return GradedGroupRep, tuple(getattr(self, slot) for slot in self.__slots__[:-2])
+
+    def _key(self) -> tuple:
+        return self.name, self.blocks, self.generators, self.order
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if type(other) is GradedGroupRep else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "GradedGroupRep(name={!r}, blocks={!r}, generators={!r}, order={!r})".format(*self._key())
 
     @property
     def dimension(self) -> int:
@@ -336,8 +355,7 @@ def _class_dets(group: GradedGroupRep) -> tuple[LaurentPolynomial, ...]:
     return group._factors[1]
 
 
-@dataclass(frozen=True)
-class RationalCharacterTable:
+class RationalCharacterTable(NamedTuple):
     """Rational, hence integer, characters, one value per canonical class."""
 
     class_sizes: tuple[int, ...]
@@ -438,8 +456,7 @@ def builtin_character_table(group: GradedGroupRep) -> RationalCharacterTable:
 # -- Molien series ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MolienReport:
+class MolienReport(NamedTuple):
     """A (possibly twisted) Molien series with its structural diagnostics.
 
     ``polynomial_degrees`` is populated exactly when the series is the
@@ -595,8 +612,7 @@ def solomon_supplement(generator_degrees: Sequence[int], invariant_degrees: Sequ
     return sum(generator_degrees) - sum(invariant_degrees)
 
 
-@dataclass(frozen=True)
-class SolomonVerification:
+class SolomonVerification(NamedTuple):
     """Outcome of checking twisted = t^{-b} * untwisted as rational functions;
     ``invariant_degrees`` is None when the invariants are not polynomial."""
 

@@ -37,14 +37,13 @@ Character values are listed per conjugacy class in the canonical class order
 (by element order, then class size, then matrix entries of the least
 member).  A single-valued key or section given twice is refused on its
 second line.  A ring file parses straight to a ``RingPresentation``, a group
-file to a ``GroupInputRecord``; parsing then re-serializing either is a
-fixpoint.
+file to a ``GroupInputRecord``, both immutable records (named tuples);
+parsing then re-serializing either is a fixpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graded_ring import RingPresentation
 from .invariants import (
@@ -181,8 +180,7 @@ def serialize_ring_record(p: RingPresentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class GroupInputRecord:
+class GroupInputRecord(NamedTuple):
     """Parsed form of a group file: grading blocks, generator matrices, and
     an optional character table (values per canonical conjugacy class)."""
 

@@ -92,14 +92,12 @@ def failing_solomon():
     """``failing_solomon(twist)`` is a stand-in for ``verify_solomon`` whose
     determinant-twisted series is ``twist`` of the untwisted one and whose
     verdict is a failure, for testing the failure's witness."""
-    from dataclasses import replace
-
     from gorenstein_kit.invariants import verify_solomon
 
     def make(twist):
         def failing(group):
             real = verify_solomon(group)
-            return replace(real, verified=False, det_twisted_series=twist(real.invariant_series))
+            return real._replace(verified=False, det_twisted_series=twist(real.invariant_series))
 
         return failing
 

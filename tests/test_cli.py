@@ -665,12 +665,10 @@ def test_series_json_reconstructs_the_series(capsys):
 
 
 def test_table_flags_wrong_expectations_at_render_time(capsys, monkeypatch):
-    import dataclasses
-
     import gorenstein_kit.cli as cli_mod
 
     rows = list(cli_mod.TABLE_ROWS)
-    rows[0] = dataclasses.replace(rows[0], expected_shift_a=99)
+    rows[0] = rows[0]._replace(expected_shift_a=99)
     monkeypatch.setattr(cli_mod, "TABLE_ROWS", tuple(rows))
     code, payload, _ = run_json(capsys, "table")
     assert code == 1

@@ -1,5 +1,5 @@
-"""Every field of a report dataclass, and every public member of the series
-types, has a reader in the program.
+"""Every field of an immutable report record, and every public member of
+the series types, has a reader in the program.
 
 A field that only its own class reads is an input carried along for
 nobody; this names it.  A read is an attribute access ``.<name>`` in
@@ -10,7 +10,6 @@ benchmark's tracer wraps, which keeps it alive on its own.
 
 import ast
 import inspect
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -74,7 +73,7 @@ def _read_outside(cls):
 )
 def test_every_report_field_is_read_outside_its_class(cls):
     read = _read_outside(cls)
-    unread = [f.name for f in fields(cls) if f.name not in read]
+    unread = [name for name in cls._fields if name not in read]
     assert not unread, f"{cls.__name__} fields with no reader outside the class: {unread}"
 
 

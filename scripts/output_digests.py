@@ -53,14 +53,14 @@ from workloads import FIXTURE_PAIRS, WORKLOADS, jobs_for  # noqa: E402
 def fixture_argvs() -> list[list[str]]:
     """The per-pair commands, each in text and with --json."""
     from gorenstein_kit.dataset import load_group_fixture
-    from gorenstein_kit.invariants import NoBuiltinCharacterTable, builtin_character_table
+    from gorenstein_kit.invariants import NoBuiltinCharacterTable
 
     commands = []
     for ring, group_name in FIXTURE_PAIRS:
-        group, table = load_group_fixture(group_name).build()
+        record = load_group_fixture(group_name)
+        names = ()
         with contextlib.suppress(NoBuiltinCharacterTable):
-            table = table or builtin_character_table(group)
-        names = table.names if table else ()
+            names = record.table(record.build()).names
         commands += [["molien", ring, group_name, "--twist", twist] for twist in ("trivial", "det", *names)]
         commands.append(["descent", ring, group_name])
         commands += [["sympow", ring, group_name, "--n", str(n)] for n in SYMPOW_N]

@@ -18,7 +18,8 @@ from gorenstein_kit.invariants import (
 
 def chain(ring_name: str, group_name: str, sym_powers: int = 0) -> None:
     ring = load_ring_fixture(ring_name)
-    group, table = load_group_fixture(group_name).build()
+    record = load_group_fixture(group_name)
+    group = record.build()
     print(f"== {ring.name} with {group.name} (order {group.order}) ==")
     print(f"  coefficients {ring.coefficient_label}, series {hilbert_series(ring)}")
 
@@ -48,7 +49,8 @@ def chain(ring_name: str, group_name: str, sym_powers: int = 0) -> None:
         for poly in invariant_basis(group, degree):
             print(f"  invariant of degree {degree}: {format_polynomial(poly, symbols)}")
 
-    if sym_powers and table is not None:
+    if sym_powers:
+        table = record.table(group)
         print(f"  symmetric powers against ({', '.join(table.names)}):")
         for n, values in enumerate(sym_power_characters(group, sym_powers)):
             print(f"    Sym^{n}: {decompose(values, table)}")

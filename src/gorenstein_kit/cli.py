@@ -16,10 +16,14 @@ regularity check, is one ``warning: <Name>: <message>`` line on stderr.
 
 Each ``cmd_*`` function returns its output and writes nothing: a JSON
 payload, or the text lines after the ring header, built only for the mode
-it prints.  `main` alone loads the ring (for every subcommand whose parser
-declares a ``ring`` argument), writes the ring header, renders the
-coefficient window of ``hilbert`` and ``molien``, writes stdout once and
-sets the exit status.
+it prints.  `main` alone loads the ring and the group record (for every
+subcommand whose parser declares a ``ring`` or ``group`` argument, the
+group's blocks checked against the ring's grading), writes the ring header,
+renders the coefficient window of ``hilbert`` and ``molien``, writes stdout
+once and sets the exit status.  Only ``sympow`` and ``molien --twist
+<name>`` read a character table, so only they check the group file's table
+(``GroupInputRecord.table``); ``invgen``, ``descent`` and the trivial and
+det twists print nothing that depends on it.
 """
 
 from __future__ import annotations
@@ -44,11 +48,7 @@ from .graded_ring import (
 )
 from .invariants import (
     DEFAULT_ORDER_CAP,
-    GradedGroupRep,
-    NoBuiltinCharacterTable,
-    RationalCharacterTable,
     _checked_generators,
-    builtin_character_table,
     decompose,
     format_polynomial,
     invariant_basis,
@@ -78,13 +78,6 @@ def _order_cap() -> int:
     if cap < 1:
         raise ValueError(f"{MAX_ORDER_ENV} must be a positive integer, got {raw!r}")
     return cap
-
-
-def _load_group(arg: str, p: RingPresentation) -> GroupInputRecord:
-    """Parse a group file and check its grading; ``build`` enumerates it."""
-    record = load_group_fixture(arg)
-    check_grading(p, record.blocks)
-    return record
 
 
 # -- rendering helpers ---------------------------------------------------------
@@ -222,10 +215,11 @@ def cmd_duality(args: argparse.Namespace, p: RingPresentation) -> dict | list[st
     ]
 
 
-def cmd_molien(args: argparse.Namespace, p: RingPresentation) -> tuple[dict | list[str], list]:
-    group, table = _load_group(args.group, p).build(cap=_order_cap())
-    if args.twist not in ("trivial", "det"):
-        table = _table_for(group, table)
+def cmd_molien(
+    args: argparse.Namespace, p: RingPresentation, record: GroupInputRecord
+) -> tuple[dict | list[str], list]:
+    group = record.build(cap=_order_cap())
+    table = None if args.twist in ("trivial", "det") else record.table(group)
     report = molien_series(group, twist=args.twist, table=table)
     window = report.series.expand(0, args.max_degree)
     if args.json:
@@ -255,21 +249,9 @@ def cmd_molien(args: argparse.Namespace, p: RingPresentation) -> tuple[dict | li
     return lines, window
 
 
-def _table_for(group: GradedGroupRep, table: RationalCharacterTable | None) -> RationalCharacterTable:
-    """The group file's table, else the built-in one (named twists, sympow)."""
-    if table is not None:
-        return table
-    try:
-        return builtin_character_table(group)
-    except NoBuiltinCharacterTable as exc:
-        raise NoBuiltinCharacterTable(
-            f"{exc}; supply a [character_table] section in the group file"
-        ) from exc
-
-
-def cmd_sympow(args: argparse.Namespace, p: RingPresentation) -> dict | list[str]:
-    group, table = _load_group(args.group, p).build(cap=_order_cap())
-    table = _table_for(group, table)
+def cmd_sympow(args: argparse.Namespace, p: RingPresentation, record: GroupInputRecord) -> dict | list[str]:
+    group = record.build(cap=_order_cap())
+    table = record.table(group)
     names = list(table.names)
     rows = [
         (n, decompose(values, table))
@@ -293,8 +275,8 @@ def cmd_sympow(args: argparse.Namespace, p: RingPresentation) -> dict | list[str
     return lines
 
 
-def cmd_invgen(args: argparse.Namespace, p: RingPresentation) -> dict | list[str]:
-    group, _ = _load_group(args.group, p).build(cap=_order_cap())
+def cmd_invgen(args: argparse.Namespace, p: RingPresentation, record: GroupInputRecord) -> dict | list[str]:
+    group = record.build(cap=_order_cap())
     symbols = [s for s, _ in p.generators]
     basis = invariant_basis(group, args.degree)
     if args.json:
@@ -316,8 +298,7 @@ def cmd_invgen(args: argparse.Namespace, p: RingPresentation) -> dict | list[str
     ]
 
 
-def cmd_descent(args: argparse.Namespace, p: RingPresentation) -> dict | list[str]:
-    record = _load_group(args.group, p)
+def cmd_descent(args: argparse.Namespace, p: RingPresentation, record: GroupInputRecord) -> dict | list[str]:
     if p.relations:  # descent_report would refuse the base: no group is built
         _checked_generators(record.generators, record.blocks)
         base = ring_duality_report(p)
@@ -338,7 +319,7 @@ def cmd_descent(args: argparse.Namespace, p: RingPresentation) -> dict | list[st
             f"  gorenstein shift a = {base.shift_a}",
             f"  anderson: {second}, i.e. {first}",
         ]
-    group, _ = record.build(cap=_order_cap())
+    group = record.build(cap=_order_cap())
     report = descent_report(p, group)
     solomon, invariant = report.solomon, report.invariant
     degrees, presentation = solomon.invariant_degrees, report.invariant_presentation
@@ -493,14 +474,20 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand: parse, load the ring, compute, write stdout once.
-    Returns the exit status; bad usage exits 2 from argparse."""
+    """Run one subcommand: parse, load the ring and the group, compute,
+    write stdout once.  Returns the exit status; bad usage exits 2 from
+    argparse."""
     args = _PARSER.parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
             p = load_ring_fixture(args.ring) if "ring" in args else None
-            output = args.func(args) if p is None else args.func(args, p)
+            inputs = [] if p is None else [p]
+            if "group" in args:
+                record = load_group_fixture(args.group)
+                check_grading(p, record.blocks)
+                inputs.append(record)
+            output = args.func(args, *inputs)
         except ParseError as exc:
             # parse errors already carry their source:line location
             print(f"error: {exc}", file=sys.stderr)

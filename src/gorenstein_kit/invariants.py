@@ -88,10 +88,11 @@ class GradedGroupRep:
     ``orbit`` is the orbit of the standard basis vectors, basis vectors
     first.  Element i, for i in ``range(order)``, is the permutation
     ``permutations[i]`` of the orbit (the identity first): it sends
-    ``orbit[k]`` to ``orbit[permutations[i][k]]``.  Its matrix is built
-    only on request, by :meth:`matrix`.  ``right_tables[h][i]`` is the
-    index of element i times generator h, and ``tree_edges[j - 1]`` is the
-    (i, h) with j = i * h by which the closure first reached element j >= 1.
+    ``orbit[k]`` to ``orbit[permutations[i][k]]``, so column j of its
+    matrix is ``orbit[permutations[i][j]]``; no element's matrix is built.
+    ``right_tables[h][i]`` is the index of element i times generator h, and
+    ``tree_edges[j - 1]`` is the (i, h) with j = i * h by which the closure
+    first reached element j >= 1.
     An immutable record: equality, hash and repr read only the name,
     blocks, generators and order.
     """
@@ -143,10 +144,6 @@ class GradedGroupRep:
     def block_slices(self) -> list[tuple[int, int, int]]:
         """(degree, start, stop) coordinate ranges of the diagonal blocks."""
         return _block_slices(self.blocks)
-
-    def matrix(self, i: int) -> Matrix:
-        """Element i's matrix: column j is ``orbit[permutations[i][j]]``."""
-        return tuple(zip(*(self.orbit[k] for k in self.permutations[i][: self.dimension])))
 
     def element_order(self, i: int) -> int:
         """Order of element i: the lcm of its permutation's cycle lengths."""

@@ -38,7 +38,10 @@ Character values are listed per conjugacy class in the canonical class order
 member).  A single-valued key or section given twice is refused on its
 second line.  A ring file parses straight to a ``RingPresentation``, a group
 file to a ``GroupInputRecord``, both immutable records (named tuples);
-parsing then re-serializing either is a fixpoint.
+parsing then re-serializing either is a fixpoint.  ``GroupInputRecord.build``
+enumerates the group and reads no character table; ``table`` checks the
+file's table against the group, or gives the built-in one, and only the
+callers that read a table call it.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ from .graded_ring import RingPresentation
 from .invariants import (
     DEFAULT_ORDER_CAP,
     GradedGroupRep,
+    NoBuiltinCharacterTable,
     RationalCharacterTable,
+    builtin_character_table,
     character_table,
     conjugacy_classes,
     generate_group,
@@ -182,7 +187,8 @@ def serialize_ring_record(p: RingPresentation) -> str:
 
 class GroupInputRecord(NamedTuple):
     """Parsed form of a group file: grading blocks, generator matrices, and
-    an optional character table (values per canonical conjugacy class)."""
+    an optional character table (values per canonical conjugacy class),
+    unchecked until :meth:`table` reads it."""
 
     name: str
     blocks: tuple[tuple[int, int], ...]
@@ -190,22 +196,28 @@ class GroupInputRecord(NamedTuple):
     character_rows: tuple[tuple[str, tuple[Scalar, ...]], ...] | None = None
     class_sizes: tuple[int, ...] | None = None
 
-    def build(
-        self, cap: int = DEFAULT_ORDER_CAP
-    ) -> tuple[GradedGroupRep, RationalCharacterTable | None]:
-        """Enumerate the group and validate the character table, if any."""
-        group = generate_group(self.generators, self.blocks, cap=cap, name=self.name)
-        table = None
-        if self.character_rows is not None:
-            if self.class_sizes is not None:
-                actual = tuple(len(c) for c in conjugacy_classes(group))
-                if actual != self.class_sizes:
-                    raise ValueError(
-                        f"{self.name}: declared class sizes {self.class_sizes} "
-                        f"but the group has {actual}"
-                    )
-            table = character_table(group, self.character_rows)
-        return group, table
+    def build(self, cap: int = DEFAULT_ORDER_CAP) -> GradedGroupRep:
+        """Enumerate the group; the character table is left unchecked."""
+        return generate_group(self.generators, self.blocks, cap=cap, name=self.name)
+
+    def table(self, group: GradedGroupRep) -> RationalCharacterTable:
+        """The file's character table, checked against ``group`` (declared
+        class sizes first), else the built-in one."""
+        if self.character_rows is None:
+            try:
+                return builtin_character_table(group)
+            except NoBuiltinCharacterTable as exc:
+                raise NoBuiltinCharacterTable(
+                    f"{exc}; supply a [character_table] section in the group file"
+                ) from exc
+        if self.class_sizes is not None:
+            actual = tuple(len(c) for c in conjugacy_classes(group))
+            if actual != self.class_sizes:
+                raise ValueError(
+                    f"{self.name}: declared class sizes {self.class_sizes} "
+                    f"but the group has {actual}"
+                )
+        return character_table(group, self.character_rows)
 
 
 def parse_group_record(text: str, source: str = "<group>") -> GroupInputRecord:

@@ -17,6 +17,11 @@ def shifted(s, k):
     return HilbertSeries(s.numerator.shift(k), s.denominator_degrees)
 
 
+def element_matrix(group, i):
+    """Element i's matrix: column j is ``orbit[permutations[i][j]]``."""
+    return tuple(zip(*(group.orbit[k] for k in group.permutations[i][: group.dimension])))
+
+
 def signed_permutation_group(n, signed):
     """S_n, or B_n when signed, on n degree-2 coordinates: a transposition,
     an n-cycle and, for B_n, the sign change of the first coordinate."""
@@ -54,37 +59,29 @@ def all_ring_fixtures():
 
 @pytest.fixture(scope="session")
 def c2_group():
-    group, table = load_group_fixture("c2_negation").build()
-    return group
+    return load_group_fixture("c2_negation").build()
 
 
 @pytest.fixture(scope="session")
-def c2_table():
-    _, table = load_group_fixture("c2_negation").build()
-    return table
+def c2_table(c2_group):
+    return load_group_fixture("c2_negation").table(c2_group)
 
 
 @pytest.fixture(scope="session")
 def sigma3_group():
-    group, _ = load_group_fixture("sigma3_standard").build()
-    return group
+    return load_group_fixture("sigma3_standard").build()
 
 
 @pytest.fixture(scope="session")
-def sigma3_table():
-    _, table = load_group_fixture("sigma3_standard").build()
-    return table
+def sigma3_table(sigma3_group):
+    return load_group_fixture("sigma3_standard").table(sigma3_group)
 
 
 @pytest.fixture(scope="session")
 def all_group_fixtures():
     from gorenstein_kit.dataset import GROUP_FIXTURES
 
-    out = {}
-    for name in GROUP_FIXTURES:
-        group, _ = load_group_fixture(name).build()
-        out[name] = group
-    return out
+    return {name: load_group_fixture(name).build() for name in GROUP_FIXTURES}
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ reading contradicts the dimension count 6 = 1 + 1 + 2 * 2.
 
 import random
 
-from conftest import shifted
+from conftest import element_matrix, shifted
 
 from gorenstein_kit import linalg
 from gorenstein_kit.cli import main as cli_main
@@ -127,7 +127,7 @@ def test_criterion_5b_period_six_increment_as_stated(sigma3_group, sigma3_table,
     order = sigma3_group.order
     one = linalg.identity(sigma3_group.dimension)
     reps = class_representatives(sigma3_group)
-    identity_class = next(k for k, rep in enumerate(reps) if sigma3_group.matrix(rep) == one)
+    identity_class = next(k for k, rep in enumerate(reps) if element_matrix(sigma3_group, rep) == one)
     regular = tuple(order if k == identity_class else 0 for k in range(len(reps)))
     degrees = tuple(chi[identity_class] for _, chi in sigma3_table.irreducibles)
     witness = None

@@ -134,13 +134,78 @@ def test_only_named_twists_resolve_a_table(capsys, monkeypatch):
     def refuse(group):
         raise AssertionError("built-in character table computed")
 
-    monkeypatch.setattr(cli, "builtin_character_table", refuse)
+    monkeypatch.setattr(records, "builtin_character_table", refuse)
     for argv in (
         ["molien", "taf_d6", "taf_d6_alphabeta"],
         ["molien", "taf_d6", "taf_d6_alphabeta", "--twist", "det"],
         ["invgen", "taf_d6", "taf_d6_alphabeta", "--degree", "24"],
     ):
         assert run(capsys, *argv)[0] == 0, argv
+
+
+SIGMA3_GENERATORS = (
+    "[group]\nname = sigma3\nblock = 4 2\n\n"
+    "[generator]\nrow = -1 1\nrow = 0 1\n\n"
+    "[generator]\nrow = 1 0\nrow = 1 -1\n"
+)
+# sigma3_standard's generators under a table that each check refuses, with
+# the error line that sympow and a named twist print for it.
+BAD_SIGMA3_TABLES = {
+    "non_orthogonal": (
+        "class_sizes = 1 3 2\nirreducible = triv 1 1 1\n"
+        "irreducible = sign 1 -1 1\nirreducible = std 2 0 1\n",
+        "error: ValueError: characters 'triv', 'std' fail orthogonality: <,> = 2/3\n",
+    ),
+    "wrong_class_sizes": (
+        "class_sizes = 1 2 3\nirreducible = triv 1 1 1\n"
+        "irreducible = sign 1 -1 1\nirreducible = std 2 0 -1\n",
+        "error: ValueError: sigma3: declared class sizes (1, 2, 3) but the group has (1, 3, 2)\n",
+    ),
+    "incomplete": (
+        "class_sizes = 1 3 2\nirreducible = triv 1 1 1\nirreducible = sign 1 -1 1\n",
+        "error: ValueError: incomplete character table: 2 irreducibles for 3 classes,"
+        " sum of chi(1)^2 = 2 for a group of order 6\n",
+    ),
+}
+TABLE_FREE_ARGVS = [
+    ["invgen", "--degree", "12"],
+    ["descent"],
+    ["molien"],
+    ["molien", "--twist", "det"],
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv", TABLE_FREE_ARGVS, ids=" ".join)
+@pytest.mark.parametrize("bad", BAD_SIGMA3_TABLES)
+def test_commands_that_read_no_table_ignore_a_bad_one(tmp_path, capsys, bad, argv, flags):
+    # Nothing these print depends on the table, so a bad one changes no byte.
+    plain = tmp_path / "plain.group"
+    plain.write_text(SIGMA3_GENERATORS)
+    tabled = tmp_path / "tabled.group"
+    tabled.write_text(SIGMA3_GENERATORS + "\n[character_table]\n" + BAD_SIGMA3_TABLES[bad][0])
+    expected = run(capsys, argv[0], "tmf2", str(plain), *argv[1:], *flags)
+    assert expected[0] == 0
+    assert run(capsys, argv[0], "tmf2", str(tabled), *argv[1:], *flags) == expected
+
+
+@pytest.mark.parametrize("argv", [["sympow", "--n", "4"], ["molien", "--twist", "sign"]], ids=" ".join)
+@pytest.mark.parametrize("bad", BAD_SIGMA3_TABLES)
+def test_commands_that_read_the_table_refuse_a_bad_one(tmp_path, capsys, bad, argv):
+    group = tmp_path / "tabled.group"
+    group.write_text(SIGMA3_GENERATORS + "\n[character_table]\n" + BAD_SIGMA3_TABLES[bad][0])
+    assert run(capsys, argv[0], "tmf2", str(group), *argv[1:]) == (1, "", BAD_SIGMA3_TABLES[bad][1])
+
+
+@pytest.mark.parametrize("argv", TABLE_FREE_ARGVS, ids=" ".join)
+def test_commands_that_read_no_table_build_no_classes_for_it(capsys, monkeypatch, argv):
+    # The table check is the only reader of the classes in records.
+    def refuse(*args):
+        raise AssertionError("character table checked")
+
+    monkeypatch.setattr(records, "conjugacy_classes", refuse)
+    monkeypatch.setattr(records, "character_table", refuse)
+    assert run(capsys, argv[0], "tmf2", "sigma3_standard", *argv[1:])[0] == 0
 
 
 def test_invgen_command(capsys):

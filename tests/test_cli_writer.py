@@ -2,9 +2,11 @@
 
 Every ``cmd_*`` function of ``cli.py`` returns its output; `main` is the
 only caller of ``_emit``, ``_emit`` the only code that touches
-``sys.stdout``, every ``print`` goes to stderr, and the ring is loaded in
-one place.  A new subcommand, or a flag that changes what every subcommand
-writes, then has one place to hook in.
+``sys.stdout``, every ``print`` goes to stderr, and the ring and the group
+record are each loaded in one place.  A new subcommand, or a flag that
+changes what every subcommand writes, then has one place to hook in.  The
+rule "the group file's character table, else the built-in one" lives in
+``GroupInputRecord.table``, not here.
 """
 
 import ast
@@ -74,3 +76,18 @@ def test_the_ring_is_loaded_once_in_main():
     loads = [callee for _, callee in _calls(TREE) if callee == "load_ring_fixture"]
     assert loads == ["load_ring_fixture"]
     assert _callers("load_ring_fixture") == ["main"]
+
+
+def test_the_group_is_loaded_once_in_main():
+    loads = [callee for _, callee in _calls(TREE) if callee == "load_group_fixture"]
+    assert loads == ["load_group_fixture"]
+    assert _callers("load_group_fixture") == ["main"]
+
+
+def test_cli_does_not_name_the_builtin_table():
+    names = {
+        getattr(node, attr) for node in ast.walk(TREE)
+        for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)
+    }
+    assert "load_group_fixture" in names
+    assert "builtin_character_table" not in names

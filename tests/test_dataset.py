@@ -63,7 +63,7 @@ def test_fixture_degree_data():
 
 @pytest.mark.parametrize("name", GROUP_FIXTURES)
 def test_group_fixtures_enumerate(name):
-    group, _ = load_group_fixture(name).build()
+    group = load_group_fixture(name).build()
     expected_orders = {
         "c2_negation": 2,
         "sigma3_standard": 6,

@@ -298,7 +298,7 @@ def test_report_builds_series_and_shift_once(taf_d6, monkeypatch):
 def test_atkin_lehner_series_alone_gives_the_fixture_report(all_ring_fixtures, g):
     # (1 - t^48) times the Molien series of the group on taf_d6 is the
     # fixed ring's series, reached without any presentation of that ring.
-    group, _ = load_group_fixture(f"taf_d6_{g}").build()
+    group = load_group_fixture(f"taf_d6_{g}").build()
     series = HilbertSeries(prod_one_minus([48]), ()) * molien_series(group).series
     from_series = duality_report(series, 2, f"taf_d6^{g}")
     from_ring = ring_duality_report(all_ring_fixtures[f"taf_d6_al_{g}"])

@@ -9,7 +9,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
-from conftest import in_exact_form, shifted, signed_permutation_group
+from conftest import element_matrix, in_exact_form, shifted, signed_permutation_group
 from hypothesis import given, settings, strategies as st
 
 from gorenstein_kit import invariants, linalg
@@ -22,7 +22,6 @@ from gorenstein_kit.graded_ring import (
     polynomial_presentation,
 )
 from gorenstein_kit.invariants import (
-    GradedGroupRep,
     LengthMismatch,
     MonomialBoundExceeded,
     NoBuiltinCharacterTable,
@@ -61,7 +60,7 @@ def trivial_group(blocks=((2, 1),)):
 
 def matrices(group):
     """Every element's matrix, in element order."""
-    return [group.matrix(i) for i in range(group.order)]
+    return [element_matrix(group, i) for i in range(group.order)]
 
 
 def s4_group():
@@ -209,7 +208,7 @@ def test_group_core_matches_the_matrix_closure(name):
         "c3": c3_group,
         "s4_conjugated": conjugated_s4_group,
     }
-    group = builders[name]() if name in builders else load_group_fixture(name).build()[0]
+    group = builders[name]() if name in builders else load_group_fixture(name).build()
     elements, classes, representatives = _matrix_group_core(group)
     assert matrices(group) == list(elements)
     assert group.order == len(elements)
@@ -266,7 +265,7 @@ def test_classes_of_trivial_group():
 
 @pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4"])
 def test_classes_of_standard_action(name):
-    group = s4_group() if name == "s4" else load_group_fixture(name).build()[0]
+    group = s4_group() if name == "s4" else load_group_fixture(name).build()
     classes = conjugacy_classes(group)
     expected_sizes = {"sigma3_standard": [1, 3, 2], "s4": [1, 3, 6, 8, 6]}
     if name in expected_sizes:
@@ -415,8 +414,9 @@ def _in_test_or_fixture_group(name):
     }
     if name in builders:
         return builders[name](), None
-    group, table = load_group_fixture(name).build()
-    return group, table or builtin_character_table(group)
+    record = load_group_fixture(name)
+    group = record.build()
+    return group, record.table(group)
 
 
 @pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "b3"])
@@ -424,7 +424,7 @@ def test_class_sums_match_the_per_element_definition(name):
     # S_4 and B_3 have no table here: trivial and det twists only.
     group, table = _in_test_or_fixture_group(name)
     class_of = {
-        group.matrix(i): c for c, cls in enumerate(conjugacy_classes(group)) for i in cls
+        element_matrix(group, i): c for c, cls in enumerate(conjugacy_classes(group)) for i in cls
     }
     weights = {"trivial": lambda m: 1, "det": linalg.determinant}
     for character in table.names if table else ():
@@ -484,7 +484,7 @@ def test_class_factors_match_faddeev_leverrier_on_each_block(name):
     factors = invariants._class_factors(group)
     assert len(factors) == len(conjugacy_classes(group))
     for rep, block_factors in zip(class_representatives(group), factors):
-        m = group.matrix(rep)
+        m = element_matrix(group, rep)
         assert len(block_factors) == len(group.blocks)
         for (_, start, stop), factor in zip(group.block_slices(), block_factors):
             block = tuple(tuple(row[start:stop]) for row in m[start:stop])
@@ -493,27 +493,16 @@ def test_class_factors_match_faddeev_leverrier_on_each_block(name):
 
 
 @pytest.mark.parametrize("name", ["s4", "taf_d6_alpha"])
-def test_element_matrices_are_read_only_where_needed(name, monkeypatch):
+def test_element_matrices_are_read_only_where_needed(name):
     # Invariants come from the generators alone, and det(1 - s*g) from the
-    # class representatives' permutations: no element's matrix is built.
+    # class representatives' permutations: a group has no method that
+    # builds an element's matrix (tests build one with element_matrix).
     group, _ = _in_test_or_fixture_group(name)
+    assert not hasattr(group, "matrix")
     reps = class_representatives(group)
-    read = []
-    original = GradedGroupRep.matrix
-
-    def recording(self, i):
-        read.append(i)
-        return original(self, i)
-
-    def refuse(self, i):
-        raise AssertionError(f"invariant_basis read the matrix of element {i}")
-
-    monkeypatch.setattr(GradedGroupRep, "matrix", refuse)
     assert invariant_basis(group, 24)
-    monkeypatch.setattr(GradedGroupRep, "matrix", recording)
     object.__setattr__(group, "_factors", None)  # computed afresh, not read from the cache
-    invariants._class_factors(group)
-    assert reps and read == []
+    assert reps and len(invariants._class_factors(group)) == len(reps)
 
 
 def _group_core_results(group):
@@ -533,16 +522,13 @@ def _group_core_results(group):
 
 
 @pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "s4_conjugated", "mixed"])
-def test_group_core_builds_no_element_matrix(name, monkeypatch):
+def test_group_core_builds_no_element_matrix(name):
     # The class key reads its entries off the orbit, and the class terms
-    # come from the class factors: no element's matrix is ever built.
+    # come from the class factors: a group has no method that builds an
+    # element's matrix.
     expected = _group_core_results(_in_test_or_fixture_group(name)[0])
-
-    def refuse(self, i):
-        raise AssertionError(f"the matrix of element {i} was built")
-
-    monkeypatch.setattr(GradedGroupRep, "matrix", refuse)
     group = _in_test_or_fixture_group(name)[0]
+    assert not hasattr(group, "matrix")
     assert _group_core_results(group) == expected
 
 
@@ -748,7 +734,7 @@ def _molien_sums_by_series(group, twists, table):
         if twist == "trivial":
             weights = [1] * len(reps)
         elif twist == "det":
-            weights = [linalg.determinant(group.matrix(rep)) for rep in reps]
+            weights = [linalg.determinant(element_matrix(group, rep)) for rep in reps]
         else:
             weights = table.row(twist)
         total = HilbertSeries(0)
@@ -972,7 +958,7 @@ def test_sym_power_zero_is_trivial(sigma3_group):
 
 def test_sym_power_one_is_the_representation(sigma3_group):
     reps = class_representatives(sigma3_group)
-    traces = tuple(linalg.trace(sigma3_group.matrix(i)) for i in reps)
+    traces = tuple(linalg.trace(element_matrix(sigma3_group, i)) for i in reps)
     assert sym_power_character(sigma3_group, 1) == traces
     assert sym_power_character(sigma3_group, 1) == (2, 0, -1)
 
@@ -981,7 +967,7 @@ def test_sym_power_two_by_brute_force(sigma3_group):
     # induced action on the three quadratic monomials
     values = []
     for rep in class_representatives(sigma3_group):
-        m = sigma3_group.matrix(rep)
+        m = element_matrix(sigma3_group, rep)
         basis = monomials_of_degree((4, 4), 8)
         total = Fraction(0)
         for expvec in basis:
@@ -996,7 +982,7 @@ def _sym_power_by_fractions(group, n):
     h_0 = 1, with c_i the coefficients of det(1 - s*g), per representative."""
     values = []
     for rep in class_representatives(group):
-        det_coeffs = linalg.det_one_minus_coefficients(group.matrix(rep))
+        det_coeffs = linalg.det_one_minus_coefficients(element_matrix(group, rep))
         h = [Fraction(1)]
         for j in range(1, n + 1):
             s = Fraction(0)
@@ -1009,7 +995,7 @@ def _sym_power_by_fractions(group, n):
 
 @pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4"])
 def test_sym_power_characters_match_the_per_n_recurrence(name):
-    group = s4_group() if name == "s4" else load_group_fixture(name).build()[0]
+    group = s4_group() if name == "s4" else load_group_fixture(name).build()
     characters = sym_power_characters(group, 40)
     assert len(characters) == 41
     for n, values in enumerate(characters):
@@ -1022,7 +1008,7 @@ def test_sym_power_characters_refuse_non_integral_determinants(monkeypatch):
         linalg, "det_one_minus_from_traces", lambda p: [Fraction(1), Fraction(1, 2)]
     )
     # A fresh group: the session fixture may already hold its class factors.
-    sigma3_group, _ = load_group_fixture("sigma3_standard").build()
+    sigma3_group = load_group_fixture("sigma3_standard").build()
     with pytest.raises(ArithmeticError, match="non-integral"):
         sym_power_characters(sigma3_group, 3)
 
@@ -1359,7 +1345,7 @@ def test_invariant_basis_matches_the_reynolds_oracle(name):
     elif name == "s4_conjugated":  # dense kernel vectors; about 2.5 s to degree 8
         group, top = conjugated_s4_group(), 8
     else:
-        group, top = load_group_fixture(name).build()[0], 48
+        group, top = load_group_fixture(name).build(), 48
     for degree in range(top + 1):
         basis = invariant_basis(group, degree)
         assert basis == _reynolds_basis(group, degree), degree
@@ -1373,7 +1359,7 @@ def test_invariant_basis_matches_the_reynolds_oracle(name):
 def test_invariant_basis_reduces_sparse_rows(monkeypatch, name):
     # Groups that are not monomial take the elimination path.
     if name in GROUP_FIXTURES:
-        group, degree = load_group_fixture(name).build()[0], 24
+        group, degree = load_group_fixture(name).build(), 24
     else:  # dense rows of Fractions: low degree keeps it quick
         group, degree = conjugated_s4_group(), 6
     calls = []
@@ -1397,7 +1383,7 @@ def test_monomial_groups_walk_the_orbits(monkeypatch, name):
     # A group whose generators send each variable to one scaled variable
     # builds no polynomial product and runs no elimination.
     if name in GROUP_FIXTURES:
-        group, top = load_group_fixture(name).build()[0], 48
+        group, top = load_group_fixture(name).build(), 48
     elif name == "trivial":
         group, top = trivial_group(((2, 1), (4, 2))), 12
     else:
@@ -1473,7 +1459,7 @@ def test_conjugated_group_keeps_the_exact_scalar_rule():
     group = conjugated_s4_group()
     assert all(in_exact_form(x) for v in group.orbit for x in v)
     assert any(type(x) is Fraction for v in group.orbit for x in v)
-    for m in group.generators + tuple(map(group.matrix, class_representatives(group))):
+    for m in group.generators + tuple(element_matrix(group, i) for i in class_representatives(group)):
         assert all(in_exact_form(x) for row in m for x in row)
     for factors in invariants._class_factors(group):
         assert all(in_exact_form(c) for f in factors for _, c in f.terms())

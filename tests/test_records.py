@@ -63,9 +63,9 @@ def test_parse_group_record():
     record = parse_group_record(GROUP_TEXT, "demo.group")
     assert record.blocks == ((2, 1),)
     assert record.generators == (((Fraction(-1),),),)
-    group, table = record.build()
+    group = record.build()
     assert group.order == 2
-    assert table is not None and table.names == ("triv", "sign")
+    assert record.table(group).names == ("triv", "sign")
 
 
 @pytest.mark.parametrize("name", RING_FIXTURES)
@@ -173,8 +173,9 @@ def test_group_diagnostics(text, fragment):
 def test_declared_class_sizes_must_match():
     text = GROUP_TEXT.replace("class_sizes = 1 1", "class_sizes = 2")
     record = parse_group_record(text, "bad.group")
+    group = record.build()
     with pytest.raises(ValueError):
-        record.build()
+        record.table(group)
 
 
 def test_fixture_path_resolution():

@@ -2,8 +2,8 @@
 
 ``bench/tracing.py`` replaces named functions and methods of gorenstein_kit
 by timing wrappers and fails on a name that is gone.  Some of them (such as
-``linalg.inverse`` and ``linalg.rank``) have no caller inside the package,
-so this is what keeps them from being deleted as dead code.
+``linalg.inverse`` and ``linalg.determinant``) have no caller inside the
+package, so this is what keeps them from being deleted as dead code.
 """
 
 import importlib

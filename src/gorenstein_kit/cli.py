@@ -18,12 +18,14 @@ Each ``cmd_*`` function returns its output and writes nothing: a JSON
 payload, or the text lines after the ring header, built only for the mode
 it prints.  `main` alone loads the ring and the group record (for every
 subcommand whose parser declares a ``ring`` or ``group`` argument, the
-group's blocks checked against the ring's grading), writes the ring header,
-renders the coefficient window of ``hilbert`` and ``molien``, writes stdout
-once and sets the exit status.  Only ``sympow`` and ``molien --twist
-<name>`` read a character table, so only they check the group file's table
-(``GroupInputRecord.table``); ``invgen``, ``descent`` and the trivial and
-det twists print nothing that depends on it.
+group's blocks checked against the ring's grading), writes the ring header
+in text mode and stamps ``"schema": "gorenstein-kit/<subcommand>/1"`` on
+every JSON payload, renders the coefficient window of ``hilbert`` and
+``molien``, writes stdout once and sets the exit status.  Only ``sympow``
+and ``molien --twist <name>`` read a character table, so only they check
+the group file's table (``GroupInputRecord.table``); ``invgen``,
+``descent`` and the trivial and det twists print nothing that depends on
+it.
 """
 
 from __future__ import annotations
@@ -152,11 +154,7 @@ def cmd_hilbert(args: argparse.Namespace, p: RingPresentation) -> tuple[dict | l
     series = hilbert_series(p)
     window = series.expand(0, args.max_degree)
     if args.json:
-        return {
-            "schema": f"{SCHEMA_PREFIX}/hilbert/1",
-            "ring": _ring_json(p),
-            "series": _series_json(series),
-        }, window
+        return {"ring": _ring_json(p), "series": _series_json(series)}, window
     return [f"  hilbert series: {series}"], window
 
 
@@ -167,7 +165,6 @@ def cmd_shift(args: argparse.Namespace, p: RingPresentation) -> dict | list[str]
     agree = by_formula == by_series
     if args.json:
         return {
-            "schema": f"{SCHEMA_PREFIX}/shift/1",
             "ring": _ring_json(p),
             "krull_dimension": dim,
             "shift_by_formula": by_formula,
@@ -201,7 +198,7 @@ def _duality_json(p: RingPresentation, report: DualityReport) -> dict:
 def cmd_duality(args: argparse.Namespace, p: RingPresentation) -> dict | list[str]:
     report = ring_duality_report(p)
     if args.json:
-        return {"schema": f"{SCHEMA_PREFIX}/duality/1", **_duality_json(p, report)}
+        return _duality_json(p, report)
     first, second = report.display_strings()
     return [
         f"  hilbert series: {report.cech_ring_part.series}",
@@ -224,7 +221,6 @@ def cmd_molien(
     window = report.series.expand(0, args.max_degree)
     if args.json:
         return {
-            "schema": f"{SCHEMA_PREFIX}/molien/1",
             "ring": _ring_json(p),
             "group": group.name,
             "group_order": group.order,
@@ -259,7 +255,6 @@ def cmd_sympow(args: argparse.Namespace, p: RingPresentation, record: GroupInput
     ]
     if args.json:
         return {
-            "schema": f"{SCHEMA_PREFIX}/sympow/1",
             "ring": _ring_json(p),
             "group": group.name,
             "irreducibles": names,
@@ -281,7 +276,6 @@ def cmd_invgen(args: argparse.Namespace, p: RingPresentation, record: GroupInput
     basis = invariant_basis(group, args.degree)
     if args.json:
         return {
-            "schema": f"{SCHEMA_PREFIX}/invgen/1",
             "ring": _ring_json(p),
             "group": group.name,
             "degree": args.degree,
@@ -304,7 +298,6 @@ def cmd_descent(args: argparse.Namespace, p: RingPresentation, record: GroupInpu
         base = ring_duality_report(p)
         if args.json:
             return {
-                "schema": f"{SCHEMA_PREFIX}/descent/1",
                 "descent": None,
                 "note": (
                     "descent prediction out of regime: the base ring is not"
@@ -326,7 +319,6 @@ def cmd_descent(args: argparse.Namespace, p: RingPresentation, record: GroupInpu
     consistent, witness = cross_check_invariant_shift(report)
     if args.json:
         return {
-            "schema": f"{SCHEMA_PREFIX}/descent/1",
             "descent": {
                 "ring": _ring_json(p),
                 "group": group.name,
@@ -369,7 +361,6 @@ def cmd_table(args: argparse.Namespace) -> tuple[dict | list[str], bool]:
         rows.append((row, computed, ok))
     if args.json:
         return {
-            "schema": f"{SCHEMA_PREFIX}/table/1",
             "rows": [
                 {
                     "name": row.name,
@@ -502,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "table":
         output, all_pass = output
     if args.json:
-        text = json.dumps(output, sort_keys=True)
+        text = json.dumps({**output, "schema": f"{SCHEMA_PREFIX}/{args.command}/1"}, sort_keys=True)
         if window is not None:  # sort_keys puts "coefficients" ahead of every other key
             text = '{"coefficients": ' + _window_json(window) + ", " + text[1:]
     else:

@@ -33,7 +33,7 @@ from typing import Iterator, NamedTuple, Sequence
 from . import linalg
 from .linalg import Matrix, Scalar, exact, quotient
 from .series import HilbertSeries, LaurentPolynomial, NotMonomialRatio, prod_one_minus, ratio_as_signed_monomial
-from .series import _add, _exact_terms, _reduce, _render_terms, _times
+from .series import Terms, _add, _exact_terms, _reduce, _render_terms, _times
 
 DEFAULT_ORDER_CAP = 10_000
 DEFAULT_MONOMIAL_BOUND = 5_000
@@ -98,16 +98,13 @@ class GradedGroupRep:
     """
 
     __slots__ = (
-        "name", "blocks", "generators", "order", "orbit", "permutations", "generator_permutations",
-        "right_tables", "tree_edges",
+        "name", "blocks", "generators", "order", "orbit", "permutations", "right_tables", "tree_edges",
         "_classes",  # (classes, representatives), filled in by conjugacy_classes.
         "_factors",  # (det(1 - s*g on V_d) per class and block, their product per class), by _class_factors.
     )
 
-    def __init__(self, name, blocks, generators, order, orbit, permutations, generator_permutations,
-                 right_tables, tree_edges):
-        values = (name, blocks, generators, order, orbit, permutations, generator_permutations,
-                  right_tables, tree_edges, None, None)
+    def __init__(self, name, blocks, generators, order, orbit, permutations, right_tables, tree_edges):
+        values = (name, blocks, generators, order, orbit, permutations, right_tables, tree_edges, None, None)
         for slot, value in zip(self.__slots__, values):
             object.__setattr__(self, slot, value)
 
@@ -253,7 +250,6 @@ def generate_group(
         order=len(perms),
         orbit=tuple(orbit),
         permutations=tuple(perms),
-        generator_permutations=gen_perms,
         right_tables=tuple(tuple(products[h::k]) for h in range(k)),
         tree_edges=tuple(divmod(p, k) for p in first),
     )
@@ -478,11 +474,12 @@ def _over_det(full: list[int], c: list[Scalar]) -> list[Scalar]:
     return q[k:]
 
 
-def _element_term(group: GradedGroupRep, rep: int, factors: Sequence[LaurentPolynomial]) -> HilbertSeries:
-    """1 / prod_blocks det(1 - m t^d on V_d) for the element m at index rep,
-    from its block factors det(1 - s*m on V_d), of degree dim.  m has order o,
-    so each divides (1 - s^o)^dim: :func:`_over_det` gives the quotient up to
-    s^{o*dim}, exact when its last dim coefficients vanish (then all later do)."""
+def _element_term(group: GradedGroupRep, rep: int, factors: Sequence[LaurentPolynomial]) -> tuple[Terms, tuple]:
+    """1 / prod_blocks det(1 - m t^d on V_d) for the element m at index rep, as
+    canonical kernel (terms, degrees), from its block factors det(1 - s*m on V_d),
+    of degree dim.  m has order o, so each divides (1 - s^o)^dim: :func:`_over_det`
+    gives the quotient up to s^{o*dim}, exact when its last dim coefficients
+    vanish (then all later do)."""
     order = group.element_order(rep)
     numerator: dict[int, Scalar] = {0: 1}
     dens: list[int] = []
@@ -494,7 +491,7 @@ def _element_term(group: GradedGroupRep, rep: int, factors: Sequence[LaurentPoly
             raise ArithmeticError("characteristic factor failed to divide cyclotomic power")
         numerator = _times(numerator, {j * degree: x for j, x in enumerate(q[:-dim]) if x})
         dens.extend([degree * order] * dim)
-    return HilbertSeries._of(*_reduce(numerator, sorted(dens)))
+    return _reduce(numerator, sorted(dens))
 
 
 def _molien_sums(
@@ -521,8 +518,7 @@ def _molien_sums(
         weights = [w[k] for w in weightings]
         if any(weights):
             term = _element_term(group, rep, factors[k])
-            terms, degrees = term.numerator._terms, term.denominator_degrees
-            totals = [_add(*t, terms, degrees, w * len(cls)) if w else t for t, w in zip(totals, weights)]
+            totals = [_add(*t, *term, w * len(cls)) if w else t for t, w in zip(totals, weights)]
     return [HilbertSeries._of(*t) * quotient(1, group.order) for t in totals]
 
 
@@ -789,14 +785,13 @@ def monomials_of_degree(var_degrees: Sequence[int], total: int) -> list[tuple[in
 
 
 def _monomial_maps(group: GradedGroupRep) -> list[tuple[list[int], list[tuple[int, Scalar]]]] | None:
-    """Per generator sending each x_j to c*x_i, read off the orbit: the j
-    sent to each x_i, and the (j, c) with c != 1; None for any other group."""
+    """Per generator sending each x_j to c*x_i, read off its matrix, whose
+    entry (i, j) is that c: the j sent to each x_i, and the (j, c) with
+    c != 1; None for any other group."""
     n, maps = group.dimension, []
-    for perm in group.generator_permutations:
-        targets = sorted(
-            (i, j, c) for j, k in enumerate(perm[:n]) for i, c in enumerate(group.orbit[k]) if c
-        )
-        if len(targets) != n:  # each orbit vector is nonzero: n entries means one each
+    for g in group.generators:
+        targets = [(i, j, c) for i, row in enumerate(g) for j, c in enumerate(row) if c]
+        if len(targets) != n:  # g is nonsingular: n nonzero entries means one per row and column
             return None
         maps.append(([j for _, j, _ in targets], [(j, c) for _, j, c in targets if c != 1]))
     return maps

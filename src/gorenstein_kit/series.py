@@ -25,8 +25,12 @@ exponent -> coefficient dicts and sorted degree tuples, sized by the terms,
 never by the exponent span: :func:`_lcm` merges two denominators,
 :func:`_lift` multiplies by the factors one lacks, :func:`_over_one_minus`
 divides by one exactly and :func:`_reduce` is the reduction sweep.  Sum
-(:func:`_add`), equality and ``ratio_as_signed_monomial`` lift both
-numerators to the lcm of the denominators, as equal series may differ there.
+(:func:`_add`), equality (the difference has no terms) and
+``ratio_as_signed_monomial`` lift both numerators with :func:`_lift` to the
+lcm of the denominators from :func:`_lcm`, as equal series may differ there.
+Substituting t -> 1/t keeps the canonical shape with no sweep: it sends the
+residue class r mod d to -r, so 1 - t^d divides the new numerator exactly
+when it divided the old one.
 
 All values are immutable after construction and all operations are pure, so
 objects can be shared freely between threads or tasks.
@@ -459,11 +463,10 @@ class HilbertSeries:
         resulting sign and monomial are absorbed into the numerator, so the
         result is again in canonical shape.
         """
-        num = self._numerator.substitute_inverse()
         sign = -1 if len(self._denominator_degrees) % 2 else 1
         total = sum(self._denominator_degrees)
-        num = num.shift(total).scale(sign)
-        return HilbertSeries(num, self._denominator_degrees)
+        return HilbertSeries._of({total - e: sign * c for e, c in self._numerator._terms.items()},
+                                 self._denominator_degrees)
 
     def substitute_negative(self) -> "HilbertSeries":
         """The exact rational function obtained by substituting t -> -t.
@@ -482,8 +485,9 @@ class HilbertSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (HilbertSeries, int, Fraction)):
             return NotImplemented
-        left, right, _ = _over_common_denominator(self, self._coerce(other))
-        return left == right
+        other = self._coerce(other)
+        return not _add(self._numerator._terms, self._denominator_degrees,
+                        other._numerator._terms, other._denominator_degrees, -1)[0]
 
     __hash__ = None  # semantically equal series may have distinct shapes
 
@@ -500,16 +504,6 @@ class HilbertSeries:
         return f"{num}/{den}"
 
 
-def _over_common_denominator(
-    a: HilbertSeries, b: HilbertSeries
-) -> tuple[LaurentPolynomial, LaurentPolynomial, list[int]]:
-    """The numerators of a and b over the least common multiple of their
-    denominator multisets, and that multiset: each numerator is multiplied
-    only by the factors its own denominator lacks."""
-    common, lift_a, lift_b = _lcm(a._denominator_degrees, b._denominator_degrees)
-    return a._numerator.times_one_minus(lift_a), b._numerator.times_one_minus(lift_b), common
-
-
 def ratio_as_signed_monomial(a: HilbertSeries, b: HilbertSeries) -> tuple[int, int]:
     """Return (s, k) with a = s * t^k * b as rational functions, s = +-1.
 
@@ -520,16 +514,17 @@ def ratio_as_signed_monomial(a: HilbertSeries, b: HilbertSeries) -> tuple[int, i
         raise ValueError("ratio against the zero series")
     if a.is_zero:
         raise NotMonomialRatio("zero is not a signed monomial multiple")
-    left, right, _ = _over_common_denominator(a, b)
-    k = left.min_exponent - right.min_exponent
-    s = -1 if left.coefficient(left.min_exponent) == -right.coefficient(right.min_exponent) else 1
-    aligned = right.shift(k).scale(s)
+    _, lift_a, lift_b = _lcm(a._denominator_degrees, b._denominator_degrees)
+    left = _exact_terms(_lift(a._numerator._terms, lift_a))
+    right = _exact_terms(_lift(b._numerator._terms, lift_b))
+    k = min(left) - min(right)
+    s = -1 if left[min(left)] == -right[min(right)] else 1
+    aligned = {e + k: s * c for e, c in right.items()}
     if left != aligned:
-        e = min(x for x in left._terms.keys() | aligned._terms.keys()
-                if left.coefficient(x) != aligned.coefficient(x))
+        e = min(x for x in left.keys() | aligned.keys() if left.get(x, 0) != aligned.get(x, 0))
         raise NotMonomialRatio(
             f"{a} / {b} is not a signed power of t: over the common denominator, "
-            f"t^{e} has coefficient {left.coefficient(e)} in the first numerator "
-            f"and {aligned.coefficient(e)} in {'-' if s < 0 else ''}t^{k} times the second"
+            f"t^{e} has coefficient {left.get(e, 0)} in the first numerator "
+            f"and {aligned.get(e, 0)} in {'-' if s < 0 else ''}t^{k} times the second"
         )
     return (s, k)

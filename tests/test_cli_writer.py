@@ -2,10 +2,11 @@
 
 Every ``cmd_*`` function of ``cli.py`` returns its output; `main` is the
 only caller of ``_emit``, ``_emit`` the only code that touches
-``sys.stdout``, every ``print`` goes to stderr, and the ring and the group
-record are each loaded in one place.  A new subcommand, or a flag that
-changes what every subcommand writes, then has one place to hook in.  The
-rule "the group file's character table, else the built-in one" lives in
+``sys.stdout``, every ``print`` goes to stderr, the ring and the group
+record are each loaded in one place, and `main` alone stamps the JSON
+``schema``.  A new subcommand, or a flag that changes what every
+subcommand writes, then has one place to hook in.  The rule "the group
+file's character table, else the built-in one" lives in
 ``GroupInputRecord.table``, not here.
 """
 
@@ -91,3 +92,11 @@ def test_cli_does_not_name_the_builtin_table():
     }
     assert "load_group_fixture" in names
     assert "builtin_character_table" not in names
+
+
+def test_the_schema_is_stamped_once_in_main():
+    readers = sorted(
+        name for name, node in FUNCTIONS.items()
+        if any(isinstance(n, ast.Name) and n.id == "SCHEMA_PREFIX" for n in ast.walk(node))
+    )
+    assert readers == ["main"]

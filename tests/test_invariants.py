@@ -63,6 +63,12 @@ def matrices(group):
     return [element_matrix(group, i) for i in range(group.order)]
 
 
+def generator_permutations(group):
+    """Each generator's permutation of the orbit: that of the element the
+    identity times the generator, read off the generator's right table."""
+    return tuple(group.permutations[table[0]] for table in group.right_tables)
+
+
 def s4_group():
     """S_4 permuting four degree-2 coordinates, from a transposition and a 4-cycle."""
     return signed_permutation_group(4, signed=False)
@@ -575,7 +581,7 @@ def test_class_terms_match_long_division(name, monkeypatch):
 
     monkeypatch.setattr(LaurentPolynomial, "divide_exact", refuse)
     for rep, fs, reference in zip(reps, factors, expected):
-        term = invariants._element_term(group, rep, fs)
+        term = HilbertSeries._of(*invariants._element_term(group, rep, fs))
         assert term.numerator.terms() == reference.numerator.terms()
         assert term.denominator_degrees == reference.denominator_degrees
         assert all(in_exact_form(c) for _, c in term.numerator.terms())
@@ -588,7 +594,7 @@ def _classes_by_full_key(group):
     """Classes and representatives as conjugacy_classes found them before it
     compared the key one row at a time, kept as the reference: every member's
     whole key entries built, and the least (entries, index) taken by min."""
-    gens = group.generator_permutations if group.order > 1 else ()
+    gens = generator_permutations(group) if group.order > 1 else ()
     conjugators = [(sorted(range(len(g)), key=g.__getitem__), operator.itemgetter(*g)) for g in gens]
     index = {p: i for i, p in enumerate(group.permutations)}
     n, rows = group.dimension, tuple(zip(*group.orbit))
@@ -671,7 +677,7 @@ def test_classes_on_index_tables_match_brute_force_conjugation(name, monkeypatch
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_right_tables_and_tree_edges_compose_with_the_generators(name):
     group, _ = _in_test_or_fixture_group(name)
-    perms, gens = group.permutations, group.generator_permutations
+    perms, gens = group.permutations, generator_permutations(group)
 
     def times(i, h):  # element i, then generator h: k -> perm_i[g_h[k]]
         return tuple([perms[i][k] for k in gens[h]])
@@ -719,7 +725,7 @@ def _orbit_by_rows(group):
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_orbit_images_through_columns_match_the_row_route(name):
     group, _ = _in_test_or_fixture_group(name)
-    assert (group.orbit, group.generator_permutations) == _orbit_by_rows(group)
+    assert (group.orbit, generator_permutations(group)) == _orbit_by_rows(group)
     assert all(in_exact_form(x) for v in group.orbit for x in v)
 
 
@@ -740,7 +746,7 @@ def _molien_sums_by_series(group, twists, table):
         total = HilbertSeries(0)
         for rep, cls, fs, w in zip(reps, classes, factors, weights):
             if w:
-                total = total + invariants._element_term(group, rep, fs) * (w * len(cls))
+                total = total + HilbertSeries._of(*invariants._element_term(group, rep, fs)) * (w * len(cls))
         out.append(total * Fraction(1, group.order))
     return out
 
@@ -772,12 +778,27 @@ def test_class_pass_adds_no_series_objects(name, monkeypatch):
     assert _shapes(invariants._molien_sums(group, twists, table)) == expected
 
 
+def test_class_pass_wraps_each_total_once(monkeypatch):
+    # Class terms and running totals stay kernel (terms, degrees) pairs: per
+    # twist, one series for the total and one for its 1/|G| multiple.
+    group, _ = _in_test_or_fixture_group("sigma3_standard")
+    wrap, calls = HilbertSeries._of.__func__, []
+
+    def counting(cls, terms, degrees):
+        calls.append(degrees)
+        return wrap(cls, terms, degrees)
+
+    monkeypatch.setattr(HilbertSeries, "_of", classmethod(counting))
+    invariants._molien_sums(group, ["trivial", "det"])
+    assert len(calls) == 4
+
+
 def test_trivial_group_generated_on_one_coordinate_keeps_tuples():
     # The orbit is the one basis vector, where a single-index itemgetter
     # would return a bare index instead of a permutation.
     group, _ = _in_test_or_fixture_group("trivial_by_identity")
     assert group.order == 1
-    assert group.permutations == ((0,),) and group.generator_permutations == ((0,), (0,))
+    assert group.permutations == ((0,),) and generator_permutations(group) == ((0,), (0,))
     assert conjugacy_classes(group) == ((0,),) and class_representatives(group) == (0,)
     assert molien_series(group).series == HilbertSeries(1, [2])
 
@@ -1395,6 +1416,32 @@ def test_monomial_groups_walk_the_orbits(monkeypatch, name):
         monkeypatch.setattr(module, attr, lambda *a, f=original, k=attr: calls.append(k) or f(*a))
     assert [invariant_basis(group, degree) for degree in range(top + 1)] == expected
     assert calls == []
+
+
+def _monomial_maps_by_orbit(group):
+    """_monomial_maps as it read each generator's permutation of the orbit
+    before it read the generator's matrix, kept as the reference."""
+    n, maps = group.dimension, []
+    for perm in generator_permutations(group):
+        targets = sorted(
+            (i, j, c) for j, k in enumerate(perm[:n]) for i, c in enumerate(group.orbit[k]) if c
+        )
+        if len(targets) != n:
+            return None
+        maps.append(([j for _, j, _ in targets], [(j, c) for _, j, c in targets if c != 1]))
+    return maps
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_monomial_maps_read_off_the_generators_match_the_orbit_route(name):
+    # The group keeps no generator permutations; a generator is monomial when
+    # each column of its matrix has one nonzero entry.
+    group, _ = _in_test_or_fixture_group(name)
+    assert not hasattr(group, "generator_permutations")
+    maps = invariants._monomial_maps(group)
+    assert maps == _monomial_maps_by_orbit(group)
+    monomial = all(sum(map(bool, column)) == 1 for g in group.generators for column in zip(*g))
+    assert (maps is not None) is monomial
 
 
 def _monomials_by_recursion(var_degrees, total):

@@ -54,8 +54,7 @@ FACTORIES = {
 HASHABLE = {"PaperTableRow", "RingPresentation", "GroupInputRecord", "GradedGroupRep", "RationalCharacterTable"}
 
 GROUP_FIELDS = (
-    "name", "blocks", "generators", "order", "orbit", "permutations", "generator_permutations",
-    "right_tables", "tree_edges",
+    "name", "blocks", "generators", "order", "orbit", "permutations", "right_tables", "tree_edges",
 )
 
 HILBERT_KU = "HilbertSeries(LaurentPolynomial({0: 1}), (2,))"
@@ -132,7 +131,7 @@ def test_group_equality_reads_name_blocks_generators_and_order_only():
     conjugacy_classes(group)  # fills the class cache of one side only
     other = GradedGroupRep(
         name="c2", blocks=((2, 1),), generators=(((-1,),),), order=2, orbit=(), permutations=(),
-        generator_permutations=(), right_tables=(), tree_edges=(),
+        right_tables=(), tree_edges=(),
     )
     assert group._classes is not None and other._classes is None
     assert group == other and hash(group) == hash(other) and repr(group) == repr(other)

@@ -857,3 +857,124 @@ def test_kernel_lift_add_and_sweep_equal_the_old_route(data, stride, offset, sca
         assert all(map(in_exact_form, total.values()))
         series = HilbertSeries._of(a, a_degrees) + HilbertSeries._of(b, b_degrees) * scale
         assert (dict(series.numerator.terms()), series.denominator_degrees) == (old_total, old_degrees)
+
+
+# -- comparisons and t -> 1/t on the kernel alone ----------------------------------
+
+
+def _old_lift(a, b):
+    """Both numerators over the lcm of the denominators, lifted through
+    LaurentPolynomial.times_one_minus as equality and the ratio lifted them
+    before they ran on the kernel; kept as the reference."""
+    mine, theirs = Counter(a.denominator_degrees), Counter(b.denominator_degrees)
+    common = mine | theirs
+    return (a.numerator.times_one_minus((common - mine).elements()),
+            b.numerator.times_one_minus((common - theirs).elements()))
+
+
+def _old_ratio(a, b):
+    """ratio_as_signed_monomial on the reference lift, witness message included."""
+    left, right = _old_lift(a, b)
+    k = left.min_exponent - right.min_exponent
+    s = -1 if left.coefficient(left.min_exponent) == -right.coefficient(right.min_exponent) else 1
+    aligned = right.shift(k).scale(s)
+    if left != aligned:
+        e = min(x for x, _ in left.terms() + aligned.terms() if left.coefficient(x) != aligned.coefficient(x))
+        raise NotMonomialRatio(
+            f"{a} / {b} is not a signed power of t: over the common denominator, "
+            f"t^{e} has coefficient {left.coefficient(e)} in the first numerator "
+            f"and {aligned.coefficient(e)} in {'-' if s < 0 else ''}t^{k} times the second"
+        )
+    return (s, k)
+
+
+def _old_substitute_inverse(s):
+    """t -> 1/t swept through the constructor, kept as the reference."""
+    sign = -1 if len(s.denominator_degrees) % 2 else 1
+    num = s.numerator.substitute_inverse().shift(sum(s.denominator_degrees)).scale(sign)
+    return HilbertSeries(num, s.denominator_degrees)
+
+
+def _shape(s):
+    return s.numerator.terms(), s.denominator_degrees
+
+
+@st.composite
+def wide_series_pairs(draw):
+    """Two lattice series far apart in exponent and degree, the second
+    sometimes a signed power of t times the first over more factors."""
+    stride = draw(st.sampled_from([1, 7, 10**9 - 7, 10**9]))
+    offset = draw(st.integers(-(10**9), 10**9))
+    terms, degrees = draw(lattice_series(stride, offset))
+    a = HS(LaurentPolynomial(terms), degrees)
+    terms, degrees = draw(lattice_series(stride, offset))
+    if draw(st.booleans()) and not a.is_zero:
+        sign, k = draw(st.sampled_from([1, -1])), draw(st.integers(-(10**9), 10**9))
+        return a, HS(a.numerator.shift(k).scale(sign).times_one_minus(degrees), a.denominator_degrees + degrees)
+    return a, HS(LaurentPolynomial(terms), degrees)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(series_pairs(), wide_series_pairs()))
+@example((HS(1, [2]), HS(LaurentPolynomial({0: 1, 2: 1}), [4])))  # equal, over different factors
+@example((HS(LaurentPolynomial({-3: Fraction(1, 2)}), [1, 3]), HS(LaurentPolynomial({5: Fraction(-1, 2)}), [3])))
+def test_comparisons_and_substitution_equal_the_old_routes(pair):
+    a, b = pair
+    assert (a == b) is _reference_equal(a, b)
+    assert (a == 1) is _reference_equal(a, HS(1))
+    for x, y in (pair, pair[::-1]):
+        if x.is_zero or y.is_zero:
+            continue
+        try:
+            expected = _old_ratio(x, y)
+        except NotMonomialRatio as exc:
+            with pytest.raises(NotMonomialRatio) as got:
+                ratio_as_signed_monomial(x, y)
+            assert str(got.value) == str(exc)
+        else:
+            assert ratio_as_signed_monomial(x, y) == expected
+    for s in pair:
+        flipped = s.substitute_inverse()
+        assert _shape(flipped) == _shape(_old_substitute_inverse(s))
+        assert all(in_exact_form(c) for _, c in flipped.numerator.terms())
+
+
+def test_comparisons_lift_without_times_one_minus(monkeypatch):
+    a = HS(1, [2])
+    b = HS(LaurentPolynomial({0: 1, 2: 1}), [4])  # (1 + t^2)/(1 - t^4) = a
+    flipped = shifted(b, 3) * -1
+    pairs = [(a, b), (a, HS(1, [3])), (flipped, a), (HS(1, [2]), HS(1, [3]))]
+    expected = [_reference_equal(x, y) for x, y in pairs]
+    with pytest.raises(NotMonomialRatio) as old_failure:
+        _old_ratio(HS(1, [2]), HS(1, [3]))
+
+    def refuse(self, degrees):
+        raise AssertionError("a comparison lifted through times_one_minus")
+
+    monkeypatch.setattr(LaurentPolynomial, "times_one_minus", refuse)
+    assert [x == y for x, y in pairs] == expected == [True, False, False, False]
+    assert HS(1) == 1 and HS(1, [2]) != 1 and HS(Fraction(1, 2)) == Fraction(1, 2)
+    assert ratio_as_signed_monomial(flipped, a) == (-1, 3)
+    assert ratio_as_signed_monomial(a, b) == (1, 0)
+    with pytest.raises(NotMonomialRatio) as failure:
+        ratio_as_signed_monomial(HS(1, [2]), HS(1, [3]))
+    assert str(failure.value) == str(old_failure.value)
+
+
+def test_substitute_inverse_builds_through_no_constructor(monkeypatch):
+    # t -> 1/t sends the residue class r mod d to -r, so no factor 1 - t^d
+    # divides the new numerator and no sweep is run.
+    cases = [
+        HS(1, [2]),
+        HS(LaurentPolynomial({-3: Fraction(1, 2), 4: -2}), [1, 3, 3]),
+        HS(prod_one_minus([48]), [8, 12]),
+        HS(LaurentPolynomial({0: 1, 10**9: 5}), [7, 10**9 + 1]),
+        HS(0, [5]),
+    ]
+    expected = [_shape(_old_substitute_inverse(s)) for s in cases]
+
+    def refuse(self, *args):
+        raise AssertionError("substitute_inverse built a series through the constructor")
+
+    monkeypatch.setattr(HilbertSeries, "__init__", refuse)
+    assert [_shape(s.substitute_inverse()) for s in cases] == expected

@@ -10,6 +10,9 @@ The commands are:
 - on every bundled fixture pair: ``molien`` with every twist (trivial, det
   and each irreducible of the group's table), ``descent``, ``sympow`` and
   ``invgen``, in text and with ``--json``.
+- long coefficient windows: ``hilbert`` on every bundled ring and
+  trivial-twist ``molien`` on every fixture pair, at each
+  ``--max-degree`` of ``WINDOW_DEGREES``, in text and with ``--json``.
 - last, a fixed list of commands that fail: a ring path that does not
   exist (for each subcommand that takes a ring), a group with no fixture,
   an unknown ``--twist``, ``sympow`` on a group file with neither a
@@ -44,6 +47,9 @@ ROOT = Path(__file__).resolve().parent.parent
 WORK_DIR = ROOT / ".bench_work" / "output_digests"
 SYMPOW_N = (0, 12, 40)
 INVGEN_DEGREES = range(0, 49, 4)
+# Windows of 1023, 1024, 1025 and 2049 coefficients, on either side of the
+# 1024 coefficients that ``cli`` renders per piece, and the window cap.
+WINDOW_DEGREES = (1022, 1023, 1024, 2048, 200_000)
 
 sys.path.insert(0, str(ROOT / "bench"))
 import inputs  # noqa: E402
@@ -66,6 +72,18 @@ def fixture_argvs() -> list[list[str]]:
         commands += [["sympow", ring, group_name, "--n", str(n)] for n in SYMPOW_N]
         commands += [["invgen", ring, group_name, "--degree", str(d)] for d in INVGEN_DEGREES]
     return [command + flag for command in commands for flag in ([], ["--json"])]
+
+
+def window_argvs() -> list[list[str]]:
+    """The long-window commands, each in text and with --json."""
+    from gorenstein_kit.dataset import RING_FIXTURES
+
+    commands = [["hilbert", ring] for ring in RING_FIXTURES]
+    commands += [["molien", ring, group_name] for ring, group_name in FIXTURE_PAIRS]
+    return [
+        command + ["--max-degree", str(degree)] + flag
+        for command in commands for degree in WINDOW_DEGREES for flag in ([], ["--json"])
+    ]
 
 
 def error_argvs(work_dir: Path) -> list[tuple[list[str], dict[str, str]]]:
@@ -119,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
             for workload in WORKLOADS:
                 for job in jobs_for(workload, paths):
                     print(digest_line(cli.main, f"{workload} seed {seed}: {job['id']}", job["argv"]))
-        for command in fixture_argvs():
+        for command in fixture_argvs() + window_argvs():
             print(digest_line(cli.main, " ".join(command), command))
         for command, env in error_argvs(WORK_DIR / "errors"):
             label = " ".join([*(f"{k}={v}" for k, v in env.items()), "gorenstein-kit", *command])

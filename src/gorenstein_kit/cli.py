@@ -21,7 +21,9 @@ subcommand whose parser declares a ``ring`` or ``group`` argument, the
 group's blocks checked against the ring's grading), writes the ring header
 in text mode and stamps ``"schema": "gorenstein-kit/<subcommand>/1"`` on
 every JSON payload, renders the coefficient window of ``hilbert`` and
-``molien``, writes stdout once and sets the exit status.  Only ``sympow``
+``molien`` in pieces of a bounded number of coefficients, so that no
+window is ever one string, writes the output as pieces in one
+``writelines`` call and sets the exit status.  Only ``sympow``
 and ``molien --twist <name>`` read a character table, so only they check
 the group file's table (``GroupInputRecord.table``); ``invgen``,
 ``descent`` and the trivial and det twists print nothing that depends on
@@ -67,6 +69,9 @@ MAX_ORDER_ENV = "GORENSTEIN_KIT_MAX_ORDER"
 MAX_WINDOW_DEGREE = 200_000
 # Largest sympow --n: every power up to it is decomposed and printed.
 MAX_SYMPOW_N = 20_000
+# Coefficients per piece of a rendered window, so that no window is ever
+# held as one string.
+_WINDOW_CHUNK = 1024
 
 
 def _order_cap() -> int:
@@ -118,21 +123,36 @@ def _module_json(m: GradedModuleSeries, lo: int, hi: int) -> dict:
 
 
 def _window_lines(coefficients: list) -> list[str]:
-    """Text rows ``    t^k: c`` of a coefficient window from degree 0, zeros skipped."""
-    return [f"    t^{k}: {c}" for k, c in enumerate(coefficients) if c]
+    """Text rows ``    t^k: c`` of a coefficient window from degree 0, zeros
+    skipped, each after its own newline, joined in pieces of `_WINDOW_CHUNK`
+    coefficients."""
+    return [
+        "".join([f"\n    t^{k}: {c}" for k, c in enumerate(coefficients[lo:lo + _WINDOW_CHUNK], lo) if c])
+        for lo in range(0, len(coefficients), _WINDOW_CHUNK)
+    ]
 
 
-def _window_json(coefficients: list) -> str:
+def _window_json(coefficients: list) -> list[str]:
     """JSON text of ``[[k, str(c)] for k, c in enumerate(coefficients)]``, as
-    ``json.dumps`` writes it, in one format call: ``%s`` of an int or Fraction
-    is ``str(c)``, digits, ``-`` and ``/`` only, which need no escaping."""
-    template = ", ".join(['[%d, "%s"]'] * len(coefficients))
-    return "[" + template % tuple(chain.from_iterable(enumerate(coefficients))) + "]"
+    ``json.dumps`` writes it, in pieces of at most `_WINDOW_CHUNK` pairs: one
+    format call per piece, with one template for every full piece.  ``%s`` of
+    an int or Fraction is ``str(c)``, digits, ``-`` and ``/`` only, which need
+    no escaping."""
+    first = min(len(coefficients), _WINDOW_CHUNK)  # pairs in every piece but a short last one
+    full = ", ".join(['[%d, "%s"]'] * first)
+    pieces = ["["]
+    for lo in range(0, len(coefficients), _WINDOW_CHUNK):
+        chunk = coefficients[lo:lo + _WINDOW_CHUNK]
+        template = full if len(chunk) == first else ", ".join(['[%d, "%s"]'] * len(chunk))
+        pieces.append((", " if lo else "") + template % tuple(chain.from_iterable(enumerate(chunk, lo))))
+    pieces.append("]")
+    return pieces
 
 
-def _emit(text: str) -> None:
-    """Write the command's whole output, newline-terminated, to stdout."""
-    sys.stdout.write(text + "\n")
+def _emit(pieces: list[str]) -> None:
+    """Write the command's whole output, given as pieces, and a newline to
+    stdout in one ``writelines`` call."""
+    sys.stdout.writelines([*pieces, "\n"])
 
 
 def _ring_header(p: RingPresentation) -> list[str]:
@@ -466,7 +486,7 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: parse, load the ring and the group, compute,
-    write stdout once.  Returns the exit status; bad usage exits 2 from
+    write stdout in one call.  Returns the exit status; bad usage exits 2 from
     argparse."""
     args = _PARSER.parse_args(argv)
     with warnings.catch_warnings():
@@ -494,14 +514,17 @@ def main(argv: list[str] | None = None) -> int:
         output, all_pass = output
     if args.json:
         text = json.dumps({**output, "schema": f"{SCHEMA_PREFIX}/{args.command}/1"}, sort_keys=True)
+        pieces = [text]
         if window is not None:  # sort_keys puts "coefficients" ahead of every other key
-            text = '{"coefficients": ' + _window_json(window) + ", " + text[1:]
+            pieces = ['{"coefficients": ', *_window_json(window), ", " + text[1:]]
     else:
         lines = output if p is None else _ring_header(p) + output
+        rows = []
         if window is not None:
-            lines += [f"  coefficients 0..{args.max_degree}:", *_window_lines(window)]
-        text = "\n".join(lines)
-    _emit(text)
+            lines.append(f"  coefficients 0..{args.max_degree}:")
+            rows = _window_lines(window)
+        pieces = ["\n".join(lines), *rows]
+    _emit(pieces)
     return 0 if all_pass else 1
 
 

@@ -1,9 +1,10 @@
 """The command line has one writer.
 
-Every ``cmd_*`` function of ``cli.py`` returns its output; `main` is the
-only caller of ``_emit``, ``_emit`` the only code that touches
-``sys.stdout``, every ``print`` goes to stderr, the ring and the group
-record are each loaded in one place, and `main` alone stamps the JSON
+Every ``cmd_*`` function of ``cli.py`` returns its output; `main` calls
+``_emit`` once and is its only caller, ``_emit`` is the only code that
+touches ``sys.stdout`` (one ``writelines`` call for all the output's
+pieces), every ``print`` goes to stderr, the ring and the group record
+are each loaded in one place, and `main` alone stamps the JSON
 ``schema``.  A new subcommand, or a flag that changes what every
 subcommand writes, then has one place to hook in.  The rule "the group
 file's character table, else the built-in one" lives in
@@ -49,13 +50,17 @@ def test_every_subcommand_is_a_command_function():
 def test_no_command_writes():
     written = [
         (name, callee) for name in COMMANDS for _, callee in _calls(FUNCTIONS[name])
-        if callee in ("_emit", "print", "sys.stdout.write")
+        if callee in ("_emit", "print", "sys.stdout.write", "sys.stdout.writelines")
     ]
     assert written == []
 
 
 def test_main_is_the_only_caller_of_emit():
     assert _callers("_emit") == ["main"]
+
+
+def test_main_calls_emit_once():
+    assert [callee for _, callee in _calls(FUNCTIONS["main"])].count("_emit") == 1
 
 
 def test_only_emit_touches_stdout():

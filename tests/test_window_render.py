@@ -1,11 +1,13 @@
-"""The ``--json`` coefficient window of ``hilbert`` and ``molien``.
+"""The coefficient window of ``hilbert`` and ``molien``.
 
-The window ``[[k, "c_k"], ...]`` is rendered as text in one format call,
-not through ``json.dumps``.  The reference here is the structure the
-payload held before: a list of ``[k, str(c)]`` pairs under
-``"coefficients"``, dumped with the rest of the payload by one
-``json.dumps(..., sort_keys=True)``.  Its coefficients come from the
-library's series, not from the output under test.
+The window is rendered and written in pieces of ``cli._WINDOW_CHUNK``
+coefficients, not through ``json.dumps`` and never as one string.  The
+references here are the renderers the window had before: for ``--json``,
+a list of ``[k, str(c)]`` pairs under ``"coefficients"``, dumped with the
+rest of the payload by one ``json.dumps(..., sort_keys=True)``; in text,
+one ``"\\n".join`` of the rows ``    t^k: c`` with zeros skipped.  Their
+coefficients come from the library's series, not from the output under
+test.
 """
 
 import json
@@ -28,7 +30,12 @@ FIXTURE_PAIRS = [
     ("taf_d6", "taf_d6_beta"),
     ("taf_d6", "taf_d6_alphabeta"),
 ]
-MAX_DEGREES = (0, 1, 40, 20000)
+CHUNK = cli._WINDOW_CHUNK
+# Windows of one coefficient short of a piece, one piece, one over, and two
+# pieces and one coefficient; --max-degree is one less than the window size.
+STRADDLING_SIZES = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
+MAX_DEGREES = (0, 1, 40, 20000, *(n - 1 for n in STRADDLING_SIZES))
+TEXT_MAX_DEGREES = (0, 40, *(n - 1 for n in STRADDLING_SIZES))
 
 
 def old_render(out: str, coefficients: list) -> str:
@@ -36,6 +43,12 @@ def old_render(out: str, coefficients: list) -> str:
     payload = json.loads(out)
     payload["coefficients"] = [[k, str(c)] for k, c in enumerate(coefficients)]
     return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def old_text_window(hi: int, coefficients: list) -> str:
+    """The text window as one join of its rows wrote it, from its heading on."""
+    rows = [f"    t^{k}: {c}" for k, c in enumerate(coefficients) if c]
+    return "\n".join([f"  coefficients 0..{hi}:", *rows]) + "\n"
 
 
 def keys_in_order(out: str) -> list[list[str]]:
@@ -64,6 +77,14 @@ def check_payload(out: str, coefficients: list) -> None:
     assert keys_in_order(out)[-1][0] == "coefficients"
 
 
+def check_text(capsys, argv: list[str], hi: int, coefficients: list) -> None:
+    """The text output is the lines before the window, as printed with a
+    window of degree 0, then the window as one join wrote it."""
+    head = run(capsys, [*argv, "--max-degree", "0"]).split("  coefficients 0..0:")[0]
+    out = run(capsys, [*argv, "--max-degree", str(hi)])
+    assert out == head + old_text_window(hi, coefficients)
+
+
 @pytest.mark.parametrize("hi", MAX_DEGREES)
 @pytest.mark.parametrize("ring", RING_FIXTURES)
 def test_hilbert_json_window_matches_one_json_dumps(capsys, ring, hi):
@@ -83,33 +104,86 @@ def test_molien_json_window_matches_one_json_dumps(capsys, ring, group, hi):
         check_payload(run(capsys, argv), expected)
 
 
-def test_window_json_renders_fractions_and_negative_coefficients():
+@pytest.mark.parametrize("hi", TEXT_MAX_DEGREES)
+@pytest.mark.parametrize("ring", RING_FIXTURES)
+def test_hilbert_text_window_matches_one_join(capsys, ring, hi):
+    check_text(capsys, ["hilbert", ring], hi, hilbert_series(load_ring_fixture(ring)).expand(0, hi))
+
+
+@pytest.mark.parametrize("hi", TEXT_MAX_DEGREES)
+@pytest.mark.parametrize("ring,group", FIXTURE_PAIRS)
+def test_molien_text_window_matches_one_join(capsys, ring, group, hi):
+    built = load_group_fixture(group).build()
+    check_text(capsys, ["molien", ring, group], hi, molien_series(built).series.expand(0, hi))
+    expected = molien_series(built, twist="det").series.expand(0, hi)
+    check_text(capsys, ["molien", ring, group, "--twist", "det"], hi, expected)
+
+
+def fraction_window(hi: int) -> list:
     # (1/2 - 3t^3 - 5/7 t^4) / (1 - t^2) = 1/2 + 1/2 t^2 - 3t^3 - 3/14 t^4 - ...:
     # Fractions, negative integers and negative Fractions, and zeros.
     numerator = LaurentPolynomial({0: Fraction(1, 2), 3: -3, 4: Fraction(-5, 7)})
-    window = HilbertSeries(numerator, (2,)).expand(0, 60)
+    return HilbertSeries(numerator, (2,)).expand(0, hi)
+
+
+def test_window_json_renders_fractions_and_negative_coefficients():
+    window = fraction_window(60)
     assert any(type(c) is Fraction for c in window)
     assert any(c < 0 and type(c) is int for c in window)
     assert any(c < 0 and type(c) is Fraction for c in window)
     assert 0 in window
-    assert cli._window_json(window) == json.dumps([[k, str(c)] for k, c in enumerate(window)])
-    assert cli._window_json([]) == json.dumps([])
+    assert "".join(cli._window_json(window)) == json.dumps([[k, str(c)] for k, c in enumerate(window)])
+    assert "".join(cli._window_json([])) == json.dumps([])
 
 
 def test_window_lines_skip_zeros():
-    assert cli._window_lines([1, 0, -2, Fraction(1, 3)]) == ["    t^0: 1", "    t^2: -2", "    t^3: 1/3"]
+    assert "".join(cli._window_lines([1, 0, -2, Fraction(1, 3)])) == "\n    t^0: 1\n    t^2: -2\n    t^3: 1/3"
+
+
+@pytest.mark.parametrize("size", (1, *STRADDLING_SIZES))
+def test_window_pieces_hold_at_most_one_chunk(size):
+    window = fraction_window(size - 1)
+    pieces = cli._window_json(window)
+    assert "".join(pieces) == json.dumps([[k, str(c)] for k, c in enumerate(window)])
+    chunks = -(-size // CHUNK)
+    assert pieces[0] == "[" and pieces[-1] == "]" and len(pieces) == chunks + 2
+    assert [piece.count("[") for piece in pieces[1:-1]] == [min(CHUNK, size - lo) for lo in range(0, size, CHUNK)]
+    rows = cli._window_lines(window)
+    assert "".join(rows) == "".join(f"\n    t^{k}: {c}" for k, c in enumerate(window) if c)
+    assert len(rows) == chunks
+    assert max(row.count("\n") for row in rows) <= CHUNK
+
+
+def traced_peak_at_the_cap(capsys, argv: list[str]) -> tuple[int, str]:
+    """(tracemalloc's peak, captured output) of one command at the window cap."""
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--max-degree", str(cli.MAX_WINDOW_DEGREE)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    return peak, out
 
 
 def test_window_at_the_cap_holds_no_container_per_coefficient(capsys):
     # tracemalloc's peak here, the captured 3 MB output included, was about
     # 41 MB while each coefficient became its own [k, str(c)] list for
-    # json.dumps, and is about 18 MB with the window one formatted string.
-    tracemalloc.start()
-    try:
-        code = main(["hilbert", "taf_d6", "--max-degree", str(cli.MAX_WINDOW_DEGREE), "--json"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    out = capsys.readouterr().out
-    assert code == 0 and len(out) == 3055992
-    assert peak < 26_000_000
+    # json.dumps, about 18.1 MB with the window one formatted string copied
+    # twice on its way out, and is about 9.6 MB with it written in pieces
+    # (3.2 MB of it the coefficient list, 3.3 MB the captured output).  The
+    # bound is that measurement plus 1.5 MB.
+    peak, out = traced_peak_at_the_cap(capsys, ["hilbert", "taf_d6", "--json"])
+    assert len(out) == 3055992
+    assert peak < 11_100_000
+
+
+def test_text_window_at_the_cap_is_never_one_string(capsys):
+    # The 0.94 MB text window at the cap peaked at about 10.7 MB while its
+    # rows were one list, then one joined string, then that string and a
+    # newline; written in pieces it peaks at about 5.2 MB, the captured
+    # output included.  The bound is that measurement plus 1.5 MB.
+    peak, out = traced_peak_at_the_cap(capsys, ["hilbert", "taf_d6"])
+    assert len(out) == 939082
+    assert peak < 6_700_000

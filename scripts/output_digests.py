@@ -13,11 +13,15 @@ The commands are:
 - long coefficient windows: ``hilbert`` on every bundled ring and
   trivial-twist ``molien`` on every fixture pair, at each
   ``--max-degree`` of ``WINDOW_DEGREES``, in text and with ``--json``.
-- last, a fixed list of commands that fail: a ring path that does not
-  exist (for each subcommand that takes a ring), a group with no fixture,
-  an unknown ``--twist``, ``sympow`` on a group file with neither a
+- a fixed list of commands that fail: a ring path that does not exist
+  (for each subcommand that takes a ring), a group with no fixture, an
+  unknown ``--twist``, ``sympow`` on a group file with neither a
   ``[character_table]`` nor a built-in table, a bad
   ``GORENSTEIN_KIT_MAX_ORDER``, and three usage errors, which exit 2.
+- last, the same long-window commands at each ``--max-degree`` of
+  ``PIECE_DEGREES``.  They come after the others so that the lines before
+  them stay comparable with the output of a checkout whose list ended with
+  the failing commands.
 
 Each runs in-process through ``gorenstein_kit.cli.main``, imported from the
 ``PYTHONPATH``.  The workload input files are written under this checkout's
@@ -47,9 +51,13 @@ ROOT = Path(__file__).resolve().parent.parent
 WORK_DIR = ROOT / ".bench_work" / "output_digests"
 SYMPOW_N = (0, 12, 40)
 INVGEN_DEGREES = range(0, 49, 4)
-# Windows of 1023, 1024, 1025 and 2049 coefficients, on either side of the
-# 1024 coefficients that ``cli`` renders per piece, and the window cap.
+# Windows of 1023, 1024, 1025 and 2049 coefficients, 23 to 49 coefficients
+# into a second or third piece of the 1000 that ``cli`` renders per piece,
+# and the window cap.
 WINDOW_DEGREES = (1022, 1023, 1024, 2048, 200_000)
+# Windows of 999, 1000, 1001, 2000 and 2001 coefficients, on either side of
+# the end of the first and the second piece.
+PIECE_DEGREES = (998, 999, 1000, 1999, 2000)
 
 sys.path.insert(0, str(ROOT / "bench"))
 import inputs  # noqa: E402
@@ -74,15 +82,16 @@ def fixture_argvs() -> list[list[str]]:
     return [command + flag for command in commands for flag in ([], ["--json"])]
 
 
-def window_argvs() -> list[list[str]]:
-    """The long-window commands, each in text and with --json."""
+def window_argvs(degrees: tuple[int, ...]) -> list[list[str]]:
+    """The long-window commands at each of ``degrees``, each in text and
+    with --json."""
     from gorenstein_kit.dataset import RING_FIXTURES
 
     commands = [["hilbert", ring] for ring in RING_FIXTURES]
     commands += [["molien", ring, group_name] for ring, group_name in FIXTURE_PAIRS]
     return [
         command + ["--max-degree", str(degree)] + flag
-        for command in commands for degree in WINDOW_DEGREES for flag in ([], ["--json"])
+        for command in commands for degree in degrees for flag in ([], ["--json"])
     ]
 
 
@@ -137,12 +146,14 @@ def main(argv: list[str] | None = None) -> int:
             for workload in WORKLOADS:
                 for job in jobs_for(workload, paths):
                     print(digest_line(cli.main, f"{workload} seed {seed}: {job['id']}", job["argv"]))
-        for command in fixture_argvs() + window_argvs():
+        for command in fixture_argvs() + window_argvs(WINDOW_DEGREES):
             print(digest_line(cli.main, " ".join(command), command))
         for command, env in error_argvs(WORK_DIR / "errors"):
             label = " ".join([*(f"{k}={v}" for k, v in env.items()), "gorenstein-kit", *command])
             with mock.patch.dict(os.environ, env):
                 print(digest_line(cli.main, label.replace(f"{ROOT}/", ""), command))
+        for command in window_argvs(PIECE_DEGREES):
+            print(digest_line(cli.main, " ".join(command), command))
     finally:
         shutil.rmtree(WORK_DIR, ignore_errors=True)
     return 0

@@ -70,8 +70,9 @@ MAX_WINDOW_DEGREE = 200_000
 # Largest sympow --n: every power up to it is decomposed and printed.
 MAX_SYMPOW_N = 20_000
 # Coefficients per piece of a rendered window, so that no window is ever
-# held as one string.
-_WINDOW_CHUNK = 1024
+# held as one string.  1000, so that every index of a JSON piece after the
+# first is the piece's number followed by three digits (`_window_json`).
+_WINDOW_CHUNK = 1000
 
 
 def _order_cap() -> int:
@@ -135,16 +136,24 @@ def _window_lines(coefficients: list) -> list[str]:
 def _window_json(coefficients: list) -> list[str]:
     """JSON text of ``[[k, str(c)] for k, c in enumerate(coefficients)]``, as
     ``json.dumps`` writes it, in pieces of at most `_WINDOW_CHUNK` pairs: one
-    format call per piece, with one template for every full piece.  ``%s`` of
-    an int or Fraction is ``str(c)``, digits, ``-`` and ``/`` only, which need
-    no escaping."""
-    first = min(len(coefficients), _WINDOW_CHUNK)  # pairs in every piece but a short last one
-    full = ", ".join(['[%d, "%s"]'] * first)
-    pieces = ["["]
-    for lo in range(0, len(coefficients), _WINDOW_CHUNK):
-        chunk = coefficients[lo:lo + _WINDOW_CHUNK]
-        template = full if len(chunk) == first else ", ".join(['[%d, "%s"]'] * len(chunk))
-        pieces.append((", " if lo else "") + template % tuple(chain.from_iterable(enumerate(chunk, lo))))
+    format call per piece.  ``%s`` of an int or Fraction is ``str(c)``,
+    digits, ``-`` and ``/`` only, which need no escaping.
+
+    The first piece formats its indices 0, 1, ... with ``%d``.  Every index
+    in piece P >= 1 is P followed by three digits, so those pieces share one
+    template with literal indices ``@000`` .. ``@999``, built a digit at a
+    time, in which ``@`` is replaced by P: no index of a later piece is
+    converted to a string on its own."""
+    first = coefficients[:_WINDOW_CHUNK]
+    pieces = ["[", ", ".join(['[%d, "%s"]'] * len(first)) % tuple(chain.from_iterable(enumerate(first)))]
+    if len(coefficients) > _WINDOW_CHUNK:
+        template = ', [@, "%s"]'
+        for _ in range(3):  # a digit before each index: @0..@9, then @00..@99, then @000..@999
+            template = "".join([template.replace("@", "@" + d) for d in "0123456789"])
+        width = len(template) // _WINDOW_CHUNK  # every pair takes the same width
+        for lo in range(_WINDOW_CHUNK, len(coefficients), _WINDOW_CHUNK):
+            chunk = coefficients[lo:lo + _WINDOW_CHUNK]
+            pieces.append(template[:width * len(chunk)].replace("@", str(lo // _WINDOW_CHUNK)) % tuple(chunk))
     pieces.append("]")
     return pieces
 

@@ -394,6 +394,11 @@ class HilbertSeries:
         or more entries in the window; it adds integers to integers, so every
         coefficient of L times the series is an integer v and the true
         coefficient is exactly ``quotient(v, L)``.
+
+        With g the gcd of the denominator degrees and of the numerator's
+        exponents less the least one, every nonzero coefficient sits at the
+        least exponent plus a multiple of g, so only the residue classes
+        r = 0 mod g are summed; the others stay zero.
         """
         if lo > hi:
             raise ValueError("empty expansion window: lo > hi")
@@ -403,13 +408,15 @@ class HilbertSeries:
             return [0] * width
         base = numerator.min_exponent
         terms = numerator._terms
+        degrees = self._denominator_degrees
+        step = math.gcd(*degrees, *(e - base for e in terms)) or 1
         scale = math.lcm(*(c.denominator for c in terms.values()))
         coeffs = [0] * (hi - base + 1)
         for e, c in terms.items():
             if e <= hi:
                 coeffs[e - base] = c.numerator * (scale // c.denominator)
-        for d in self._denominator_degrees:
-            for r in range(min(d, len(coeffs) - d)):
+        for d in degrees:
+            for r in range(0, min(d, len(coeffs) - d), step):
                 coeffs[r::d] = accumulate(coeffs[r::d])
         del coeffs[: max(lo - base, 0)]  # the window starts at lo,
         coeffs[:0] = [0] * (base - lo)  # with zeros below the support

@@ -159,6 +159,44 @@ def test_expand_matches_multiset_convolution(numerator, degrees, offset, width):
     assert all(map(in_exact_form, got))
 
 
+@st.composite
+def lattice_series(draw):
+    """(numerator, degrees) on a lattice of step g from 1..6: exponents
+    base + g*k with int and Fraction coefficients, and denominator degrees
+    that are multiples of g, the last possibly wider than any window drawn
+    with it.  The numerator's steps may be finer than the degrees' gcd."""
+    g = draw(st.integers(1, 6))
+    base = draw(st.integers(-10, 10))
+    scalars = st.one_of(st.integers(-5, 5), small_fractions).filter(bool)
+    terms = draw(st.dictionaries(st.integers(0, 5), scalars, min_size=1, max_size=4))
+    multiples = draw(st.lists(st.integers(1, 4), max_size=2)) + draw(st.lists(st.integers(26, 40), max_size=1))
+    return LaurentPolynomial({base + g * k: c for k, c in terms.items()}), [g * m for m in multiples]
+
+
+@given(lattice_series(), st.sampled_from(["below", "straddling", "inside", "above"]), st.integers(0, 8),
+       st.integers(0, 24))
+@example((LaurentPolynomial({0: 1, 1: Fraction(1, 2)}), [2]), "inside", 0, 6)  # odd class reached by the numerator
+@example((LaurentPolynomial({-3: 2, 3: -1}), [6, 12, 30]), "straddling", 4, 20)  # g = 6, one degree wider
+def test_expand_on_a_lattice_matches_multiset_convolution(series, where, gap, width):
+    """expand of a series whose support is base + g*N, against the numerator
+    convolved with multiset counts, for windows below, across, inside and
+    above the numerator's support: no reachable residue class is skipped."""
+    numerator, degrees = series
+    least, greatest = numerator.terms()[0][0], numerator.terms()[-1][0]
+    lo = {
+        "below": least - gap - width - 1,  # hi < least
+        "straddling": least - gap,
+        "inside": least + gap,
+        "above": greatest + gap + 1,  # lo > greatest
+    }[where]
+    hi = lo + width
+    counts = [brute_count(degrees, k) for k in range(max(hi - least, 0) + 1)]
+    expected = [sum((c * counts[n - e] for e, c in numerator.terms() if e <= n), 0) for n in range(lo, hi + 1)]
+    got = HilbertSeries(numerator, degrees).expand(lo, hi)
+    assert got == expected
+    assert all(map(in_exact_form, got))
+
+
 # -- arithmetic ------------------------------------------------------------------
 
 

@@ -34,8 +34,11 @@ CHUNK = cli._WINDOW_CHUNK
 # Windows of one coefficient short of a piece, one piece, one over, and two
 # pieces and one coefficient; --max-degree is one less than the window size.
 STRADDLING_SIZES = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
-MAX_DEGREES = (0, 1, 40, 20000, *(n - 1 for n in STRADDLING_SIZES))
-TEXT_MAX_DEGREES = (0, 40, *(n - 1 for n in STRADDLING_SIZES))
+# Windows that end 23 to 25 coefficients into a second piece, and 49 into a
+# third.
+PARTIAL_SIZES = (1023, 1024, 1025, 2049)
+MAX_DEGREES = (0, 1, 40, 20000, *(n - 1 for n in STRADDLING_SIZES + PARTIAL_SIZES))
+TEXT_MAX_DEGREES = (0, 40, *(n - 1 for n in STRADDLING_SIZES + PARTIAL_SIZES))
 
 
 def old_render(out: str, coefficients: list) -> str:
@@ -104,6 +107,13 @@ def test_molien_json_window_matches_one_json_dumps(capsys, ring, group, hi):
         check_payload(run(capsys, argv), expected)
 
 
+def test_hilbert_json_window_at_the_cap_matches_one_json_dumps(capsys):
+    # Pieces 100..200 of the window: indices with a three-digit piece number.
+    hi = cli.MAX_WINDOW_DEGREE
+    out = run(capsys, ["hilbert", "tmf2", "--max-degree", str(hi), "--json"])
+    check_payload(out, hilbert_series(load_ring_fixture("tmf2")).expand(0, hi))
+
+
 @pytest.mark.parametrize("hi", TEXT_MAX_DEGREES)
 @pytest.mark.parametrize("ring", RING_FIXTURES)
 def test_hilbert_text_window_matches_one_join(capsys, ring, hi):
@@ -140,8 +150,10 @@ def test_window_lines_skip_zeros():
     assert "".join(cli._window_lines([1, 0, -2, Fraction(1, 3)])) == "\n    t^0: 1\n    t^2: -2\n    t^3: 1/3"
 
 
-@pytest.mark.parametrize("size", (1, *STRADDLING_SIZES))
+@pytest.mark.parametrize("size", (1, *STRADDLING_SIZES, *PARTIAL_SIZES, 100 * CHUNK + 1))
 def test_window_pieces_hold_at_most_one_chunk(size):
+    # Positive and negative Fractions, negative ints and zeros; the longest
+    # window's last piece is piece 100, the first with a three-digit number.
     window = fraction_window(size - 1)
     pieces = cli._window_json(window)
     assert "".join(pieces) == json.dumps([[k, str(c)] for k, c in enumerate(window)])

@@ -18,10 +18,16 @@ The commands are:
   unknown ``--twist``, ``sympow`` on a group file with neither a
   ``[character_table]`` nor a built-in table, a bad
   ``GORENSTEIN_KIT_MAX_ORDER``, and three usage errors, which exit 2.
-- last, the same long-window commands at each ``--max-degree`` of
+- the same long-window commands at each ``--max-degree`` of
   ``PIECE_DEGREES``.  They come after the others so that the lines before
   them stay comparable with the output of a checkout whose list ended with
   the failing commands.
+- last, on a group file with two grading blocks, one of dimension 2 (S_3
+  through its standard representation in degree 4 and its sign in degree
+  6), and a ring on generators of degrees 4, 4 and 6: ``molien`` with every
+  twist, ``descent`` and ``sympow``, in text and with ``--json``.  No
+  bundled fixture has a second block, where the det weight is a product
+  over the blocks and ``sympow`` divides by each block's factor in turn.
 
 Each runs in-process through ``gorenstein_kit.cli.main``, imported from the
 ``PYTHONPATH``.  The workload input files are written under this checkout's
@@ -118,6 +124,27 @@ def error_argvs(work_dir: Path) -> list[tuple[list[str], dict[str, str]]]:
     ]
 
 
+def two_block_argvs(work_dir: Path) -> list[list[str]]:
+    """The two-block commands, each in text and with --json; the group and
+    ring files they read are written under ``work_dir``."""
+    from gorenstein_kit.dataset import load_group_fixture
+
+    work_dir.mkdir(parents=True, exist_ok=True)
+    group, ring = work_dir / "mixed.group", work_dir / "mixed.ring"
+    group.write_text(
+        "[group]\nname = mixed\nblock = 4 2\nblock = 6 1\n\n"
+        "[generator]\nrow = -1 1 0\nrow = 0 1 0\nrow = 0 0 -1\n\n"
+        "[generator]\nrow = 1 0 0\nrow = 1 -1 0\nrow = 0 0 -1\n"
+    )
+    ring.write_text("[ring]\nname = mixed\ngenerator = a 4\ngenerator = b 4\ngenerator = c 6\n")
+    record = load_group_fixture(str(group))
+    pair, twists = [str(ring), str(group)], ("trivial", "det", *record.table(record.build()).names)
+    commands = [["molien", *pair, "--twist", twist] for twist in twists]
+    commands.append(["descent", *pair])
+    commands += [["sympow", *pair, "--n", str(n)] for n in SYMPOW_N]
+    return [command + flag for command in commands for flag in ([], ["--json"])]
+
+
 def digest_line(main, label: str, argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -154,6 +181,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(digest_line(cli.main, label.replace(f"{ROOT}/", ""), command))
         for command in window_argvs(PIECE_DEGREES):
             print(digest_line(cli.main, " ".join(command), command))
+        for command in two_block_argvs(WORK_DIR / "two_blocks"):
+            print(digest_line(cli.main, " ".join(command).replace(f"{ROOT}/", ""), command))
     finally:
         shutil.rmtree(WORK_DIR, ignore_errors=True)
     return 0

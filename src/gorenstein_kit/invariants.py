@@ -14,14 +14,17 @@ division, the supplement b read off M_det/M, symmetric-power characters,
 decompositions against rational character tables, and invariant
 polynomials as the common kernel of g - 1 over the generators.
 
-Every class function is read off det(1 - s*g on V_d), once per conjugacy
-class and grading block (Stanley, Bull. AMS 1 (1979), section 2), by
-Newton's identities on traces read off the representative's permutation,
-or off their product over the blocks, cached with them; a Molien class term
-divides (1 - s^o)^dim by it with an integer recurrence.  Decomposition
-needs a rational, hence integer, character table.  The group is an immutable
-slotted record; character tables and the Molien and Solomon reports are
-immutable records (named tuples).
+Every class function is read off one class record, built once per group
+with the classes: the representatives, their orders and det(1 - s*g on V_d)
+per grading block (Stanley, Bull. AMS 1 (1979), section 2) as its integer
+coefficients c_0..c_dim, by Newton's identities on traces read off the
+representative's permutation.  A Molien class term divides (1 - s^o)^dim by
+each block's coefficients with an integer recurrence, the det weight is the
+product of the blocks' (-1)^dim c_dim, a pseudoreflection is a class of
+order 2 and trace n - 2, and the symmetric-power characters divide by the
+blocks in turn.  Decomposition needs a rational, hence integer, character
+table.  The group is an immutable slotted record; character tables and the
+Molien and Solomon reports are immutable records (named tuples).
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .linalg import Matrix, Scalar, exact, quotient
-from .series import HilbertSeries, LaurentPolynomial, NotMonomialRatio, prod_one_minus, ratio_as_signed_monomial
-from .series import Terms, _add, _exact_terms, _reduce, _render_terms, _times
+from .series import HilbertSeries, NotMonomialRatio, prod_one_minus, ratio_as_signed_monomial
+from .series import Terms, _add, _reduce, _render_terms, _times
 
 DEFAULT_ORDER_CAP = 10_000
 DEFAULT_MONOMIAL_BOUND = 5_000
@@ -99,12 +102,13 @@ class GradedGroupRep:
 
     __slots__ = (
         "name", "blocks", "generators", "order", "orbit", "permutations", "right_tables", "tree_edges",
-        "_classes",  # (classes, representatives), filled in by conjugacy_classes.
-        "_factors",  # (det(1 - s*g on V_d) per class and block, their product per class), by _class_factors.
+        # (classes, representatives, their orders, per class and block V_d the
+        # coefficients c_0..c_dim of det(1 - s*g on V_d)), filled in by conjugacy_classes.
+        "_classes",
     )
 
     def __init__(self, name, blocks, generators, order, orbit, permutations, right_tables, tree_edges):
-        values = (name, blocks, generators, order, orbit, permutations, right_tables, tree_edges, None, None)
+        values = (name, blocks, generators, order, orbit, permutations, right_tables, tree_edges, None)
         for slot, value in zip(self.__slots__, values):
             object.__setattr__(self, slot, value)
 
@@ -114,8 +118,8 @@ class GradedGroupRep:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __reduce__(self):  # copies and pickles are rebuilt without the caches
-        return GradedGroupRep, tuple(getattr(self, slot) for slot in self.__slots__[:-2])
+    def __reduce__(self):  # copies and pickles are rebuilt without the cache
+        return GradedGroupRep, tuple(getattr(self, slot) for slot in self.__slots__[:-1])
 
     def _key(self) -> tuple:
         return self.name, self.blocks, self.generators, self.order
@@ -261,7 +265,7 @@ def conjugacy_classes(group: GradedGroupRep) -> tuple[tuple[int, ...], ...]:
     Classes are sorted by (order of representative, class size, entries of
     the lexicographically least member); the identity class comes first.
     Character tables and symmetric-power characters index classes in this
-    order.
+    order.  The whole :func:`_class_record` is built here, once per group.
     """
     if group._classes is not None:
         return group._classes[0]
@@ -305,47 +309,37 @@ def conjugacy_classes(group: GradedGroupRep) -> tuple[tuple[int, ...], ...]:
         entries = tuple([row[k] for row in rows for k in perms[rep][:n]])
         keyed.append(((group.element_order(rep), len(members), entries), rep, cls))
     keyed.sort()
-    classes = tuple(cls for _, _, cls in keyed)
-    object.__setattr__(group, "_classes", (classes, tuple(rep for _, rep, _ in keyed)))
-    return classes
+    slices = group.block_slices()
+    per_class = [(cls, rep, key[0], _block_factors(group.orbit, perms[rep], slices)) for key, rep, cls in keyed]
+    object.__setattr__(group, "_classes", tuple(zip(*per_class)))
+    return group._classes[0]
+
+
+def _block_factors(orbit: Sequence[tuple], perm: Sequence[int], slices) -> tuple[tuple[int, ...], ...]:
+    """det(1 - s*g on V_d) per block V_d as its coefficients c_0..c_dim, by
+    Newton's identities on the power sums tr(g^i on V_d), i = 1..dim V_d.
+    g^i sends e_j to orbit[perm^i[j]], perm g's permutation, so the trace is
+    the sum over the block's j of that vector's j-th entry: no matrix is built."""
+    factors = []
+    for _, start, stop in slices:
+        images, traces = range(start, stop), []
+        for _ in range(start, stop):
+            images = [perm[k] for k in images]
+            traces.append(exact(sum(orbit[k][j] for j, k in enumerate(images, start))))
+        factors.append(tuple(linalg.det_one_minus_from_traces(traces)))
+    return tuple(factors)
+
+
+def _class_record(group: GradedGroupRep) -> tuple:
+    """(classes, representatives, their orders, each one's :func:`_block_factors`),
+    in canonical class order, built once per group by :func:`conjugacy_classes`."""
+    conjugacy_classes(group)
+    return group._classes
 
 
 def class_representatives(group: GradedGroupRep) -> tuple[int, ...]:
     """Index of each class's member with the least matrix entries."""
-    conjugacy_classes(group)
-    return group._classes[1]
-
-
-def _class_factors(group: GradedGroupRep) -> tuple[tuple[LaurentPolynomial, ...], ...]:
-    """det(1 - s*g on V_d) in s, per class (canonical order) and block V_d,
-    once per group, by Newton's identities on the power sums tr(g^i on V_d),
-    i = 1..dim V_d.  g^i sends e_j to orbit[perm^i[j]], perm the
-    representative's permutation, so the trace is the sum over the block's j
-    of that vector's j-th entry: no matrix is built.  Their product over the
-    blocks, det(1 - s*g), is cached with them; see :func:`_class_dets`."""
-    if group._factors is None:
-        orbit, factors, dets = group.orbit, [], []
-        for rep in class_representatives(group):
-            perm, blocks, det = group.permutations[rep], [], {0: 1}
-            for _, start, stop in group.block_slices():
-                images, traces = range(start, stop), []
-                for _ in range(start, stop):
-                    images = [perm[k] for k in images]
-                    traces.append(exact(sum(orbit[k][j] for j, k in enumerate(images, start))))
-                terms = _exact_terms(dict(enumerate(linalg.det_one_minus_from_traces(traces))))
-                blocks.append(LaurentPolynomial._of(terms))
-                det = _times(det, terms)
-            factors.append(tuple(blocks))
-            dets.append(LaurentPolynomial._of(det))
-        object.__setattr__(group, "_factors", (tuple(factors), tuple(dets)))
-    return group._factors[0]
-
-
-def _class_dets(group: GradedGroupRep) -> tuple[LaurentPolynomial, ...]:
-    """det(1 - s*g) on the whole space per class, the product of its block
-    factors, built once with them by :func:`_class_factors`."""
-    _class_factors(group)
-    return group._factors[1]
+    return _class_record(group)[1]
 
 
 class RationalCharacterTable(NamedTuple):
@@ -428,16 +422,16 @@ def builtin_character_table(group: GradedGroupRep) -> RationalCharacterTable:
     user-supplied table (and have one only when all irreducible characters
     are rational).
     """
-    n_classes = len(conjugacy_classes(group))
+    classes, _, orders, _ = _class_record(group)
     if group.order == 1:
         rows = [("triv", (1,))]
     elif group.order == 2:
         rows = [("triv", (1, 1)), ("sign", (1, -1))]
-    elif group.order == 4 and all(group.element_order(i) <= 2 for i in range(4)):
+    elif group.order == 4 and max(orders) <= 2:
         rows = [("triv", (1,) * 4)] + [
             (f"chi{k}", tuple(1 if c in (0, k) else -1 for c in range(4))) for k in range(1, 4)
         ]
-    elif group.order == 6 and n_classes == 3:
+    elif group.order == 6 and len(classes) == 3:
         rows = [("triv", (1, 1, 1)), ("sign", (1, -1, 1)), ("std", (2, 0, -1))]
     else:
         raise NoBuiltinCharacterTable(
@@ -474,19 +468,20 @@ def _over_det(full: list[int], c: list[Scalar]) -> list[Scalar]:
     return q[k:]
 
 
-def _element_term(group: GradedGroupRep, rep: int, factors: Sequence[LaurentPolynomial]) -> tuple[Terms, tuple]:
-    """1 / prod_blocks det(1 - m t^d on V_d) for the element m at index rep, as
-    canonical kernel (terms, degrees), from its block factors det(1 - s*m on V_d),
-    of degree dim.  m has order o, so each divides (1 - s^o)^dim: :func:`_over_det`
-    gives the quotient up to s^{o*dim}, exact when its last dim coefficients
+def _element_term(
+    blocks: Sequence[tuple[int, int]], order: int, factors: Sequence[Sequence[int]]
+) -> tuple[Terms, tuple]:
+    """1 / prod_blocks det(1 - m t^d on V_d) for an element m of the given order,
+    as canonical kernel (terms, degrees), from the coefficients c_0..c_dim of its
+    block factors det(1 - s*m on V_d).  Each divides (1 - s^order)^dim: :func:`_over_det`
+    gives the quotient up to s^{order*dim}, exact when its last dim coefficients
     vanish (then all later do)."""
-    order = group.element_order(rep)
     numerator: dict[int, Scalar] = {0: 1}
     dens: list[int] = []
-    for (degree, dim), factor in zip(group.blocks, factors):
+    for (degree, dim), factor in zip(blocks, factors):
         full = [0] * (order * dim + 1)
         full[::order] = [(-1) ** i * math.comb(dim, i) for i in range(dim + 1)]
-        q = _over_det(full, [factor.coefficient(i) for i in range(dim, 0, -1)])
+        q = _over_det(full, factor[:0:-1])
         if any(q[-dim:]):
             raise ArithmeticError("characteristic factor failed to divide cyclotomic power")
         numerator = _times(numerator, {j * degree: x for j, x in enumerate(q[:-dim]) if x})
@@ -501,23 +496,22 @@ def _molien_sums(
     classes: each class term is built once, classes are added in canonical
     order, and zero weights are skipped.  Totals are series-kernel (terms,
     degrees) pairs, each weight chi(g)*|C| folded into the term's lift."""
-    factors = _class_factors(group)
+    classes, _, orders, factors = _class_record(group)
     weightings = []
     for twist in twists:
         if twist == "trivial":
-            weightings.append([1] * len(factors))
-        elif twist == "det":  # det(1 - s*g) has top coefficient (-1)^n det(g)
-            n = group.dimension
-            weightings.append([(-1) ** n * det.coefficient(n) for det in _class_dets(group)])
+            weightings.append([1] * len(classes))
+        elif twist == "det":  # det(1 - s*g on V_d) has top coefficient (-1)^dim det(g on V_d)
+            weightings.append([math.prod((-1) ** (len(f) - 1) * f[-1] for f in fs) for fs in factors])
         elif table is None:
             raise ValueError(f"twist {twist!r} needs a character table")
         else:
             weightings.append(table.row(twist))
     totals = [({}, ())] * len(twists)
-    for k, (rep, cls) in enumerate(zip(class_representatives(group), conjugacy_classes(group))):
+    for k, (cls, order, fs) in enumerate(zip(classes, orders, factors)):
         weights = [w[k] for w in weightings]
         if any(weights):
-            term = _element_term(group, rep, factors[k])
+            term = _element_term(group.blocks, order, fs)
             totals = [_add(*t, *term, w * len(cls)) if w else t for t, w in zip(totals, weights)]
     return [HilbertSeries._of(*t) * quotient(1, group.order) for t in totals]
 
@@ -527,11 +521,12 @@ def pseudoreflection_count(group: GradedGroupRep) -> int:
 
     g has finite order, so it is diagonalizable and rank(g - 1) = 1 means
     n - 1 eigenvalues 1 and one rational root of unity other than 1, i.e. -1:
-    exactly when prod_blocks det(1 - s*g) = (1 - s)^{n-1}(1 + s).
+    exactly when g has order 2 and trace n - 2.  The trace is minus the sum
+    of the blocks' c_1.
     """
-    reflection = LaurentPolynomial({0: 1, 1: 1}).times_one_minus([1] * (group.dimension - 1))
-    classes = zip(conjugacy_classes(group), _class_dets(group))
-    return sum(len(cls) for cls, det in classes if det == reflection)
+    classes, _, orders, factors = _class_record(group)
+    n = group.dimension
+    return sum(len(c) for c, o, fs in zip(classes, orders, factors) if o == 2 and -sum(f[1] for f in fs) == n - 2)
 
 
 def molien_series(
@@ -667,18 +662,20 @@ def sym_power_characters(group: GradedGroupRep, top: int) -> list[tuple[int, ...
     representation, each with one value per canonical conjugacy class.
 
     Computed from the generating identity sum_n chi_{Sym^n}(g) s^n =
-    1/det(1 - g s), one recurrence per class on the product of its block
-    factors, on integers: for g rational of finite order det(1 - g s) is a
-    product of cyclotomics.
+    1/det(1 - g s), per class one recurrence dividing by each block factor in
+    turn, on integers: for g rational of finite order each det(1 - g s on
+    V_d) is a product of cyclotomics.
     """
     if top < 0:
         raise ValueError("symmetric power index must be >= 0")
     columns = []
-    for det in _class_dets(group):
-        c = [det.coefficient(k) for k in range(group.dimension + 1)]
-        if any(type(x) is not int for x in c):
-            raise ArithmeticError(f"det(1 - s*g) has non-integral coefficients {c}")
-        columns.append(_over_det([1] + [0] * top, c[:0:-1]))
+    for fs in _class_record(group)[3]:
+        column = [1] + [0] * top
+        for c in fs:
+            if any(type(x) is not int for x in c):
+                raise ArithmeticError(f"det(1 - s*g on a block) has non-integral coefficients {list(c)}")
+            column = _over_det(column, c[:0:-1])
+        columns.append(column)
     return list(zip(*columns))
 
 

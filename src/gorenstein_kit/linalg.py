@@ -8,7 +8,8 @@ of such scalars, and every function is pure.  The package has two matrix
 algorithms: one elimination on sparse rows (dicts from column index to
 nonzero scalar), :func:`rref`, behind invariant bases and the rank test of
 group generators; and det(1 - s*M) by Newton's identities on the power sums
-tr(M^k), which every class function takes from a permutation's traces.
+tr(M^k), whose coefficient list the group's class record keeps per class and
+grading block, fed with traces read off a permutation.
 """
 
 from __future__ import annotations

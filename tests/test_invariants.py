@@ -2,8 +2,9 @@
 Solomon verification, symmetric powers against the per-n recurrence, and
 explicit invariants against the averaging-operator (Reynolds) oracle."""
 
-import math
+import copy
 import operator
+import pickle
 import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
@@ -22,6 +23,7 @@ from gorenstein_kit.graded_ring import (
     polynomial_presentation,
 )
 from gorenstein_kit.invariants import (
+    GradedGroupRep,
     LengthMismatch,
     MonomialBoundExceeded,
     NoBuiltinCharacterTable,
@@ -425,9 +427,11 @@ def _in_test_or_fixture_group(name):
     return group, record.table(group)
 
 
-@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "b3"])
+@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "b3", "mixed", "c3"])
 def test_class_sums_match_the_per_element_definition(name):
-    # S_4 and B_3 have no table here: trivial and det twists only.
+    # The in-test groups have no table here: trivial and det twists only.
+    # B_3 has a class of trace n - 2 and order 4 (a quarter turn of two
+    # coordinates), and "mixed" a det weight over two blocks, one of dimension 2.
     group, table = _in_test_or_fixture_group(name)
     class_of = {
         element_matrix(group, i): c for c, cls in enumerate(conjugacy_classes(group)) for i in cls
@@ -450,8 +454,9 @@ def test_class_sums_match_the_per_element_definition(name):
 
 @pytest.mark.parametrize("name", ["sigma3_standard", "taf_d6_alpha", "s4", "b3"])
 def test_class_factors_are_computed_once_per_class_and_block(name, monkeypatch):
-    # Built first: checking each generator's determinant also reads det(1 - s*g).
+    # Built first, and its cache cleared: checking a file's table fills the class record.
     group, _ = _in_test_or_fixture_group(name)
+    object.__setattr__(group, "_classes", None)
     calls = []
     original = linalg.det_one_minus_from_traces
     monkeypatch.setattr(
@@ -487,15 +492,16 @@ def _faddeev_leverrier(m):
 )
 def test_class_factors_match_faddeev_leverrier_on_each_block(name):
     group, _ = _in_test_or_fixture_group(name)
-    factors = invariants._class_factors(group)
-    assert len(factors) == len(conjugacy_classes(group))
-    for rep, block_factors in zip(class_representatives(group), factors):
+    _, reps, orders, factors = invariants._class_record(group)
+    assert len(factors) == len(orders) == len(conjugacy_classes(group))
+    assert orders == tuple(group.element_order(rep) for rep in reps)
+    for rep, block_factors in zip(reps, factors):
         m = element_matrix(group, rep)
-        assert len(block_factors) == len(group.blocks)
+        assert type(block_factors) is tuple and len(block_factors) == len(group.blocks)
         for (_, start, stop), factor in zip(group.block_slices(), block_factors):
             block = tuple(tuple(row[start:stop]) for row in m[start:stop])
-            assert factor.terms() == LaurentPolynomial(enumerate(_faddeev_leverrier(block))).terms()
-            assert all(in_exact_form(c) for _, c in factor.terms())
+            assert factor == tuple(_faddeev_leverrier(block))
+            assert type(factor) is tuple and all(type(c) is int for c in factor)
 
 
 @pytest.mark.parametrize("name", ["s4", "taf_d6_alpha"])
@@ -507,24 +513,17 @@ def test_element_matrices_are_read_only_where_needed(name):
     assert not hasattr(group, "matrix")
     reps = class_representatives(group)
     assert invariant_basis(group, 24)
-    object.__setattr__(group, "_factors", None)  # computed afresh, not read from the cache
-    assert reps and len(invariants._class_factors(group)) == len(reps)
+    object.__setattr__(group, "_classes", None)  # computed afresh, not read from the cache
+    assert reps and len(invariants._class_record(group)[3]) == len(reps)
 
 
 def _group_core_results(group):
-    """Classes, representatives, class factors and the trivial and det
-    Molien sums, each computed afresh."""
+    """The class record (classes, representatives, orders, block factors)
+    and the trivial and det Molien sums, each computed afresh."""
     object.__setattr__(group, "_classes", None)
-    object.__setattr__(group, "_factors", None)
-    classes = conjugacy_classes(group)
-    factors = invariants._class_factors(group)
+    record = invariants._class_record(group)
     sums = invariants._molien_sums(group, ["trivial", "det"])
-    return (
-        classes,
-        class_representatives(group),
-        [[f.terms() for f in fs] for fs in factors],
-        [(s.numerator.terms(), s.denominator_degrees) for s in sums],
-    )
+    return record, [(s.numerator.terms(), s.denominator_degrees) for s in sums]
 
 
 @pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "s4_conjugated", "mixed"])
@@ -536,6 +535,26 @@ def test_group_core_builds_no_element_matrix(name):
     group = _in_test_or_fixture_group(name)[0]
     assert not hasattr(group, "matrix")
     assert _group_core_results(group) == expected
+
+
+DUPLICATES = {"pickle": lambda group: pickle.loads(pickle.dumps(group)), "copy": copy.copy, "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("how", DUPLICATES)
+@pytest.mark.parametrize("name", ["sigma3_standard", "taf_d6_alphabeta", "mixed", "b3"])
+def test_copies_and_pickles_rebuild_the_class_record(name, how):
+    # The one cache slot is left out of __reduce__: a copy recomputes it, equal.
+    assert [slot for slot in GradedGroupRep.__slots__ if slot.startswith("_")] == ["_classes"]
+    assert not hasattr(invariants, "_class_dets")
+    group, _ = _in_test_or_fixture_group(name)
+    record = invariants._class_record(group)
+    series = [molien_series(group, twist).series for twist in ("trivial", "det")]
+    other = DUPLICATES[how](group)
+    assert other is not group and other == group and other._classes is None
+    assert all(getattr(other, slot) == getattr(group, slot) for slot in GradedGroupRep.__slots__[:-1])
+    assert (conjugacy_classes(other), class_representatives(other)) == record[:2]
+    assert invariants._class_record(other) == record
+    assert [molien_series(other, twist).series for twist in ("trivial", "det")] == series
 
 
 @pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "b3", "s4_conjugated", "mixed"])
@@ -550,15 +569,14 @@ def test_generators_are_checked_without_a_determinant(name, monkeypatch):
     assert group.permutations == expected.permutations and group.orbit == expected.orbit
 
 
-def _element_term_by_long_division(group, rep, factors):
+def _element_term_by_long_division(blocks, order, factors):
     """The class term as it was built before the integer recurrence: the
     product per block of (1 - t^{d*o})^dim divided by det(1 - m t^d on V_d)
     by long division; kept as the reference."""
-    order = group.element_order(rep)
     numerator = LaurentPolynomial.one()
     dens = []
-    for (degree, dim), factor in zip(group.blocks, factors):
-        det_poly = LaurentPolynomial({k * degree: c for k, c in factor.terms()})
+    for (degree, dim), factor in zip(blocks, factors):
+        det_poly = LaurentPolynomial({k * degree: c for k, c in enumerate(factor)})
         quotient = prod_one_minus([degree * order] * dim).divide_exact(det_poly)
         if quotient is None:
             raise ArithmeticError("characteristic factor failed to divide cyclotomic power")
@@ -573,15 +591,16 @@ def _element_term_by_long_division(group, rep, factors):
 )
 def test_class_terms_match_long_division(name, monkeypatch):
     group, _ = _in_test_or_fixture_group(name)
-    reps, factors = class_representatives(group), invariants._class_factors(group)
-    expected = [_element_term_by_long_division(group, rep, fs) for rep, fs in zip(reps, factors)]
+    _, reps, _, factors = invariants._class_record(group)
+    orders = [group.element_order(rep) for rep in reps]
+    expected = [_element_term_by_long_division(group.blocks, o, fs) for o, fs in zip(orders, factors)]
 
     def refuse(self, divisor):
         raise AssertionError("a class term used long division")
 
     monkeypatch.setattr(LaurentPolynomial, "divide_exact", refuse)
-    for rep, fs, reference in zip(reps, factors, expected):
-        term = HilbertSeries._of(*invariants._element_term(group, rep, fs))
+    for order, fs, reference in zip(orders, factors, expected):
+        term = HilbertSeries._of(*invariants._element_term(group.blocks, order, fs))
         assert term.numerator.terms() == reference.numerator.terms()
         assert term.denominator_degrees == reference.denominator_degrees
         assert all(in_exact_form(c) for _, c in term.numerator.terms())
@@ -696,14 +715,21 @@ def test_right_tables_and_tree_edges_compose_with_the_generators(name):
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_cached_class_dets_are_the_products_of_the_block_factors(name):
+    # sym_power_characters divides by the block factors in turn; the reference
+    # divides once by the whole space's det(1 - s*g), by Faddeev-LeVerrier on the
+    # representative's matrix: the two agree when that det is the blocks' product.
     group, _ = _in_test_or_fixture_group(name)
-    dets = invariants._class_dets(group)
-    factors = invariants._class_factors(group)
-    assert len(dets) == len(factors) == len(conjugacy_classes(group))
-    for det, fs in zip(dets, factors):
-        assert det.terms() == math.prod(fs, start=LaurentPolynomial.one()).terms()
-        assert all(in_exact_form(c) for _, c in det.terms())
-    assert invariants._class_dets(group) is dets  # built once, with the factors
+    top = 30
+    columns = []
+    for rep in class_representatives(group):
+        c = _faddeev_leverrier(element_matrix(group, rep))
+        q = [1] + [0] * top
+        for j in range(1, top + 1):
+            q[j] = -sum(c[i] * q[j - i] for i in range(1, min(j, group.dimension) + 1))
+        columns.append(tuple(q))
+    got = sym_power_characters(group, top)
+    assert got == list(zip(*columns))
+    assert all(type(x) is int for row in got for x in row)
 
 
 def _orbit_by_rows(group):
@@ -733,8 +759,7 @@ def _molien_sums_by_series(group, twists, table):
     """The class pass before the series kernel, kept as the reference:
     total + term * (w * |C|) through HilbertSeries, classes in canonical
     order, then times 1/|G|; det weights from each representative's matrix."""
-    reps, classes = class_representatives(group), conjugacy_classes(group)
-    factors = invariants._class_factors(group)
+    classes, reps, _, factors = invariants._class_record(group)
     out = []
     for twist in twists:
         if twist == "trivial":
@@ -746,7 +771,8 @@ def _molien_sums_by_series(group, twists, table):
         total = HilbertSeries(0)
         for rep, cls, fs, w in zip(reps, classes, factors, weights):
             if w:
-                total = total + HilbertSeries._of(*invariants._element_term(group, rep, fs)) * (w * len(cls))
+                term = invariants._element_term(group.blocks, group.element_order(rep), fs)
+                total = total + HilbertSeries._of(*term) * (w * len(cls))
         out.append(total * Fraction(1, group.order))
     return out
 
@@ -767,15 +793,43 @@ def test_class_pass_matches_the_sequential_series_sum(name):
 
 @pytest.mark.parametrize("name", ["sigma3_standard", "taf_d6_alphabeta", "s4", "b3", "mixed"])
 def test_class_pass_adds_no_series_objects(name, monkeypatch):
+    # On a fresh group, the classes, pseudoreflections, symmetric powers and
+    # class terms build no LaurentPolynomial: only the totals are wrapped, last.
     group, table = _in_test_or_fixture_group(name)
     twists = ["trivial", "det", *(table.names if table else ())]
     expected = _shapes(_molien_sums_by_series(group, twists, table))
+    reflections, characters = pseudoreflection_count(group), sym_power_characters(group, 12)
+    object.__setattr__(group, "_classes", None)
+    init, of, wrap = LaurentPolynomial.__init__, LaurentPolynomial._of.__func__, HilbertSeries._of.__func__
+    wrapping = []
 
     def refuse(self, other):
         raise AssertionError("the class pass added two HilbertSeries")
 
+    def refuse_init(self, *args):
+        if not wrapping:
+            raise AssertionError("a LaurentPolynomial was built before the totals were wrapped")
+        init(self, *args)
+
+    def refuse_of(cls, terms):
+        if not wrapping:
+            raise AssertionError("a LaurentPolynomial was wrapped before the totals were")
+        return of(cls, terms)
+
+    def wrap_total(cls, terms, degrees):
+        wrapping.append(degrees)
+        return wrap(cls, terms, degrees)
+
     monkeypatch.setattr(HilbertSeries, "__add__", refuse)
-    assert _shapes(invariants._molien_sums(group, twists, table)) == expected
+    monkeypatch.setattr(LaurentPolynomial, "__init__", refuse_init)
+    monkeypatch.setattr(LaurentPolynomial, "_of", classmethod(refuse_of))
+    monkeypatch.setattr(HilbertSeries, "_of", classmethod(wrap_total))
+    assert conjugacy_classes(group) and group._classes is not None
+    assert pseudoreflection_count(group) == reflections
+    assert sym_power_characters(group, 12) == characters
+    got = invariants._molien_sums(group, twists, table)
+    assert len(wrapping) == 2 * len(twists)
+    assert _shapes(got) == expected
 
 
 def test_class_pass_wraps_each_total_once(monkeypatch):
@@ -805,16 +859,16 @@ def test_trivial_group_generated_on_one_coordinate_keeps_tuples():
 
 @pytest.mark.parametrize(
     "name, order, factor",
-    [("c2_negation", 2, {0: 1, 1: 2}), ("sigma3_standard", 3, {0: 1, 1: 1, 2: 2})],
+    [("c2_negation", 2, (1, 2)), ("sigma3_standard", 3, (1, 1, 2))],
     ids=["1+2s", "1+s+2s^2"],
 )
 def test_class_term_refuses_a_factor_that_does_not_divide(name, order, factor):
     # A fabricated factor of the block's degree that does not divide (1 - s^order)^dim.
     group, _ = _in_test_or_fixture_group(name)
-    rep = next(r for r in class_representatives(group) if group.element_order(r) == order)
+    assert order in invariants._class_record(group)[2]
     for term in (invariants._element_term, _element_term_by_long_division):
         with pytest.raises(ArithmeticError, match="failed to divide"):
-            term(group, rep, [LaurentPolynomial(factor)])
+            term(group.blocks, order, [factor])
 
 
 @pytest.mark.parametrize("name", GROUP_FIXTURES)
@@ -1508,8 +1562,8 @@ def test_conjugated_group_keeps_the_exact_scalar_rule():
     assert any(type(x) is Fraction for v in group.orbit for x in v)
     for m in group.generators + tuple(element_matrix(group, i) for i in class_representatives(group)):
         assert all(in_exact_form(x) for row in m for x in row)
-    for factors in invariants._class_factors(group):
-        assert all(in_exact_form(c) for f in factors for _, c in f.terms())
+    for factors in invariants._class_record(group)[3]:
+        assert all(type(c) is int for f in factors for c in f)
     for degree in range(9):
         basis = invariant_basis(group, degree)
         assert all(in_exact_form(c) for poly in basis for c in poly.values()), degree

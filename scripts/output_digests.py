@@ -28,6 +28,11 @@ The commands are:
   twist, ``descent`` and ``sympow``, in text and with ``--json``.  No
   bundled fixture has a second block, where the det weight is a product
   over the blocks and ``sympow`` divides by each block's factor in turn.
+- after those, ``hilbert`` at each ``--max-degree`` of ``SPARSE_DEGREES``,
+  in text and with ``--json``, on two ring files: one of Krull dimension 0
+  (a generator of degree 2, a relation of degree 4), whose series 1 + t^2
+  leaves every piece after the first without a row, and one on generators
+  of degrees 3 and 1000, whose later pieces skip irregular runs of zeros.
 
 Each runs in-process through ``gorenstein_kit.cli.main``, imported from the
 ``PYTHONPATH``.  The workload input files are written under this checkout's
@@ -64,6 +69,9 @@ WINDOW_DEGREES = (1022, 1023, 1024, 2048, 200_000)
 # Windows of 999, 1000, 1001, 2000 and 2001 coefficients, on either side of
 # the end of the first and the second piece.
 PIECE_DEGREES = (998, 999, 1000, 1999, 2000)
+# Windows of one piece, of two with one coefficient in the second, of three
+# and of 21, on the two sparse ring files.
+SPARSE_DEGREES = (999, 1000, 2000, 20000)
 
 sys.path.insert(0, str(ROOT / "bench"))
 import inputs  # noqa: E402
@@ -145,6 +153,19 @@ def two_block_argvs(work_dir: Path) -> list[list[str]]:
     return [command + flag for command in commands for flag in ([], ["--json"])]
 
 
+def sparse_argvs(work_dir: Path) -> list[list[str]]:
+    """The sparse-window commands, each in text and with --json; the ring
+    files they read are written under ``work_dir``."""
+    work_dir.mkdir(parents=True, exist_ok=True)
+    finite, gaps = work_dir / "finite.ring", work_dir / "gaps.ring"
+    finite.write_text("[ring]\nname = finite\ngenerator = x 2\nrelation = f 4\n")
+    gaps.write_text("[ring]\nname = gaps\ngenerator = x 3\ngenerator = y 1000\n")
+    return [
+        ["hilbert", str(ring), "--max-degree", str(degree)] + flag
+        for ring in (finite, gaps) for degree in SPARSE_DEGREES for flag in ([], ["--json"])
+    ]
+
+
 def digest_line(main, label: str, argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -181,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(digest_line(cli.main, label.replace(f"{ROOT}/", ""), command))
         for command in window_argvs(PIECE_DEGREES):
             print(digest_line(cli.main, " ".join(command), command))
-        for command in two_block_argvs(WORK_DIR / "two_blocks"):
+        for command in two_block_argvs(WORK_DIR / "two_blocks") + sparse_argvs(WORK_DIR / "sparse"):
             print(digest_line(cli.main, " ".join(command).replace(f"{ROOT}/", ""), command))
     finally:
         shutil.rmtree(WORK_DIR, ignore_errors=True)

@@ -23,7 +23,10 @@ in text mode and stamps ``"schema": "gorenstein-kit/<subcommand>/1"`` on
 every JSON payload, renders the coefficient window of ``hilbert`` and
 ``molien`` in pieces of a bounded number of coefficients, so that no
 window is ever one string, writes the output as pieces in one
-``writelines`` call and sets the exit status.  Only ``sympow``
+``writelines`` call and sets the exit status.  Text and JSON windows
+render every piece after the first from one literal-index template
+(`_literal_index_template`); the text drops the rows of zero
+coefficients with ``itertools.compress``.  Only ``sympow``
 and ``molien --twist <name>`` read a character table, so only they check
 the group file's table (``GroupInputRecord.table``); ``invgen``,
 ``descent`` and the trivial and det twists print nothing that depends on
@@ -37,7 +40,7 @@ import json
 import os
 import sys
 import warnings
-from itertools import chain
+from itertools import chain, compress
 
 from .dataset import TABLE_ROWS, load_group_fixture, load_ring_fixture
 from .descent import check_grading, cross_check_invariant_shift, descent_report
@@ -70,8 +73,8 @@ MAX_WINDOW_DEGREE = 200_000
 # Largest sympow --n: every power up to it is decomposed and printed.
 MAX_SYMPOW_N = 20_000
 # Coefficients per piece of a rendered window, so that no window is ever
-# held as one string.  1000, so that every index of a JSON piece after the
-# first is the piece's number followed by three digits (`_window_json`).
+# held as one string.  1000, so that every index of a piece after the first
+# is the piece's number followed by three digits (`_literal_index_template`).
 _WINDOW_CHUNK = 1000
 
 
@@ -123,14 +126,38 @@ def _module_json(m: GradedModuleSeries, lo: int, hi: int) -> dict:
     }
 
 
+def _literal_index_template(row: str) -> str:
+    """``row`` once for each index 000 .. 999, in order, its ``@`` followed
+    by the index: the rows of every window piece after the first, text or
+    JSON.  The renderers replace ``@`` by the piece number P, as every index
+    in piece P >= 1 is P followed by three digits, so no index there is
+    converted to a string on its own.  Each pass puts ten copies of the
+    string so far side by side, the k-th with the digit k written right
+    after ``@``, so the digit written last leads."""
+    for _ in range(3):  # @0..@9, then @00..@99, then @000..@999
+        row = "".join([row.replace("@", "@" + d) for d in "0123456789"])
+    return row
+
+
 def _window_lines(coefficients: list) -> list[str]:
     """Text rows ``    t^k: c`` of a coefficient window from degree 0, zeros
-    skipped, each after its own newline, joined in pieces of `_WINDOW_CHUNK`
-    coefficients."""
-    return [
-        "".join([f"\n    t^{k}: {c}" for k, c in enumerate(coefficients[lo:lo + _WINDOW_CHUNK], lo) if c])
-        for lo in range(0, len(coefficients), _WINDOW_CHUNK)
-    ]
+    skipped, each after its own newline, in pieces of `_WINDOW_CHUNK`
+    coefficients: the first one f-string per row, every later one the
+    `_literal_index_template` rows that ``itertools.compress`` keeps for the
+    nonzero coefficients, with one ``str.replace`` of the piece number and
+    one ``%`` format of those coefficients (``%s`` of an int or Fraction is
+    ``str(c)``)."""
+    first = coefficients[:_WINDOW_CHUNK]
+    pieces = ["".join([f"\n    t^{k}: {c}" for k, c in enumerate(first) if c])]
+    if len(coefficients) > _WINDOW_CHUNK:
+        # NUL ends each row and occurs nowhere else; `compress` never reaches
+        # the empty string the split leaves last, as no chunk exceeds 1000.
+        rows = _literal_index_template("\n    t^@: %s\0").split("\0")
+        for lo in range(_WINDOW_CHUNK, len(coefficients), _WINDOW_CHUNK):
+            chunk = coefficients[lo:lo + _WINDOW_CHUNK]
+            piece = "".join(compress(rows, chunk)).replace("@", str(lo // _WINDOW_CHUNK))
+            pieces.append(piece % tuple(filter(None, chunk)))
+    return pieces
 
 
 def _window_json(coefficients: list) -> list[str]:
@@ -139,17 +166,13 @@ def _window_json(coefficients: list) -> list[str]:
     format call per piece.  ``%s`` of an int or Fraction is ``str(c)``,
     digits, ``-`` and ``/`` only, which need no escaping.
 
-    The first piece formats its indices 0, 1, ... with ``%d``.  Every index
-    in piece P >= 1 is P followed by three digits, so those pieces share one
-    template with literal indices ``@000`` .. ``@999``, built a digit at a
-    time, in which ``@`` is replaced by P: no index of a later piece is
-    converted to a string on its own."""
+    The first piece formats its indices 0, 1, ... with ``%d``.  Every later
+    piece is the `_literal_index_template` of one pair, cut to the piece's
+    length, with ``@`` replaced by the piece number."""
     first = coefficients[:_WINDOW_CHUNK]
     pieces = ["[", ", ".join(['[%d, "%s"]'] * len(first)) % tuple(chain.from_iterable(enumerate(first)))]
     if len(coefficients) > _WINDOW_CHUNK:
-        template = ', [@, "%s"]'
-        for _ in range(3):  # a digit before each index: @0..@9, then @00..@99, then @000..@999
-            template = "".join([template.replace("@", "@" + d) for d in "0123456789"])
+        template = _literal_index_template(', [@, "%s"]')
         width = len(template) // _WINDOW_CHUNK  # every pair takes the same width
         for lo in range(_WINDOW_CHUNK, len(coefficients), _WINDOW_CHUNK):
             chunk = coefficients[lo:lo + _WINDOW_CHUNK]

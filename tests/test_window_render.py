@@ -39,6 +39,15 @@ STRADDLING_SIZES = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
 PARTIAL_SIZES = (1023, 1024, 1025, 2049)
 MAX_DEGREES = (0, 1, 40, 20000, *(n - 1 for n in STRADDLING_SIZES + PARTIAL_SIZES))
 TEXT_MAX_DEGREES = (0, 40, *(n - 1 for n in STRADDLING_SIZES + PARTIAL_SIZES))
+# Rings the text tests write: Krull dimension 0, whose series 1 + t^2
+# leaves every piece after the first empty, and generators of degrees 3 and
+# 1000, whose gcd 1 leaves irregular runs of zeros inside later pieces.
+WRITTEN_RINGS = {
+    "finite": "[ring]\nname = finite\ngenerator = x 2\nrelation = f 4\n",
+    "gaps": "[ring]\nname = gaps\ngenerator = x 3\ngenerator = y 1000\n",
+}
+# 100000 reaches piece 100, the first piece number with three digits.
+WRITTEN_RING_MAX_DEGREES = (*TEXT_MAX_DEGREES, 100 * CHUNK)
 
 
 def old_render(out: str, coefficients: list) -> str:
@@ -129,6 +138,30 @@ def test_molien_text_window_matches_one_join(capsys, ring, group, hi):
     check_text(capsys, ["molien", ring, group, "--twist", "det"], hi, expected)
 
 
+@pytest.mark.parametrize("hi", WRITTEN_RING_MAX_DEGREES)
+@pytest.mark.parametrize("name", WRITTEN_RINGS)
+def test_hilbert_text_window_on_written_rings_matches_one_join(capsys, tmp_path, name, hi):
+    path = tmp_path / f"{name}.ring"
+    path.write_text(WRITTEN_RINGS[name])
+    coefficients = hilbert_series(load_ring_fixture(str(path))).expand(0, hi)
+    check_text(capsys, ["hilbert", str(path)], hi, coefficients)
+    later = cli._window_lines(coefficients)[1:]
+    if name == "finite":
+        assert later == [""] * len(later)
+    else:  # 3a + 1000b misses degrees up to 1997, so no piece is empty
+        assert "" not in later
+
+
+@pytest.mark.parametrize("head,tail", [(", [", ', "%s"]'), ("\n    t^", ": %s\0")])
+def test_literal_index_template_writes_every_index_in_order(head, tail):
+    # The JSON pair and the text row, NUL-ended as `_window_lines` splits it.
+    template = cli._literal_index_template(f"{head}@{tail}")
+    rows = [f"{head}@{j:03d}{tail}" for j in range(CHUNK)]
+    assert template == "".join(rows)
+    if tail.endswith("\0"):
+        assert template.split("\0") == [row[:-1] for row in rows] + [""]
+
+
 def fraction_window(hi: int) -> list:
     # (1/2 - 3t^3 - 5/7 t^4) / (1 - t^2) = 1/2 + 1/2 t^2 - 3t^3 - 3/14 t^4 - ...:
     # Fractions, negative integers and negative Fractions, and zeros.
@@ -194,8 +227,9 @@ def test_window_at_the_cap_holds_no_container_per_coefficient(capsys):
 def test_text_window_at_the_cap_is_never_one_string(capsys):
     # The 0.94 MB text window at the cap peaked at about 10.7 MB while its
     # rows were one list, then one joined string, then that string and a
-    # newline; written in pieces it peaks at about 5.2 MB, the captured
-    # output included.  The bound is that measurement plus 1.5 MB.
+    # newline.  Written in pieces, every piece after the first formatted
+    # from the 1000 literal-index rows, it peaks at about 5.14 MB, the
+    # captured output included.  The bound is that measurement plus 1.5 MB.
     peak, out = traced_peak_at_the_cap(capsys, ["hilbert", "taf_d6"])
     assert len(out) == 939082
-    assert peak < 6_700_000
+    assert peak < 6_650_000

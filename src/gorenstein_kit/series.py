@@ -25,12 +25,12 @@ exponent -> coefficient dicts and sorted degree tuples, sized by the terms,
 never by the exponent span: :func:`_lcm` merges two denominators,
 :func:`_lift` multiplies by the factors one lacks, :func:`_over_one_minus`
 divides by one exactly and :func:`_reduce` is the reduction sweep.  Sum
-(:func:`_add`), equality (the difference has no terms) and
-``ratio_as_signed_monomial`` lift both numerators with :func:`_lift` to the
-lcm of the denominators from :func:`_lcm`, as equal series may differ there.
-Substituting t -> 1/t keeps the canonical shape with no sweep: it sends the
-residue class r mod d to -r, so 1 - t^d divides the new numerator exactly
-when it divided the old one.
+(:func:`_add`) lifts both numerators to the lcm of the denominators;
+equality and ``ratio_as_signed_monomial`` compare the two that
+:func:`_over_lcm` lifts there, as equal series may differ in shape.  There
+is no ``-``: ``a + b * -1`` subtracts.  Substituting t -> 1/t keeps the
+canonical shape with no sweep: it sends the residue class r mod d to -r, so
+1 - t^d divides the new numerator exactly when it divided the old one.
 
 All values are immutable after construction and all operations are pure, so
 objects can be shared freely between threads or tasks.
@@ -238,14 +238,6 @@ class LaurentPolynomial:
         k = operator.index(k)
         return LaurentPolynomial._of({e + k: c for e, c in self._terms.items()})
 
-    def substitute_inverse(self) -> "LaurentPolynomial":
-        """Substitute t -> 1/t, negating every exponent."""
-        return LaurentPolynomial._of({-e: c for e, c in self._terms.items()})
-
-    def substitute_negative(self) -> "LaurentPolynomial":
-        """Substitute t -> -t."""
-        return LaurentPolynomial._of({e: (c if e % 2 == 0 else -c) for e, c in self._terms.items()})
-
     def divide_exact(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial | None":
         """Return self/divisor when the division is exact, else None.
 
@@ -443,14 +435,6 @@ class HilbertSeries:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "HilbertSeries":
-        return self * -1
-
-    def __sub__(self, other: "HilbertSeries | Scalar") -> "HilbertSeries":
-        if not isinstance(other, (HilbertSeries, int, Fraction)):
-            return NotImplemented
-        return self + (-self._coerce(other))
-
     def __mul__(self, other: "HilbertSeries | Scalar") -> "HilbertSeries":
         if isinstance(other, (int, Fraction)):
             if not other:
@@ -482,19 +466,18 @@ class HilbertSeries:
         exactly when it is fixed by this substitution.
         """
         # 1/(1 + t^d) = (1 - t^d)/(1 - t^{2d}) for each odd d
-        odd = [d for d in self._denominator_degrees if d % 2]
-        num = self._numerator.substitute_negative().times_one_minus(odd)
-        degrees = [2 * d if d % 2 else d for d in self._denominator_degrees]
-        return HilbertSeries(num, degrees)
+        degrees = self._denominator_degrees
+        terms = {e: -c if e % 2 else c for e, c in self._numerator._terms.items()}
+        terms = _exact_terms(_lift(terms, [d for d in degrees if d % 2]))
+        return HilbertSeries._of(*_reduce(terms, sorted(2 * d if d % 2 else d for d in degrees)))
 
     # -- comparison and display ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (HilbertSeries, int, Fraction)):
             return NotImplemented
-        other = self._coerce(other)
-        return not _add(self._numerator._terms, self._denominator_degrees,
-                        other._numerator._terms, other._denominator_degrees, -1)[0]
+        left, right = _over_lcm(self, self._coerce(other))
+        return left == right
 
     __hash__ = None  # semantically equal series may have distinct shapes
 
@@ -511,6 +494,13 @@ class HilbertSeries:
         return f"{num}/{den}"
 
 
+def _over_lcm(a: HilbertSeries, b: HilbertSeries) -> tuple[Terms, Terms]:
+    """The numerators of a and b over the lcm of their denominators, each exact:
+    equal series may differ in shape, never here."""
+    _, lift_a, lift_b = _lcm(a._denominator_degrees, b._denominator_degrees)
+    return _exact_terms(_lift(a._numerator._terms, lift_a)), _exact_terms(_lift(b._numerator._terms, lift_b))
+
+
 def ratio_as_signed_monomial(a: HilbertSeries, b: HilbertSeries) -> tuple[int, int]:
     """Return (s, k) with a = s * t^k * b as rational functions, s = +-1.
 
@@ -521,9 +511,7 @@ def ratio_as_signed_monomial(a: HilbertSeries, b: HilbertSeries) -> tuple[int, i
         raise ValueError("ratio against the zero series")
     if a.is_zero:
         raise NotMonomialRatio("zero is not a signed monomial multiple")
-    _, lift_a, lift_b = _lcm(a._denominator_degrees, b._denominator_degrees)
-    left = _exact_terms(_lift(a._numerator._terms, lift_a))
-    right = _exact_terms(_lift(b._numerator._terms, lift_b))
+    left, right = _over_lcm(a, b)
     k = min(left) - min(right)
     s = -1 if left[min(left)] == -right[min(right)] else 1
     aligned = {e + k: s * c for e, c in right.items()}

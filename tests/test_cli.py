@@ -244,7 +244,7 @@ def test_descent_command(capsys):
     "twist, witness",
     [
         (lambda s: shifted(s, 3), "the det-twisted series is t^3 times the untwisted one, not t^2"),
-        (lambda s: -shifted(s, 2), "the det-twisted series is -t^2 times the untwisted one, not t^2"),
+        (lambda s: shifted(s, 2) * -1, "the det-twisted series is -t^2 times the untwisted one, not t^2"),
         (lambda s: shifted(s, 2) + 1, "t^2 has coefficient 1 in the first numerator and 0 in t^0"),
     ],
     ids=["wrong-power", "wrong-sign", "not-monomial"],
@@ -448,6 +448,14 @@ def test_order_cap_env_validation(capsys, monkeypatch):
     code, _, err = run(capsys, "molien", "tmf2", "sigma3_standard")
     assert code == 1
     assert "GORENSTEIN_KIT_MAX_ORDER" in err
+
+
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_order_cap_env_refuses_a_cap_below_one(capsys, monkeypatch, raw):
+    monkeypatch.setenv("GORENSTEIN_KIT_MAX_ORDER", raw)
+    code, out, err = run(capsys, "molien", "tmf2", "sigma3_standard")
+    assert (code, out) == (1, "")
+    assert f"GORENSTEIN_KIT_MAX_ORDER must be a positive integer, got {raw!r}" in err
 
 
 @pytest.mark.parametrize(

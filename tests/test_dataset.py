@@ -61,6 +61,35 @@ def test_fixture_degree_data():
     assert degrees["taf_d15"] == ((2, 6, 12), (24,))
 
 
+# The table rows whose ring is bundled, by row name, and that fixture.
+ROW_FIXTURES = {
+    "tmf(2)": "tmf2",
+    "taf_d6": "taf_d6",
+    "taf_d6^ALalpha": "taf_d6_al_alpha",
+    "taf_d6^ALbeta": "taf_d6_al_beta",
+    "taf_d6^ALalphabeta": "taf_d6_al_alphabeta",
+    "taf_d14": "taf_d14",
+    "taf_d10_sqrt2": "taf_d10_sqrt2",
+    "taf_d15": "taf_d15",
+}
+BUNDLED_ROWS = [row for row in TABLE_ROWS if row.name in ROW_FIXTURES]
+
+
+def test_every_bundled_row_is_cross_checked():
+    # tmf(2), both taf_d6 rows, the three Atkin-Lehner rows, taf_d14, taf_d10_sqrt2, taf_d15.
+    assert len(BUNDLED_ROWS) == 9
+    assert set(ROW_FIXTURES) <= {row.name for row in TABLE_ROWS}
+    assert set(ROW_FIXTURES.values()) <= set(RING_FIXTURES)
+
+
+@pytest.mark.parametrize("row", BUNDLED_ROWS, ids=lambda r: f"{r.name}@{r.prime_label}")
+def test_table_row_degrees_match_the_bundled_fixture(row):
+    # The table and the fixture files hold two copies of these degrees.
+    table, fixture = row.presentation(), load_ring_fixture(ROW_FIXTURES[row.name])
+    assert table.generator_degrees == fixture.generator_degrees
+    assert table.relation_degrees == fixture.relation_degrees
+
+
 @pytest.mark.parametrize("name", GROUP_FIXTURES)
 def test_group_fixtures_enumerate(name):
     group = load_group_fixture(name).build()

@@ -173,6 +173,11 @@ def test_brute_force_single_generator(ku):
     assert brute_force_hilbert(ku, 4) == [1, 0, 1, 0, 1]
 
 
+def test_brute_force_refuses_a_window_below_degree_zero(ku):
+    with pytest.raises(ValueError, match="window must end at a nonnegative degree"):
+        brute_force_hilbert(ku, -1)
+
+
 def test_brute_force_matches_expansion_on_hypersurface(taf_d6):
     series = hilbert_series(taf_d6)
     assert brute_force_hilbert(taf_d6, 48) == series.expand(0, 48)

@@ -1120,7 +1120,7 @@ def test_period_six_law_as_rational_functions(sigma3_group, sigma3_table):
     period = HilbertSeries(prod_one_minus([24]))
     for name, values in sigma3_table.irreducibles:
         twisted = molien_series(sigma3_group, name, table=sigma3_table).series
-        rest = twisted * period - shifted(HilbertSeries(1, [4]), 24) * values[0]
+        rest = twisted * period + shifted(HilbertSeries(1, [4]), 24) * values[0] * -1
         assert rest.denominator_degrees == ()
         assert rest.numerator.terms()[-1][0] < 24
         assert rest.numerator == LaurentPolynomial(expected[name]), name
@@ -1712,3 +1712,44 @@ def test_degrees_and_solomon_expand_no_coefficient_window(name, monkeypatch):
     solomon = verify_solomon(group)
     assert solomon.verified
     assert solomon.invariant_degrees == reports[0].polynomial_degrees
+
+
+# -- refusals that no command reaches ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: generate_group([[[-1]]], [(2, 1)], cap=0), ValueError, "cap must be at least 1"),
+        (
+            lambda: generate_group([[[-1]]], [(0, 1)]),
+            ValueError,
+            r"bad block \(0, 1\): degree and dimension must be >= 1",
+        ),
+        (
+            lambda: character_table(load_group_fixture("c2_negation").build(), [("a", (1, 1)), ("a", (1, -1))]),
+            ValueError,
+            "duplicate character name 'a'",
+        ),
+        (lambda: extract_polynomial_degrees(HilbertSeries(1, [2]), 0), ValueError, "rank must be >= 1"),
+    ],
+    ids=["cap-zero", "block-degree-zero", "duplicate-character", "rank-zero"],
+)
+def test_refusals_of_direct_calls(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_peel_stops_where_one_minus_t_to_the_e_does_not_divide():
+    # 1/(1 - t^2 + t^4) = (1 + t^2)(1 - t^6)/(1 - t^12): the peel reads e = 2
+    # off 1 - t^2 + t^4, and 1 - t^2 does not divide it.
+    series = HilbertSeries(LaurentPolynomial({0: 1, 2: 1}) * prod_one_minus([6]), [12])
+    assert series * HilbertSeries(LaurentPolynomial({0: 1, 2: -1, 4: 1})) == 1
+    for rank in (1, 2):
+        with pytest.raises(NotPolynomial, match=r"for e in \[\] leaves 1 - t\^2 \+ t\^4$"):
+            extract_polynomial_degrees(series, rank)
+
+
+def test_a_verified_solomon_check_has_no_witness():
+    solomon = verify_solomon(s4_group())
+    assert solomon.verified and solomon.witness() == ""

@@ -112,6 +112,11 @@ def test_rational_parsing():
         ("[ring]\nname = a", "at least one generator"),
         ("[ring]\nname = a\ngenerator = x 2\nregular = maybe", "'yes' or 'no'"),
         ("[ring]\nname = a\nwhat = ever", "unknown key"),
+        ("[]\nname = a", "bad.ring:1: empty section header"),
+        (
+            "[ring]\nname = a\ngenerator = x 2\nrelation = f 4\nrelation = g 6",
+            "bad.ring:1: more relations than generators",
+        ),
         ("[ring]\nname = a\nname = b\ngenerator = x 2", "bad.ring:3: key 'name' already used on line 2"),
         (
             "[ring]\nname = a\ncoefficients = Z\ngenerator = x 2\ncoefficients = Q",
@@ -148,6 +153,13 @@ def test_ring_diagnostic_carries_line_number():
         ("[generator]\nrow = 1", "starts with a [group] section"),
         ("[group]\nname = g\nblock = 2 1\n[mystery]\nrow = 1", "unknown section"),
         ("[group]\nname = g\nblock = 2 1\n[generator]\nrow = 1/0", "bad rational"),
+        ("[group]\nname = g\ncolour = red\nblock = 2 1", "bad.group:3: unknown key 'colour' in [group]"),
+        ("[group]\nname = g\nblock = 2 1\n[generator]\ncol = 1", "bad.group:5: unknown key 'col' in [generator]"),
+        (
+            "[group]\nname = g\nblock = 2 1\n[character_table]\nclass = 1",
+            "bad.group:5: unknown key 'class' in [character_table]",
+        ),
+        ("[group]\nname = g\n[generator]\nrow = 1", "bad.group:3: [generator] before any block"),
         ("[group]\nname = g\nname = h\nblock = 2 1", "bad.group:3: key 'name' already used on line 2"),
         (
             "[group]\nname = g\nblock = 2 1\n[generator]\nrow = -1\n[group]\nblock = 2 1",

@@ -212,7 +212,7 @@ def test_inverse_pair_multiplies_to_one():
 
 def test_additive_cancellation():
     s = HilbertSeries(1, [1])
-    assert (s + (-s)).is_zero
+    assert (s + s * -1).is_zero
 
 
 def test_scalar_multiplication():
@@ -233,7 +233,7 @@ nonzero_scalars = st.one_of(st.integers(-6, 6), small_fractions).filter(bool)
 @given(st.one_of(series_values, reducible_series), nonzero_scalars)
 def test_scalar_multiples_keep_the_reduced_shape(s, c):
     # 1 - t^d divides c*N exactly when it divides N, so no sweep is needed.
-    for product, scalar in ((s * c, c), (c * s, c), (-s, -1)):
+    for product, scalar in ((s * c, c), (c * s, c), (s * -1, -1)):
         expected = HilbertSeries(s.numerator.scale(scalar), s.denominator_degrees)
         assert product.numerator.terms() == expected.numerator.terms()
         assert product.denominator_degrees == expected.denominator_degrees
@@ -929,7 +929,7 @@ def _old_ratio(a, b):
 def _old_substitute_inverse(s):
     """t -> 1/t swept through the constructor, kept as the reference."""
     sign = -1 if len(s.denominator_degrees) % 2 else 1
-    num = s.numerator.substitute_inverse().shift(sum(s.denominator_degrees)).scale(sign)
+    num = LaurentPolynomial({-e: c for e, c in s.numerator.terms()}).shift(sum(s.denominator_degrees)).scale(sign)
     return HilbertSeries(num, s.denominator_degrees)
 
 
@@ -1016,3 +1016,52 @@ def test_substitute_inverse_builds_through_no_constructor(monkeypatch):
 
     monkeypatch.setattr(HilbertSeries, "__init__", refuse)
     assert [_shape(s.substitute_inverse()) for s in cases] == expected
+
+
+def _old_substitute_negative(s):
+    """t -> -t with the odd coefficients negated, lifted by times_one_minus
+    and swept through the constructor, kept as the reference."""
+    odd = [d for d in s.denominator_degrees if d % 2]
+    num = LaurentPolynomial({e: -c if e % 2 else c for e, c in s.numerator.terms()}).times_one_minus(odd)
+    return HilbertSeries(num, [2 * d if d % 2 else d for d in s.denominator_degrees])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(series_values, reducible_series, wide_series_pairs().map(lambda pair: pair[0])))
+@example(HS(LaurentPolynomial({0: 1, 1: -1}), [2, 3]))  # the sweep strips 1 - t^2: (1 + t + t^2)/(1 - t^6)
+@example(HS(LaurentPolynomial({-3: Fraction(1, 2), 4: -2}), [1, 3, 3, 4]))
+def test_substitute_negative_equals_the_old_route(s):
+    flipped = s.substitute_negative()
+    assert _shape(flipped) == _shape(_old_substitute_negative(s))
+    assert all(in_exact_form(c) for _, c in flipped.numerator.terms())
+
+
+def test_expand_rescales_a_fractional_numerator():
+    # The only route to expand's rescaling branch (scale != 1).  No command
+    # reaches it: a series with integer coefficients over prod(1 - t^d) has an
+    # integral numerator.  (1/2 - 3t^3 - (5/7)t^4)/(1 - t^2) does not.
+    numerator = {0: Fraction(1, 2), 3: Fraction(-3), 4: Fraction(-5, 7)}
+    series = HS(LaurentPolynomial(numerator), [2])
+    assert series.numerator.terms() == tuple(sorted(numerator.items()))
+    expected = [
+        sum((c for e, c in numerator.items() if e <= n and (n - e) % 2 == 0), Fraction(0))
+        for n in range(-3, 13)
+    ]
+    got = series.expand(-3, 12)
+    assert got == expected and all(map(in_exact_form, got))
+    assert got[3:8] == [Fraction(1, 2), 0, Fraction(1, 2), -3, Fraction(-3, 14)]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: LaurentPolynomial().min_exponent, ValueError, "the zero polynomial has no support"),
+        (lambda: LaurentPolynomial({1: 2}) ** -1, ValueError, "negative powers are not polynomials"),
+        (lambda: prod_one_minus([2]).divide_exact(LaurentPolynomial()), ZeroDivisionError,
+         "division by the zero polynomial"),
+    ],
+    ids=["zero-min-exponent", "negative-power", "divide-by-zero"],
+)
+def test_laurent_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -23,14 +23,13 @@ in text mode and stamps ``"schema": "gorenstein-kit/<subcommand>/1"`` on
 every JSON payload, renders the coefficient window of ``hilbert`` and
 ``molien`` in pieces of a bounded number of coefficients, so that no
 window is ever one string, writes the output as pieces in one
-``writelines`` call and sets the exit status.  Text and JSON windows
-render every piece after the first from one literal-index template
-(`_literal_index_template`); the text drops the rows of zero
-coefficients with ``itertools.compress``.  Only ``sympow``
-and ``molien --twist <name>`` read a character table, so only they check
-the group file's table (``GroupInputRecord.table``); ``invgen``,
-``descent`` and the trivial and det twists print nothing that depends on
-it.
+``writelines`` call and sets the exit status.  One row builder and
+piece loop (`_window_pieces`) renders every piece of both windows; text
+and JSON differ only in their row and in that the text drops the rows of
+zero coefficients.  Only ``sympow`` and ``molien --twist <name>`` read a
+character table, so only they check the group file's table
+(``GroupInputRecord.table``); ``invgen``, ``descent`` and the trivial and
+det twists print nothing that depends on it.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import json
 import os
 import sys
 import warnings
-from itertools import chain, compress
+from itertools import compress
 
 from .dataset import TABLE_ROWS, load_group_fixture, load_ring_fixture
 from .descent import check_grading, cross_check_invariant_shift, descent_report
@@ -74,7 +73,7 @@ MAX_WINDOW_DEGREE = 200_000
 MAX_SYMPOW_N = 20_000
 # Coefficients per piece of a rendered window, so that no window is ever
 # held as one string.  1000, so that every index of a piece after the first
-# is the piece's number followed by three digits (`_literal_index_template`).
+# is the piece's number followed by three digits (`_window_pieces`).
 _WINDOW_CHUNK = 1000
 
 
@@ -85,7 +84,7 @@ def _order_cap() -> int:
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"{MAX_ORDER_ENV} must be a positive integer, got {raw!r}")
+        cap = 0  # not an integer: refused as a cap below 1
     if cap < 1:
         raise ValueError(f"{MAX_ORDER_ENV} must be a positive integer, got {raw!r}")
     return cap
@@ -126,58 +125,38 @@ def _module_json(m: GradedModuleSeries, lo: int, hi: int) -> dict:
     }
 
 
-def _literal_index_template(row: str) -> str:
-    """``row`` once for each index 000 .. 999, in order, its ``@`` followed
-    by the index: the rows of every window piece after the first, text or
-    JSON.  The renderers replace ``@`` by the piece number P, as every index
-    in piece P >= 1 is P followed by three digits, so no index there is
-    converted to a string on its own.  Each pass puts ten copies of the
-    string so far side by side, the k-th with the digit k written right
-    after ``@``, so the digit written last leads."""
-    for _ in range(3):  # @0..@9, then @00..@99, then @000..@999
-        row = "".join([row.replace("@", "@" + d) for d in "0123456789"])
-    return row
+def _window_pieces(coefficients: list, row: str, skip_zeros: bool = False) -> list[str]:
+    """``row`` once for each coefficient of a window from degree 0, ``@``
+    written as its index and ``%s`` as the coefficient (``str(c)`` of an int
+    or Fraction), in pieces of `_WINDOW_CHUNK` coefficients, without the rows
+    of zero coefficients if ``skip_zeros``.
 
-
-def _window_lines(coefficients: list) -> list[str]:
-    """Text rows ``    t^k: c`` of a coefficient window from degree 0, zeros
-    skipped, each after its own newline, in pieces of `_WINDOW_CHUNK`
-    coefficients: the first one f-string per row, every later one the
-    `_literal_index_template` rows that ``itertools.compress`` keeps for the
-    nonzero coefficients, with one ``str.replace`` of the piece number and
-    one ``%`` format of those coefficients (``%s`` of an int or Fraction is
-    ``str(c)``)."""
-    first = coefficients[:_WINDOW_CHUNK]
-    pieces = ["".join([f"\n    t^{k}: {c}" for k, c in enumerate(first) if c])]
-    if len(coefficients) > _WINDOW_CHUNK:
-        # NUL ends each row and occurs nowhere else; `compress` never reaches
-        # the empty string the split leaves last, as no chunk exceeds 1000.
-        rows = _literal_index_template("\n    t^@: %s\0").split("\0")
-        for lo in range(_WINDOW_CHUNK, len(coefficients), _WINDOW_CHUNK):
-            chunk = coefficients[lo:lo + _WINDOW_CHUNK]
-            piece = "".join(compress(rows, chunk)).replace("@", str(lo // _WINDOW_CHUNK))
-            pieces.append(piece % tuple(filter(None, chunk)))
-    return pieces
-
-
-def _window_json(coefficients: list) -> list[str]:
-    """JSON text of ``[[k, str(c)] for k, c in enumerate(coefficients)]``, as
-    ``json.dumps`` writes it, in pieces of at most `_WINDOW_CHUNK` pairs: one
-    format call per piece.  ``%s`` of an int or Fraction is ``str(c)``,
-    digits, ``-`` and ``/`` only, which need no escaping.
-
-    The first piece formats its indices 0, 1, ... with ``%d``.  Every later
-    piece is the `_literal_index_template` of one pair, cut to the piece's
-    length, with ``@`` replaced by the piece number."""
-    first = coefficients[:_WINDOW_CHUNK]
-    pieces = ["[", ", ".join(['[%d, "%s"]'] * len(first)) % tuple(chain.from_iterable(enumerate(first)))]
-    if len(coefficients) > _WINDOW_CHUNK:
-        template = _literal_index_template(', [@, "%s"]')
-        width = len(template) // _WINDOW_CHUNK  # every pair takes the same width
-        for lo in range(_WINDOW_CHUNK, len(coefficients), _WINDOW_CHUNK):
-            chunk = coefficients[lo:lo + _WINDOW_CHUNK]
-            pieces.append(template[:width * len(chunk)].replace("@", str(lo // _WINDOW_CHUNK)) % tuple(chunk))
-    pieces.append("]")
+    No index is converted on its own.  Each digit pass puts copies of the
+    rows so far side by side, the k-th with the digit k written right after
+    ``@`` (so the digit written last leads), as many as the window reaches.
+    Piece 0 takes its indices below 10, 100 and 1000 from passes 1, 2 and 3
+    with ``@`` dropped; piece P >= 1 takes pass 3 with ``@`` replaced by P.
+    Each piece is the join of its rows (those ``itertools.compress`` keeps
+    if ``skip_zeros``; else, after piece 0, a cut of pass 3 joined once),
+    one ``str.replace`` and one ``%`` format."""
+    rows, piece_rows = [row], []
+    for reach in (0, 10, 100):  # @0..@9, then @00..@99, then @000..@999
+        if len(coefficients) <= reach:
+            break
+        digits = "0123456789"[:-(-len(coefficients) // len(rows))]
+        rows = [r.replace("@", at) for at in ["@" + d for d in digits] for r in rows]
+        piece_rows += rows[reach:]
+    template = "".join(rows)
+    pieces = []
+    for lo in range(0, len(coefficients), _WINDOW_CHUNK):
+        chunk = coefficients[lo:lo + _WINDOW_CHUNK]
+        if skip_zeros:
+            kept, values = "".join(compress(piece_rows, chunk)), tuple(filter(None, chunk))
+        else:  # every row of pass 3 has one width
+            kept = template[:len(template) // len(rows) * len(chunk)] if lo else "".join(piece_rows[:len(chunk)])
+            values = tuple(chunk)
+        pieces.append(kept.replace("@", str(lo // _WINDOW_CHUNK or "")) % values)
+        piece_rows = rows  # every piece after the first: pass 3
     return pieces
 
 
@@ -548,13 +527,14 @@ def main(argv: list[str] | None = None) -> int:
         text = json.dumps({**output, "schema": f"{SCHEMA_PREFIX}/{args.command}/1"}, sort_keys=True)
         pieces = [text]
         if window is not None:  # sort_keys puts "coefficients" ahead of every other key
-            pieces = ['{"coefficients": ', *_window_json(window), ", " + text[1:]]
+            first, *rest = _window_pieces(window, ', [@, "%s"]')  # first[2:] drops its ", "
+            pieces = ['{"coefficients": [', first[2:], *rest, "], " + text[1:]]
     else:
         lines = output if p is None else _ring_header(p) + output
         rows = []
         if window is not None:
             lines.append(f"  coefficients 0..{args.max_degree}:")
-            rows = _window_lines(window)
+            rows = _window_pieces(window, "\n    t^@: %s", skip_zeros=True)
         pieces = ["\n".join(lines), *rows]
     _emit(pieces)
     return 0 if all_pass else 1

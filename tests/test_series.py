@@ -867,7 +867,7 @@ def test_merged_lcm_equals_the_counter_lcm(a, b):
 
 
 @st.composite
-def lattice_series(draw, stride, offset):
+def sparse_lattice_series(draw, stride, offset):
     """A sparse (terms, degrees) pair: exponents offset + stride*m + j with
     small m and j in 0..2, some denominator factors planted in the terms,
     degrees stride times 1..6.  Every quotient the sweep can take stays a
@@ -882,7 +882,7 @@ def lattice_series(draw, stride, offset):
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.sampled_from([1, 2, 7, 10**9 - 7, 10**9]), st.integers(-(10**9), 10**9), mixed_coeffs)
 def test_kernel_lift_add_and_sweep_equal_the_old_route(data, stride, offset, scale):
-    (a, a_degrees), (b, b_degrees) = (data.draw(lattice_series(stride, offset)) for _ in range(2))
+    (a, a_degrees), (b, b_degrees) = (data.draw(sparse_lattice_series(stride, offset)) for _ in range(2))
     lifted = LaurentPolynomial._of(a).times_one_minus(b_degrees)
     assert dict(lifted.terms()) == _old_times_one_minus(a, b_degrees)
     swept, kept = _reduce(a, a_degrees)
@@ -943,9 +943,9 @@ def wide_series_pairs(draw):
     sometimes a signed power of t times the first over more factors."""
     stride = draw(st.sampled_from([1, 7, 10**9 - 7, 10**9]))
     offset = draw(st.integers(-(10**9), 10**9))
-    terms, degrees = draw(lattice_series(stride, offset))
+    terms, degrees = draw(sparse_lattice_series(stride, offset))
     a = HS(LaurentPolynomial(terms), degrees)
-    terms, degrees = draw(lattice_series(stride, offset))
+    terms, degrees = draw(sparse_lattice_series(stride, offset))
     if draw(st.booleans()) and not a.is_zero:
         sign, k = draw(st.sampled_from([1, -1])), draw(st.integers(-(10**9), 10**9))
         return a, HS(a.numerator.shift(k).scale(sign).times_one_minus(degrees), a.denominator_degrees + degrees)

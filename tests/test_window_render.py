@@ -37,8 +37,12 @@ STRADDLING_SIZES = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
 # Windows that end 23 to 25 coefficients into a second piece, and 49 into a
 # third.
 PARTIAL_SIZES = (1023, 1024, 1025, 2049)
-MAX_DEGREES = (0, 1, 40, 20000, *(n - 1 for n in STRADDLING_SIZES + PARTIAL_SIZES))
-TEXT_MAX_DEGREES = (0, 40, *(n - 1 for n in STRADDLING_SIZES + PARTIAL_SIZES))
+# Windows of 10, 11, 100 and 101 coefficients: the first piece's rows come
+# from the digit passes for indices below 10, 100 and 1000, and these sizes
+# end on and just past the boundaries between them.
+PASS_SIZES = (10, 11, 100, 101)
+MAX_DEGREES = (0, 1, 40, 20000, *(n - 1 for n in PASS_SIZES + STRADDLING_SIZES + PARTIAL_SIZES))
+TEXT_MAX_DEGREES = (0, 40, *(n - 1 for n in PASS_SIZES + STRADDLING_SIZES + PARTIAL_SIZES))
 # Rings the text tests write: Krull dimension 0, whose series 1 + t^2
 # leaves every piece after the first empty, and generators of degrees 3 and
 # 1000, whose gcd 1 leaves irregular runs of zeros inside later pieces.
@@ -48,6 +52,9 @@ WRITTEN_RINGS = {
 }
 # 100000 reaches piece 100, the first piece number with three digits.
 WRITTEN_RING_MAX_DEGREES = (*TEXT_MAX_DEGREES, 100 * CHUNK)
+# The rows `main` hands `cli._window_pieces` for a text and a --json window.
+TEXT_ROW = "\n    t^@: %s"
+JSON_ROW = ', [@, "%s"]'
 
 
 def old_render(out: str, coefficients: list) -> str:
@@ -55,6 +62,12 @@ def old_render(out: str, coefficients: list) -> str:
     payload = json.loads(out)
     payload["coefficients"] = [[k, str(c)] for k, c in enumerate(coefficients)]
     return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def json_window(coefficients: list) -> str:
+    """The --json window as `main` writes it: its pieces in brackets, without
+    the ", " ahead of the first pair."""
+    return "[" + "".join(cli._window_pieces(coefficients, JSON_ROW))[2:] + "]"
 
 
 def old_text_window(hi: int, coefficients: list) -> str:
@@ -145,7 +158,7 @@ def test_hilbert_text_window_on_written_rings_matches_one_join(capsys, tmp_path,
     path.write_text(WRITTEN_RINGS[name])
     coefficients = hilbert_series(load_ring_fixture(str(path))).expand(0, hi)
     check_text(capsys, ["hilbert", str(path)], hi, coefficients)
-    later = cli._window_lines(coefficients)[1:]
+    later = cli._window_pieces(coefficients, TEXT_ROW, skip_zeros=True)[1:]
     if name == "finite":
         assert later == [""] * len(later)
     else:  # 3a + 1000b misses degrees up to 1997, so no piece is empty
@@ -154,12 +167,17 @@ def test_hilbert_text_window_on_written_rings_matches_one_join(capsys, tmp_path,
 
 @pytest.mark.parametrize("head,tail", [(", [", ', "%s"]'), ("\n    t^", ": %s\0")])
 def test_literal_index_template_writes_every_index_in_order(head, tail):
-    # The JSON pair and the text row, NUL-ended as `_window_lines` splits it.
-    template = cli._literal_index_template(f"{head}@{tail}")
-    rows = [f"{head}@{j:03d}{tail}" for j in range(CHUNK)]
-    assert template == "".join(rows)
-    if tail.endswith("\0"):
-        assert template.split("\0") == [row[:-1] for row in rows] + [""]
+    # The JSON pair and the text row, NUL-ended so that the output splits
+    # into its rows.  Pieces 0, 1 and 2, each index k written in the row of
+    # the coefficient k + 1; no coefficient is zero, so skipping zeros keeps
+    # every row.
+    size = 3 * CHUNK
+    rows = [f"{head}{k}{tail}" % (k + 1) for k in range(size)]
+    for skip_zeros in (False, True):
+        pieces = cli._window_pieces(list(range(1, size + 1)), f"{head}@{tail}", skip_zeros)
+        assert pieces == ["".join(rows[lo:lo + CHUNK]) for lo in range(0, size, CHUNK)]
+        if tail.endswith("\0"):
+            assert "".join(pieces).split("\0") == [row[:-1] for row in rows] + [""]
 
 
 def fraction_window(hi: int) -> list:
@@ -175,25 +193,27 @@ def test_window_json_renders_fractions_and_negative_coefficients():
     assert any(c < 0 and type(c) is int for c in window)
     assert any(c < 0 and type(c) is Fraction for c in window)
     assert 0 in window
-    assert "".join(cli._window_json(window)) == json.dumps([[k, str(c)] for k, c in enumerate(window)])
-    assert "".join(cli._window_json([])) == json.dumps([])
+    assert json_window(window) == json.dumps([[k, str(c)] for k, c in enumerate(window)])
+    assert cli._window_pieces([], JSON_ROW) == []
+    assert json_window([]) == json.dumps([])
 
 
 def test_window_lines_skip_zeros():
-    assert "".join(cli._window_lines([1, 0, -2, Fraction(1, 3)])) == "\n    t^0: 1\n    t^2: -2\n    t^3: 1/3"
+    rows = cli._window_pieces([1, 0, -2, Fraction(1, 3)], TEXT_ROW, skip_zeros=True)
+    assert "".join(rows) == "\n    t^0: 1\n    t^2: -2\n    t^3: 1/3"
 
 
-@pytest.mark.parametrize("size", (1, *STRADDLING_SIZES, *PARTIAL_SIZES, 100 * CHUNK + 1))
+@pytest.mark.parametrize("size", (1, *PASS_SIZES, *STRADDLING_SIZES, *PARTIAL_SIZES, 100 * CHUNK + 1))
 def test_window_pieces_hold_at_most_one_chunk(size):
     # Positive and negative Fractions, negative ints and zeros; the longest
     # window's last piece is piece 100, the first with a three-digit number.
     window = fraction_window(size - 1)
-    pieces = cli._window_json(window)
-    assert "".join(pieces) == json.dumps([[k, str(c)] for k, c in enumerate(window)])
+    assert json_window(window) == json.dumps([[k, str(c)] for k, c in enumerate(window)])
+    pieces = cli._window_pieces(window, JSON_ROW)
     chunks = -(-size // CHUNK)
-    assert pieces[0] == "[" and pieces[-1] == "]" and len(pieces) == chunks + 2
-    assert [piece.count("[") for piece in pieces[1:-1]] == [min(CHUNK, size - lo) for lo in range(0, size, CHUNK)]
-    rows = cli._window_lines(window)
+    assert len(pieces) == chunks
+    assert [piece.count("[") for piece in pieces] == [min(CHUNK, size - lo) for lo in range(0, size, CHUNK)]
+    rows = cli._window_pieces(window, TEXT_ROW, skip_zeros=True)
     assert "".join(rows) == "".join(f"\n    t^{k}: {c}" for k, c in enumerate(window) if c)
     assert len(rows) == chunks
     assert max(row.count("\n") for row in rows) <= CHUNK

@@ -33,13 +33,21 @@ The commands are:
   (a generator of degree 2, a relation of degree 4), whose series 1 + t^2
   leaves every piece after the first without a row, and one on generators
   of degrees 3 and 1000, whose later pieces skip irregular runs of zeros.
+- at the end, ``USAGE_ARGVS``: how ``cli`` reads its arguments, on help
+  requests, usage errors (no arguments, an unknown command, a missing ring,
+  group or ``--n``, an extra positional, an unknown option, an option
+  before the command, counts below zero or above their caps), an
+  abbreviated ``--max-degree``, arguments after ``--``, and one valid line
+  per subcommand.  Help exits 0 and a usage error 2.
 
 Each runs in-process through ``gorenstein_kit.cli.main``, imported from the
 ``PYTHONPATH``.  The workload input files are written under this checkout's
 ``.bench_work/output_digests`` and removed afterwards; the same checkout
 writes them to the same paths for any source tree, and the output and
 labels name them relative to the checkout's root, so two checkouts' lines
-can be compared directly.  Usage, from the root of a checkout::
+can be compared directly.  ``COLUMNS`` is 80 during each command, so that
+help and usage text wrap alike in a terminal and out of one.  Usage, from
+the root of a checkout::
 
     PYTHONPATH=src python3 scripts/output_digests.py --seeds 3 11 > change.txt
     PYTHONPATH=/path/to/parent/src python3 scripts/output_digests.py --seeds 3 11 > parent.txt
@@ -72,6 +80,22 @@ PIECE_DEGREES = (998, 999, 1000, 1999, 2000)
 # Windows of one piece, of two with one coefficient in the second, of three
 # and of 21, on the two sparse ring files.
 SPARSE_DEGREES = (999, 1000, 2000, 20000)
+USAGE_ARGVS = (
+    [], ["-h"], ["hilbert", "--help"], ["shift", "ku", "-h"], ["no-such-command"], ["--json", "shift", "ku"],
+    ["hilbert"], ["molien", "tmf2"], ["sympow", "tmf2", "sigma3_standard"], ["shift", "ku", "extra"],
+    ["shift", "ku", "--bogus"], ["hilbert", "ku", "--max", "5"],
+    ["hilbert", "--", "ku"], ["hilbert", "--", "--json"],
+    ["hilbert", "ku", "--max-degree", "-3"], ["hilbert", "ku", "--max-degree", "200001"],
+    ["molien", "tmf2", "sigma3_standard", "--max-degree", "-1"],
+    ["molien", "tmf2", "sigma3_standard", "--max-degree", "200001"],
+    ["sympow", "tmf2", "sigma3_standard", "--n", "-1"], ["sympow", "tmf2", "sigma3_standard", "--n", "20001"],
+    ["invgen", "tmf2", "sigma3_standard", "--degree", "-4"],
+    ["invgen", "ku", "c2_negation", "--degree", "200001"],
+    ["hilbert", "ku", "--max-degree", "12"], ["shift", "taf_d15", "--json"], ["duality", "taf_d6"],
+    ["molien", "tmf2", "sigma3_standard", "--twist", "det", "--json"],
+    ["sympow", "tmf2", "sigma3_standard", "--n", "4"], ["invgen", "ku", "c2_negation", "--degree", "6"],
+    ["descent", "taf_d6", "taf_d6_alpha"], ["table", "--json"],
+)
 
 sys.path.insert(0, str(ROOT / "bench"))
 import inputs  # noqa: E402
@@ -168,11 +192,14 @@ def sparse_argvs(work_dir: Path) -> list[list[str]]:
 
 def digest_line(main, label: str, argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+    # argparse wraps help and usage to $COLUMNS, else to the terminal's width;
+    # 80 is its width when standard output is not a terminal.
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
     # Paths under this checkout are hashed relative to its root, so that two
     # checkouts at different places print the same lines.
     texts = (stream.getvalue().replace(f"{ROOT}/", "") for stream in (out, err))
@@ -204,6 +231,8 @@ def main(argv: list[str] | None = None) -> int:
             print(digest_line(cli.main, " ".join(command), command))
         for command in two_block_argvs(WORK_DIR / "two_blocks") + sparse_argvs(WORK_DIR / "sparse"):
             print(digest_line(cli.main, " ".join(command).replace(f"{ROOT}/", ""), command))
+        for command in USAGE_ARGVS:
+            print(digest_line(cli.main, " ".join(["gorenstein-kit", *command]), command))
     finally:
         shutil.rmtree(WORK_DIR, ignore_errors=True)
     return 0

@@ -13,6 +13,10 @@ overrides the group-enumeration cap.
 Exit status is 0 on success (for ``table``: all rows PASS), 1 on a
 computation or input error, 2 on bad usage.  A warning, such as a failed
 regularity check, is one ``warning: <Name>: <message>`` line on stderr.
+When the first argument names a subcommand, its own parser reads the rest
+and the top parser only refuses what it leaves (`_parse_args`); anything
+else goes to the top parser.  Help, usage errors and the namespace are
+argparse's either way.
 
 Each ``cmd_*`` function returns its output and writes nothing: a JSON
 payload, or the text lines after the ring header, built only for the mode
@@ -447,6 +451,10 @@ def sympow_power(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="gorenstein-kit",
         description=(
@@ -484,11 +492,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("descent", cmd_descent, "descended shift prediction for a ring of invariants", "ring", "group")
     add("table", cmd_table, "recompute the bundled twelve-row example table")
-    return parser
+    return parser, sub.choices
 
 
 # Built once: in-process callers of main parse many argument lists.
-_PARSER = build_parser()
+_PARSER, _SUBPARSERS = _build_parsers()
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, with the arguments after a subcommand's
+    name read once, by that subcommand's parser."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _SUBPARSERS.get(argv[0]) if argv else None
+    if parser is None:
+        return _PARSER.parse_args(argv)
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -499,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: parse, load the ring and the group, compute,
     write stdout in one call.  Returns the exit status; bad usage exits 2 from
     argparse."""
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:

@@ -10,6 +10,7 @@ only when rendering a PASS/FAIL comparison.  The fixture lists are read off
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import NamedTuple
 
@@ -18,7 +19,9 @@ from .records import GroupInputRecord, parse_group_record, parse_ring_record
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
-_FILE_NAMES = sorted(path.name for path in DATA_DIR.iterdir())
+_FILE_NAMES = sorted(os.listdir(DATA_DIR))
+_BUNDLED = frozenset(_FILE_NAMES)
+_DATA_PREFIX = f"{DATA_DIR}{os.sep}"
 RING_FIXTURES = tuple(n.removesuffix(".ring") for n in _FILE_NAMES if n.endswith(".ring"))
 GROUP_FIXTURES = tuple(n.removesuffix(".group") for n in _FILE_NAMES if n.endswith(".group"))
 
@@ -66,28 +69,37 @@ TABLE_ROWS: tuple[PaperTableRow, ...] = (
 
 def fixture_path(file_name: str) -> Path:
     """Path of the bundled fixture with this file name, such as ``ku.ring``."""
-    if file_name not in _FILE_NAMES:
+    if file_name not in _BUNDLED:
         available = ", ".join(_FILE_NAMES)
         raise FileNotFoundError(f"no bundled fixture {file_name!r}; available: {available}")
     return DATA_DIR / file_name
 
 
-def _input_path(arg: str, suffix: str) -> Path:
-    path = Path(arg)
-    if path.is_file():
-        return path
-    return fixture_path(arg if path.suffix else arg + suffix)
+def _read_input(arg: str, suffix: str) -> tuple[str, str]:
+    """(file, text) for ``arg`` under the rule of ``load_ring_fixture``.  A
+    file path or a bundled name (``<stem>.<kind>``, so a suffix is a dot)
+    resolves on strings; any other ``arg``, such as ``ku/`` for the file
+    ``ku`` or a name not bundled, takes the same rule through ``Path``."""
+    if os.path.isfile(arg):
+        file = str(Path(arg))
+    elif (name := arg if "." in arg else arg + suffix) in _BUNDLED:
+        file = _DATA_PREFIX + name
+    else:
+        path = Path(arg)
+        file = str(path if path.is_file() else fixture_path(arg if path.suffix else arg + suffix))
+    with open(file, "rb") as handle:
+        return file, handle.read().decode()
 
 
 def load_ring_fixture(arg: str) -> RingPresentation:
     """The ring in the file at path ``arg`` if there is one, else the bundled
     fixture ``arg``, read as ``<arg>.ring`` when ``arg`` has no suffix.  Parse
-    errors name the file as ``str(path)``."""
-    path = _input_path(arg, ".ring")
-    return parse_ring_record(path.read_text(), source=str(path))
+    errors name the file as ``str(Path(arg))`` or by its path in ``DATA_DIR``."""
+    file, text = _read_input(arg, ".ring")
+    return parse_ring_record(text, source=file)
 
 
 def load_group_fixture(arg: str) -> GroupInputRecord:
     """As ``load_ring_fixture``, for a group; the bundled file is ``<arg>.group``."""
-    path = _input_path(arg, ".group")
-    return parse_group_record(path.read_text(), source=str(path))
+    file, text = _read_input(arg, ".group")
+    return parse_group_record(text, source=file)

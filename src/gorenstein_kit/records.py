@@ -46,7 +46,7 @@ callers that read a table call it.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .graded_ring import RingPresentation
 from .invariants import (
@@ -68,20 +68,16 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _logical_lines(text: str) -> Iterator[tuple[int, str]]:
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield number, line
-
-
 def _split_sections(
     text: str, source: str
 ) -> list[tuple[str, int, list[tuple[int, str, str]]]]:
     sections: list[tuple[str, int, list[tuple[int, str, str]]]] = []
     current: list[tuple[int, str, str]] | None = None
-    for number, line in _logical_lines(text):
-        if line.startswith("[") and line.endswith("]"):
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        if line[0] == "[" and line[-1] == "]":
             header = line[1:-1].strip()
             if not header:
                 raise ParseError(source, number, "empty section header")
@@ -90,9 +86,9 @@ def _split_sections(
             continue
         if current is None:
             raise ParseError(source, number, f"content before any section: {line!r}")
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        if not equals:
             raise ParseError(source, number, f"expected 'key = value', got {line!r}")
-        key, value = line.split("=", 1)
         current.append((number, key.strip(), value.strip()))
     return sections
 

@@ -17,7 +17,9 @@ The commands are:
   (for each subcommand that takes a ring), a group with no fixture, an
   unknown ``--twist``, ``sympow`` on a group file with neither a
   ``[character_table]`` nor a built-in table, a bad
-  ``GORENSTEIN_KIT_MAX_ORDER``, and three usage errors, which exit 2.
+  ``GORENSTEIN_KIT_MAX_ORDER``, three usage errors, which exit 2, and,
+  last, ``invgen`` on two infinite groups: doubling on ``ku`` and a
+  unipotent matrix on ``tmf2``.
 - the same long-window commands at each ``--max-degree`` of
   ``PIECE_DEGREES``.  They come after the others so that the lines before
   them stay comparable with the output of a checkout whose list ended with
@@ -141,6 +143,9 @@ def error_argvs(work_dir: Path) -> list[tuple[list[str], dict[str, str]]]:
     c3.write_text("[group]\nname = c3\nblock = 4 2\n\n[generator]\nrow = 0 -1\nrow = 1 -1\n")
     base = work_dir / "base.ring"
     base.write_text("[ring]\nname = base\ngenerator = x 4\ngenerator = y 4\n")
+    doubling, unipotent = work_dir / "doubling.group", work_dir / "unipotent.group"
+    doubling.write_text("[group]\nname = doubling\nblock = 2 1\n\n[generator]\nrow = 2\n")
+    unipotent.write_text("[group]\nname = unipotent\nblock = 4 2\n\n[generator]\nrow = 1 1\nrow = 0 1\n")
     missing = str(work_dir / "no_such.ring")
     group_args = {"molien": [], "sympow": ["--n", "2"], "invgen": ["--degree", "4"], "descent": []}
     commands = [([command, missing], {}) for command in ("hilbert", "shift", "duality")]
@@ -153,6 +158,8 @@ def error_argvs(work_dir: Path) -> list[tuple[list[str], dict[str, str]]]:
         (["invgen", "tmf2", "sigma3_standard", "--degree", "-1"], {}),
         (["hilbert", "ku", "--max-degree", "200001"], {}),
         ([], {}),
+        (["invgen", "ku", str(doubling), "--degree", "4"], {}),
+        (["invgen", "tmf2", str(unipotent), "--degree", "4"], {}),
     ]
 
 

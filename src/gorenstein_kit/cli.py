@@ -8,7 +8,10 @@ fixture of its kind (see ``dataset.load_ring_fixture``), so
 accepts ``--json`` for machine output: a single newline-terminated JSON
 object with a versioned ``schema`` field, all rationals rendered as exact
 ``p/q`` strings.  The environment variable ``GORENSTEIN_KIT_MAX_ORDER``
-overrides the group-enumeration cap.
+overrides the group-enumeration cap.  ``invgen``, and ``descent`` on a
+ring with relations, enumerate no group: they take the checked generators
+from ``invariants.basis_orbit``, so the cap bounds them only through the
+orbit of the basis vectors, which refuses an infinite group.
 
 Exit status is 0 on success (for ``table``: all rows PASS), 1 on a
 computation or input error, 2 on bad usage.  A warning, such as a failed
@@ -58,7 +61,7 @@ from .graded_ring import (
 )
 from .invariants import (
     DEFAULT_ORDER_CAP,
-    _checked_generators,
+    basis_orbit,
     decompose,
     format_polynomial,
     invariant_basis,
@@ -306,30 +309,29 @@ def cmd_sympow(args: argparse.Namespace, p: RingPresentation, record: GroupInput
 
 
 def cmd_invgen(args: argparse.Namespace, p: RingPresentation, record: GroupInputRecord) -> dict | list[str]:
-    group = record.build(cap=_order_cap())
     symbols = [s for s, _ in p.generators]
-    basis = invariant_basis(group, args.degree)
+    basis = invariant_basis(basis_orbit(record.generators, record.blocks, cap=_order_cap()), args.degree)
     if args.json:
         return {
             "ring": _ring_json(p),
-            "group": group.name,
+            "group": record.name,
             "degree": args.degree,
             "dimension": len(basis),
             "basis": [
                 {"display": format_polynomial(terms, symbols),
-                 "terms": [[list(e), str(c)] for e, c in terms]}
+                 "terms": [[e, str(c)] for e, c in terms]}
                 for terms in (sorted(poly.items(), reverse=True) for poly in basis)
             ],
         }
     return [
-        f"  invariants of {group.name} in degree {args.degree}: dimension {len(basis)}",
+        f"  invariants of {record.name} in degree {args.degree}: dimension {len(basis)}",
         *(f"    {format_polynomial(poly, symbols)}" for poly in basis),
     ]
 
 
 def cmd_descent(args: argparse.Namespace, p: RingPresentation, record: GroupInputRecord) -> dict | list[str]:
     if p.relations:  # descent_report would refuse the base: no group is built
-        _checked_generators(record.generators, record.blocks)
+        basis_orbit(record.generators, record.blocks, cap=_order_cap())
         base = ring_duality_report(p)
         if args.json:
             return {

@@ -2,17 +2,20 @@
 
 A group is enumerated explicitly (orders here are tiny, so exactness beats
 generality) as permutations of the orbit of the standard basis vectors
-under its generators: the orbit spans the space, so the action is faithful.
-An element is an index.  The closure composes index maps with
-``operator.itemgetter`` and records each generator's right-multiplication
-table on the indices, with the tree edge that first reached each element;
-conjugation by a generator is then two lookups in those tables, and the
-class key reads entries off the orbit one at a time over the members still
-tied, so no element's matrix is built.  On top of this the module computes
-(twisted) Molien series, pseudoreflection counts, invariant degrees by exact
-division, the supplement b read off M_det/M, symmetric-power characters,
-decompositions against rational character tables, and invariant
-polynomials as the common kernel of g - 1 over the generators.
+under its generators: the orbit spans the space, so the action is faithful,
+and the orbit is finite exactly when the group is.  ``basis_orbit`` checks
+the generators and walks that orbit, and enumerates no element; invariant
+polynomials need nothing more.  An element is an index.  The closure
+composes index maps with ``operator.itemgetter`` and records each
+generator's right-multiplication table on the indices, with the tree edge
+that first reached each element; conjugation by a generator is then two
+lookups in those tables, and the class key reads entries off the orbit one
+at a time over the members still tied, so no element's matrix is built.
+On top of this the module computes (twisted) Molien series,
+pseudoreflection counts, invariant degrees by exact division, the
+supplement b read off M_det/M, symmetric-power characters, decompositions
+against rational character tables, and invariant polynomials as the
+common kernel of g - 1 over the generators.
 
 Every class function is read off one class record, built once per group
 with the classes: the representatives, their orders and det(1 - s*g on V_d)
@@ -184,19 +187,31 @@ def _checked_generators(
     return gens
 
 
-def generate_group(
+class BasisOrbit(NamedTuple):
+    """A group's checked generators and the orbit of the standard basis
+    vectors under them, basis vectors first: ``images[h][k]`` is the index
+    in ``orbit`` of generator h times ``orbit[k]``."""
+
+    blocks: tuple[tuple[int, int], ...]
+    generators: tuple[Matrix, ...]
+    orbit: tuple[tuple[Scalar, ...], ...]
+    images: tuple[tuple[int, ...], ...]
+
+
+def _cap_error(cap: int) -> OrderCapExceeded:
+    return OrderCapExceeded(f"group closure exceeds the cap of {cap} elements")
+
+
+def basis_orbit(
     generators: Sequence[Sequence[Sequence[Scalar]]],
     blocks: Sequence[tuple[int, int]],
     cap: int = DEFAULT_ORDER_CAP,
-    name: str = "",
-) -> GradedGroupRep:
-    """Breadth-first closure of the generators, as permutations of the orbit
-    of the standard basis vectors.
-
-    Raises :class:`OrderCapExceeded` when the closure grows past ``cap``, or
-    the orbit past n*cap vectors (each basis vector's orbit has at most |G|
-    of them, and an infinite group has an infinite orbit).
-    """
+) -> BasisOrbit:
+    """The blocks and generators checked (:func:`_checked_generators`), and
+    the breadth-first orbit of the standard basis vectors; no element is
+    enumerated.  The orbit spans the space, so it is finite exactly when the
+    group is, and each basis vector's orbit has at most |G| vectors: past
+    n*cap of them, :class:`OrderCapExceeded` is raised."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
     blocks = tuple((operator.index(d), operator.index(m)) for d, m in blocks)
@@ -205,7 +220,6 @@ def generate_group(
             raise ValueError(f"bad block ({degree}, {dim}): degree and dimension must be >= 1")
     gens = _checked_generators(generators, blocks)
     n = sum(dim for _, dim in blocks)
-    too_large = OrderCapExceeded(f"group closure exceeds the cap of {cap} elements")
     orbit = list(linalg.identity(n))
     position = {v: k for k, v in enumerate(orbit)}
     images: list[list[int]] = [[] for _ in gens]
@@ -220,11 +234,26 @@ def generate_group(
             w = tuple([c if type(c) is int else exact(c) for c in w])
             if w not in position:
                 if len(orbit) >= n * cap:
-                    raise too_large
+                    raise _cap_error(cap)
                 position[w] = len(orbit)
                 orbit.append(w)
             image.append(position[w])
-    gen_perms = tuple(tuple(image) for image in images)
+    return BasisOrbit(blocks, gens, tuple(orbit), tuple(tuple(image) for image in images))
+
+
+def generate_group(
+    generators: Sequence[Sequence[Sequence[Scalar]]],
+    blocks: Sequence[tuple[int, int]],
+    cap: int = DEFAULT_ORDER_CAP,
+    name: str = "",
+) -> GradedGroupRep:
+    """Breadth-first closure of the generators, as permutations of their
+    :func:`basis_orbit`.
+
+    Raises :class:`OrderCapExceeded` when the closure grows past ``cap``, or
+    the orbit past n*cap vectors.
+    """
+    blocks, gens, orbit, gen_perms = basis_orbit(generators, blocks, cap)
     perms = [tuple(range(len(orbit)))]
     index = {perms[0]: 0}
     # m*g sends k to m[g[k]]: itemgetter(*g)(m), a tuple unless the orbit is one
@@ -241,7 +270,7 @@ def generate_group(
             j = index.setdefault(prod, size)
             if j == size:
                 if size >= cap:
-                    raise too_large
+                    raise _cap_error(cap)
                 perms.append(prod)
                 first.append(len(products))
                 size += 1
@@ -252,7 +281,7 @@ def generate_group(
         blocks=blocks,
         generators=gens,
         order=len(perms),
-        orbit=tuple(orbit),
+        orbit=orbit,
         permutations=tuple(perms),
         right_tables=tuple(tuple(products[h::k]) for h in range(k)),
         tree_edges=tuple(divmod(p, k) for p in first),
@@ -781,14 +810,14 @@ def monomials_of_degree(var_degrees: Sequence[int], total: int) -> list[tuple[in
         e[i], rest = e[i] + 1, rest - head[i]
 
 
-def _monomial_maps(group: GradedGroupRep) -> list[tuple[list[int], list[tuple[int, Scalar]]]] | None:
+def _monomial_maps(group: GradedGroupRep | BasisOrbit) -> list[tuple[list[int], list[tuple[int, Scalar]]]] | None:
     """Per generator sending each x_j to c*x_i, read off its matrix, whose
     entry (i, j) is that c: the j sent to each x_i, and the (j, c) with
     c != 1; None for any other group."""
-    n, maps = group.dimension, []
+    maps = []
     for g in group.generators:
         targets = [(i, j, c) for i, row in enumerate(g) for j, c in enumerate(row) if c]
-        if len(targets) != n:  # g is nonsingular: n nonzero entries means one per row and column
+        if len(targets) != len(g):  # g is nonsingular: n nonzero entries means one per row and column
             return None
         maps.append(([j for _, j, _ in targets], [(j, c) for _, j, c in targets if c != 1]))
     return maps
@@ -801,6 +830,9 @@ def _orbit_sums(
     its highest column, value(g.m) = value(m) * c.  The orbits are disjoint,
     so listed highest column first they are already in reduced echelon form."""
     col_index = {e: k for k, e in enumerate(columns)}
+    # g.m's exponents are itemgetter(*source)(m): a tuple, unless there is one
+    # variable, whose only source is [0] and for which tuple(m) is m.
+    steps = [(operator.itemgetter(*source) if len(source) > 1 else tuple, scaled) for source, scaled in maps]
     value: dict[int, Scalar] = {}
     basis = []
     for start in reversed(range(len(columns))):
@@ -809,12 +841,12 @@ def _orbit_sums(
         value[start], orbit, consistent = 1, [start], True
         for k in orbit:  # breadth first: the loop visits the appended columns too
             m = columns[k]
-            for source, scaled in maps:
+            for image, scaled in steps:
                 c = value[k]
                 for j, a in scaled:
                     if m[j]:
                         c *= a ** m[j]
-                target = col_index[tuple([m[j] for j in source])]
+                target = col_index[image(m)]
                 c = c if type(c) is int else exact(c)
                 if target not in value:
                     value[target] = c
@@ -827,7 +859,7 @@ def _orbit_sums(
 
 
 def invariant_basis(
-    group: GradedGroupRep,
+    group: GradedGroupRep | BasisOrbit,
     total_degree: int,
     monomial_bound: int = DEFAULT_MONOMIAL_BOUND,
 ) -> list[Polynomial]:
@@ -847,9 +879,11 @@ def invariant_basis(
     the echelon form directly.  The monomial count, read from
     1/prod(1 - t^{d_i}), is checked against ``monomial_bound`` before any
     monomial is enumerated.  Polynomials are exponent dictionaries over the
-    graded variables, one slot per matrix coordinate.
+    graded variables, one slot per matrix coordinate.  Only the group's
+    ``blocks`` and ``generators`` are read, so a :func:`basis_orbit`, which
+    enumerates no element, will do.
     """
-    var_degrees = group.graded_degrees
+    var_degrees = tuple(degree for degree, dim in group.blocks for _ in range(dim))
     count = HilbertSeries(1, var_degrees).coefficient(total_degree)
     if count > monomial_bound:
         raise MonomialBoundExceeded(

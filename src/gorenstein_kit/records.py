@@ -39,9 +39,12 @@ member).  A single-valued key or section given twice is refused on its
 second line.  A ring file parses straight to a ``RingPresentation``, a group
 file to a ``GroupInputRecord``, both immutable records (named tuples);
 parsing then re-serializing either is a fixpoint.  ``GroupInputRecord.build``
-enumerates the group and reads no character table; ``table`` checks the
-file's table against the group, or gives the built-in one, and only the
-callers that read a table call it.
+checks the generators and walks their basis orbit
+(``invariants.basis_orbit``), then enumerates the group on it, and reads
+no character table; a caller that needs no element (``invgen``) calls
+``basis_orbit`` on the record's generators and blocks instead.  ``table``
+checks the file's table against the group, or gives the built-in one, and
+only the callers that read a table call it.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ import tracemalloc
 from itertools import groupby
 
 import pytest
-from conftest import shifted
+from conftest import shifted, signed_permutation_group
 
-from gorenstein_kit import cli, descent, duality, records
+from gorenstein_kit import cli, descent, duality, invariants, records
 from gorenstein_kit.cli import (
     MAX_SYMPOW_N,
     MAX_WINDOW_DEGREE,
@@ -340,22 +340,24 @@ def test_descent_on_a_relation_base_builds_no_group(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "rows, message",
     [
-        (("0 0 0", "0 1 0", "0 0 1"), "generator is singular"),
-        (("1 1 0", "0 1 0", "0 0 1"), "generator is not block-diagonal for the given grading"),
+        (("0 0 0", "0 1 0", "0 0 1"), "ValueError: generator is singular"),
+        (("1 1 0", "0 1 0", "0 0 1"), "ValueError: generator is not block-diagonal for the given grading"),
+        (("2 0 0", "0 1 0", "0 0 1"), "OrderCapExceeded: group closure exceeds the cap of 10000 elements"),
     ],
-    ids=["singular", "not-block-diagonal"],
+    ids=["singular", "not-block-diagonal", "infinite"],
 )
 def test_relation_base_descent_refuses_a_group_that_cannot_be_built(
     tmp_path, capsys, monkeypatch, rows, message
 ):
     # taf_d6 has relations, so descent prints no group data; the generators
-    # are still checked, as molien checks them, without enumerating the group.
+    # are still checked, as molien checks them, and the group refused if
+    # infinite, without enumerating the group.
     group = tmp_path / "bad.group"
     group.write_text(
         "[group]\nname = bad\nblock = 8 1\nblock = 12 1\nblock = 24 1\n\n[generator]\n"
         + "".join(f"row = {row}\n" for row in rows)
     )
-    expected = (1, "", f"error: ValueError: {message}\n")
+    expected = (1, "", f"error: {message}\n")
     assert run(capsys, "molien", "taf_d6", str(group)) == expected
 
     def refuse(*args, **kwargs):
@@ -659,6 +661,56 @@ def test_cap_error_carries_its_name(capsys, monkeypatch):
     code, _, err = run(capsys, "molien", "tmf2", "sigma3_standard")
     assert code == 1
     assert "OrderCapExceeded" in err
+
+
+def test_invgen_enumerates_no_group(tmp_path, capsys, monkeypatch):
+    pairs = [("ku", "c2_negation"), ("tmf2", "sigma3_standard"),
+             *(("taf_d6", f"taf_d6_{g}") for g in ("alpha", "beta", "alphabeta"))]
+    argvs = [["invgen", ring, group, "--degree", str(degree)] for ring, group in pairs for degree in (12, 24)]
+    for n, signed in ((4, False), (3, True)):
+        built = signed_permutation_group(n, signed)
+        group, ring = tmp_path / f"{built.name}.group", tmp_path / f"{built.name}.ring"
+        group.write_text(records.serialize_group_record(
+            records.GroupInputRecord(built.name, built.blocks, built.generators)
+        ))
+        ring.write_text(f"[ring]\nname = {built.name}\n" + "".join(f"generator = x{k} 2\n" for k in range(n)))
+        argvs += [["invgen", str(ring), str(group), "--degree", str(degree)] for degree in (8, 12)]
+    argvs = [argv + flags for argv in argvs for flags in ([], ["--json"])]
+    expected = [run(capsys, *argv) for argv in argvs]
+    assert all(code == 0 and out and not err for code, out, err in expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("group enumerated")
+
+    monkeypatch.setattr(invariants, "generate_group", refuse)
+    monkeypatch.setattr(records, "generate_group", refuse)
+    assert [run(capsys, *argv) for argv in argvs] == expected
+
+
+@pytest.mark.parametrize(
+    "ring, group",
+    [
+        ("ku", "[group]\nname = doubling\nblock = 2 1\n\n[generator]\nrow = 2\n"),
+        ("tmf2", "[group]\nname = unipotent\nblock = 4 2\n\n[generator]\nrow = 1 1\nrow = 0 1\n"),
+    ],
+    ids=["doubling", "unipotent"],
+)
+def test_invgen_refuses_an_infinite_group(tmp_path, capsys, ring, group):
+    path = tmp_path / "infinite.group"
+    path.write_text(group)
+    expected = (1, "", "error: OrderCapExceeded: group closure exceeds the cap of 10000 elements\n")
+    for flags in ([], ["--json"]):
+        assert run(capsys, "invgen", ring, str(path), "--degree", "8", *flags) == expected, flags
+
+
+def test_invgen_is_capped_by_the_orbit_not_the_order(capsys, monkeypatch):
+    # sigma3 has order 6 > 5, but its basis orbit of 6 vectors is within 2 * 5.
+    monkeypatch.setenv("GORENSTEIN_KIT_MAX_ORDER", "5")
+    code, out, err = run(capsys, "invgen", "tmf2", "sigma3_standard", "--degree", "8")
+    assert (code, err) == (0, "") and "x^2 + x*y + y^2" in out
+    code, out, err = run(capsys, "molien", "tmf2", "sigma3_standard")
+    assert (code, out) == (1, "")
+    assert err == "error: OrderCapExceeded: group closure exceeds the cap of 5 elements\n"
 
 
 def test_sympow_without_any_table_is_an_error(tmp_path, capsys):

@@ -31,6 +31,7 @@ from gorenstein_kit.invariants import (
     NotPolynomial,
     OrderCapExceeded,
     UnknownCharacter,
+    basis_orbit,
     builtin_character_table,
     character_table,
     class_representatives,
@@ -125,6 +126,22 @@ def test_cap_exceeded_for_unipotent_group():
 def test_cap_smaller_than_group():
     with pytest.raises(OrderCapExceeded):
         generate_group([[[-1, 1], [0, 1]], [[1, 0], [1, -1]]], [(4, 2)], cap=4)
+
+
+def test_basis_orbit_bounds_the_orbit_not_the_order():
+    # Each basis vector's orbit has at most |G| vectors, so a finite group
+    # passes with its orbit inside n*cap, and an infinite one is refused.
+    for generators, blocks in (([[[2]]], [(2, 1)]), ([[[1, 1], [0, 1]]], [(2, 2)])):
+        with pytest.raises(OrderCapExceeded, match="exceeds the cap of 50 elements"):
+            basis_orbit(generators, blocks, cap=50)
+    sigma3 = [[[-1, 1], [0, 1]], [[1, 0], [1, -1]]]
+    orbit = basis_orbit(sigma3, [(4, 2)], cap=3)  # order 6, orbit of 6 vectors
+    group = generate_group(sigma3, [(4, 2)])
+    assert orbit == (group.blocks, group.generators, group.orbit, generator_permutations(group))
+    with pytest.raises(OrderCapExceeded, match="exceeds the cap of 3 elements"):
+        generate_group(sigma3, [(4, 2)], cap=3)
+    with pytest.raises(OrderCapExceeded):
+        basis_orbit(sigma3, [(4, 2)], cap=2)
 
 
 def test_generator_validation():
@@ -1428,6 +1445,32 @@ def test_invariant_basis_matches_the_reynolds_oracle(name):
         for m in matrices(group):
             for poly in basis:
                 assert _act(m, poly) == poly, degree
+
+
+def _basis_from_generators_matches_the_group(generators, blocks, group):
+    """The basis from the generators alone equals the enumerated group's,
+    and its length is the Molien coefficient, at each degree 0..12."""
+    orbit, molien = basis_orbit(generators, blocks), molien_series(group).series
+    for degree in range(13):
+        basis = invariant_basis(orbit, degree)
+        assert basis == invariant_basis(group, degree), degree
+        assert len(basis) == molien.coefficient(degree), degree
+
+
+@pytest.mark.parametrize("name", [*GROUP_FIXTURES, "s4", "b3"])
+def test_invariant_basis_from_the_generators_matches_the_enumerated_group(name):
+    if name in GROUP_FIXTURES:
+        record = load_group_fixture(name)
+        _basis_from_generators_matches_the_group(record.generators, record.blocks, record.build())
+    else:
+        group = signed_permutation_group(int(name[1]), signed=name == "b3")
+        _basis_from_generators_matches_the_group(group.generators, group.blocks, group)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_signed_groups())
+def test_invariant_basis_from_the_generators_matches_on_random_signed_groups(group):
+    _basis_from_generators_matches_the_group(group.generators, group.blocks, group)
 
 
 @pytest.mark.parametrize("name", ["sigma3_standard", "s4_conjugated"])

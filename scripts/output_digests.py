@@ -43,11 +43,12 @@ The commands are:
   per subcommand.  Help exits 0 and a usage error 2.
 
 Each runs in-process through ``gorenstein_kit.cli.main``, imported from the
-``PYTHONPATH``.  The workload input files are written under this checkout's
-``.bench_work/output_digests`` and removed afterwards; the same checkout
-writes them to the same paths for any source tree, and the output and
-labels name them relative to the checkout's root, so two checkouts' lines
-can be compared directly.  ``COLUMNS`` is 80 during each command, so that
+``PYTHONPATH``.  The input files are written to a directory of this run's
+own under this checkout's ``.bench_work`` and removed afterwards, so runs
+from one checkout may overlap; the output and labels name that directory
+``.bench_work/output_digests`` and every other path under the checkout
+relative to its root, so the lines of any two runs, from one checkout or
+two, can be compared directly.  ``COLUMNS`` is 80 during each command, so that
 help and usage text wrap alike in a terminal and out of one.  Usage, from
 the root of a checkout::
 
@@ -65,11 +66,13 @@ import io
 import os
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
-WORK_DIR = ROOT / ".bench_work" / "output_digests"
+# The name every run's own input directory is printed under.
+WORK_LABEL = ".bench_work/output_digests"
 SYMPOW_N = (0, 12, 40)
 INVGEN_DEGREES = range(0, 49, 4)
 # Windows of 1023, 1024, 1025 and 2049 coefficients, 23 to 49 coefficients
@@ -197,7 +200,13 @@ def sparse_argvs(work_dir: Path) -> list[list[str]]:
     ]
 
 
-def digest_line(main, label: str, argv: list[str]) -> str:
+def portable(text: str, work_dir: Path) -> str:
+    """``text`` with paths under ``work_dir`` as under ``WORK_LABEL``, then
+    paths under this checkout relative to its root."""
+    return text.replace(f"{work_dir}/", f"{WORK_LABEL}/").replace(f"{ROOT}/", "")
+
+
+def digest_line(main, label: str, argv: list[str], work_dir: Path) -> str:
     out, err = io.StringIO(), io.StringIO()
     # argparse wraps help and usage to $COLUMNS, else to the terminal's width;
     # 80 is its width when standard output is not a terminal.
@@ -207,9 +216,9 @@ def digest_line(main, label: str, argv: list[str]) -> str:
                 code = main(argv)
             except SystemExit as exc:  # argparse's usage errors
                 code = exc.code
-    # Paths under this checkout are hashed relative to its root, so that two
-    # checkouts at different places print the same lines.
-    texts = (stream.getvalue().replace(f"{ROOT}/", "") for stream in (out, err))
+    # Paths are hashed as portable() writes them, so that runs with different
+    # work directories, in checkouts at different places, print the same lines.
+    texts = (portable(stream.getvalue(), work_dir) for stream in (out, err))
     digests = (hashlib.sha256(text.encode()).hexdigest() for text in texts)
     return f"{code} {' '.join(digests)} {label}"
 
@@ -221,27 +230,32 @@ def main(argv: list[str] | None = None) -> int:
     from gorenstein_kit import cli
 
     print(f"gorenstein_kit from {Path(cli.__file__).parent}", file=sys.stderr)
-    shutil.rmtree(WORK_DIR, ignore_errors=True)
+    (ROOT / ".bench_work").mkdir(exist_ok=True)
+    work = Path(tempfile.mkdtemp(dir=ROOT / ".bench_work"))
+
+    def digest(label: str, argv: list[str]) -> str:
+        return digest_line(cli.main, portable(label, work), argv, work)
+
     try:
         for seed in args.seeds:
-            paths = inputs.write_inputs(WORK_DIR / f"seed{seed}", seed)
+            paths = inputs.write_inputs(work / f"seed{seed}", seed)
             for workload in WORKLOADS:
                 for job in jobs_for(workload, paths):
-                    print(digest_line(cli.main, f"{workload} seed {seed}: {job['id']}", job["argv"]))
+                    print(digest(f"{workload} seed {seed}: {job['id']}", job["argv"]))
         for command in fixture_argvs() + window_argvs(WINDOW_DEGREES):
-            print(digest_line(cli.main, " ".join(command), command))
-        for command, env in error_argvs(WORK_DIR / "errors"):
+            print(digest(" ".join(command), command))
+        for command, env in error_argvs(work / "errors"):
             label = " ".join([*(f"{k}={v}" for k, v in env.items()), "gorenstein-kit", *command])
             with mock.patch.dict(os.environ, env):
-                print(digest_line(cli.main, label.replace(f"{ROOT}/", ""), command))
+                print(digest(label, command))
         for command in window_argvs(PIECE_DEGREES):
-            print(digest_line(cli.main, " ".join(command), command))
-        for command in two_block_argvs(WORK_DIR / "two_blocks") + sparse_argvs(WORK_DIR / "sparse"):
-            print(digest_line(cli.main, " ".join(command).replace(f"{ROOT}/", ""), command))
+            print(digest(" ".join(command), command))
+        for command in two_block_argvs(work / "two_blocks") + sparse_argvs(work / "sparse"):
+            print(digest(" ".join(command), command))
         for command in USAGE_ARGVS:
-            print(digest_line(cli.main, " ".join(["gorenstein-kit", *command]), command))
+            print(digest(" ".join(["gorenstein-kit", *command]), command))
     finally:
-        shutil.rmtree(WORK_DIR, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
     return 0
 
 

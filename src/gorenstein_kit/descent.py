@@ -22,7 +22,7 @@ from .graded_ring import (
     gorenstein_shift_formula,
     polynomial_presentation,
 )
-from .invariants import GradedGroupRep, SolomonVerification, verify_solomon
+from .invariants import GradedGroupRep, SolomonVerification, coordinate_degrees, verify_solomon
 from .series import NotMonomialRatio
 
 
@@ -55,8 +55,7 @@ def check_grading(p: RingPresentation, blocks: tuple[tuple[int, int], ...]) -> N
     """Refuse grading blocks whose coordinate degrees, in block order, differ
     from the ring's generator degrees in generator order (matrix columns
     follow the ring's generators), before any group is enumerated."""
-    degrees = [degree for degree, dim in blocks for _ in range(dim)]
-    if list(p.generator_degrees) != degrees:
+    if list(p.generator_degrees) != (degrees := list(coordinate_degrees(blocks))):
         raise BlockMismatch(
             f"group grading {degrees} does not match "
             f"generator degrees {list(p.generator_degrees)} of {p.name}"

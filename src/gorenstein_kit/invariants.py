@@ -17,8 +17,8 @@ supplement b read off M_det/M, symmetric-power characters, decompositions
 against rational character tables, and invariant polynomials as the
 common kernel of g - 1 over the generators.
 
-Every class function is read off one class record, built once per group
-with the classes: the representatives, their orders and det(1 - s*g on V_d)
+Every class function is read off one class record, built with the group:
+the classes, their representatives, their orders and det(1 - s*g on V_d)
 per grading block (Stanley, Bull. AMS 1 (1979), section 2) as its integer
 coefficients c_0..c_dim, by Newton's identities on traces read off the
 representative's permutation.  A Molien class term divides (1 - s^o)^dim by
@@ -26,8 +26,8 @@ each block's coefficients with an integer recurrence, the det weight is the
 product of the blocks' (-1)^dim c_dim, a pseudoreflection is a class of
 order 2 and trace n - 2, and the symmetric-power characters divide by the
 blocks in turn.  Decomposition needs a rational, hence integer, character
-table.  The group is an immutable slotted record; character tables and the
-Molien and Solomon reports are immutable records (named tuples).
+table.  The group with its class record, character tables and the Molien
+and Solomon reports are immutable records (named tuples).
 """
 
 from __future__ import annotations
@@ -78,15 +78,31 @@ class UnknownCharacter(LookupError):
 
 
 def _block_slices(blocks: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    out = []
-    start = 0
+    out, start = [], 0
     for degree, dim in blocks:
         out.append((degree, start, start + dim))
         start += dim
     return out
 
 
-class GradedGroupRep:
+def coordinate_degrees(blocks: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """Degree of each matrix coordinate: block degrees with multiplicity."""
+    return tuple(degree for degree, dim in blocks for _ in range(dim))
+
+
+def _permutation_order(perm: Sequence[int]) -> int:
+    """The lcm of a permutation's cycle lengths."""
+    order, seen = 1, set()
+    for k in range(len(perm)):
+        length = 0
+        while k not in seen:
+            seen.add(k)
+            k, length = perm[k], length + 1
+        order = math.lcm(order, length or 1)
+    return order
+
+
+class GradedGroupRep(NamedTuple):
     """An enumerated finite group of graded, invertible rational matrices.
 
     ``blocks`` lists (degree, dimension) pairs partitioning the generator
@@ -98,43 +114,28 @@ class GradedGroupRep:
     matrix is ``orbit[permutations[i][j]]``; no element's matrix is built.
     ``right_tables[h][i]`` is the index of element i times generator h, and
     ``tree_edges[j - 1]`` is the (i, h) with j = i * h by which the closure
-    first reached element j >= 1.
-    An immutable record: equality, hash and repr read only the name,
-    blocks, generators and order.
+    first reached element j >= 1.  The class record follows in canonical
+    order (:func:`conjugacy_classes`): ``classes``, their ``representatives``
+    and those elements' orders, and per class and block V_d the coefficients
+    c_0..c_dim of det(1 - s*g on V_d).  Every field follows from the name,
+    blocks and generators.
     """
 
-    __slots__ = (
-        "name", "blocks", "generators", "order", "orbit", "permutations", "right_tables", "tree_edges",
-        # (classes, representatives, their orders, per class and block V_d the
-        # coefficients c_0..c_dim of det(1 - s*g on V_d)), filled in by conjugacy_classes.
-        "_classes",
-    )
-
-    def __init__(self, name, blocks, generators, order, orbit, permutations, right_tables, tree_edges):
-        values = (name, blocks, generators, order, orbit, permutations, right_tables, tree_edges, None)
-        for slot, value in zip(self.__slots__, values):
-            object.__setattr__(self, slot, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # copies and pickles are rebuilt without the cache
-        return GradedGroupRep, tuple(getattr(self, slot) for slot in self.__slots__[:-1])
-
-    def _key(self) -> tuple:
-        return self.name, self.blocks, self.generators, self.order
-
-    def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if type(other) is GradedGroupRep else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    name: str
+    blocks: tuple[tuple[int, int], ...]
+    generators: tuple[Matrix, ...]
+    order: int
+    orbit: tuple[tuple[Scalar, ...], ...]
+    permutations: tuple[tuple[int, ...], ...]
+    right_tables: tuple[tuple[int, ...], ...]
+    tree_edges: tuple[tuple[int, int], ...]
+    classes: tuple[tuple[int, ...], ...]
+    representatives: tuple[int, ...]
+    class_orders: tuple[int, ...]
+    block_factors: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __repr__(self) -> str:
-        return "GradedGroupRep(name={!r}, blocks={!r}, generators={!r}, order={!r})".format(*self._key())
+        return "GradedGroupRep(name={!r}, blocks={!r}, generators={!r}, order={!r})".format(*self[:4])
 
     @property
     def dimension(self) -> int:
@@ -143,7 +144,7 @@ class GradedGroupRep:
     @property
     def graded_degrees(self) -> tuple[int, ...]:
         """Degree of each matrix coordinate: block degrees with multiplicity."""
-        return tuple(degree for degree, dim in self.blocks for _ in range(dim))
+        return coordinate_degrees(self.blocks)
 
     def block_slices(self) -> list[tuple[int, int, int]]:
         """(degree, start, stop) coordinate ranges of the diagonal blocks."""
@@ -151,14 +152,7 @@ class GradedGroupRep:
 
     def element_order(self, i: int) -> int:
         """Order of element i: the lcm of its permutation's cycle lengths."""
-        perm, order, seen = self.permutations[i], 1, set()
-        for k in range(len(perm)):
-            length = 0
-            while k not in seen:
-                seen.add(k)
-                k, length = perm[k], length + 1
-            order = math.lcm(order, length or 1)
-        return order
+        return _permutation_order(self.permutations[i])
 
 
 def _is_block_diagonal(m: Matrix, slices: list[tuple[int, int, int]]) -> bool:
@@ -248,7 +242,7 @@ def generate_group(
     name: str = "",
 ) -> GradedGroupRep:
     """Breadth-first closure of the generators, as permutations of their
-    :func:`basis_orbit`.
+    :func:`basis_orbit`, and its conjugacy classes (:func:`_conjugacy_classes`).
 
     Raises :class:`OrderCapExceeded` when the closure grows past ``cap``, or
     the orbit past n*cap vectors.
@@ -261,9 +255,7 @@ def generate_group(
     composers = [operator.itemgetter(*g) for g in gen_perms] if len(orbit) > 1 else [tuple] * len(gens)
     # products[i*k + h] is the index of element i times generator h, of k; the
     # product at position first[j - 1] is the one that first reached element j.
-    products: list[int] = []
-    first: list[int] = []
-    size = 1
+    products, first, size = [], [], 1
     for m in perms:  # breadth first, as for the orbit
         for compose in composers:
             prod = compose(m)
@@ -276,41 +268,27 @@ def generate_group(
                 size += 1
             products.append(j)
     k = len(composers)
-    return GradedGroupRep(
-        name=name,
-        blocks=blocks,
-        generators=gens,
-        order=len(perms),
-        orbit=orbit,
-        permutations=tuple(perms),
-        right_tables=tuple(tuple(products[h::k]) for h in range(k)),
-        tree_edges=tuple(divmod(p, k) for p in first),
-    )
+    closure = tuple(perms), tuple(tuple(products[h::k]) for h in range(k)), tuple(divmod(p, k) for p in first)
+    classes = _conjugacy_classes(blocks, orbit, *closure)
+    return GradedGroupRep(name, blocks, gens, len(perms), orbit, *closure, *classes)
 
 
-def conjugacy_classes(group: GradedGroupRep) -> tuple[tuple[int, ...], ...]:
-    """Partition of element indices into conjugacy classes, canonically ordered.
-
-    Classes are sorted by (order of representative, class size, entries of
-    the lexicographically least member); the identity class comes first.
-    Character tables and symmetric-power characters index classes in this
-    order.  The whole :func:`_class_record` is built here, once per group.
-    """
-    if group._classes is not None:
-        return group._classes[0]
+def _conjugacy_classes(blocks, orbit, perms, right, tree_edges) -> tuple[tuple, tuple, tuple, tuple]:
+    """A closure's classes, representatives, their orders and their
+    :func:`_block_factors`, in canonical order (:func:`conjugacy_classes`)."""
     # The class of x is its orbit under x -> g^-1 x g for the generators g, of
     # which every conjugation is a composite: an index map, x * g looked up in
     # g's right table, then g^-1 times that.  Left multiplication by g^-1
     # commutes with every right multiplication, so it follows the closure's
     # tree from g^-1, the index that g sends to the identity.
-    order, right = group.order, group.right_tables
+    order = len(perms)
     conjugations = []
     for table in right:
         left = [table.index(0)] * order  # left[j] = g^-1 * j: g^-1 at j = 0,
-        for j, (i, h) in enumerate(group.tree_edges, 1):
+        for j, (i, h) in enumerate(tree_edges, 1):
             left[j] = right[h][left[i]]  # then g^-1 * (i * h) = (g^-1 * i) * h
         conjugations.append([left[k] for k in table])
-    perms, n, rows = group.permutations, group.dimension, tuple(zip(*group.orbit))
+    n, rows = sum(dim for _, dim in blocks), tuple(zip(*orbit))
     # Entry (r, c) of j's matrix is orbit[perm_j[c]][r] = rows[r][perm_j[c]]; distinct elements differ.
     entry_order = [(row, c) for row in rows for c in range(n)]
     assigned = [False] * order
@@ -336,12 +314,21 @@ def conjugacy_classes(group: GradedGroupRep) -> tuple[tuple[int, ...], ...]:
                 tied = [j for j, v in zip(tied, values) if v == least]
         rep = tied[0]
         entries = tuple([row[k] for row in rows for k in perms[rep][:n]])
-        keyed.append(((group.element_order(rep), len(members), entries), rep, cls))
+        keyed.append(((_permutation_order(perms[rep]), len(members), entries), rep, cls))
     keyed.sort()
-    slices = group.block_slices()
-    per_class = [(cls, rep, key[0], _block_factors(group.orbit, perms[rep], slices)) for key, rep, cls in keyed]
-    object.__setattr__(group, "_classes", tuple(zip(*per_class)))
-    return group._classes[0]
+    slices = _block_slices(blocks)
+    return tuple(zip(*[(cls, rep, key[0], _block_factors(orbit, perms[rep], slices)) for key, rep, cls in keyed]))
+
+
+def conjugacy_classes(group: GradedGroupRep) -> tuple[tuple[int, ...], ...]:
+    """Partition of element indices into conjugacy classes, canonically ordered.
+
+    Classes are sorted by (order of representative, class size, entries of
+    the lexicographically least member); the identity class comes first.
+    Character tables and symmetric-power characters index classes in this
+    order.  :func:`generate_group` finds them with the group.
+    """
+    return group.classes
 
 
 def _block_factors(orbit: Sequence[tuple], perm: Sequence[int], slices) -> tuple[tuple[int, ...], ...]:
@@ -359,16 +346,9 @@ def _block_factors(orbit: Sequence[tuple], perm: Sequence[int], slices) -> tuple
     return tuple(factors)
 
 
-def _class_record(group: GradedGroupRep) -> tuple:
-    """(classes, representatives, their orders, each one's :func:`_block_factors`),
-    in canonical class order, built once per group by :func:`conjugacy_classes`."""
-    conjugacy_classes(group)
-    return group._classes
-
-
 def class_representatives(group: GradedGroupRep) -> tuple[int, ...]:
     """Index of each class's member with the least matrix entries."""
-    return _class_record(group)[1]
+    return group.representatives
 
 
 class RationalCharacterTable(NamedTuple):
@@ -451,16 +431,15 @@ def builtin_character_table(group: GradedGroupRep) -> RationalCharacterTable:
     user-supplied table (and have one only when all irreducible characters
     are rational).
     """
-    classes, _, orders, _ = _class_record(group)
     if group.order == 1:
         rows = [("triv", (1,))]
     elif group.order == 2:
         rows = [("triv", (1, 1)), ("sign", (1, -1))]
-    elif group.order == 4 and max(orders) <= 2:
+    elif group.order == 4 and max(group.class_orders) <= 2:
         rows = [("triv", (1,) * 4)] + [
             (f"chi{k}", tuple(1 if c in (0, k) else -1 for c in range(4))) for k in range(1, 4)
         ]
-    elif group.order == 6 and len(classes) == 3:
+    elif group.order == 6 and len(group.classes) == 3:
         rows = [("triv", (1, 1, 1)), ("sign", (1, -1, 1)), ("std", (2, 0, -1))]
     else:
         raise NoBuiltinCharacterTable(
@@ -525,7 +504,7 @@ def _molien_sums(
     classes: each class term is built once, classes are added in canonical
     order, and zero weights are skipped.  Totals are series-kernel (terms,
     degrees) pairs, each weight chi(g)*|C| folded into the term's lift."""
-    classes, _, orders, factors = _class_record(group)
+    classes, orders, factors = group.classes, group.class_orders, group.block_factors
     weightings = []
     for twist in twists:
         if twist == "trivial":
@@ -553,8 +532,7 @@ def pseudoreflection_count(group: GradedGroupRep) -> int:
     exactly when g has order 2 and trace n - 2.  The trace is minus the sum
     of the blocks' c_1.
     """
-    classes, _, orders, factors = _class_record(group)
-    n = group.dimension
+    classes, orders, factors, n = group.classes, group.class_orders, group.block_factors, group.dimension
     return sum(len(c) for c, o, fs in zip(classes, orders, factors) if o == 2 and -sum(f[1] for f in fs) == n - 2)
 
 
@@ -698,7 +676,7 @@ def sym_power_characters(group: GradedGroupRep, top: int) -> list[tuple[int, ...
     if top < 0:
         raise ValueError("symmetric power index must be >= 0")
     columns = []
-    for fs in _class_record(group)[3]:
+    for fs in group.block_factors:
         column = [1] + [0] * top
         for c in fs:
             if any(type(x) is not int for x in c):
@@ -883,7 +861,7 @@ def invariant_basis(
     ``blocks`` and ``generators`` are read, so a :func:`basis_orbit`, which
     enumerates no element, will do.
     """
-    var_degrees = tuple(degree for degree, dim in group.blocks for _ in range(dim))
+    var_degrees = coordinate_degrees(group.blocks)
     count = HilbertSeries(1, var_degrees).coefficient(total_degree)
     if count > monomial_bound:
         raise MonomialBoundExceeded(

@@ -39,12 +39,12 @@ member).  A single-valued key or section given twice is refused on its
 second line.  A ring file parses straight to a ``RingPresentation``, a group
 file to a ``GroupInputRecord``, both immutable records (named tuples);
 parsing then re-serializing either is a fixpoint.  ``GroupInputRecord.build``
-checks the generators and walks their basis orbit
-(``invariants.basis_orbit``), then enumerates the group on it, and reads
-no character table; a caller that needs no element (``invgen``) calls
-``basis_orbit`` on the record's generators and blocks instead.  ``table``
-checks the file's table against the group, or gives the built-in one, and
-only the callers that read a table call it.
+checks the generators and walks their basis orbit (``invariants.basis_orbit``),
+then enumerates the group on it, classes included, and reads no character
+table; a caller that needs no element (``invgen``) calls ``basis_orbit`` on
+the record's generators and blocks instead.  ``table`` checks the file's
+table against the group, or gives the built-in one, and only the callers
+that read a table call it.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ class GroupInputRecord(NamedTuple):
     class_sizes: tuple[int, ...] | None = None
 
     def build(self, cap: int = DEFAULT_ORDER_CAP) -> GradedGroupRep:
-        """Enumerate the group; the character table is left unchecked."""
+        """The group, classes included; the character table is left unchecked."""
         return generate_group(self.generators, self.blocks, cap=cap, name=self.name)
 
     def table(self, group: GradedGroupRep) -> RationalCharacterTable:

@@ -6,6 +6,15 @@ from gorenstein_kit.dataset import load_group_fixture, load_ring_fixture
 from gorenstein_kit.invariants import generate_group
 from gorenstein_kit.series import HilbertSeries
 
+# Each bundled group with the bundled ring it acts on.
+FIXTURE_PAIRS = [
+    ("ku", "c2_negation"),
+    ("tmf2", "sigma3_standard"),
+    ("taf_d6", "taf_d6_alpha"),
+    ("taf_d6", "taf_d6_beta"),
+    ("taf_d6", "taf_d6_alphabeta"),
+]
+
 
 def in_exact_form(c):
     """An int exactly when integral, otherwise a Fraction with denominator > 1."""

@@ -6,7 +6,7 @@ import tracemalloc
 from itertools import groupby
 
 import pytest
-from conftest import shifted, signed_permutation_group
+from conftest import FIXTURE_PAIRS, shifted, signed_permutation_group
 
 from gorenstein_kit import cli, descent, duality, invariants, records
 from gorenstein_kit.cli import (
@@ -206,6 +206,32 @@ def test_commands_that_read_no_table_build_no_classes_for_it(capsys, monkeypatch
     monkeypatch.setattr(records, "conjugacy_classes", refuse)
     monkeypatch.setattr(records, "character_table", refuse)
     assert run(capsys, argv[0], "tmf2", "sigma3_standard", *argv[1:])[0] == 0
+
+
+@pytest.mark.parametrize("ring,group", FIXTURE_PAIRS)
+def test_the_class_pass_runs_once_per_command_when_the_group_is_built(capsys, monkeypatch, ring, group):
+    # The closure finds the classes with the group, and nothing else does:
+    # reading them off a built group runs no class pass, every command that
+    # builds a group runs one, and invgen and descent on a base with
+    # relations, which build none, run none.
+    record = load_group_fixture(group)
+    built = record.build()
+    table = record.table(built)
+    calls = []
+    original = invariants._conjugacy_classes
+    monkeypatch.setattr(invariants, "_conjugacy_classes", lambda *a: calls.append(a) or original(*a))
+    assert invariants.conjugacy_classes(built) == built.classes
+    assert invariants.class_representatives(built) == built.representatives
+    assert invariants.character_table(built, table.irreducibles) == table
+    assert not calls
+    argvs = [["molien", ring, group, "--twist", twist] for twist in ("trivial", "det", *table.names)]
+    argvs += [["sympow", ring, group, "--n", "6"], ["descent", ring, group], ["invgen", ring, group, "--degree", "8"]]
+    relations = bool(load_ring_fixture(ring).relations)
+    for argv in argvs:
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        builds = argv[0] != "invgen" and not (argv[0] == "descent" and relations)
+        assert len(calls) == builds, argv
 
 
 def test_invgen_command(capsys):

@@ -61,6 +61,14 @@ def trivial_group(blocks=((2, 1),)):
     return generate_group([], blocks, name="trivial")
 
 
+CLASS_FIELDS = ("classes", "representatives", "class_orders", "block_factors")
+
+
+def class_fields(group):
+    """The group's class record: its fields after the closure's."""
+    return tuple(getattr(group, field) for field in CLASS_FIELDS)
+
+
 def matrices(group):
     """Every element's matrix, in element order."""
     return [element_matrix(group, i) for i in range(group.order)]
@@ -471,14 +479,13 @@ def test_class_sums_match_the_per_element_definition(name):
 
 @pytest.mark.parametrize("name", ["sigma3_standard", "taf_d6_alpha", "s4", "b3"])
 def test_class_factors_are_computed_once_per_class_and_block(name, monkeypatch):
-    # Built first, and its cache cleared: checking a file's table fills the class record.
-    group, _ = _in_test_or_fixture_group(name)
-    object.__setattr__(group, "_classes", None)
+    # Counted from a fresh build, which finds the factors with the classes.
     calls = []
     original = linalg.det_one_minus_from_traces
     monkeypatch.setattr(
         linalg, "det_one_minus_from_traces", lambda p: calls.append(p) or original(p)
     )
+    group, _ = _in_test_or_fixture_group(name)
     base = polynomial_presentation("base", "Q", group.graded_degrees)
     assert descent_report(base, group).solomon.verified
     molien_series(group, "det")
@@ -509,7 +516,7 @@ def _faddeev_leverrier(m):
 )
 def test_class_factors_match_faddeev_leverrier_on_each_block(name):
     group, _ = _in_test_or_fixture_group(name)
-    _, reps, orders, factors = invariants._class_record(group)
+    reps, orders, factors = group.representatives, group.class_orders, group.block_factors
     assert len(factors) == len(orders) == len(conjugacy_classes(group))
     assert orders == tuple(group.element_order(rep) for rep in reps)
     for rep, block_factors in zip(reps, factors):
@@ -530,15 +537,14 @@ def test_element_matrices_are_read_only_where_needed(name):
     assert not hasattr(group, "matrix")
     reps = class_representatives(group)
     assert invariant_basis(group, 24)
-    object.__setattr__(group, "_classes", None)  # computed afresh, not read from the cache
-    assert reps and len(invariants._class_record(group)[3]) == len(reps)
+    fresh = _in_test_or_fixture_group(name)[0]
+    assert reps and fresh.representatives == reps and len(fresh.block_factors) == len(reps)
 
 
 def _group_core_results(group):
     """The class record (classes, representatives, orders, block factors)
-    and the trivial and det Molien sums, each computed afresh."""
-    object.__setattr__(group, "_classes", None)
-    record = invariants._class_record(group)
+    and the trivial and det Molien sums."""
+    record = class_fields(group)
     sums = invariants._molien_sums(group, ["trivial", "det"])
     return record, [(s.numerator.terms(), s.denominator_degrees) for s in sums]
 
@@ -560,17 +566,17 @@ DUPLICATES = {"pickle": lambda group: pickle.loads(pickle.dumps(group)), "copy":
 @pytest.mark.parametrize("how", DUPLICATES)
 @pytest.mark.parametrize("name", ["sigma3_standard", "taf_d6_alphabeta", "mixed", "b3"])
 def test_copies_and_pickles_rebuild_the_class_record(name, how):
-    # The one cache slot is left out of __reduce__: a copy recomputes it, equal.
-    assert [slot for slot in GradedGroupRep.__slots__ if slot.startswith("_")] == ["_classes"]
+    # A copy or pickle equals the original field by field, the class fields
+    # included: the group carries its class record and caches nothing.
+    assert GradedGroupRep._fields[-4:] == CLASS_FIELDS
     assert not hasattr(invariants, "_class_dets")
     group, _ = _in_test_or_fixture_group(name)
-    record = invariants._class_record(group)
     series = [molien_series(group, twist).series for twist in ("trivial", "det")]
     other = DUPLICATES[how](group)
-    assert other is not group and other == group and other._classes is None
-    assert all(getattr(other, slot) == getattr(group, slot) for slot in GradedGroupRep.__slots__[:-1])
-    assert (conjugacy_classes(other), class_representatives(other)) == record[:2]
-    assert invariants._class_record(other) == record
+    assert other is not group and other == group and type(other) is GradedGroupRep
+    assert all(getattr(other, field) == getattr(group, field) for field in GradedGroupRep._fields)
+    assert (conjugacy_classes(other), class_representatives(other)) == (group.classes, group.representatives)
+    assert class_fields(other) == class_fields(group)
     assert [molien_series(other, twist).series for twist in ("trivial", "det")] == series
 
 
@@ -608,7 +614,7 @@ def _element_term_by_long_division(blocks, order, factors):
 )
 def test_class_terms_match_long_division(name, monkeypatch):
     group, _ = _in_test_or_fixture_group(name)
-    _, reps, _, factors = invariants._class_record(group)
+    reps, factors = group.representatives, group.block_factors
     orders = [group.element_order(rep) for rep in reps]
     expected = [_element_term_by_long_division(group.blocks, o, fs) for o, fs in zip(orders, factors)]
 
@@ -660,7 +666,6 @@ def test_row_by_row_representatives_match_the_full_key_min(name):
     # Same key, order and representatives, so file-supplied tables stay valid.
     group, _ = _in_test_or_fixture_group(name)
     expected = _classes_by_full_key(group)
-    object.__setattr__(group, "_classes", None)  # computed afresh, not read from the cache
     assert (conjugacy_classes(group), class_representatives(group)) == expected
 
 
@@ -701,13 +706,15 @@ def _classes_by_brute_force(group):
 def test_classes_on_index_tables_match_brute_force_conjugation(name, monkeypatch):
     group, _ = _in_test_or_fixture_group(name)
     expected = _classes_by_brute_force(group)
+    assert (conjugacy_classes(group), class_representatives(group)) == expected
 
     def refuse(*items):
-        raise AssertionError("conjugacy_classes built an itemgetter")
+        raise AssertionError("the class pass built an itemgetter")
 
+    # The class pass alone, rerun on the closure's tables.
     monkeypatch.setattr(operator, "itemgetter", refuse)
-    object.__setattr__(group, "_classes", None)  # computed afresh, not read from the cache
-    assert (conjugacy_classes(group), class_representatives(group)) == expected
+    closure = group.orbit, group.permutations, group.right_tables, group.tree_edges
+    assert invariants._conjugacy_classes(group.blocks, *closure)[:2] == expected
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
@@ -776,7 +783,7 @@ def _molien_sums_by_series(group, twists, table):
     """The class pass before the series kernel, kept as the reference:
     total + term * (w * |C|) through HilbertSeries, classes in canonical
     order, then times 1/|G|; det weights from each representative's matrix."""
-    classes, reps, _, factors = invariants._class_record(group)
+    classes, reps, factors = group.classes, group.representatives, group.block_factors
     out = []
     for twist in twists:
         if twist == "trivial":
@@ -810,13 +817,12 @@ def test_class_pass_matches_the_sequential_series_sum(name):
 
 @pytest.mark.parametrize("name", ["sigma3_standard", "taf_d6_alphabeta", "s4", "b3", "mixed"])
 def test_class_pass_adds_no_series_objects(name, monkeypatch):
-    # On a fresh group, the classes, pseudoreflections, symmetric powers and
-    # class terms build no LaurentPolynomial: only the totals are wrapped, last.
-    group, table = _in_test_or_fixture_group(name)
+    # A fresh build's classes, and the pseudoreflections, symmetric powers and
+    # class terms, build no LaurentPolynomial: only the totals are wrapped, last.
+    built, table = _in_test_or_fixture_group(name)
     twists = ["trivial", "det", *(table.names if table else ())]
-    expected = _shapes(_molien_sums_by_series(group, twists, table))
-    reflections, characters = pseudoreflection_count(group), sym_power_characters(group, 12)
-    object.__setattr__(group, "_classes", None)
+    expected = _shapes(_molien_sums_by_series(built, twists, table))
+    reflections, characters = pseudoreflection_count(built), sym_power_characters(built, 12)
     init, of, wrap = LaurentPolynomial.__init__, LaurentPolynomial._of.__func__, HilbertSeries._of.__func__
     wrapping = []
 
@@ -841,7 +847,8 @@ def test_class_pass_adds_no_series_objects(name, monkeypatch):
     monkeypatch.setattr(LaurentPolynomial, "__init__", refuse_init)
     monkeypatch.setattr(LaurentPolynomial, "_of", classmethod(refuse_of))
     monkeypatch.setattr(HilbertSeries, "_of", classmethod(wrap_total))
-    assert conjugacy_classes(group) and group._classes is not None
+    group = _in_test_or_fixture_group(name)[0]
+    assert conjugacy_classes(group) == conjugacy_classes(built)
     assert pseudoreflection_count(group) == reflections
     assert sym_power_characters(group, 12) == characters
     got = invariants._molien_sums(group, twists, table)
@@ -882,7 +889,7 @@ def test_trivial_group_generated_on_one_coordinate_keeps_tuples():
 def test_class_term_refuses_a_factor_that_does_not_divide(name, order, factor):
     # A fabricated factor of the block's degree that does not divide (1 - s^order)^dim.
     group, _ = _in_test_or_fixture_group(name)
-    assert order in invariants._class_record(group)[2]
+    assert order in group.class_orders
     for term in (invariants._element_term, _element_term_by_long_division):
         with pytest.raises(ArithmeticError, match="failed to divide"):
             term(group.blocks, order, [factor])
@@ -1605,7 +1612,7 @@ def test_conjugated_group_keeps_the_exact_scalar_rule():
     assert any(type(x) is Fraction for v in group.orbit for x in v)
     for m in group.generators + tuple(element_matrix(group, i) for i in class_representatives(group)):
         assert all(in_exact_form(x) for row in m for x in row)
-    for factors in invariants._class_record(group)[3]:
+    for factors in group.block_factors:
         assert all(type(c) is int for f in factors for c in f)
     for degree in range(9):
         basis = invariant_basis(group, degree)

@@ -1,10 +1,12 @@
 """The records keep the semantics of the frozen dataclasses they replaced.
 
 Every record is immutable, compares and hashes by value, and prints as
-``Name(field=value, ...)``.  ``GradedGroupRep`` compares, hashes and prints
-by its name, blocks, generators and order only; ``GradedModuleSeries``
-compares without its label and, like its series, is unhashable.  The repr
-literals below are what the dataclasses printed.
+``Name(field=value, ...)``.  ``GradedGroupRep`` compares and hashes as a
+tuple of all its fields, the class record included, and prints its name,
+blocks, generators and order only: every field follows from the name,
+blocks and generators, so two builds from one input are equal.
+``GradedModuleSeries`` compares without its label and, like its series, is
+unhashable.  The repr literals below are what the dataclasses printed.
 """
 
 import pytest
@@ -21,7 +23,6 @@ from gorenstein_kit.graded_ring import (
 from gorenstein_kit.invariants import (
     GradedGroupRep,
     builtin_character_table,
-    conjugacy_classes,
     generate_group,
     molien_series,
     verify_solomon,
@@ -52,10 +53,6 @@ FACTORIES = {
 
 # The records that hold a series are unhashable, as the series is.
 HASHABLE = {"PaperTableRow", "RingPresentation", "GroupInputRecord", "GradedGroupRep", "RationalCharacterTable"}
-
-GROUP_FIELDS = (
-    "name", "blocks", "generators", "order", "orbit", "permutations", "right_tables", "tree_edges",
-)
 
 HILBERT_KU = "HilbertSeries(LaurentPolynomial({0: 1}), (2,))"
 HILBERT_C2 = "HilbertSeries(LaurentPolynomial({0: 1}), (4,))"
@@ -94,14 +91,10 @@ REPRS = {
 }
 
 
-def _fields(record):
-    return GROUP_FIELDS if type(record) is GradedGroupRep else type(record)._fields
-
-
 @pytest.mark.parametrize("name", FACTORIES)
 def test_fields_cannot_be_assigned_or_deleted(name):
     record = FACTORIES[name]()
-    for field in (*_fields(record), "not_a_field"):
+    for field in (*type(record)._fields, "not_a_field"):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         with pytest.raises(AttributeError):
@@ -126,18 +119,17 @@ def test_repr_is_the_dataclass_repr(name):
     assert repr(FACTORIES[name]()) == REPRS[name]
 
 
-def test_group_equality_reads_name_blocks_generators_and_order_only():
-    group = _c2()
-    conjugacy_classes(group)  # fills the class cache of one side only
-    other = GradedGroupRep(
-        name="c2", blocks=((2, 1),), generators=(((-1,),),), order=2, orbit=(), permutations=(),
-        right_tables=(), tree_edges=(),
-    )
-    assert group._classes is not None and other._classes is None
-    assert group == other and hash(group) == hash(other) and repr(group) == repr(other)
-    for field, value in (("name", "c2'"), ("blocks", ((4, 1),)), ("generators", (((1,),),)), ("order", 3)):
-        values = {key: getattr(other, key) for key in GROUP_FIELDS} | {field: value}
-        assert GradedGroupRep(**values) != other, field
+def test_group_equality_is_tuple_equality_over_every_field():
+    # Every field follows from the name, blocks and generators, so two builds
+    # from one input compare and hash equal; changing any field, the class
+    # record included, breaks equality, though the repr shows four fields.
+    group, again = _c2(), _c2()
+    assert group == again == tuple(again) and hash(group) == hash(again) == hash(tuple(again))
+    assert GradedGroupRep._fields[-4:] == ("classes", "representatives", "class_orders", "block_factors")
+    for field in GradedGroupRep._fields:
+        other = group._replace(**{field: ()})
+        assert other != group, field
+        assert (repr(other) == repr(group)) == (field not in ("name", "blocks", "generators", "order")), field
 
 
 def test_module_series_equality_ignores_the_label():

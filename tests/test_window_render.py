@@ -15,6 +15,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from conftest import FIXTURE_PAIRS
 
 from gorenstein_kit import cli
 from gorenstein_kit.cli import main
@@ -23,13 +24,6 @@ from gorenstein_kit.graded_ring import hilbert_series
 from gorenstein_kit.invariants import molien_series
 from gorenstein_kit.series import HilbertSeries, LaurentPolynomial
 
-FIXTURE_PAIRS = [
-    ("ku", "c2_negation"),
-    ("tmf2", "sigma3_standard"),
-    ("taf_d6", "taf_d6_alpha"),
-    ("taf_d6", "taf_d6_beta"),
-    ("taf_d6", "taf_d6_alphabeta"),
-]
 CHUNK = cli._WINDOW_CHUNK
 # Windows of one coefficient short of a piece, one piece, one over, and two
 # pieces and one coefficient; --max-degree is one less than the window size.

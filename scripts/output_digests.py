@@ -17,9 +17,11 @@ The commands are:
   (for each subcommand that takes a ring), a group with no fixture, an
   unknown ``--twist``, ``sympow`` on a group file with neither a
   ``[character_table]`` nor a built-in table, a bad
-  ``GORENSTEIN_KIT_MAX_ORDER``, three usage errors, which exit 2, and,
-  last, ``invgen`` on two infinite groups: doubling on ``ku`` and a
-  unipotent matrix on ``tmf2``.
+  ``GORENSTEIN_KIT_MAX_ORDER``, three usage errors, which exit 2,
+  ``invgen`` on two infinite groups: doubling on ``ku`` and a unipotent
+  matrix on ``tmf2``, and, last, ``invgen`` on ``tmf2`` and
+  ``sigma3_standard`` at degree 20000, whose 5001 monomials exceed
+  ``invariants.DEFAULT_MONOMIAL_BOUND``.
 - the same long-window commands at each ``--max-degree`` of
   ``PIECE_DEGREES``.  They come after the others so that the lines before
   them stay comparable with the output of a checkout whose list ended with
@@ -163,6 +165,7 @@ def error_argvs(work_dir: Path) -> list[tuple[list[str], dict[str, str]]]:
         ([], {}),
         (["invgen", "ku", str(doubling), "--degree", "4"], {}),
         (["invgen", "tmf2", str(unipotent), "--degree", "4"], {}),
+        (["invgen", "tmf2", "sigma3_standard", "--degree", "20000"], {}),
     ]
 
 

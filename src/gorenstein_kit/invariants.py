@@ -118,7 +118,9 @@ class GradedGroupRep(NamedTuple):
     order (:func:`conjugacy_classes`): ``classes``, their ``representatives``
     and those elements' orders, and per class and block V_d the coefficients
     c_0..c_dim of det(1 - s*g on V_d).  Every field follows from the name,
-    blocks and generators.
+    blocks and generators.  Coordinate degrees and block ranges are
+    :func:`coordinate_degrees` and ``_block_slices`` of ``blocks``, and the
+    order of element i is ``_permutation_order(permutations[i])``.
     """
 
     name: str
@@ -140,19 +142,6 @@ class GradedGroupRep(NamedTuple):
     @property
     def dimension(self) -> int:
         return sum(dim for _, dim in self.blocks)
-
-    @property
-    def graded_degrees(self) -> tuple[int, ...]:
-        """Degree of each matrix coordinate: block degrees with multiplicity."""
-        return coordinate_degrees(self.blocks)
-
-    def block_slices(self) -> list[tuple[int, int, int]]:
-        """(degree, start, stop) coordinate ranges of the diagonal blocks."""
-        return _block_slices(self.blocks)
-
-    def element_order(self, i: int) -> int:
-        """Order of element i: the lcm of its permutation's cycle lengths."""
-        return _permutation_order(self.permutations[i])
 
 
 def _is_block_diagonal(m: Matrix, slices: list[tuple[int, int, int]]) -> bool:
@@ -651,7 +640,7 @@ def verify_solomon(group: GradedGroupRep) -> SolomonVerification:
         if degrees is None:
             raise
         ratio = None
-    b = -ratio[1] if degrees is None else solomon_supplement(group.graded_degrees, degrees)
+    b = -ratio[1] if degrees is None else solomon_supplement(coordinate_degrees(group.blocks), degrees)
     return SolomonVerification(
         verified=ratio == (1, -b),
         supplement=b,
@@ -836,11 +825,7 @@ def _orbit_sums(
     return basis
 
 
-def invariant_basis(
-    group: GradedGroupRep | BasisOrbit,
-    total_degree: int,
-    monomial_bound: int = DEFAULT_MONOMIAL_BOUND,
-) -> list[Polynomial]:
+def invariant_basis(group: GradedGroupRep | BasisOrbit, total_degree: int) -> list[Polynomial]:
     """Exact basis of the invariant polynomials of one topological degree.
 
     The invariants are the common kernel of g - 1 over the generators g on
@@ -855,18 +840,18 @@ def invariant_basis(
     sparse rows of g - 1, and the rows of all generators go through one
     sparse elimination over the monomials ascending, whose pivot rows give
     the echelon form directly.  The monomial count, read from
-    1/prod(1 - t^{d_i}), is checked against ``monomial_bound`` before any
-    monomial is enumerated.  Polynomials are exponent dictionaries over the
-    graded variables, one slot per matrix coordinate.  Only the group's
+    1/prod(1 - t^{d_i}), is checked against ``DEFAULT_MONOMIAL_BOUND``,
+    read on every call, before any monomial is enumerated.  Polynomials
+    are exponent dictionaries over the graded variables, one slot per
+    matrix coordinate.  Only the group's
     ``blocks`` and ``generators`` are read, so a :func:`basis_orbit`, which
     enumerates no element, will do.
     """
     var_degrees = coordinate_degrees(group.blocks)
     count = HilbertSeries(1, var_degrees).coefficient(total_degree)
-    if count > monomial_bound:
-        raise MonomialBoundExceeded(
-            f"{count} monomials at degree {total_degree} (bound {monomial_bound})"
-        )
+    bound = DEFAULT_MONOMIAL_BOUND
+    if count > bound:
+        raise MonomialBoundExceeded(f"{count} monomials at degree {total_degree} (bound {bound})")
     if not count:
         return []
     columns = monomials_of_degree(var_degrees, total_degree)

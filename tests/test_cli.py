@@ -739,6 +739,26 @@ def test_invgen_is_capped_by_the_orbit_not_the_order(capsys, monkeypatch):
     assert err == "error: OrderCapExceeded: group closure exceeds the cap of 5 elements\n"
 
 
+def test_invgen_monomial_bound(capsys, monkeypatch):
+    # The bound counts the monomials of the degree, 1/prod(1 - t^{d_i}),
+    # before any is enumerated, and is read on every call.
+    code, out, err = run(capsys, "invgen", "tmf2", "sigma3_standard", "--degree", "20000")
+    assert (code, out) == (1, "")
+    assert err == "error: MonomialBoundExceeded: 5001 monomials at degree 20000 (bound 5000)\n"
+    # taf_d6 has generators of degrees 8, 12 and 24: 4950 monomials at 2352.
+    argv = ["invgen", "taf_d6", "taf_d6_alphabeta", "--degree"]
+    code, out, err = run(capsys, *argv, "2352")
+    assert (code, err) == (0, "") and out
+    code, out, err = run(capsys, *argv, "2376")
+    assert (code, out) == (1, "")
+    assert err == "error: MonomialBoundExceeded: 5050 monomials at degree 2376 (bound 5000)\n"
+    monkeypatch.setattr(invariants, "DEFAULT_MONOMIAL_BOUND", 5050)
+    code, payload, err = run_json(capsys, *argv, "2376")
+    assert (code, err) == (0, "")
+    molien = invariants.molien_series(load_group_fixture("taf_d6_alphabeta").build()).series
+    assert payload["dimension"] == molien.coefficient(2376) == 1275
+
+
 def test_sympow_without_any_table_is_an_error(tmp_path, capsys):
     group = tmp_path / "c3.group"
     group.write_text(

@@ -14,7 +14,7 @@ from gorenstein_kit.descent import (
 )
 from gorenstein_kit.duality import DualityReport, duality_report
 from gorenstein_kit.graded_ring import gorenstein_shift_formula, polynomial_presentation
-from gorenstein_kit.invariants import generate_group
+from gorenstein_kit.invariants import coordinate_degrees, generate_group
 
 
 def test_negation_chain(ku, c2_group):
@@ -97,7 +97,7 @@ def _descent_cases(all_ring_fixtures, all_group_fixtures):
         (tmf2, generate_group([], [(4, 2)], name="trivial")),
     ]
     for group in (signed_permutation_group(4, signed=False), signed_permutation_group(3, signed=True)):
-        cases.append((polynomial_presentation("base", "Q", group.graded_degrees), group))
+        cases.append((polynomial_presentation("base", "Q", coordinate_degrees(group.blocks)), group))
     return cases
 
 

@@ -36,6 +36,7 @@ from gorenstein_kit.invariants import (
     character_table,
     class_representatives,
     conjugacy_classes,
+    coordinate_degrees,
     decompose,
     extract_polynomial_degrees,
     format_polynomial,
@@ -249,7 +250,7 @@ def test_group_core_matches_the_matrix_closure(name):
     assert class_representatives(group) == representatives
     position = {v: k for k, v in enumerate(group.orbit)}
     for i, m in enumerate(elements):
-        assert group.element_order(i) == _matrix_order(m)
+        assert invariants._permutation_order(group.permutations[i]) == _matrix_order(m)
         # column j of element i is the orbit vector its permutation picks
         for j in range(group.dimension):
             assert position[tuple(row[j] for row in m)] == group.permutations[i][j]
@@ -280,7 +281,7 @@ def test_order_and_class_sizes_match_sympy(family, n):
     assert sorted(len(c) for c in conjugacy_classes(group)) == sorted(
         len(c) for c in reference.conjugacy_classes()
     )
-    assert sorted(group.element_order(i) for i in range(group.order)) == sorted(
+    assert sorted(invariants._permutation_order(perm) for perm in group.permutations) == sorted(
         p.order() for p in reference.elements
     )
 
@@ -318,7 +319,7 @@ def test_classes_of_standard_action(name):
 
 def test_class_representatives_sorted_by_element_order(sigma3_group):
     reps = class_representatives(sigma3_group)
-    orders = [sigma3_group.element_order(i) for i in reps]
+    orders = [invariants._permutation_order(sigma3_group.permutations[i]) for i in reps]
     assert orders == [1, 2, 3]
 
 
@@ -419,7 +420,7 @@ def _molien_by_elements(group, weight):
     for m in matrices(group):
         inv = linalg.inverse(m)
         term = HilbertSeries(1)
-        for degree, start, stop in group.block_slices():
+        for degree, start, stop in invariants._block_slices(group.blocks):
             block = tuple(tuple(row[start:stop]) for row in inv[start:stop])
             coeffs = linalg.det_one_minus_coefficients(block)
             det = LaurentPolynomial({k * degree: c for k, c in enumerate(coeffs)})
@@ -486,7 +487,7 @@ def test_class_factors_are_computed_once_per_class_and_block(name, monkeypatch):
         linalg, "det_one_minus_from_traces", lambda p: calls.append(p) or original(p)
     )
     group, _ = _in_test_or_fixture_group(name)
-    base = polynomial_presentation("base", "Q", group.graded_degrees)
+    base = polynomial_presentation("base", "Q", coordinate_degrees(group.blocks))
     assert descent_report(base, group).solomon.verified
     molien_series(group, "det")
     sym_power_characters(group, 10)
@@ -518,11 +519,11 @@ def test_class_factors_match_faddeev_leverrier_on_each_block(name):
     group, _ = _in_test_or_fixture_group(name)
     reps, orders, factors = group.representatives, group.class_orders, group.block_factors
     assert len(factors) == len(orders) == len(conjugacy_classes(group))
-    assert orders == tuple(group.element_order(rep) for rep in reps)
+    assert orders == tuple(invariants._permutation_order(group.permutations[rep]) for rep in reps)
     for rep, block_factors in zip(reps, factors):
         m = element_matrix(group, rep)
         assert type(block_factors) is tuple and len(block_factors) == len(group.blocks)
-        for (_, start, stop), factor in zip(group.block_slices(), block_factors):
+        for (_, start, stop), factor in zip(invariants._block_slices(group.blocks), block_factors):
             block = tuple(tuple(row[start:stop]) for row in m[start:stop])
             assert factor == tuple(_faddeev_leverrier(block))
             assert type(factor) is tuple and all(type(c) is int for c in factor)
@@ -615,7 +616,7 @@ def _element_term_by_long_division(blocks, order, factors):
 def test_class_terms_match_long_division(name, monkeypatch):
     group, _ = _in_test_or_fixture_group(name)
     reps, factors = group.representatives, group.block_factors
-    orders = [group.element_order(rep) for rep in reps]
+    orders = [invariants._permutation_order(group.permutations[rep]) for rep in reps]
     expected = [_element_term_by_long_division(group.blocks, o, fs) for o, fs in zip(orders, factors)]
 
     def refuse(self, divisor):
@@ -656,7 +657,8 @@ def _classes_by_full_key(group):
         entries, rep = min(
             (tuple([row[k] for row in rows for k in group.permutations[j][:n]]), j) for j in members
         )
-        keyed.append(((group.element_order(rep), len(members), entries), rep, tuple(sorted(members))))
+        order = invariants._permutation_order(group.permutations[rep])
+        keyed.append(((order, len(members), entries), rep, tuple(sorted(members))))
     keyed.sort()
     return tuple(cls for _, _, cls in keyed), tuple(rep for _, rep, _ in keyed)
 
@@ -697,7 +699,8 @@ def _classes_by_brute_force(group):
         members = {index[tuple([hinv[perms[x][k]] for k in h])] for h, hinv in zip(perms, inverses)}
         assigned |= members
         rep, entries = _least_member_by_rows(group, members)
-        keyed.append(((group.element_order(rep), len(members), entries), rep, tuple(sorted(members))))
+        order = invariants._permutation_order(group.permutations[rep])
+        keyed.append(((order, len(members), entries), rep, tuple(sorted(members))))
     keyed.sort()
     return tuple(cls for _, _, cls in keyed), tuple(rep for _, rep, _ in keyed)
 
@@ -795,7 +798,8 @@ def _molien_sums_by_series(group, twists, table):
         total = HilbertSeries(0)
         for rep, cls, fs, w in zip(reps, classes, factors, weights):
             if w:
-                term = invariants._element_term(group.blocks, group.element_order(rep), fs)
+                order = invariants._permutation_order(group.permutations[rep])
+                term = invariants._element_term(group.blocks, order, fs)
                 total = total + HilbertSeries._of(*term) * (w * len(cls))
         out.append(total * Fraction(1, group.order))
     return out
@@ -903,7 +907,7 @@ def test_degree_weighted_twists_sum_to_the_free_ring(name):
     total = HilbertSeries(0)
     for character, chi in table.irreducibles:
         total = total + molien_series(group, character, table=table).series * chi[0]
-    assert total == HilbertSeries(1, group.graded_degrees)
+    assert total == HilbertSeries(1, coordinate_degrees(group.blocks))
 
 
 def test_verify_solomon_peels_once_and_counts_no_pseudoreflections(monkeypatch):
@@ -1041,11 +1045,11 @@ def test_solomon_ratio_gives_the_functional_equation_shift(group):
         with pytest.raises(NotGorensteinSeries):
             gorenstein_shift_stanley(molien_series(group).series, n)
         return
-    a = gorenstein_shift_formula(polynomial_presentation("base", "Q", group.graded_degrees))
+    a = gorenstein_shift_formula(polynomial_presentation("base", "Q", coordinate_degrees(group.blocks)))
     assert solomon.verified
     assert a + solomon.supplement == gorenstein_shift_stanley(solomon.invariant_series, n)
     if solomon.invariant_degrees is not None:
-        assert solomon.supplement == sum(group.graded_degrees) - sum(solomon.invariant_degrees)
+        assert solomon.supplement == sum(coordinate_degrees(group.blocks)) - sum(solomon.invariant_degrees)
 
 
 # -- symmetric powers and decomposition ----------------------------------------------------
@@ -1357,9 +1361,10 @@ def test_invariant_dimensions_match_molien(c2_group, sigma3_group, all_group_fix
             assert len(invariant_basis(group, degree)) == expected, (group.name, degree)
 
 
-def test_monomial_bound(sigma3_group):
+def test_monomial_bound(sigma3_group, monkeypatch):
+    monkeypatch.setattr(invariants, "DEFAULT_MONOMIAL_BOUND", 2)
     with pytest.raises(MonomialBoundExceeded):
-        invariant_basis(sigma3_group, 40, monomial_bound=2)
+        invariant_basis(sigma3_group, 40)
 
 
 def test_monomial_bound_is_checked_before_enumerating(monkeypatch):
@@ -1371,8 +1376,9 @@ def test_monomial_bound_is_checked_before_enumerating(monkeypatch):
     group = generate_group([], [(2, 5)], name="trivial5")
     with pytest.raises(MonomialBoundExceeded, match="70058751 monomials"):
         invariant_basis(group, 400)
+    monkeypatch.setattr(invariants, "DEFAULT_MONOMIAL_BOUND", 10)
     with pytest.raises(MonomialBoundExceeded):
-        invariant_basis(s4_group(), 40, monomial_bound=10)
+        invariant_basis(s4_group(), 40)
 
 
 def _substitute(m, exponents):
@@ -1398,7 +1404,7 @@ def _reynolds_basis(group, degree):
     the columns in the library's order."""
     if degree == 0:
         return [{(0,) * group.dimension: Fraction(1)}]
-    monomials = monomials_of_degree(group.graded_degrees, degree)
+    monomials = monomials_of_degree(coordinate_degrees(group.blocks), degree)
     columns = sorted(monomials, reverse=True)
     col_index = {e: i for i, e in enumerate(columns)}
     rows = []
